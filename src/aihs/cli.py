@@ -202,7 +202,8 @@ def cmd_verify(args) -> int:
         return EXIT_FAIL
     try:
         cert = ser.read_certificate(path)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # a malformed document fails inside the decoder: wrong JSON types
         print(f"error: cannot parse certificate {path}: {exc}", file=sys.stderr)
         return EXIT_FAIL
     op = _operator_for_certificate(cert, args)

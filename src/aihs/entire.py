@@ -254,12 +254,13 @@ def _newton_polish(c: np.ndarray, z: complex, iters: int = 40) -> tuple[complex,
     return best_z, best_r
 
 
-def find_zeros(cs: CoefficientSequence, m: int) -> ZeroSet:
+def find_zeros(cs: CoefficientSequence, m: int, rtol: float = ZERO_RTOL) -> ZeroSet:
     """The m largest-modulus zeros of the truncated polynomial, ascending.
 
     Companion-matrix seeds on geometrically balanced coefficients, then
     Newton polishing through the normalized Horner pair.  Raises when some
-    returned zero misses the residual tolerance or two of them collide.
+    returned zero misses the residual tolerance ``rtol`` (relative to the
+    largest coefficient) or two of them collide.
     """
     c = np.asarray(cs.coefficients, dtype=np.complex128)
     d = cs.degree
@@ -282,12 +283,12 @@ def find_zeros(cs: CoefficientSequence, m: int) -> ZeroSet:
 
     polished.sort(key=lambda t: abs(t[0]))
     chosen = polished[-m:]
-    bad = [(z, r) for z, r in chosen if not (r < ZERO_RTOL)]
+    bad = [(z, r) for z, r in chosen if not (r < rtol)]
     if bad:
         worst = max(bad, key=lambda t: t[1])
         raise AssumptionError(
             f"{len(bad)} of {m} zeros failed to polish; worst residual "
-            f"{worst[1]:.3e} at |z| = {abs(worst[0]):.6g} (tol {ZERO_RTOL:.1e})"
+            f"{worst[1]:.3e} at |z| = {abs(worst[0]):.6g} (tol {rtol:.1e})"
         )
 
     lambdas = np.array([z for z, _ in chosen], dtype=np.complex128)

@@ -229,7 +229,7 @@ def compute_metrics(
     """
     e_col = e.reshape(-1, 1)
     with_e = np.hstack([basis, e_col])
-    moved = op.matrix @ basis
+    moved = op.apply(basis)
     rank_small = numerical_rank(with_e, rtol=tol.tol_rank)
     rank_big = numerical_rank(np.hstack([moved, with_e]), rtol=tol.tol_rank)
     ai_rank = rank_big - rank_small
@@ -343,7 +343,8 @@ def build_entire(
     with _stage("zeros"):
         if degree < m:
             raise AssumptionError(f"degree {degree} yields fewer than m = {m} zeros")
-        zero_set = find_zeros(cs, degree)  # all candidates; selection guards next
+        # all candidates; selection guards next
+        zero_set = find_zeros(cs, degree, rtol=tol.tol_zero)
 
     abs_c = np.abs(cs.coefficients)
     max_c = float(abs_c.max())

@@ -1,8 +1,7 @@
 """Finite truncations of sequence-space operators.
 
-Three families are supported, all as dense complex matrices acting on the
-standard basis ``e_1 .. e_N`` of ``C^N`` (indices are 1-based in the
-documentation, 0-based in code):
+Three families are supported, acting on the standard basis ``e_1 .. e_N``
+of ``C^N`` (indices are 1-based in the documentation, 0-based in code):
 
 * forward weighted shift: ``T e_i = w_i e_{i+1}`` for ``i < N`` and
   ``T e_N = 0``;
@@ -12,16 +11,22 @@ documentation, 0-based in code):
 
 Truncations of both shift families are nilpotent, which downstream modules
 exploit: Neumann sums terminate and the point ``0`` is the only (spurious)
-eigenvalue.
+eigenvalue.  They are also bidiagonal, so :class:`OperatorModel` keeps only
+their weights: applying ``T`` or ``T*`` and solving ``(z - T) h = e`` cost
+O(N), and the dense matrix is built only when a caller asks for it.  Dense
+operators keep their matrix, a matvec and an LU factorization.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ArgumentError, MinimalityError, OrbitDeathError
 from ._linalg import distance_to_span
@@ -68,27 +73,90 @@ class OperatorModel:
     Attributes
     ----------
     family : Family
-        Which construction produced the matrix.
+        Which construction produced the operator.
     weights : tuple[complex, ...] | None
         The shift weights (length ``dim - 1``); ``None`` for dense operators.
-    matrix : numpy.ndarray
-        The dense ``(dim, dim)`` complex matrix.  Stored read-only; all
-        operations on models are pure, so instances are safe to share.
     dim : int
         Truncation size ``N >= 2``.
+    matrix : numpy.ndarray
+        The dense ``(dim, dim)`` complex matrix, read-only.  Shift families
+        build it on first access; nothing on the build and verify paths
+        needs it.  All operations on models are pure, so instances are safe
+        to share.
     """
 
     family: Family
     weights: tuple[complex, ...] | None
-    matrix: np.ndarray
     dim: int
+    # the matrix for dense operators, the read-only weight array for shifts
+    _array: np.ndarray = field(repr=False)
     _eig_cache: list = field(default_factory=list, repr=False, compare=False)
 
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        if self.family is Family.DENSE:
+            return self._array
+        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        j = np.arange(self.dim - 1)
+        if self.family is Family.FORWARD:
+            m[j + 1, j] = self._array
+        else:  # Donoghue backward shift
+            m[j, j + 1] = self._array
+        m.setflags(write=False)
+        return m
+
+    def _shift(self, vec: np.ndarray, down: bool, conj: bool) -> np.ndarray:
+        """Weighted one-step move of the entries, down or up the index."""
+        x = np.asarray(vec, dtype=np.complex128)
+        w = self._array.reshape((-1,) + (1,) * (x.ndim - 1))
+        if conj:
+            w = w.conj()
+        out = np.zeros_like(x)
+        if down:
+            out[1:] = w * x[:-1]
+        else:
+            out[:-1] = w * x[1:]
+        return out
+
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=np.complex128)
+        """``T vec`` for one vector or a ``(dim, k)`` block of columns."""
+        if self.family is Family.DENSE:
+            return self._array @ np.asarray(vec, dtype=np.complex128)
+        return self._shift(vec, down=self.family is Family.FORWARD, conj=False)
 
     def adjoint_apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix.conj().T @ np.asarray(vec, dtype=np.complex128)
+        """``T* vec`` for one vector or a ``(dim, k)`` block of columns."""
+        if self.family is Family.DENSE:
+            return self._array.conj().T @ np.asarray(vec, dtype=np.complex128)
+        return self._shift(vec, down=self.family is Family.DONOGHUE, conj=True)
+
+    def shifted_solver(self, z: complex):
+        """``rhs -> h`` solving ``(z - T) h = rhs`` for a fixed ``z``.
+
+        ``rhs`` is one vector or a ``(dim, k)`` block of columns.  Shift
+        families run an O(N) banded solve (bandwidth (1, 0) forward, (0, 1)
+        Donoghue); dense operators are LU-factored once, here.  A banded
+        solve raises ``numpy.linalg.LinAlgError`` on an exactly singular
+        system; a singular dense LU yields non-finite entries instead.
+        """
+        z = complex(z)
+        if self.family is Family.DENSE:
+            a = np.diag(np.full(self.dim, z)) - self._array
+            with warnings.catch_warnings():
+                # singularity surfaces in the caller's defect check
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                lu = scipy.linalg.lu_factor(a, check_finite=False)
+            return lambda rhs: scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        bands = np.zeros((2, self.dim), dtype=np.complex128)
+        if self.family is Family.FORWARD:
+            bands[0] = z
+            bands[1, :-1] = -self._array
+            widths = (1, 0)
+        else:
+            bands[0, 1:] = -self._array
+            bands[1] = z
+            widths = (0, 1)
+        return lambda rhs: scipy.linalg.solve_banded(widths, bands, rhs, check_finite=False)
 
     @property
     def is_nilpotent(self) -> bool:
@@ -187,22 +255,14 @@ def build_operator(
         m = np.asarray(matrix, dtype=np.complex128)
         if m.shape != (dim, dim):
             raise ArgumentError(f"matrix shape {m.shape} != ({dim}, {dim})")
-        return OperatorModel(family, None, _readonly(m), dim)
+        return OperatorModel(family, None, dim, _readonly(m))
 
     if matrix is not None:
         raise ArgumentError(f"{family.value} takes weights, not a matrix")
     if weights is None:
         raise ArgumentError(f"{family.value} requires weights")
     w = _check_weights(family, weights, dim)
-
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    if family is Family.FORWARD:
-        for j in range(dim - 1):
-            m[j + 1, j] = w[j]
-    else:  # Donoghue backward shift
-        for j in range(1, dim):
-            m[j - 1, j] = w[j - 1]
-    return OperatorModel(family, w, _readonly(m), dim)
+    return OperatorModel(family, w, dim, _readonly(w))
 
 
 # ----------------------------------------------------------------------------

@@ -62,8 +62,9 @@ class ResolventVector:
 
     ``defect`` is the solve residual relative to the solve scale, ``terms``
     the number of Neumann terms (``None`` for direct solves), ``condition``
-    a two-sided power-iteration estimate of cond_2(1/lam - T) (``nan`` when
-    not computed).
+    a two-sided power-iteration estimate of cond_2(1/lam - T), or ``nan``
+    unless the caller asked for it by calling
+    :meth:`ResolventSolver.condition_estimate` before the solve.
     """
 
     lam: complex
@@ -81,7 +82,12 @@ def _solve_scale(op: OperatorModel, lam: complex, h: np.ndarray, e: np.ndarray, 
 
 
 class ResolventSolver:
-    """LU factorization of ``1/lam - T``, reusable across right-hand sides."""
+    """Direct solver for ``(1/lam - T) h = e``, reusable across right-hand sides.
+
+    The solve is :meth:`OperatorModel.shifted_solver`: O(N) banded for the
+    shift families, an LU factored once for dense operators.  Every solve
+    is checked against ``op.apply``.  The condition estimate is opt-in.
+    """
 
     def __init__(self, op: OperatorModel, lam: complex, defect_tol: float = DEFECT_TOL):
         if lam == 0:
@@ -89,17 +95,15 @@ class ResolventSolver:
         self.op = op
         self.lam = complex(lam)
         self.defect_tol = float(defect_tol)
-        a = np.diag(np.full(op.dim, 1.0 / self.lam)) - op.matrix
-        self._a = a
-        with warnings.catch_warnings():
-            # exact singularity is caught by the defect check in solve()
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            self._lu = scipy.linalg.lu_factor(a, check_finite=False)
+        self._solve = op.shifted_solver(1.0 / self.lam)
         self._condition: float | None = None
 
     def solve(self, e: np.ndarray) -> ResolventVector:
         e = np.asarray(e, dtype=np.complex128).reshape(-1)
-        h = scipy.linalg.lu_solve(self._lu, e, check_finite=False)
+        try:
+            h = self._solve(e)
+        except np.linalg.LinAlgError as exc:
+            raise SingularResolventError(self.lam, str(exc)) from exc
         if not np.all(np.isfinite(h)):
             raise SingularResolventError(self.lam, "solve produced non-finite entries")
         th = self.op.apply(h)
@@ -115,20 +119,26 @@ class ResolventSolver:
             method="direct",
             terms=None,
             defect=defect,
-            condition=self.condition_estimate(),
+            condition=math.nan if self._condition is None else self._condition,
         )
 
     def condition_estimate(self, iters: int = 12) -> float:
         """cond_2 estimate: power iteration for sigma_max, inverse iteration
-        (through the stored LU factors) for sigma_min.  Fixed internal seed."""
+        for sigma_min.  Builds and LU-factors the dense ``1/lam - T`` on first
+        call, for every family.  Fixed internal seed."""
         if self._condition is None:
+            a = np.diag(np.full(self.op.dim, 1.0 / self.lam)) - self.op.matrix
+            with warnings.catch_warnings():
+                # exact singularity shows as non-finite inverse iterates
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                lu = scipy.linalg.lu_factor(a, check_finite=False)
             rng = np.random.default_rng(0)
             v = rng.standard_normal(self.op.dim) + 1j * rng.standard_normal(self.op.dim)
             v /= np.linalg.norm(v)
             hi = 0.0
             for _ in range(iters):
-                w = self._a @ v
-                v = self._a.conj().T @ w
+                w = a @ v
+                v = a.conj().T @ w
                 nv = float(np.linalg.norm(v))
                 if nv == 0.0:
                     break
@@ -138,8 +148,8 @@ class ResolventSolver:
             u /= np.linalg.norm(u)
             inv_hi = 0.0
             for _ in range(iters):
-                w = scipy.linalg.lu_solve(self._lu, u, trans=2, check_finite=False)
-                u = scipy.linalg.lu_solve(self._lu, w, check_finite=False)
+                w = scipy.linalg.lu_solve(lu, u, trans=2, check_finite=False)
+                u = scipy.linalg.lu_solve(lu, w, check_finite=False)
                 nu = float(np.linalg.norm(u))
                 if not math.isfinite(nu) or nu == 0.0:
                     inv_hi = math.inf

@@ -116,6 +116,30 @@ def test_verify_tampered_basis_fails(tmp_path):
     assert main(["verify", str(path)]) == 1
 
 
+@pytest.mark.parametrize("field, value", [("functionals", 5), ("lambdas", "x")])
+def test_verify_malformed_certificate_is_a_one_line_error(tmp_path, capsys, field, value):
+    cfg = _write(tmp_path / "run.json", _entire_cfg())
+    main(["build", "--config", cfg, "--out", str(tmp_path)])
+    path = tmp_path / "run.cert.json"
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse certificate")
+    assert err.count("\n") == 1
+
+
+def test_tiny_tol_zero_fails_the_zeros_stage(tmp_path, capsys):
+    # polished zero residuals sit far below the 1e-10 default, not below 1e-300
+    cfg = _write(tmp_path / "run.json", _entire_cfg())
+    assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["build", "--config", cfg, "--out", str(tmp_path), "--tol-zero", "1e-300"]) == 1
+    assert "error at stage 'zeros'" in capsys.readouterr().err
+
+
 def test_verify_missing_file(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 1
     assert "not found" in capsys.readouterr().err
