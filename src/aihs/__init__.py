@@ -5,143 +5,39 @@ by resolvent-type vectors satisfies T(Y) ⊆ Y + span{e} on an N×N truncation,
 together with independent annihilating functionals witnessing codimension.
 Supporting modules cover the operator families and orbits, resolvent solves
 and identities, entire-function and unit-disk zero machinery, finite-rank
-perturbation duality, and the functional-chain dichotomy.
+perturbation duality, and the functional-chain dichotomy; everything not
+re-exported here is imported from its submodule.
 """
 
 from .config import Tolerances
-from .chains import (
-    ChainState,
-    WitnessReport,
-    build_chain,
-    build_non_ai_halfspace_witness,
-    codim_n_subspace,
-    extend_chain,
-    init_chain,
-    verify_chain,
-)
-from .duality import (
-    AdjointReport,
-    PerturbationWitness,
-    adjoint_halfspace,
-    build_perturbation,
-    containment_residual,
-    minimal_defect_space,
-)
-from .entire import (
-    CoefficientSequence,
-    ZeroSet,
-    apply_picard_shift,
-    coefficients_from_norms,
-    find_zeros,
-    shifted_coefficients,
-)
-from .blaschke import BlaschkeData, blaschke_taylor, evaluate_product, fm_coefficient_table
-from .errors import (
-    AihsError,
-    ArgumentError,
-    AssumptionError,
-    ChainTerminated,
-    MinimalityError,
-    NeumannDivergenceError,
-    OrbitDeathError,
-    SingularResolventError,
-    StageError,
-)
-from .halfspace import (
-    FunctionalRep,
-    HalfSpaceCertificate,
-    build_blaschke,
-    build_entire,
-    verify_certificate,
-)
+from .errors import AihsError
+from .halfspace import HalfSpaceCertificate, build_blaschke, build_entire, verify_certificate
 from .operators import (
     Family,
     OperatorModel,
-    OrbitData,
     build_operator,
-    compute_orbit,
     factorial_decay_weights,
     geometric_weights,
-    max_orbit_length,
     operator_from_config,
 )
-from .resolvent import (
-    ResolventSolver,
-    ResolventVector,
-    check_replacement,
-    check_th_identity,
-    dense_subsequence_probe,
-    lambda_grid,
-    neumann_resolvent,
-    probe_tail_oracle,
-    resolvent_vector,
-)
-from .serialize import (
-    read_certificate,
-    write_certificate,
-)
+from .serialize import read_certificate, write_certificate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Tolerances",
-    "ChainState",
-    "WitnessReport",
-    "build_chain",
-    "build_non_ai_halfspace_witness",
-    "codim_n_subspace",
-    "extend_chain",
-    "init_chain",
-    "verify_chain",
-    "AdjointReport",
-    "PerturbationWitness",
-    "adjoint_halfspace",
-    "build_perturbation",
-    "containment_residual",
-    "minimal_defect_space",
-    "CoefficientSequence",
-    "ZeroSet",
-    "apply_picard_shift",
-    "coefficients_from_norms",
-    "find_zeros",
-    "shifted_coefficients",
-    "BlaschkeData",
-    "blaschke_taylor",
-    "evaluate_product",
-    "fm_coefficient_table",
-    "AihsError",
-    "ArgumentError",
-    "AssumptionError",
-    "ChainTerminated",
-    "MinimalityError",
-    "NeumannDivergenceError",
-    "OrbitDeathError",
-    "SingularResolventError",
-    "StageError",
-    "FunctionalRep",
-    "HalfSpaceCertificate",
-    "build_blaschke",
-    "build_entire",
-    "verify_certificate",
     "Family",
     "OperatorModel",
-    "OrbitData",
     "build_operator",
-    "compute_orbit",
-    "factorial_decay_weights",
-    "geometric_weights",
-    "max_orbit_length",
     "operator_from_config",
-    "ResolventSolver",
-    "ResolventVector",
-    "check_replacement",
-    "check_th_identity",
-    "dense_subsequence_probe",
-    "lambda_grid",
-    "neumann_resolvent",
-    "probe_tail_oracle",
-    "resolvent_vector",
+    "geometric_weights",
+    "factorial_decay_weights",
+    "build_entire",
+    "build_blaschke",
+    "verify_certificate",
+    "HalfSpaceCertificate",
     "read_certificate",
     "write_certificate",
+    "AihsError",
     "__version__",
 ]

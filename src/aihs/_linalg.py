@@ -11,9 +11,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from .config import Tolerances
+
 __all__ = [
     "as_complex_matrix",
     "unit_columns",
+    "svd_rank",
     "orthonormal_columns",
     "distance_to_span",
     "numerical_rank",
@@ -21,8 +24,6 @@ __all__ = [
     "min_norm_dual",
     "null_space",
 ]
-
-_RANK_RTOL = 1e-10
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -40,17 +41,30 @@ def unit_columns(a: np.ndarray) -> np.ndarray:
     return a[:, keep] / norms[keep]
 
 
-def orthonormal_columns(a: np.ndarray, rtol: float = _RANK_RTOL) -> np.ndarray:
+def svd_rank(s: np.ndarray, rtol: float = Tolerances.tol_rank, reference: float | None = None
+             ) -> int:
+    """Number of singular values ``s`` above ``rtol * reference``.
+
+    The reference defaults to the largest singular value ``s[0]``; a
+    reference that is not positive (or an empty ``s``) gives rank 0.
+    """
+    if reference is None:
+        reference = s[0] if s.size else 0.0
+    if not reference > 0.0:
+        return 0
+    return int(np.count_nonzero(s > rtol * reference))
+
+
+def orthonormal_columns(a: np.ndarray, rtol: float = Tolerances.tol_rank) -> np.ndarray:
     """Orthonormal basis of the column span, robust to column scaling."""
     a = unit_columns(a)
     if a.shape[1] == 0:
         return a
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.count_nonzero(s > rtol * s[0])) if s[0] > 0.0 else 0
-    return u[:, :rank]
+    return u[:, : svd_rank(s, rtol)]
 
 
-def distance_to_span(v: np.ndarray, a: np.ndarray, rtol: float = _RANK_RTOL) -> float:
+def distance_to_span(v: np.ndarray, a: np.ndarray, rtol: float = Tolerances.tol_rank) -> float:
     """Euclidean distance from ``v`` to the column span of ``a``."""
     v = np.asarray(v, dtype=np.complex128)
     if a.size == 0 or a.shape[1] == 0:
@@ -59,15 +73,12 @@ def distance_to_span(v: np.ndarray, a: np.ndarray, rtol: float = _RANK_RTOL) -> 
     return float(np.linalg.norm(v - q @ (q.conj().T @ v)))
 
 
-def numerical_rank(a: np.ndarray, rtol: float = _RANK_RTOL) -> int:
+def numerical_rank(a: np.ndarray, rtol: float = Tolerances.tol_rank) -> int:
     """Rank of the column span with columns normalized to unit scale."""
     a = unit_columns(a)
     if a.shape[1] == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return svd_rank(np.linalg.svd(a, compute_uv=False), rtol)
 
 
 def smallest_singular_value(a: np.ndarray) -> float:
@@ -95,15 +106,10 @@ def min_norm_dual(orbit: np.ndarray, values: np.ndarray) -> np.ndarray:
     return f
 
 
-def null_space(a: np.ndarray, rtol: float = _RANK_RTOL) -> np.ndarray:
+def null_space(a: np.ndarray, rtol: float = Tolerances.tol_rank) -> np.ndarray:
     """Orthonormal basis of the (right) null space of ``a``."""
-    a = as_complex_matrix(a)
-    u, s, vh = np.linalg.svd(a)
-    if s.size and s[0] > 0.0:
-        rank = int(np.count_nonzero(s > rtol * s[0]))
-    else:
-        rank = 0
-    return vh[rank:].conj().T
+    _, s, vh = np.linalg.svd(as_complex_matrix(a))
+    return vh[svd_rank(s, rtol):].conj().T
 
 
 def qr_basis(a: np.ndarray) -> np.ndarray:

@@ -50,25 +50,27 @@ class BlaschkeData:
 
 
 def blaschke_sequence(kind: str, count: int, **params) -> np.ndarray:
-    """Standard zero sequences in the disk.
+    """The zero sequences in the disk; the one place any of them is built.
 
     ``inverse-square``: lam_n = 1 - 1/(n+1)^2 (summable defects, the default
     elsewhere); ``geometric``: lam_n = 1 - ratio^n for 0 < ratio < 1;
-    ``explicit``: pass ``values=...``.
+    ``explicit``: pass ``values=...`` (complex numbers).  Raises when a zero
+    leaves the punctured open disk, e.g. a geometric tail rounding to 1.
     """
     if count < 1:
         raise ArgumentError("count must be >= 1")
+    n = np.arange(1, count + 1, dtype=float)
     if kind == "inverse-square":
-        lams = np.array([1.0 - 1.0 / (n + 1) ** 2 for n in range(1, count + 1)])
+        lams = 1.0 - 1.0 / (n + 1.0) ** 2
     elif kind == "geometric":
         ratio = float(params.get("ratio", 0.5))
         if not 0.0 < ratio < 1.0:
             raise ArgumentError(f"ratio must lie in (0, 1), got {ratio}")
-        lams = np.array([1.0 - ratio**n for n in range(1, count + 1)])
+        lams = 1.0 - ratio**n
     elif kind == "explicit":
         vals = params.get("values")
         if vals is None or len(vals) != count:
-            raise ArgumentError("explicit kind needs count matching values")
+            raise ArgumentError(f"explicit kind needs exactly {count} values")
         lams = np.asarray(vals, dtype=np.complex128)
     else:
         raise ArgumentError(f"unknown sequence kind {kind!r}")

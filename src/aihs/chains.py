@@ -92,9 +92,7 @@ def init_chain(
     return ChainState(zs=(_readonly(z1),), phis=(_readonly(phi1),), y_bases=(y1,), depth=1)
 
 
-def extend_chain(
-    op: OperatorModel, state: ChainState, tol_chain: float = TOL_CHAIN
-) -> ChainState:
+def extend_chain(op: OperatorModel, state: ChainState) -> ChainState:
     """One step deeper, or raise ChainTerminated on the invariant branch.
 
     f_{n+1} = (f_n o T) o P_n with P_n the projection off z_1..z_n; the new
@@ -112,7 +110,7 @@ def extend_chain(
     psi = q.conj().T @ phi_next  # f_{n+1} in Y_n coordinates
 
     scale = float(np.linalg.norm(phi_prev)) * max(op.norm_estimate(), 1e-300)
-    if float(np.linalg.norm(psi)) < tol_chain * scale:
+    if float(np.linalg.norm(psi)) < TOL_CHAIN * scale:
         resid = containment_residual(op.matrix @ q, q)
         raise ChainTerminated(state, invariance_residual=resid, verified=resid < INVARIANCE_TOL)
 
@@ -142,18 +140,13 @@ def extend_chain(
     return new_state
 
 
-def build_chain(
-    op: OperatorModel,
-    depth: int,
-    z1: np.ndarray | None = None,
-    tol_chain: float = TOL_CHAIN,
-) -> ChainState:
+def build_chain(op: OperatorModel, depth: int, z1: np.ndarray | None = None) -> ChainState:
     """Extend from depth 1 to the requested depth (ChainTerminated passes through)."""
     if depth < 1:
         raise ArgumentError("depth must be at least 1")
     state = init_chain(op, z1=z1)
     while state.depth < depth:
-        state = extend_chain(op, state, tol_chain=tol_chain)
+        state = extend_chain(op, state)
     return state
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import logging
 import os
 import sys
@@ -31,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize as ser
+from .blaschke import blaschke_sequence
 from .chains import (
     build_non_ai_halfspace_witness,
     codim_n_subspace,
@@ -46,7 +46,7 @@ from .config import (
 )
 from .errors import AihsError, ArgumentError, ChainTerminated, StageError
 from .halfspace import build_blaschke, build_entire, verify_certificate
-from .operators import Family, _as_complex, build_operator, operator_from_config
+from .operators import Family, _as_complex, build_operator, matrix_digest, operator_from_config
 from .resolvent import dense_subsequence_probe, probe_tail_oracle
 
 __all__ = ["main"]
@@ -92,12 +92,11 @@ def _blaschke_options(block: dict | None, m: int):
         return None, None, None
     lambdas = None
     seq = block.get("sequence")
-    if seq is not None and seq["kind"] == "explicit":
-        lambdas = np.array([_as_complex(v) for v in seq["values"]], dtype=np.complex128)
-    elif seq is not None and seq["kind"] == "geometric":
-        # geometric approach to the boundary: 1 - q^n keeps the defect sum finite
-        q = float(seq["ratio"])
-        lambdas = (1.0 - q ** np.arange(1, m + 1, dtype=float)).astype(np.complex128)
+    if seq is not None:
+        params = {"ratio": seq["ratio"]} if "ratio" in seq else {}
+        if "values" in seq:
+            params["values"] = [_as_complex(v) for v in seq["values"]]
+        lambdas = blaschke_sequence(seq["kind"], m, **params)
     return lambdas, block.get("order"), block.get("defect_cap")
 
 
@@ -188,10 +187,8 @@ def _operator_for_certificate(cert, args):
             f"{cert.operator_config['dim']}"
         )
     digest = cert.operator_config.get("matrix_sha256")
-    if digest is not None:
-        rebuilt = hashlib.sha256(np.ascontiguousarray(op.matrix).tobytes()).hexdigest()
-        if rebuilt != digest:
-            raise ArgumentError("rebuilt dense matrix does not match the stored digest")
+    if digest is not None and matrix_digest(op) != digest:
+        raise ArgumentError("rebuilt dense matrix does not match the stored digest")
     return op
 
 

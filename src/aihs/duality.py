@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, AssumptionError
-from ._linalg import null_space, orthonormal_columns
+from ._linalg import null_space, orthonormal_columns, svd_rank
 from .operators import OperatorModel, _readonly
 
 __all__ = [
@@ -23,9 +23,6 @@ __all__ = [
     "adjoint_halfspace",
     "containment_residual",
 ]
-
-#: Rank threshold, relative to the largest singular value.
-RANK_RTOL = 1e-10
 
 #: Smallest admissible principal angle (as sigma_min of the stacked bases)
 #: between Y and F before the oblique projection is declared ill-posed.
@@ -84,8 +81,8 @@ def minimal_defect_space(op: OperatorModel, basis_y: np.ndarray) -> tuple[np.nda
     """Orthonormal basis of the numerical range of (I - P_Y) T on Y.
 
     The returned F is orthogonal to Y by construction, and its dimension is
-    the numerical rank of the projected image at the relative threshold
-    ``RANK_RTOL`` — the smallest defect space witnessing T(Y) in Y + F.
+    the numerical rank of the projected image at ``Tolerances.tol_rank``
+    relative to ||T Y||_2 — the smallest defect space witnessing T(Y) in Y + F.
     """
     q = _check_orthonormal(basis_y, "basis_y")
     image = op.matrix @ q
@@ -94,7 +91,7 @@ def minimal_defect_space(op: OperatorModel, basis_y: np.ndarray) -> tuple[np.nda
     if scale == 0.0:
         return np.zeros((op.dim, 0), dtype=np.complex128), 0
     u, s, _ = np.linalg.svd(projected, full_matrices=False)
-    keep = int(np.sum(s > RANK_RTOL * scale))
+    keep = svd_rank(s, reference=scale)
     return _readonly(u[:, :keep]), keep
 
 
@@ -133,8 +130,7 @@ def build_perturbation(
 
     moved = (op.matrix + k) @ q
     resid = containment_residual(moved, q)
-    s = np.linalg.svd(k, compute_uv=False)
-    rank_k = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
+    rank_k = svd_rank(np.linalg.svd(k, compute_uv=False))
     return PerturbationWitness(K=_readonly(k), rank_K=rank_k, invariance_residual=resid)
 
 

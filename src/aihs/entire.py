@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .config import Tolerances
 from .errors import ArgumentError, AssumptionError
 from .operators import _readonly
 
@@ -33,13 +34,8 @@ __all__ = [
     "apply_picard_shift",
     "find_zeros",
     "shifted_coefficients",
-    "root_decay_index",
     "poly_eval_normalized",
-    "normalized_residual",
 ]
-
-#: Normalized zero residual must stay below this times max|c_i|.
-ZERO_RTOL = 1e-10
 
 #: Pairwise zero separation must exceed this times the largest modulus.
 DISTINCT_RTOL = 1e-9
@@ -87,7 +83,6 @@ class ZeroSet:
 
     lambdas: np.ndarray
     residuals: np.ndarray
-    modulus_sorted: bool = True
 
 
 def _beta(c: np.ndarray, r: np.ndarray, k_max: int) -> np.ndarray:
@@ -182,17 +177,6 @@ def shifted_coefficients(cs: CoefficientSequence, k: int) -> np.ndarray:
     return np.concatenate([np.zeros(k, dtype=np.complex128), cs.coefficients])
 
 
-def root_decay_index(cs: CoefficientSequence) -> int:
-    """Smallest j >= 1 with |c_i|^(1/i) non-increasing for all i >= j."""
-    c = np.abs(np.asarray(cs.coefficients))
-    g = [math.exp(math.log(c[i]) / i) if c[i] > 0 else 0.0 for i in range(1, c.size)]
-    j = 1
-    for i in range(1, len(g)):
-        if g[i] > g[i - 1] * (1 + 1e-14):
-            j = i + 1
-    return j
-
-
 # ----------------------------------------------------------------------------
 # overflow-safe polynomial evaluation
 
@@ -232,11 +216,6 @@ def poly_eval_normalized(c, z: complex) -> complex:
     return f
 
 
-def normalized_residual(c, z: complex) -> float:
-    c = np.asarray(c, dtype=np.complex128).reshape(-1)
-    return abs(_horner_raw(c, complex(z))[0])
-
-
 def _newton_polish(c: np.ndarray, z: complex, iters: int = 40) -> tuple[complex, float]:
     best_z, best_r = z, abs(_horner_raw(c, z)[0])
     for _ in range(iters):
@@ -254,7 +233,7 @@ def _newton_polish(c: np.ndarray, z: complex, iters: int = 40) -> tuple[complex,
     return best_z, best_r
 
 
-def find_zeros(cs: CoefficientSequence, m: int, rtol: float = ZERO_RTOL) -> ZeroSet:
+def find_zeros(cs: CoefficientSequence, m: int, rtol: float = Tolerances.tol_zero) -> ZeroSet:
     """The m largest-modulus zeros of the truncated polynomial, ascending.
 
     Companion-matrix seeds on geometrically balanced coefficients, then

@@ -19,17 +19,15 @@ for a half-space with one-dimensional defect.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blaschke import blaschke_taylor, fm_coefficient_table
+from .blaschke import blaschke_sequence, blaschke_taylor, fm_coefficient_table
 from .config import Tolerances
 from .duality import containment_residual
 from .entire import (
     DEGREE_CAP,
-    CoefficientSequence,
     apply_picard_shift,
     coefficients_from_norms,
     find_zeros,
@@ -38,7 +36,9 @@ from .entire import (
 )
 from .errors import AihsError, ArgumentError, AssumptionError, SingularResolventError, StageError
 from ._linalg import min_norm_dual, numerical_rank, qr_basis, smallest_singular_value, unit_columns
-from .operators import OperatorModel, OrbitData, compute_orbit, max_orbit_length, _readonly
+from .operators import (
+    OperatorModel, OrbitData, compute_orbit, matrix_digest, max_orbit_length, _readonly
+)
 from .resolvent import ResolventSolver, filter_lambda_gap
 
 __all__ = [
@@ -128,9 +128,7 @@ def _operator_echo(op: OperatorModel) -> dict:
     if op.weights is not None:
         echo["weights"] = [[float(w.real), float(w.imag)] for w in op.weights]
     else:
-        echo["matrix_sha256"] = hashlib.sha256(
-            np.ascontiguousarray(op.matrix).tobytes()
-        ).hexdigest()
+        echo["matrix_sha256"] = matrix_digest(op)
     return echo
 
 
@@ -223,10 +221,14 @@ def compute_metrics(
     """Every certificate metric with its threshold verdict.
 
     Shared verbatim by the builders and the auditor so "recompute" means
-    the same arithmetic.  ``ai_defect_rank`` is the rank excess of
-    [T*basis | basis | e] over [basis | e]: zero exactly when T moves the
-    half-space nowhere new beyond the defect line.
+    the same arithmetic: the basis is taken in Fortran order, the layout
+    ``qr_basis`` hands the builders, whatever layout a read-back
+    certificate has (column norms sum in a layout-dependent order).
+    ``ai_defect_rank`` is the rank excess of [T*basis | basis | e] over
+    [basis | e]: zero exactly when T moves the half-space nowhere new
+    beyond the defect line.
     """
+    basis = np.asfortranarray(basis)
     e_col = e.reshape(-1, 1)
     with_e = np.hstack([basis, e_col])
     moved = op.apply(basis)
@@ -453,13 +455,9 @@ def build_blaschke(
 
     with _stage("zeros"):
         if lambdas is None:
-            seq = 1.0 - 1.0 / (np.arange(1, m + 1, dtype=float) + 1.0) ** 2
-            lambdas = seq.astype(np.complex128)
-        lambdas = np.asarray(lambdas, dtype=np.complex128).reshape(-1)
-        if lambdas.size != m:
-            raise ArgumentError(f"expected m = {m} disk zeros, got {lambdas.size}")
-        if np.any(np.abs(lambdas) >= 1.0) or np.any(lambdas == 0):
-            raise ArgumentError("Blaschke zeros must be nonzero and inside the unit disk")
+            lambdas = blaschke_sequence("inverse-square", m)
+        else:
+            lambdas = blaschke_sequence("explicit", m, values=np.asarray(lambdas).reshape(-1))
 
     with _stage("orbit"):
         length = max_orbit_length(op, e, cap=op.dim)

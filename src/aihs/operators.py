@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -38,6 +39,7 @@ __all__ = [
     "build_operator",
     "compute_orbit",
     "max_orbit_length",
+    "matrix_digest",
     "geometric_weights",
     "factorial_decay_weights",
     "weights_from_config",
@@ -90,7 +92,6 @@ class OperatorModel:
     dim: int
     # the matrix for dense operators, the read-only weight array for shifts
     _array: np.ndarray = field(repr=False)
-    _eig_cache: list = field(default_factory=list, repr=False, compare=False)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -163,15 +164,15 @@ class OperatorModel:
         """Structurally nilpotent (true for both shift families)."""
         return self.family is not Family.DENSE
 
+    @functools.cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        if self.is_nilpotent:
+            return _readonly(np.zeros(self.dim))
+        return _readonly(np.linalg.eigvals(self.matrix).reshape(-1))
+
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the truncation (cached; exact zeros for shifts)."""
-        if not self._eig_cache:
-            if self.is_nilpotent:
-                vals = np.zeros(self.dim, dtype=np.complex128)
-            else:
-                vals = np.linalg.eigvals(self.matrix)
-            self._eig_cache.append(_readonly(vals.reshape(-1)))
-        return self._eig_cache[0]
+        return self._eigenvalues
 
     def spectral_radius(self) -> float:
         if self.is_nilpotent:
@@ -183,6 +184,11 @@ class OperatorModel:
         if self.weights is not None:
             return float(np.max(np.abs(self.weights)))
         return _sigma_max_estimate(self.matrix)
+
+
+def matrix_digest(op: OperatorModel) -> str:
+    """sha256 of the dense matrix bytes (row-major), the dense operator's echo."""
+    return hashlib.sha256(np.ascontiguousarray(op.matrix).tobytes()).hexdigest()
 
 
 def _sigma_max_estimate(m: np.ndarray, iters: int = 12) -> float:
@@ -371,36 +377,25 @@ class OrbitData:
     length: int
 
 
-def max_orbit_length(
-    op: OperatorModel,
-    seed: np.ndarray,
-    cap: int,
-    norm_floor: float = ORBIT_NORM_FLOOR,
-) -> int:
+def max_orbit_length(op: OperatorModel, seed: np.ndarray, cap: int) -> int:
     """Longest orbit ``x_0 .. x_{L-1}`` whose vectors all stay above the floor."""
     x = np.asarray(seed, dtype=np.complex128)
     count = 0
     for _ in range(cap):
-        if np.linalg.norm(x) < norm_floor or not np.all(np.isfinite(x)):
+        if np.linalg.norm(x) < ORBIT_NORM_FLOOR or not np.all(np.isfinite(x)):
             break
         count += 1
         x = op.apply(x)
     return count
 
 
-def compute_orbit(
-    op: OperatorModel,
-    seed: np.ndarray,
-    length: int,
-    norm_floor: float = ORBIT_NORM_FLOOR,
-    minimality_rtol: float = MINIMALITY_RTOL,
-) -> OrbitData:
+def compute_orbit(op: OperatorModel, seed: np.ndarray, length: int) -> OrbitData:
     """Compute ``x_n = T^n e`` for ``n < length`` plus biorthogonal norms.
 
     Raises
     ------
     OrbitDeathError
-        If some ``x_n`` with ``n < length`` falls below ``norm_floor``.
+        If some ``x_n`` with ``n < length`` falls below ``ORBIT_NORM_FLOOR``.
     MinimalityError
         If some ``x_n`` lies numerically in the span of the other orbit
         vectors (e.g. the identity operator, whose orbit vectors coincide).
@@ -417,12 +412,12 @@ def compute_orbit(
     x = e
     for n in range(length):
         nx = float(np.linalg.norm(x))
-        if nx < norm_floor or not np.all(np.isfinite(x)):
-            raise OrbitDeathError(n, nx, norm_floor)
+        if nx < ORBIT_NORM_FLOOR or not np.all(np.isfinite(x)):
+            raise OrbitDeathError(n, nx, ORBIT_NORM_FLOOR)
         vectors[n] = x
         x = op.apply(x)
 
-    norms = _biorthogonal_norms(vectors, minimality_rtol)
+    norms = _biorthogonal_norms(vectors)
     return OrbitData(
         seed=_readonly(e),
         vectors=_readonly(vectors),
@@ -431,7 +426,7 @@ def compute_orbit(
     )
 
 
-def _biorthogonal_norms(vectors: np.ndarray, minimality_rtol: float) -> np.ndarray:
+def _biorthogonal_norms(vectors: np.ndarray) -> np.ndarray:
     """``r_n = 1 / dist(x_n, span{x_i : i != n})`` via a reduced QR factor."""
     length = vectors.shape[0]
     if length == 1:
@@ -447,7 +442,7 @@ def _biorthogonal_norms(vectors: np.ndarray, minimality_rtol: float) -> np.ndarr
         others = np.delete(r, n, axis=1)
         dist = distance_to_span(r[:, n], others)
         scale = float(np.linalg.norm(r[:, n]))
-        if dist < minimality_rtol * scale:
+        if dist < MINIMALITY_RTOL * scale:
             raise MinimalityError(n, dist, scale)
         out[n] = 1.0 / dist
     out.setflags(write=False)

@@ -25,17 +25,15 @@ from .errors import (
     NeumannDivergenceError,
     SingularResolventError,
 )
-from ._linalg import smallest_singular_value, unit_columns
+from .config import Tolerances
 from .operators import OperatorModel, _readonly
 
 __all__ = [
     "ResolventVector",
     "ResolventSolver",
-    "resolvent_vector",
     "neumann_resolvent",
     "check_th_identity",
     "check_replacement",
-    "independence_smin",
     "lambda_grid",
     "filter_lambda_gap",
     "dense_subsequence_probe",
@@ -44,16 +42,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Direct solves whose relative defect exceeds this are treated as singular.
-DEFECT_TOL = 1e-8
-
 #: Trailing Neumann term (relative to the sum) must fall below this for
 #: non-nilpotent operators.
 NEUMANN_TAIL_TOL = 1e-12
-
-#: Candidate lam is dropped when 1/lam approaches an eigenvalue closer than
-#: this, relative to max(|1/lam|, spectral radius).
-EIGEN_GAP_RTOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +66,7 @@ class ResolventVector:
     condition: float
 
 
-def _solve_scale(op: OperatorModel, lam: complex, h: np.ndarray, e: np.ndarray, th: np.ndarray) -> float:
+def _solve_scale(lam: complex, h: np.ndarray, e: np.ndarray, th: np.ndarray) -> float:
     return float(
         np.linalg.norm(e) + abs(1.0 / lam) * np.linalg.norm(h) + np.linalg.norm(th)
     )
@@ -89,7 +80,9 @@ class ResolventSolver:
     is checked against ``op.apply``.  The condition estimate is opt-in.
     """
 
-    def __init__(self, op: OperatorModel, lam: complex, defect_tol: float = DEFECT_TOL):
+    def __init__(
+        self, op: OperatorModel, lam: complex, defect_tol: float = Tolerances.resolvent_defect_tol
+    ):
         if lam == 0:
             raise ArgumentError("lam must be nonzero")
         self.op = op
@@ -108,7 +101,7 @@ class ResolventSolver:
             raise SingularResolventError(self.lam, "solve produced non-finite entries")
         th = self.op.apply(h)
         resid = (1.0 / self.lam) * h - th - e
-        defect = float(np.linalg.norm(resid)) / _solve_scale(self.op, self.lam, h, e, th)
+        defect = float(np.linalg.norm(resid)) / _solve_scale(self.lam, h, e, th)
         if defect > self.defect_tol:
             raise SingularResolventError(
                 self.lam, f"relative defect {defect:.3e} exceeds {self.defect_tol:.1e}"
@@ -160,21 +153,6 @@ class ResolventSolver:
         return self._condition
 
 
-def resolvent_vector(
-    op: OperatorModel,
-    lam: complex,
-    e: np.ndarray,
-    method: str = "direct",
-    terms: int | None = None,
-) -> ResolventVector:
-    """Convenience wrapper building a one-shot solver (direct) or Neumann sum."""
-    if method == "direct":
-        return ResolventSolver(op, lam).solve(e)
-    if method == "neumann":
-        return neumann_resolvent(op, lam, e, terms=terms)
-    raise ArgumentError(f"unknown method {method!r}")
-
-
 def neumann_resolvent(
     op: OperatorModel,
     lam: complex,
@@ -216,7 +194,7 @@ def neumann_resolvent(
 
     th = op.apply(acc)
     resid = (1.0 / lam) * acc - th - e
-    defect = float(np.linalg.norm(resid)) / _solve_scale(op, lam, acc, e, th)
+    defect = float(np.linalg.norm(resid)) / _solve_scale(lam, acc, e, th)
     return ResolventVector(
         lam=lam,
         vector=_readonly(acc),
@@ -236,7 +214,7 @@ def check_th_identity(op: OperatorModel, rv: ResolventVector, e: np.ndarray) -> 
     e = np.asarray(e, dtype=np.complex128).reshape(-1)
     th = op.apply(rv.vector)
     resid = th - ((1.0 / rv.lam) * rv.vector - e)
-    return float(np.linalg.norm(resid)) / _solve_scale(op, rv.lam, rv.vector, e, th)
+    return float(np.linalg.norm(resid)) / _solve_scale(rv.lam, rv.vector, e, th)
 
 
 def check_replacement(
@@ -270,21 +248,6 @@ def check_replacement(
     return float(np.linalg.norm(lhs - rhs)) / scale
 
 
-def independence_smin(vectors: np.ndarray) -> float:
-    """Smallest singular value of the column-normalized stack of vectors.
-
-    Rows of ``vectors`` are the vectors under test; a single vector counts
-    as independent with score 1.  Invariant under permutation and nonzero
-    rescaling of the vectors.
-    """
-    v = np.asarray(vectors, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[0] == 0:
-        raise ArgumentError("need a nonempty 2-d stack of row vectors")
-    if v.shape[0] == 1:
-        return 1.0
-    return smallest_singular_value(unit_columns(v.T))
-
-
 # ----------------------------------------------------------------------------
 # lam grids
 
@@ -304,7 +267,7 @@ def lambda_grid(radii, per_ring: int, phase: float = 0.0) -> np.ndarray:
 
 
 def filter_lambda_gap(
-    op: OperatorModel, lams, gap_rtol: float = EIGEN_GAP_RTOL
+    op: OperatorModel, lams, gap_rtol: float = Tolerances.eigen_gap_rtol
 ) -> np.ndarray:
     """Drop lam whose reciprocal sits too close to an eigenvalue of T.
 

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .entire import CoefficientSequence, ZeroSet
 from .errors import ArgumentError
 from .halfspace import FunctionalRep, HalfSpaceCertificate
 from .operators import _readonly
@@ -25,12 +24,8 @@ from .operators import _readonly
 __all__ = [
     "CERT_SCHEMA_ID",
     "CHAIN_SCHEMA_ID",
-    "COEFF_SCHEMA_ID",
     "CERT_CSV_COLUMNS",
     "SWEEP_CSV_COLUMNS",
-    "RESOLVENT_CSV_COLUMNS",
-    "DUALITY_CSV_COLUMNS",
-    "FM_TABLE_CSV_COLUMNS",
     "PROBE_CSV_COLUMNS",
     "encode_value",
     "decode_value",
@@ -43,20 +38,13 @@ __all__ = [
     "certificate_from_document",
     "write_certificate",
     "read_certificate",
-    "coefficients_to_document",
-    "coefficients_from_document",
-    "zeros_to_document",
-    "zeros_from_document",
     "certificate_csv_row",
-    "fm_table_rows",
     "probe_rows",
     "write_csv",
 ]
 
 CERT_SCHEMA_ID = "aihs-cert/1"
 CHAIN_SCHEMA_ID = "aihs-chain-transcript/1"
-COEFF_SCHEMA_ID = "aihs-coefficients/1"
-ZEROS_SCHEMA_ID = "aihs-zeros/1"
 
 
 def _fhex(x) -> str:
@@ -259,52 +247,6 @@ def read_certificate(path) -> HalfSpaceCertificate:
 
 
 # ----------------------------------------------------------------------------
-# coefficient sequences / zero sets
-
-
-def coefficients_to_document(cs: CoefficientSequence) -> dict:
-    return {
-        "schema": COEFF_SCHEMA_ID,
-        "coefficients": encode_array(cs.coefficients),
-        "orbit_norms": encode_array(cs.orbit_norms),
-        "norm_bounds": encode_array(cs.norm_bounds),
-        "degree": cs.degree,
-        "k_max": cs.k_max,
-        "picard_shift": _complex_doc(complex(cs.picard_shift)),
-    }
-
-
-def coefficients_from_document(doc: dict) -> CoefficientSequence:
-    if doc.get("schema") != COEFF_SCHEMA_ID:
-        raise ArgumentError(f"expected schema {COEFF_SCHEMA_ID!r}")
-    return CoefficientSequence(
-        coefficients=_readonly(decode_array(doc["coefficients"])),
-        orbit_norms=_readonly(decode_array(doc["orbit_norms"])),
-        norm_bounds=_readonly(decode_array(doc["norm_bounds"])),
-        degree=int(doc["degree"]),
-        k_max=int(doc["k_max"]),
-        picard_shift=decode_value(doc["picard_shift"]),
-    )
-
-
-def zeros_to_document(zs: ZeroSet) -> dict:
-    return {
-        "schema": ZEROS_SCHEMA_ID,
-        "lambdas": encode_array(zs.lambdas),
-        "residuals": encode_array(zs.residuals),
-    }
-
-
-def zeros_from_document(doc: dict) -> ZeroSet:
-    if doc.get("schema") != ZEROS_SCHEMA_ID:
-        raise ArgumentError(f"expected schema {ZEROS_SCHEMA_ID!r}")
-    return ZeroSet(
-        lambdas=_readonly(decode_array(doc["lambdas"])),
-        residuals=decode_array(doc["residuals"]),
-    )
-
-
-# ----------------------------------------------------------------------------
 # CSV summaries (human-readable decimals; columns frozen per schema version)
 
 CERT_CSV_COLUMNS = (
@@ -329,30 +271,6 @@ CERT_CSV_COLUMNS = (
 )
 
 SWEEP_CSV_COLUMNS = ("index", "status") + CERT_CSV_COLUMNS
-
-RESOLVENT_CSV_COLUMNS = (
-    "family",
-    "N",
-    "lambda_re",
-    "lambda_im",
-    "method",
-    "defect",
-    "th_residual",
-    "replacement_residual",
-    "kappa",
-)
-
-DUALITY_CSV_COLUMNS = (
-    "seed",
-    "N",
-    "dimY",
-    "dimF",
-    "rankK",
-    "residual_fwd",
-    "residual_bwd",
-)
-
-FM_TABLE_CSV_COLUMNS = ("m", "n", "re", "im")
 
 PROBE_CSV_COLUMNS = ("k", "n", "error", "oracle", "diff")
 
@@ -391,22 +309,6 @@ def certificate_csv_row(cert: HalfSpaceCertificate) -> dict:
         "passed": cert.passed,
         "hypothesis_unverified": cert.hypothesis_unverified,
     }
-
-
-def fm_table_rows(table: np.ndarray) -> list:
-    """(m, n, re, im) rows of a z^m B(z) coefficient table."""
-    rows = []
-    for m in range(table.shape[0]):
-        for n in range(table.shape[1]):
-            rows.append(
-                {
-                    "m": m,
-                    "n": n,
-                    "re": float(table[m, n].real),
-                    "im": float(table[m, n].imag),
-                }
-            )
-    return rows
 
 
 def probe_rows(errors: np.ndarray, oracle) -> list:

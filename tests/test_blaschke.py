@@ -28,6 +28,9 @@ def test_inverse_square_defect_partial_sums_stay_under_pi_squared_sixth():
 
 def test_geometric_sequence_values():
     assert_allclose(blaschke_sequence("geometric", 3, ratio=0.5), [0.5, 0.75, 0.875])
+    # the vectorised power may differ from a Python loop in the last bit only
+    loop = [1.0 - 0.8**n for n in range(1, 41)]
+    assert_allclose(blaschke_sequence("geometric", 40, ratio=0.8), loop, rtol=4e-16, atol=0)
 
 
 def test_explicit_sequence_and_validation():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from aihs.blaschke import blaschke_sequence
 from aihs.cli import main
 from aihs.serialize import (
     CERT_CSV_COLUMNS,
@@ -46,6 +47,40 @@ def _halved_blaschke_cfg():
         "k_max": 3,
         "label": "halved",
     }
+
+
+@pytest.mark.parametrize(
+    "sequence, m, params",
+    [
+        ({"kind": "inverse-square"}, 4, {}),
+        # the last bit of lambda_2 once differed between two geometric formulas
+        ({"kind": "geometric", "ratio": 0.8}, 8, {"ratio": 0.8}),
+        # ascending in modulus, the order a certificate stores its zeros in
+        (
+            {"kind": "explicit", "values": [[0.5, 0.25], [-0.3, -0.6], 0.75]},
+            3,
+            {"values": [0.5 + 0.25j, -0.3 - 0.6j, 0.75]},
+        ),
+    ],
+)
+def test_blaschke_lambdas_are_blaschke_sequence(tmp_path, sequence, m, params):
+    cfg = dict(_halved_blaschke_cfg(), m=m, k_max=2, blaschke={"sequence": sequence})
+    argv = ["build", "--config", _write(tmp_path / "b.json", cfg), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    cert = read_certificate(tmp_path / "halved.cert.json")
+    want = blaschke_sequence(sequence["kind"], m, **params)
+    assert cert.lambdas.tobytes() == want.tobytes()
+
+
+def test_blaschke_geometric_tail_at_one_exits_one(tmp_path, capsys):
+    # 1 - 0.01**n rounds to 1.0 from n = 9 on: a zero on the unit circle
+    seq = {"kind": "geometric", "ratio": 0.01}
+    cfg = dict(_halved_blaschke_cfg(), m=12, blaschke={"sequence": seq})
+    argv = ["build", "--config", _write(tmp_path / "b.json", cfg), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error") and "unit disk" in err
+    assert err.count("\n") == 1
 
 
 def test_build_writes_certificate_and_summary(tmp_path, capsys):

@@ -6,8 +6,9 @@ import pytest
 from aihs.config import Tolerances
 from aihs.entire import shifted_coefficients
 from aihs.errors import ArgumentError, StageError
-from aihs.halfspace import build_blaschke, build_entire, verify_certificate
+from aihs.halfspace import build_blaschke, build_entire, compute_metrics, verify_certificate
 from aihs.operators import Family, build_operator, geometric_weights
+from aihs.serialize import read_certificate, write_certificate
 from aihs._linalg import qr_basis
 
 
@@ -270,3 +271,25 @@ def test_blaschke_verify_round_trip(blaschke_cert):
     assert report["passed"], report["failures"]
     for entry in report["metrics"].values():
         assert entry["relative_diff"] < 1e-12
+
+
+def test_metrics_do_not_depend_on_basis_layout(tmp_path):
+    # Y is ill-conditioned here (independence sigma_min ~ 4e-17), so the
+    # last bits of the column norms inside the QR of [Y | e] decide
+    # ai_residual.  Those norms sum in a layout-dependent order: the
+    # Fortran-ordered basis a build passes and the C-ordered one read back
+    # from JSON used to give 6.3e-4 and 5.4e-4.
+    op = build_operator(Family.DONOGHUE, 128, weights=geometric_weights(128, 0.9))
+    e = basis_vec(128, 127)
+    cert = build_blaschke(op, e, m=4, m_max=3)
+    rest = (cert.functionals, cert.lambdas, cert.reference_values,
+            cert.metrics["annihilation_scale"], cert.construction, Tolerances())
+    fortran, _ = compute_metrics(op, e, cert.raw_vectors, np.asfortranarray(cert.basis), *rest)
+    c_order, _ = compute_metrics(op, e, cert.raw_vectors, np.ascontiguousarray(cert.basis), *rest)
+    assert fortran == c_order
+    assert fortran["ai_residual"] == cert.metrics["ai_residual"]
+
+    back = read_certificate(write_certificate(tmp_path / "ill.cert.json", cert))
+    entry = verify_certificate(op, back)["metrics"]["ai_residual"]
+    assert entry["agrees"]
+    assert not entry["threshold_passed"]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from aihs import serialize as ser
-from aihs.entire import CoefficientSequence, ZeroSet, coefficients_from_norms, find_zeros
 from aihs.errors import ArgumentError
 from aihs.halfspace import build_entire, verify_certificate
 from aihs.operators import Family, build_operator, geometric_weights
@@ -122,20 +121,6 @@ def test_certificate_schema_checked(small_cert):
         ser.certificate_from_document(doc)
 
 
-def test_coefficients_and_zeros_round_trip():
-    norms = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
-    cs = coefficients_from_norms(norms, k_max=2)
-    back = ser.coefficients_from_document(ser.coefficients_to_document(cs))
-    assert np.array_equal(back.coefficients, cs.coefficients)
-    assert back.degree == cs.degree and back.k_max == cs.k_max
-    zs = ZeroSet(
-        lambdas=np.array([1.5 + 0j, -2.0 + 1j]), residuals=np.array([1e-16, 3e-15])
-    )
-    zback = ser.zeros_from_document(ser.zeros_to_document(zs))
-    assert np.array_equal(zback.lambdas, zs.lambdas)
-    assert np.array_equal(zback.residuals, zs.residuals)
-
-
 def test_certificate_csv_row_columns(small_cert):
     _, cert = small_cert
     row = ser.certificate_csv_row(cert)
@@ -155,13 +140,6 @@ def test_write_csv_formatting(tmp_path):
     assert got[0] == ["a", "b", "c", "d", "e"]
     assert got[1] == ["0.33333333333333331", "5", "1", "", "x,y"]
     assert float(got[1][0]) == 1.0 / 3.0
-
-
-def test_fm_table_rows_cover_table():
-    table = np.arange(6, dtype=np.complex128).reshape(2, 3) * (1 + 2j)
-    rows = ser.fm_table_rows(table)
-    assert len(rows) == 6
-    assert rows[4] == {"m": 1, "n": 1, "re": 4.0, "im": 8.0}
 
 
 def test_probe_rows_against_callable():
