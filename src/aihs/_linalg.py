@@ -89,20 +89,25 @@ def smallest_singular_value(a: np.ndarray) -> float:
 def min_norm_dual(orbit: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Minimum-norm representer ``f`` with ``f^H x_n = values[n]`` for each column.
 
-    Rows of the constraint system are scaled to unit norm before the solve;
-    for a consistent system this leaves the solution set (and hence the
+    ``values`` is one vector of length ``L`` (one value per orbit column),
+    giving one ``f``, or an ``(L, k)`` block whose column ``j`` gives column
+    ``j`` of the ``(dim, k)`` result; the whole block takes one least-squares
+    solve, with the same columns as ``k`` separate calls.  Rows of the
+    constraint system are scaled to unit norm before the solve; for a
+    consistent system this leaves the solution set (and hence the
     minimum-norm point) unchanged while taming the orbit's dynamic range.
     """
     x = as_complex_matrix(orbit)
     v = np.asarray(values, dtype=np.complex128)
-    if v.shape != (x.shape[1],):
-        raise ValueError(f"expected {x.shape[1]} values, got {v.shape}")
+    if v.ndim not in (1, 2) or v.shape[0] != x.shape[1]:
+        raise ValueError(f"expected {x.shape[1]} values per column, got {v.shape}")
     norms = np.linalg.norm(x, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("orbit matrix has a zero column")
     # row n states x_n^H f = conj(v_n), i.e. f^H x_n = v_n
     a = (x / norms).conj().T
-    f, *_ = np.linalg.lstsq(a, np.conj(v) / norms, rcond=None)
+    scale = norms if v.ndim == 1 else norms[:, None]
+    f, *_ = np.linalg.lstsq(a, np.conj(v) / scale, rcond=None)
     return f
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 
@@ -221,14 +222,22 @@ def load_config(path) -> dict:
             raise ArgumentError(f"config {path} is not valid JSON: {exc}") from exc
 
 
+@functools.cache
+def _validator(command: str):
+    """The schema's validator, checked and compiled once per command."""
+    schema = _SCHEMAS[command]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_config(cfg: dict, command: str) -> dict:
     """Schema- and semantics-check a config for the given subcommand."""
-    schema = _SCHEMAS.get(command)
-    if schema is None:
+    if command not in _SCHEMAS:
         raise ArgumentError(f"no config schema for command {command!r}")
-    try:
-        jsonschema.validate(cfg, schema)
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise: the best match of all errors
+    exc = jsonschema.exceptions.best_match(_validator(command).iter_errors(cfg))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ArgumentError(f"config invalid at {path}: {exc.message}") from exc
 

@@ -186,12 +186,12 @@ def _solve_resolvents(
 
 
 def _build_functionals(
-    orbit: OrbitData, value_rows: list, norm_bounds, tol: Tolerances, index_base: int
+    orbit: OrbitData, value_rows: list, norm_bounds, index_base: int
 ) -> tuple:
+    values_block = np.array(value_rows, dtype=np.complex128)  # (k, L)
+    duals = min_norm_dual(orbit.vectors.T, values_block.T)  # (dim, k), one solve
     reps = []
-    for j, values in enumerate(value_rows):
-        values = np.asarray(values, dtype=np.complex128)
-        phi = min_norm_dual(orbit.vectors.T, values)
+    for j, (values, phi) in enumerate(zip(values_block, duals.T)):
         achieved = phi.conj() @ orbit.vectors.T
         resid = float(np.max(np.abs(achieved - values)))
         reps.append(
@@ -380,7 +380,7 @@ def build_entire(
             )
             for k in range(k_max + 1)
         ]
-        functionals = _build_functionals(orbit, rows, cs.norm_bounds, tol, index_base=0)
+        functionals = _build_functionals(orbit, rows, cs.norm_bounds, index_base=0)
 
     with _stage("metrics"):
         # reference identity values lambda^(k+1) * F(lambda), an oracle rail
@@ -495,7 +495,7 @@ def build_blaschke(
         bounds = [
             bd.growth_constant * j * partial for j in range(1, m_max + 1)
         ]
-        functionals = _build_functionals(orbit, rows, bounds, tol, index_base=1)
+        functionals = _build_functionals(orbit, rows, bounds, index_base=1)
 
     with _stage("metrics"):
         refs = np.empty((m_max, kept.size), dtype=np.complex128)

@@ -30,7 +30,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ArgumentError, MinimalityError, OrbitDeathError
-from ._linalg import distance_to_span
 
 __all__ = [
     "Family",
@@ -366,7 +365,9 @@ class OrbitData:
         Shape ``(length, dim)``; row ``n`` is ``x_n = T^n x_0``.
     biorthogonal_norms : numpy.ndarray
         ``r_n = 1 / dist(x_n, span of the other orbit vectors)``, the norm of
-        the n-th coordinate functional of the (minimal) orbit system.
+        the n-th coordinate functional of the (minimal) orbit system.  With
+        ``X_s = Q R`` the QR factorization of the orbit with columns scaled
+        to unit norm, ``r_n = ||row n of R^-1|| / ||x_n||``.
     length : int
         Number of orbit vectors.
     """
@@ -392,6 +393,14 @@ def max_orbit_length(op: OperatorModel, seed: np.ndarray, cap: int) -> int:
 def compute_orbit(op: OperatorModel, seed: np.ndarray, length: int) -> OrbitData:
     """Compute ``x_n = T^n e`` for ``n < length`` plus biorthogonal norms.
 
+    The norms cost O(L^3) for ``L = length``: one QR of the column-normalized
+    orbit ``X_s = Q R`` and one triangular inverse, since the functionals
+    dual to the orbit are the rows of ``pinv(X_s) = R^-1 Q^H``.  Then
+    ``r_n = ||row n of R^-1|| / ||x_n||``, and the orbit is minimal when
+    every ``dist(x_n, others) = ||x_n|| / ||row n of R^-1||`` is at least
+    ``MINIMALITY_RTOL * ||x_n||``.  The distance is to the exact span of
+    the other vectors, with no rank truncation.
+
     Raises
     ------
     OrbitDeathError
@@ -399,6 +408,8 @@ def compute_orbit(op: OperatorModel, seed: np.ndarray, length: int) -> OrbitData
     MinimalityError
         If some ``x_n`` lies numerically in the span of the other orbit
         vectors (e.g. the identity operator, whose orbit vectors coincide).
+        An exactly zero pivot of ``R`` is reported at its index, with
+        distance 0.
     """
     e = np.asarray(seed, dtype=np.complex128).reshape(-1)
     if e.shape != (op.dim,):
@@ -427,23 +438,25 @@ def compute_orbit(op: OperatorModel, seed: np.ndarray, length: int) -> OrbitData
 
 
 def _biorthogonal_norms(vectors: np.ndarray) -> np.ndarray:
-    """``r_n = 1 / dist(x_n, span{x_i : i != n})`` via a reduced QR factor."""
+    """``r_n = 1 / dist(x_n, span{x_i : i != n})``, the row norms of ``(R S)^-1``.
+
+    ``R S`` with ``S = diag ||x_n||`` is the R factor of the orbit itself;
+    see :func:`compute_orbit` for the formula.
+    """
     length = vectors.shape[0]
-    if length == 1:
-        out = np.array([1.0 / float(np.linalg.norm(vectors[0]))])
-        out.setflags(write=False)
-        return out
-    # Reduce to an L x L problem: distances are preserved by the Q factor.
     scales = np.linalg.norm(vectors, axis=1)
     _, r = np.linalg.qr((vectors / scales[:, None]).T)
-    r = r * scales[None, :]
-    out = np.empty(length)
-    for n in range(length):
-        others = np.delete(r, n, axis=1)
-        dist = distance_to_span(r[:, n], others)
-        scale = float(np.linalg.norm(r[:, n]))
-        if dist < MINIMALITY_RTOL * scale:
-            raise MinimalityError(n, dist, scale)
-        out[n] = 1.0 / dist
+    r = r * scales[None, :]  # the R factor of the unscaled orbit
+    try:
+        rinv = scipy.linalg.solve_triangular(r, np.eye(length), check_finite=False)
+    except np.linalg.LinAlgError:  # an exactly zero pivot: x_n is in the span
+        n = int(np.flatnonzero(np.diagonal(r) == 0)[0])
+        raise MinimalityError(n, 0.0, float(scales[n])) from None
+    out = np.linalg.norm(rinv, axis=1)
+    dist = 1.0 / out
+    bad = np.flatnonzero(~(dist >= MINIMALITY_RTOL * scales))  # nan counts as bad
+    if bad.size:
+        n = int(bad[0])
+        raise MinimalityError(n, float(dist[n]), float(scales[n]))
     out.setflags(write=False)
     return out

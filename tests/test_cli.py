@@ -1,11 +1,14 @@
 import csv
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
+from aihs import config
 from aihs.blaschke import blaschke_sequence
 from aihs.cli import main
+from aihs.errors import ArgumentError
 from aihs.serialize import (
     CERT_CSV_COLUMNS,
     PROBE_CSV_COLUMNS,
@@ -124,6 +127,64 @@ def test_build_stage_error_exits_one(tmp_path, capsys):
     cfg = _write(tmp_path / "ident.json", bad)
     assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "stage 'orbit'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [32, 64])
+def test_dense_krylov_orbit_minimality_is_exact(tmp_path, capsys, dim):
+    # The full-length orbit of a random dense N = 64 matrix is numerically
+    # dependent: some vector lies closer than MINIMALITY_RTOL (relative) to the
+    # exact span of the others, so the build stops at stage 'orbit'.  At
+    # N = 32 the orbit is minimal and the certificate fails its checks.
+    run = _entire_cfg(m=4, k_max=3, label="dense")
+    run["operator"] = {"family": "dense", "dim": dim,
+                       "matrix": {"kind": "random-gaussian", "scale": 1.0}}
+    run["seed"] = 0
+    cfg = _write(tmp_path / "dense.json", run)
+    assert main(["build", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    cert = tmp_path / "dense.cert.json"
+    if dim == 64:
+        assert "stage 'orbit'" in err and "orbit is not minimal" in err
+        assert not cert.exists()
+    else:
+        assert not read_certificate(cert).passed
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("build", {"operator": {}, "construction": "entire", "m": 1, "k_max": 0}),
+        ("build", _entire_cfg(m=0)),
+        ("build", {**_entire_cfg(), "construction": "other", "extra": 1}),
+        ("sweep", {"runs": [_entire_cfg(), {**_entire_cfg(), "k_max": -1}]}),
+        ("chain", {"operator": _entire_cfg()["operator"], "depth": "ten"}),
+    ],
+)
+def test_config_errors_read_as_jsonschema_validate(command, cfg):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(cfg, config._SCHEMAS[command])
+    exc = expected.value
+    path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+    with pytest.raises(ArgumentError) as got:
+        config.validate_config(cfg, command)
+    assert str(got.value) == f"config invalid at {path}: {exc.message}"
+
+
+def test_config_schema_is_checked_once_per_command(monkeypatch):
+    checked = []
+    check_schema = vars(jsonschema.Draft7Validator)["check_schema"].__func__
+
+    def counted(cls, schema, *args, **kwargs):
+        checked.append(schema)
+        return check_schema(cls, schema, *args, **kwargs)
+
+    monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", classmethod(counted))
+    config._validator.cache_clear()
+    for _ in range(3):
+        config.validate_config(_entire_cfg(), "build")
+        config.validate_config({"runs": [_entire_cfg(), _entire_cfg()]}, "sweep")
+    config._validator.cache_clear()
+    assert [id(s) for s in checked] == [id(config.RUN_SCHEMA), id(config.SWEEP_SCHEMA)]
 
 
 def test_build_blaschke_unverified_exits_two(tmp_path, capsys):
