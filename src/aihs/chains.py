@@ -1,10 +1,23 @@
 """Chains of functionals driving the dichotomy at truncation scale.
 
-A depth-n chain carries vectors z_1..z_n, functionals f_1..f_n (stored as
-dual vectors, f(x) = phi^H x) and nested subspaces Y_n = the joint kernel of
-f_1..f_n.  Each extension pushes the previous functional through the
-operator and projects off the finished directions; when the new functional
-dies on all of Y_n the chain has found an invariant subspace instead, and
+A depth-n chain carries vectors z_1..z_n and functionals f_1..f_n, stored as
+dual vectors (f(x) = phi^H x).  The nested subspaces are never stored: Y_n is
+the joint kernel of f_1..f_n, so its annihilator Y_n^perp is
+span{phi_1..phi_n}, and every subspace and every chain property comes from
+those n vectors.  Q_n below is an orthonormal basis of span{phi_1..phi_n},
+derived when needed, and P_{Y_n} = I - Q_n Q_n^H is the orthogonal
+projection onto Y_n.  The operator acts only through ``op.apply`` and
+``op.adjoint_apply``, so a step costs O(N n^2) with no N x N matrix.
+
+Each extension pushes the previous functional through the operator and
+projects off the finished directions, f_{n+1} = f_n o T o P_n with P_n the
+oblique projection off z_1..z_n.  In dual form, with v = T* phi_n,
+
+    phi_{n+1} = P_n^H v = v - sum_k phi_k (z_k^H v) / conj(f_k(z_k)),
+    z_{n+1}   = P_{Y_n} phi_{n+1} / ||P_{Y_n} phi_{n+1}||,
+
+the unit vector of Y_n on which f_{n+1} is largest.  When f_{n+1} dies on
+all of Y_n the chain has found an invariant subspace instead, and
 ``extend_chain`` raises :class:`~aihs.errors.ChainTerminated` carrying the
 verified witness.  That exhaustive either/or is the dichotomy the sweep in
 the acceptance suite exercises.
@@ -18,7 +31,7 @@ import numpy as np
 
 from .duality import containment_residual
 from .errors import ArgumentError, AssumptionError, ChainTerminated
-from ._linalg import null_space, numerical_rank, qr_basis
+from ._linalg import null_space, numerical_rank, qr_basis, svd_rank, unit_columns
 from .operators import Family, OperatorModel, build_operator, _readonly
 
 __all__ = [
@@ -41,32 +54,37 @@ INVARIANCE_TOL = 1e-9
 #: Ceiling for the internally re-verified chain properties after each step.
 PROPERTY_TOL = 1e-8
 
+#: Property residuals that must stay below PROPERTY_TOL (see verify_chain).
+RESIDUAL_KEYS = ("z_in_previous", "recurrence_norm", "adjoint_map", "biorthogonality_off")
+
+#: Report keys a chain aggregates by their smallest value; all others by the largest.
+_MIN_KEYS = ("biorthogonality_diag_min", "functional_sigma_min", "codim_exact")
+
 
 @dataclass(frozen=True, eq=False)
 class ChainState:
-    """Immutable snapshot: z_k, dual vectors phi_k, and bases of Y_k."""
+    """Immutable snapshot: the vectors z_k and the dual vectors phi_k.
+
+    Y_n is the joint kernel of phi_1..phi_n; no basis of it is stored.
+    """
 
     zs: tuple
     phis: tuple
-    y_bases: tuple
-    depth: int
+
+    @property
+    def depth(self) -> int:
+        return len(self.zs)
 
     def f(self, n: int, x: np.ndarray) -> complex:
         """Value f_n(x), 1-indexed."""
         return complex(np.vdot(self.phis[n - 1], x))
 
-    @property
-    def dim(self) -> int:
-        return self.zs[0].shape[0]
 
-
-def _projector_off_chain(state: ChainState) -> np.ndarray:
-    """P(x) = x - sum_k (f_k(x) / f_k(z_k)) z_k, as a matrix."""
-    n = state.dim
-    p = np.eye(n, dtype=np.complex128)
-    for z, phi in zip(state.zs, state.phis):
-        p -= np.outer(z, phi.conj()) / np.vdot(phi, z)
-    return p
+def _project_off(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(I - Q Q^H) v, applied twice so the result is orthogonal to Q to working precision."""
+    for _ in range(2):
+        v = v - q @ (q.conj().T @ v)
+    return v
 
 
 def init_chain(
@@ -88,53 +106,44 @@ def init_chain(
         raise ArgumentError("phi1 must match the operator dimension")
     if abs(np.vdot(phi1, z1)) <= 0:
         raise ArgumentError("f_1(z_1) must be nonzero")
-    y1 = null_space(phi1.conj()[None, :])
-    return ChainState(zs=(_readonly(z1),), phis=(_readonly(phi1),), y_bases=(y1,), depth=1)
+    return ChainState(zs=(_readonly(z1),), phis=(_readonly(phi1),))
 
 
 def extend_chain(op: OperatorModel, state: ChainState) -> ChainState:
     """One step deeper, or raise ChainTerminated on the invariant branch.
 
-    f_{n+1} = (f_n o T) o P_n with P_n the projection off z_1..z_n; the new
-    z_{n+1} is the basis direction of Y_n where f_{n+1} is largest.  The
-    construction keeps f_{n+1}(y) = f_n(Ty) on Y_n and T(Y_{n+1}) inside Y_n
-    exactly, so termination (f_{n+1} vanishing on Y_n) makes Y_n invariant.
+    phi_{n+1} = P_n^H T* phi_n and z_{n+1} = P_{Y_n} phi_{n+1} / ||.|| as in
+    the module docstring.  The construction keeps f_{n+1} = f_n o T on Y_n
+    and T(Y_{n+1}) inside Y_n exactly, so termination (||P_{Y_n} phi_{n+1}||
+    below TOL_CHAIN * ||phi_n|| ||T||) makes Y_n invariant.  The invariance
+    residual is checked dually, T*(Y_n^perp) in Y_n^perp: the largest
+    ||P_{Y_n} T* q|| / ||T* q|| over the columns q of Q_n.  Only the new
+    level's properties are re-verified; any residual at or above
+    PROPERTY_TOL raises AssumptionError.
     """
     depth = state.depth
     if depth >= op.dim:
         raise ArgumentError("chain is exhausted: Y_n is already trivial")
-    q = state.y_bases[-1]
-    phi_prev = state.phis[-1]
+    phis = np.stack(state.phis, axis=1)
+    zs = np.stack(state.zs, axis=1)
+    q = qr_basis(phis)
 
-    phi_next = _projector_off_chain(state).conj().T @ (op.matrix.conj().T @ phi_prev)
-    psi = q.conj().T @ phi_next  # f_{n+1} in Y_n coordinates
+    v = op.adjoint_apply(state.phis[-1])
+    phi_next = v - phis @ ((zs.conj().T @ v) / np.sum(zs.conj() * phis, axis=0))
+    on_y = _project_off(q, phi_next)  # f_{n+1} restricted to Y_n
 
-    scale = float(np.linalg.norm(phi_prev)) * max(op.norm_estimate(), 1e-300)
-    if float(np.linalg.norm(psi)) < TOL_CHAIN * scale:
-        resid = containment_residual(op.matrix @ q, q)
+    norm_on_y = float(np.linalg.norm(on_y))
+    scale = float(np.linalg.norm(state.phis[-1])) * max(op.norm_estimate(), 1e-300)
+    if norm_on_y < TOL_CHAIN * scale:
+        resid = containment_residual(op.adjoint_apply(q), q)
         raise ChainTerminated(state, invariance_residual=resid, verified=resid < INVARIANCE_TOL)
 
-    z_next = q[:, int(np.argmax(np.abs(psi)))].copy()
-    y_next = q @ null_space(psi.conj()[None, :])
     new_state = ChainState(
-        zs=state.zs + (_readonly(z_next),),
+        zs=state.zs + (_readonly(on_y / norm_on_y),),
         phis=state.phis + (_readonly(phi_next),),
-        y_bases=state.y_bases + (y_next,),
-        depth=depth + 1,
     )
-    report = verify_chain(op, new_state)
-    bad = {
-        key: report[key]
-        for key in (
-            "z_in_previous",
-            "kernel_intersection",
-            "recurrence",
-            "direct_sum",
-            "forward_map",
-            "biorthogonality_off",
-        )
-        if report[key] >= PROPERTY_TOL
-    }
+    report = _level_report(op, new_state, depth + 1)
+    bad = {key: report[key] for key in RESIDUAL_KEYS if report[key] >= PROPERTY_TOL}
     if bad or report["biorthogonality_diag_min"] < PROPERTY_TOL:
         raise AssumptionError(f"chain properties degraded at depth {depth + 1}: {bad}")
     return new_state
@@ -150,74 +159,60 @@ def build_chain(op: OperatorModel, depth: int, z1: np.ndarray | None = None) -> 
     return state
 
 
+def _level_report(op: OperatorModel, state: ChainState, k: int) -> dict:
+    """The properties level k adds to levels 1..k-1 (1-indexed); keys as in verify_chain."""
+    phis = np.stack(state.phis[:k], axis=1)
+    zs = np.stack(state.zs[:k], axis=1)
+    s = np.linalg.svd(unit_columns(phis), compute_uv=False)
+    # bio[i, j] = |f_i(z_j)| / (||phi_i|| ||z_j||); level k adds the last row and column
+    norms = np.outer(np.linalg.norm(phis, axis=0), np.linalg.norm(zs, axis=0))
+    bio = np.abs(phis.conj().T @ zs) / norms
+    off = np.concatenate([bio[-1, :-1], bio[:-1, -1]])
+    out = {
+        "z_in_previous": 0.0,
+        "recurrence_norm": 0.0,
+        "adjoint_map": 0.0,
+        "biorthogonality_off": float(np.max(off, initial=0.0)),
+        "biorthogonality_diag_min": float(bio[-1, -1]),
+        "functional_sigma_min": float(s[-1]),
+        "codim_exact": svd_rank(s) == k,
+    }
+    if k > 1:
+        q_prev, q_next = qr_basis(phis[:, :-1]), qr_basis(phis)
+        z_next, phi_next, phi_prev = unit_columns(zs[:, -1:]), phis[:, -1], phis[:, -2]
+        out["z_in_previous"] = float(np.linalg.norm(q_prev.conj().T @ z_next))
+        mismatch = _project_off(q_prev, phi_next - op.adjoint_apply(phi_prev))
+        scale = np.linalg.norm(phi_next) + np.linalg.norm(phi_prev) * op.norm_estimate()
+        out["recurrence_norm"] = float(np.linalg.norm(mismatch) / scale)
+        out["adjoint_map"] = containment_residual(op.adjoint_apply(q_prev), q_next)
+    return out
+
+
 def verify_chain(op: OperatorModel, state: ChainState) -> dict:
     """Re-derive the chain properties from the raw state, as residuals.
 
-    Keys (all relative):
-      z_in_previous        z_{n+1} lies in Y_n
-      kernel_intersection  Y_n annihilated by every f_k, k <= n
-      recurrence           f_{n+1}(y) = f_n(Ty) on a basis of Y_n
-      direct_sum           Y_n splits as Y_{n+1} + span z_{n+1}
-      forward_map          T(Y_{n+1}) contained in Y_n
-      biorthogonality_off  f_n(z_i) = 0 for i != n
-    plus biorthogonality_diag_min (should be away from 0), codim_exact
-    (every dim Y_n equals N - n) and functional_sigma_min (smallest singular
-    value of the stacked unit functionals — independence certifies the
-    codimension count).
+    Every level n + 1 is checked against level n, in dual form.  Keys (all
+    relative, the worst level's value):
+      z_in_previous        ||Q_n^H z_{n+1}|| / ||z_{n+1}||: z_{n+1} lies in Y_n
+      recurrence_norm      ||P_{Y_n}(phi_{n+1} - T* phi_n)||
+                           / (||phi_{n+1}|| + ||phi_n|| ||T||):
+                           f_{n+1} = f_n o T on Y_n
+      adjoint_map          max over the columns q of Q_n of
+                           ||(I - Q_{n+1} Q_{n+1}^H) T* q|| / ||T* q||:
+                           T*(Y_n^perp) in Y_{n+1}^perp, the dual of
+                           T(Y_{n+1}) in Y_n
+      biorthogonality_off  max |f_k(z_i)| / (||phi_k|| ||z_i||), i != k
+    plus biorthogonality_diag_min (the smallest |f_k(z_k)| / (||phi_k||
+    ||z_k||), which should stay away from 0), functional_sigma_min (the
+    smallest singular value of the stacked unit phi's) and codim_exact
+    (phi_1..phi_n have numerical rank n at every level, so dim Y_n = N - n).
     """
-    t = op.matrix
-    depth = state.depth
-    stacked = np.stack([phi / np.linalg.norm(phi) for phi in state.phis], axis=0)
-    smin = float(np.linalg.svd(stacked.conj(), compute_uv=False)[-1])
-    out = {
-        "z_in_previous": 0.0,
-        "kernel_intersection": 0.0,
-        "recurrence": 0.0,
-        "direct_sum": 0.0,
-        "forward_map": 0.0,
-        "biorthogonality_off": 0.0,
-        "biorthogonality_diag_min": np.inf,
-        "functional_sigma_min": smin,
-        "codim_exact": all(
-            state.y_bases[n].shape[1] == op.dim - (n + 1) for n in range(depth)
-        ),
+    levels = [_level_report(op, state, k) for k in range(1, state.depth + 1)]
+    # min over the booleans of codim_exact is their conjunction
+    return {
+        key: (min if key in _MIN_KEYS else max)(level[key] for level in levels)
+        for key in levels[0]
     }
-
-    for n in range(1, depth):  # pairs (n, n+1), 1-indexed level n
-        q_prev, q_next = state.y_bases[n - 1], state.y_bases[n]
-        z_next, phi_next, phi_prev = state.zs[n], state.phis[n], state.phis[n - 1]
-
-        out["z_in_previous"] = max(
-            out["z_in_previous"], containment_residual(z_next[:, None], q_prev)
-        )
-        union = qr_basis(np.hstack([q_next, z_next[:, None]]))
-        out["direct_sum"] = max(out["direct_sum"], containment_residual(q_prev, union))
-        out["forward_map"] = max(out["forward_map"], containment_residual(t @ q_next, q_prev))
-
-        scale = np.linalg.norm(phi_next) + np.linalg.norm(phi_prev) * op.norm_estimate()
-        mismatch = phi_next.conj() @ q_prev - (phi_prev.conj() @ t) @ q_prev
-        out["recurrence"] = max(out["recurrence"], float(np.max(np.abs(mismatch))) / scale)
-
-    for n in range(depth):
-        phi = state.phis[n]
-        pn = float(np.linalg.norm(phi))
-        q = state.y_bases[n]
-        if q.shape[1]:
-            out["kernel_intersection"] = max(
-                out["kernel_intersection"],
-                max(
-                    float(np.max(np.abs(state.phis[k].conj() @ q)))
-                    / float(np.linalg.norm(state.phis[k]))
-                    for k in range(n + 1)
-                ),
-            )
-        for i in range(depth):
-            val = abs(np.vdot(phi, state.zs[i])) / (pn * float(np.linalg.norm(state.zs[i])))
-            if i == n:
-                out["biorthogonality_diag_min"] = min(out["biorthogonality_diag_min"], val)
-            else:
-                out["biorthogonality_off"] = max(out["biorthogonality_off"], val)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,23 +240,19 @@ def build_non_ai_halfspace_witness(
         raise ArgumentError("need depth >= 2 for at least one even vector")
     state = build_chain(op, depth, z1=z1)
     pairs = depth // 2
-    evens = np.stack([state.zs[2 * k + 1] for k in range(pairs)], axis=1)
+    evens = np.stack(state.zs[1 : 2 * pairs : 2], axis=1)  # z_2, z_4, ..., z_{2 pairs}
     z_basis = qr_basis(evens)
 
-    images = op.matrix @ evens  # T z_{2k}
+    images = op.apply(evens)  # T z_{2k}
     projected = images - z_basis @ (z_basis.conj().T @ images)
     ranks = tuple(numerical_rank(projected[:, : k + 1]) for k in range(pairs))
 
-    evals = np.zeros((pairs, pairs))
-    for i in range(pairs):
-        phi = state.phis[2 * i]  # f_{2i+1}, 1-indexed f_{2i-1} for k=i+1
-        pn = float(np.linalg.norm(phi))
-        for k in range(i, pairs):
-            evals[i, k] = abs(np.vdot(phi, images[:, k])) / (
-                pn * max(float(np.linalg.norm(images[:, k])), 1e-300)
-            )
+    odd = np.stack(state.phis[0 : 2 * pairs : 2], axis=1)  # f_1, f_3, ..., f_{2 pairs - 1}
+    image_norms = np.maximum(np.linalg.norm(images, axis=0), 1e-300)
+    norms = np.outer(np.linalg.norm(odd, axis=0), image_norms)
+    evals = np.triu(np.abs(odd.conj().T @ images) / norms)
     diag = float(np.min(np.diagonal(evals)))
-    cross = float(np.max(np.triu(evals, k=1))) if pairs > 1 else 0.0
+    cross = float(np.max(np.triu(evals, k=1)))
     return WitnessReport(
         z_basis=z_basis, ranks=ranks, evaluations=evals, diagonal_min=diag, cross_max=cross
     )
@@ -274,25 +265,26 @@ def codim_n_subspace(op: OperatorModel, n: int) -> tuple[np.ndarray, np.ndarray,
     T(Y_n) lands in Y_{n-1} = Y_n + span z_n.  If the chain terminates first
     the terminal Y_d is invariant; the construction restricts T to it and
     recurses for the remaining codimension, so the dichotomy never leaves
-    the caller empty-handed.  Residual is dist(Ty, Y + span e_Y), relative.
+    the caller empty-handed.  The returned basis of Y is the one place a
+    chain builds a basis of its subspace: the null space of the stacked
+    phi^H, once, at the end.  Residual is dist(Ty, Y + span e_Y), relative.
     """
     if not 1 <= n < op.dim:
         raise ArgumentError("need 1 <= n < dim")
     try:
         state = build_chain(op, n)
     except ChainTerminated as term:
-        q = term.state.y_bases[-1]
-        d = term.state.depth  # strictly below n: extension stops once depth reaches n
-        restricted = build_operator(Family.DENSE, q.shape[1], matrix=q.conj().T @ op.matrix @ q)
-        y_sub, e_sub, _ = codim_n_subspace(restricted, n - d)
-        y_basis = q @ y_sub
-        e_y = q @ e_sub
-    else:
-        y_basis = state.y_bases[-1]
-        e_y = np.asarray(state.zs[-1])
+        state = term.state  # depth strictly below n: extension stops once depth reaches n
+    y_basis = null_space(np.stack(state.phis).conj())
+    e_y = np.asarray(state.zs[-1])
+    if state.depth < n:
+        q = y_basis
+        restricted = build_operator(Family.DENSE, q.shape[1], matrix=q.conj().T @ op.apply(q))
+        y_sub, e_sub, _ = codim_n_subspace(restricted, n - state.depth)
+        y_basis, e_y = q @ y_sub, q @ e_sub
 
     if np.linalg.norm(e_y) > 0:
         enlarged = qr_basis(np.hstack([y_basis, e_y[:, None]]))
     else:
         enlarged = y_basis
-    return y_basis, e_y, containment_residual(op.matrix @ y_basis, enlarged)
+    return y_basis, e_y, containment_residual(op.apply(y_basis), enlarged)

@@ -13,7 +13,7 @@ probe-dense  emit the factorial-orbit extraction-error table
 
 Exit codes: 0 every check passed; 2 hypothesis flags raised while every
 numeric check passed; 1 any failure (validation, stage error, audit
-mismatch, missing file).  Log level comes from the AIHS_LOG environment
+mismatch, missing file, command-line usage).  Log level comes from the AIHS_LOG environment
 variable; outputs land in --out (default: current directory) under the
 config's label, falling back to the config file's stem.
 """
@@ -78,12 +78,9 @@ def _out_path(args, cfg: dict, suffix: str) -> Path:
 
 
 def _tolerances(args, cfg: dict):
-    return tolerances_from_config(
-        cfg.get("tolerances"),
-        tol_ai=args.tol_ai,
-        tol_zero=args.tol_zero,
-        tol_annihilation_base=args.tol_annihilation,
-    )
+    """The config's tolerances, updated by whichever --tol-* flags the subcommand takes."""
+    flags = {key: value for key, value in vars(args).items() if key.startswith("tol_")}
+    return tolerances_from_config(cfg.get("tolerances"), **flags)
 
 
 def _blaschke_options(block: dict | None, m: int):
@@ -342,49 +339,55 @@ def cmd_probe_dense(args) -> int:
     return EXIT_PASS
 
 
-def _add_common(sub, config_required: bool = True) -> None:
-    sub.add_argument("--config", required=config_required, help="JSON config path")
-    sub.add_argument("--out", default=".", help="output directory (default: .)")
-    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--tol-ai", type=float, default=None, dest="tol_ai")
-    sub.add_argument("--tol-zero", type=float, default=None, dest="tol_zero")
-    sub.add_argument(
-        "--tol-annihilation", type=float, default=None, dest="tol_annihilation"
-    )
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1: exit code 2 means an unverified hypothesis."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_FAIL, f"{self.prog}: error: {message}\n")
 
 
-def main(argv=None) -> int:
-    _configure_logging()
-    parser = argparse.ArgumentParser(
+_FLAGS = {
+    "--config": {"required": True, "help": "JSON config path"},
+    "--out": {"default": ".", "help": "output directory (default: .)"},
+    "--seed": {"type": int, "help": "override the config seed"},
+    "--tol-ai": {"type": float, "metavar": "X"},
+    "--tol-zero": {"type": float, "metavar": "X"},
+    "--tol-annihilation": {"type": float, "metavar": "X", "dest": "tol_annihilation_base"},
+}
+_BUILD_FLAGS = ("--config", "--out", "--seed", "--tol-ai", "--tol-zero", "--tol-annihilation")
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The aihs parser; each subcommand takes only the flags it reads."""
+    parser = _Parser(
         prog="aihs",
         description="build and audit almost-invariant half-space certificates",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    for name, func, help_text, flags in (
+        ("build", cmd_build, "run one construction from a config", _BUILD_FLAGS),
+        ("verify", cmd_verify, "re-audit a stored certificate",
+         ("--seed", "--tol-ai", "--tol-annihilation")),
+        ("chain", cmd_chain, "run the functional-chain recursion",
+         ("--config", "--out", "--seed")),
+        ("sweep", cmd_sweep, "aggregate many build runs into a CSV", _BUILD_FLAGS),
+        ("probe-dense", cmd_probe_dense, "factorial-orbit extraction-error table",
+         ("--config", "--out")),
+    ):
+        sub = commands.add_parser(name, help=help_text)
+        if name == "verify":
+            sub.add_argument("certificate", help="certificate JSON path")
+            sub.add_argument("--config", help="JSON config that rebuilds the operator")
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
+        sub.set_defaults(func=func)
+    return parser
 
-    p_build = commands.add_parser("build", help="run one construction from a config")
-    _add_common(p_build)
-    p_build.set_defaults(func=cmd_build)
 
-    p_verify = commands.add_parser("verify", help="re-audit a stored certificate")
-    p_verify.add_argument("certificate", help="certificate JSON path")
-    _add_common(p_verify, config_required=False)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_chain = commands.add_parser("chain", help="run the functional-chain recursion")
-    _add_common(p_chain)
-    p_chain.set_defaults(func=cmd_chain)
-
-    p_sweep = commands.add_parser("sweep", help="aggregate many build runs into a CSV")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_probe = commands.add_parser(
-        "probe-dense", help="factorial-orbit extraction-error table"
-    )
-    _add_common(p_probe)
-    p_probe.set_defaults(func=cmd_probe_dense)
-
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    _configure_logging()
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except StageError as exc:

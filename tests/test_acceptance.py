@@ -49,14 +49,7 @@ from aihs.serialize import read_certificate
 
 N = 256
 
-CHAIN_RESIDUAL_KEYS = (
-    "z_in_previous",
-    "kernel_intersection",
-    "recurrence",
-    "direct_sum",
-    "forward_map",
-    "biorthogonality_off",
-)
+CHAIN_RESIDUAL_KEYS = ("z_in_previous", "recurrence_norm", "adjoint_map", "biorthogonality_off")
 
 
 def basis_vec(n, i=0):

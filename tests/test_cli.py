@@ -1,11 +1,14 @@
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from aihs import config
+from aihs import cli, config
 from aihs.blaschke import blaschke_sequence
 from aihs.cli import main
 from aihs.errors import ArgumentError
@@ -288,14 +291,7 @@ def test_chain_transcript_records_properties(tmp_path):
     assert [s["depth"] for s in doc["steps"]] == list(range(1, 7))
     for step in doc["steps"][1:]:
         props = step["properties"]
-        for key in (
-            "z_in_previous",
-            "kernel_intersection",
-            "recurrence",
-            "direct_sum",
-            "forward_map",
-            "biorthogonality_off",
-        ):
+        for key in ("z_in_previous", "recurrence_norm", "adjoint_map", "biorthogonality_off"):
             assert float.fromhex(props[key]) < 1e-8
         assert props["codim_exact"] is True
     assert doc["witness"]["ranks"] == [1, 2, 3]
@@ -381,3 +377,54 @@ def test_bad_log_level_is_harmless(tmp_path, monkeypatch):
     monkeypatch.setenv("AIHS_LOG", "NOT-A-LEVEL")
     cfg = _write(tmp_path / "probe.json", {"dim": 32, "k_max": 1, "label": "p"})
     assert main(["probe-dense", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def _readme_synopsis_flags():
+    """{subcommand: its --flags} from the synopsis block of the README."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    flags, name = {}, None
+    for line in block.splitlines():
+        if line.startswith("aihs "):
+            name = line.split()[1]
+            flags[name] = set()
+        if name:
+            flags[name].update(re.findall(r"--[a-z-]+", line))
+    return flags
+
+
+def test_each_subcommand_takes_the_flags_of_its_readme_synopsis():
+    (commands,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert accepted == _readme_synopsis_flags()
+    assert accepted["chain"] == {"--config", "--out", "--seed"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["build"],
+        ["verify", "x.json", "--bogus"],
+        ["verify", "x.json", "--out", "d"],
+        ["verify", "x.json", "--tol-zero", "1e-3"],
+        ["chain", "--config", "c.json", "--tol-ai", "1e-3"],
+        ["probe-dense", "--config", "c.json", "--seed", "1"],
+    ],
+)
+def test_usage_error_exits_one(capsys, argv):
+    # exit code 2 is reserved for a clean audit with an unverified hypothesis
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage: aihs" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["chain", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
