@@ -188,7 +188,7 @@ def _level_report(op: OperatorModel, state: ChainState, k: int) -> dict:
     return out
 
 
-def verify_chain(op: OperatorModel, state: ChainState) -> dict:
+def verify_chain(op: OperatorModel, state: ChainState, prior: dict | None = None) -> dict:
     """Re-derive the chain properties from the raw state, as residuals.
 
     Every level n + 1 is checked against level n, in dual form.  Keys (all
@@ -206,8 +206,12 @@ def verify_chain(op: OperatorModel, state: ChainState) -> dict:
     ||z_k||), which should stay away from 0), functional_sigma_min (the
     smallest singular value of the stacked unit phi's) and codim_exact
     (phi_1..phi_n have numerical rank n at every level, so dim Y_n = N - n).
+
+    ``prior``, this report for the chain one level shorter, spares re-deriving its levels.
     """
-    levels = [_level_report(op, state, k) for k in range(1, state.depth + 1)]
+    n = state.depth
+    levels = [prior] if prior is not None else [_level_report(op, state, k) for k in range(1, n)]
+    levels.append(_level_report(op, state, n))
     # min over the booleans of codim_exact is their conjunction
     return {
         key: (min if key in _MIN_KEYS else max)(level[key] for level in levels)

@@ -196,8 +196,8 @@ def cmd_verify(args) -> int:
         return EXIT_FAIL
     try:
         cert = ser.read_certificate(path)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        # a malformed document fails inside the decoder: wrong JSON types
+    except (ArgumentError, KeyError, TypeError, ValueError) as exc:
+        # the schema, an array's shape or a hex float rejected the document
         print(f"error: cannot parse certificate {path}: {exc}", file=sys.stderr)
         return EXIT_FAIL
     op = _operator_for_certificate(cert, args)
@@ -223,11 +223,13 @@ def cmd_chain(args) -> int:
     steps = []
     outcome: dict = {}
     state = init_chain(op, z1=z1)
-    steps.append({"depth": state.depth, "properties": verify_chain(op, state)})
+    report = verify_chain(op, state)
+    steps.append({"depth": state.depth, "properties": report})
     try:
         while state.depth < depth:
             state = extend_chain(op, state)
-            steps.append({"depth": state.depth, "properties": verify_chain(op, state)})
+            report = verify_chain(op, state, prior=report)
+            steps.append({"depth": state.depth, "properties": report})
         outcome = {"branch": "deep-chain", "depth_reached": state.depth}
     except ChainTerminated as stop:
         outcome = {

@@ -18,6 +18,7 @@ __all__ = [
     "validate_config",
     "seed_vector_from_config",
     "tolerances_from_config",
+    "check_document",
     "RUN_SCHEMA",
     "CHAIN_SCHEMA",
     "SWEEP_SCHEMA",
@@ -231,15 +232,19 @@ def _validator(command: str):
     return cls(schema)
 
 
+def check_document(validator, doc, what: str) -> None:
+    """Raise jsonschema's best-match error, the one ``jsonschema.validate`` raises, in one line."""
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if exc is not None:
+        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        raise ArgumentError(f"{what} invalid at {path}: {exc.message}") from exc
+
+
 def validate_config(cfg: dict, command: str) -> dict:
     """Schema- and semantics-check a config for the given subcommand."""
     if command not in _SCHEMAS:
         raise ArgumentError(f"no config schema for command {command!r}")
-    # the error jsonschema.validate would raise: the best match of all errors
-    exc = jsonschema.exceptions.best_match(_validator(command).iter_errors(cfg))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ArgumentError(f"config invalid at {path}: {exc.message}") from exc
+    check_document(_validator(command), cfg, "config")
 
     op = cfg.get("operator", {})
     family = op.get("family")

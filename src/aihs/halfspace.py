@@ -8,7 +8,8 @@ shifted coefficient sequences as orbit values.  The Blaschke route places
 the zeros inside the unit disk (spectral radius at most 1) and reads the
 functional values off the z^m B(z) coefficient tables.  Either way the
 certificate records every metric with its threshold: a failed check is
-carried in the artifact, never dropped.
+carried in the artifact, never dropped.  A certificate keeps only inputs
+and witnesses; :func:`compute_metrics` derives the rest, build and audit alike.
 
 Certified claim, in operator terms: T maps span(basis) into
 span(basis) + span{e} up to tol_ai, while k_max+1 (resp. m_max)
@@ -19,11 +20,15 @@ for a half-space with one-dimensional defect.
 from __future__ import annotations
 
 import contextlib
+import functools
+import operator
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .blaschke import blaschke_sequence, blaschke_taylor, fm_coefficient_table
+from .blaschke import BlaschkeData, blaschke_sequence, blaschke_taylor, fm_coefficient_table
 from .config import Tolerances
 from .duality import containment_residual
 from .entire import (
@@ -31,18 +36,18 @@ from .entire import (
     apply_picard_shift,
     coefficients_from_norms,
     find_zeros,
-    poly_eval_normalized,
-    shifted_coefficients,
 )
 from .errors import AihsError, ArgumentError, AssumptionError, SingularResolventError, StageError
 from ._linalg import min_norm_dual, numerical_rank, qr_basis, smallest_singular_value, unit_columns
 from .operators import (
-    OperatorModel, OrbitData, compute_orbit, matrix_digest, max_orbit_length, _readonly
+    OperatorModel, OrbitData, compute_orbit, matrix_digest, max_orbit_length, orbit_walk, _readonly
 )
 from .resolvent import ResolventSolver, filter_lambda_gap
 
 __all__ = [
     "FunctionalRep",
+    "EntireLaw",
+    "BlaschkeLaw",
     "HalfSpaceCertificate",
     "build_entire",
     "build_blaschke",
@@ -57,41 +62,83 @@ _EPS = float(np.finfo(np.float64).eps)
 class FunctionalRep:
     """One annihilating functional, f(x) = <dual_vector, x> = dual^H x.
 
-    ``orbit_values[i]`` is the prescribed f(T^i e); ``dual_vector`` is the
-    minimum-norm vector matching them on the orbit (pseudo-inverse
-    extension — canonical, reproducible, and exact on the orbit span).
-    ``norm_bound`` is the construction's a-priori bound (beta_k for the
-    entire route, C*m*sum(r_n/n) for the Blaschke route), recorded for
-    audit; ``dual_vector``'s actual norm may be smaller.
+    ``k`` picks its orbit values f(T^i e) from the certificate's law;
+    ``dual_vector`` is the minimum-norm (pseudo-inverse) vector matching them.
     """
 
     k: int
-    orbit_values: np.ndarray
     dual_vector: np.ndarray
-    norm_bound: float
-    extension_residual: float
+
+
+@dataclass(frozen=True, eq=False)
+class EntireLaw:
+    """The Picard-shifted c_0..c_d of F; functional k = 0..k_max takes those of z^k F."""
+
+    coefficients: np.ndarray
+    construction: ClassVar[str] = "Entire"
+    first_index: ClassVar[int] = 0
+
+    def orbit_values(self, k_max: int, length: int) -> np.ndarray:
+        rows = np.zeros((k_max + 1, length), dtype=np.complex128)
+        for k in range(k_max + 1):
+            rows[k, k : k + self.coefficients.size] = self.coefficients
+        return rows
+
+    def references(self, rows: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+        """f_k(h(lambda)) = lambda^(k+1) F(lambda), by Horner on the rows' nonzero columns."""
+        support = rows.shape[0] - 1 + self.coefficients.size
+        return lambdas * npoly.polyval(lambdas, rows[:, :support].T)
+
+    def coefficient_max(self) -> float:
+        return float(np.max(np.abs(self.coefficients)))
+
+
+@dataclass(frozen=True, eq=False)
+class BlaschkeLaw:
+    """The zeros of B and its Taylor order; functional j = 1..m_max takes z^j B's coefficients."""
+
+    zeros: np.ndarray
+    order: int
+    construction: ClassVar[str] = "Blaschke"
+    first_index: ClassVar[int] = 1
+
+    @functools.cached_property
+    def series(self) -> BlaschkeData:
+        return blaschke_taylor(self.zeros, self.order)
+
+    def orbit_values(self, m_max: int, length: int) -> np.ndarray:
+        return fm_coefficient_table(self.series, m_max, length - 1)[1:]
+
+    def references(self, rows: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+        """f_j(h(lambda)) = lambda F_j(lambda) for the truncated series, in one product.
+
+        That holds at any lambda; only a zero of B makes it an annihilation.
+        """
+        if not np.all(np.isin(lambdas, self.zeros)):
+            raise ArgumentError("a certified lambda is not in the stored zero sequence")
+        return lambdas * (rows @ np.vander(lambdas, rows.shape[1], increasing=True).T)
+
+    def coefficient_max(self) -> float:
+        return float(np.max(np.abs(self.series.taylor)))
 
 
 @dataclass(frozen=True, eq=False)
 class HalfSpaceCertificate:
     """Machine-checkable record of one half-space construction.
 
-    ``metrics`` holds the computed quantities; ``checks`` pairs each with
-    its threshold and verdict.  ``max_annihilation_residual`` is stored
-    normalized by annihilation_scale = (1+max|lambda|)^(k_max+1)*max|c_i|,
-    the round-off growth of lambda^(k+1)*F(lambda), so its threshold is the
-    scale-free base tolerance.
+    The inputs and witnesses, with the ``metrics`` they determine; ``checks``
+    pairs each metric with its threshold and verdict.  ``basis`` and
+    ``reference_values`` are a fresh build's derived arrays, kept for
+    library callers; a certificate read back from a document has ``None``.
     """
 
-    construction: str
+    law: EntireLaw | BlaschkeLaw
     operator_config: dict
     defect_vector: np.ndarray
-    basis: np.ndarray
     raw_vectors: np.ndarray
     lambdas: np.ndarray
     excluded_lambdas: tuple
     functionals: tuple
-    reference_values: np.ndarray
     metrics: dict
     checks: dict
     tolerances: dict
@@ -100,9 +147,17 @@ class HalfSpaceCertificate:
     m_achieved: int
     k_max: int
     orbit_length: int
-    degree: int | None = None
-    picard_shift: complex = 0.0
     config_echo: dict = field(default_factory=dict)
+    basis: np.ndarray | None = None
+    reference_values: np.ndarray | None = None
+
+    @property
+    def construction(self) -> str:
+        return self.law.construction
+
+    @property
+    def degree(self) -> int | None:
+        return self.law.coefficients.size - 1 if isinstance(self.law, EntireLaw) else None
 
     @property
     def passed(self) -> bool:
@@ -111,6 +166,27 @@ class HalfSpaceCertificate:
     @property
     def hypothesis_unverified(self) -> bool:
         return bool(self.hypothesis.get("unverified", False))
+
+
+#: Each checked metric: the Tolerances field of its threshold (None for the
+#: fixed defect-rank bound 1) and the comparison its value must pass.
+_CHECKS = {
+    "independence_sigma_min": ("tol_rank", operator.gt),
+    "ai_defect_rank": (None, operator.le),
+    "ai_residual": ("tol_ai", operator.lt),
+    "max_annihilation_residual": ("tol_annihilation_base", operator.lt),
+    "functional_independence_sigma_min": ("tol_rank", operator.gt),
+    "extension_residual_max": ("tol_extension", operator.lt),
+}
+
+
+def _judge(metrics: dict, thresholds: dict) -> dict:
+    """Each checked metric with its threshold and verdict."""
+    return {
+        name: {"value": metrics[name], "threshold": thresholds[name],
+               "passed": bool(passes(metrics[name], thresholds[name]))}
+        for name, (_, passes) in _CHECKS.items()
+    }
 
 
 @contextlib.contextmanager
@@ -185,118 +261,85 @@ def _solve_resolvents(
     return np.stack(vectors, axis=1), np.array(kept, dtype=np.complex128), excluded
 
 
-def _build_functionals(
-    orbit: OrbitData, value_rows: list, norm_bounds, index_base: int
-) -> tuple:
-    values_block = np.array(value_rows, dtype=np.complex128)  # (k, L)
-    duals = min_norm_dual(orbit.vectors.T, values_block.T)  # (dim, k), one solve
-    reps = []
-    for j, (values, phi) in enumerate(zip(values_block, duals.T)):
-        achieved = phi.conj() @ orbit.vectors.T
-        resid = float(np.max(np.abs(achieved - values)))
-        reps.append(
-            FunctionalRep(
-                k=index_base + j,
-                orbit_values=_readonly(values),
-                dual_vector=_readonly(phi),
-                norm_bound=float(norm_bounds[j]),
-                extension_residual=resid,
-            )
-        )
-    return tuple(reps)
-
-
 def compute_metrics(
     op: OperatorModel,
     e: np.ndarray,
+    orbit_vectors: np.ndarray,
     raw_vectors: np.ndarray,
-    basis: np.ndarray,
-    functionals,
     lambdas: np.ndarray,
-    reference_values: np.ndarray,
-    annihilation_scale: float,
-    construction: str,
+    duals: np.ndarray,
+    law: EntireLaw | BlaschkeLaw,
+    k_max: int,
     tol: Tolerances,
-) -> tuple[dict, dict]:
-    """Every certificate metric with its threshold verdict.
+) -> tuple[dict, dict, np.ndarray, np.ndarray]:
+    """(metrics, checks, basis, references) from a certificate's inputs.
 
-    Shared verbatim by the builders and the auditor so "recompute" means
-    the same arithmetic: the basis is taken in Fortran order, the layout
-    ``qr_basis`` hands the builders, whatever layout a read-back
-    certificate has (column norms sum in a layout-dependent order).
-    ``ai_defect_rank`` is the rank excess of [T*basis | basis | e] over
-    [basis | e]: zero exactly when T moves the half-space nowhere new
-    beyond the defect line.
+    The one derivation behind the builders and the audit.  Inputs: the orbit
+    rows x_0..x_{L-1}, the resolvent vectors and the dual vectors (columns),
+    and the law, which prescribes the orbit values and references.  Y's
+    basis is ``qr_basis`` of the resolvent vectors.  ``ai_defect_rank`` is
+    the rank excess of [T*basis | basis | e] over [basis | e].  The
+    annihilation residual is divided by (1+max|lambda|)^(k_max+1)*max|c_i|,
+    the round-off growth of lambda^(k+1)*F(lambda).
     """
-    basis = np.asfortranarray(basis)
-    e_col = e.reshape(-1, 1)
-    with_e = np.hstack([basis, e_col])
-    moved = op.apply(basis)
-    rank_small = numerical_rank(with_e, rtol=tol.tol_rank)
-    rank_big = numerical_rank(np.hstack([moved, with_e]), rtol=tol.tol_rank)
-    ai_rank = rank_big - rank_small
-    ai_resid = containment_residual(moved, qr_basis(with_e))
+    rows = law.orbit_values(k_max, orbit_vectors.shape[0])
+    refs = law.references(rows, lambdas)
+    scale = (1.0 + float(np.max(np.abs(lambdas)))) ** (k_max + 1) * law.coefficient_max()
+    basis = qr_basis(raw_vectors)
 
-    indep = smallest_singular_value(unit_columns(raw_vectors))
-    duals = np.stack([f.dual_vector for f in functionals], axis=1)
-    f_indep = smallest_singular_value(unit_columns(duals))
+    with_e = np.hstack([basis, e.reshape(-1, 1)])
+    moved = op.apply(basis)
 
     inner = duals.conj().T @ raw_vectors  # inner[j, n] = f_j(h(lambda_n))
-    if construction == "Blaschke":
-        worst = float(np.max(np.abs(inner - reference_values)))
-    else:
-        worst = float(np.max(np.abs(inner)))
-    annih = worst / annihilation_scale
-
-    ext_scale = max(
-        float(np.max(np.abs(f.orbit_values))) for f in functionals
-    )
-    ext_worst = max(f.extension_residual for f in functionals) / max(ext_scale, 1e-300)
+    if law.construction == "Blaschke":
+        inner = inner - refs
+    replayed = duals.conj().T @ orbit_vectors.T  # replayed[j, i] = f_j(x_i)
+    extension = float(np.max(np.abs(replayed - rows))) / max(float(np.max(np.abs(rows))), 1e-300)
 
     metrics = {
-        "construction": construction,
+        "construction": law.construction,
         "lambda_set": [complex(z) for z in lambdas],
-        "independence_sigma_min": float(indep),
-        "ai_defect_rank": int(ai_rank),
-        "ai_residual": float(ai_resid),
-        "max_annihilation_residual": float(annih),
-        "annihilation_scale": float(annihilation_scale),
-        "functional_independence_sigma_min": float(f_indep),
-        "extension_residual_max": float(ext_worst),
+        "independence_sigma_min": smallest_singular_value(unit_columns(raw_vectors)),
+        "ai_defect_rank": (numerical_rank(np.hstack([moved, with_e]), rtol=tol.tol_rank)
+                           - numerical_rank(with_e, rtol=tol.tol_rank)),
+        "ai_residual": float(containment_residual(moved, qr_basis(with_e))),
+        "max_annihilation_residual": float(np.max(np.abs(inner))) / scale,
+        "annihilation_scale": float(scale),
+        "functional_independence_sigma_min": smallest_singular_value(unit_columns(duals)),
+        "extension_residual_max": extension,
     }
-    checks = {
-        "independence_sigma_min": {
-            "value": metrics["independence_sigma_min"],
-            "threshold": tol.tol_rank,
-            "passed": metrics["independence_sigma_min"] > tol.tol_rank,
-        },
-        "ai_defect_rank": {
-            "value": ai_rank,
-            "threshold": 1,
-            "passed": ai_rank <= 1,
-        },
-        "ai_residual": {
-            "value": metrics["ai_residual"],
-            "threshold": tol.tol_ai,
-            "passed": metrics["ai_residual"] < tol.tol_ai,
-        },
-        "max_annihilation_residual": {
-            "value": metrics["max_annihilation_residual"],
-            "threshold": tol.tol_annihilation_base,
-            "passed": metrics["max_annihilation_residual"] < tol.tol_annihilation_base,
-        },
-        "functional_independence_sigma_min": {
-            "value": metrics["functional_independence_sigma_min"],
-            "threshold": tol.tol_rank,
-            "passed": metrics["functional_independence_sigma_min"] > tol.tol_rank,
-        },
-        "extension_residual_max": {
-            "value": metrics["extension_residual_max"],
-            "threshold": tol.tol_extension,
-            "passed": metrics["extension_residual_max"] < tol.tol_extension,
-        },
-    }
-    return metrics, checks
+    thresholds = {name: getattr(tol, key) if key else 1 for name, (key, _) in _CHECKS.items()}
+    return metrics, _judge(metrics, thresholds), basis, refs
+
+
+def _certify(op, e, orbit: OrbitData, raw, lambdas, excluded, law, k_max, tol, **fields):
+    """The builders' tail: solve the dual vectors, derive the rest; ``fields`` are the route's."""
+    with _stage("functionals"):
+        rows = law.orbit_values(k_max, orbit.length)
+        duals = min_norm_dual(orbit.vectors.T, rows.T)  # (dim, k), one solve
+    with _stage("metrics"):
+        metrics, checks, basis, refs = compute_metrics(
+            op, e, orbit.vectors, raw, lambdas, duals, law, k_max, tol)
+    return HalfSpaceCertificate(
+        law=law,
+        operator_config=_operator_echo(op),
+        defect_vector=_readonly(e),
+        raw_vectors=_readonly(raw),
+        lambdas=_readonly(lambdas),
+        excluded_lambdas=tuple(excluded),
+        functionals=tuple(
+            FunctionalRep(k, _readonly(phi)) for k, phi in enumerate(duals.T, law.first_index)
+        ),
+        metrics=metrics,
+        checks=checks,
+        tolerances=tol.as_dict(),
+        m_achieved=int(lambdas.size),
+        k_max=k_max,
+        orbit_length=orbit.length,
+        basis=basis,
+        reference_values=_readonly(refs),
+        **fields,
+    )
 
 
 def build_entire(
@@ -370,52 +413,9 @@ def build_entire(
         raw, lambdas, dropped = _solve_resolvents(op, e, lambdas, tol)
         excluded.extend(dropped)
 
-    with _stage("basis"):
-        basis = qr_basis(raw)
-
-    with _stage("functionals"):
-        rows = [
-            np.concatenate(
-                [shifted_coefficients(cs, k), np.zeros(length - degree - 1 - k)]
-            )
-            for k in range(k_max + 1)
-        ]
-        functionals = _build_functionals(orbit, rows, cs.norm_bounds, index_base=0)
-
-    with _stage("metrics"):
-        # reference identity values lambda^(k+1) * F(lambda), an oracle rail
-        refs = np.empty((k_max + 1, lambdas.size), dtype=np.complex128)
-        for k in range(k_max + 1):
-            ck = shifted_coefficients(cs, k)
-            for j, lam in enumerate(lambdas):
-                refs[k, j] = lam * poly_eval_normalized(ck, lam) * max(1.0, abs(lam)) ** (
-                    degree + k
-                )
-        scale = (1.0 + float(np.max(np.abs(lambdas)))) ** (k_max + 1) * max_c
-        metrics, checks = compute_metrics(
-            op, e, raw, basis, functionals, lambdas, refs, scale, "Entire", tol
-        )
-
-    return HalfSpaceCertificate(
-        construction="Entire",
-        operator_config=_operator_echo(op),
-        defect_vector=_readonly(e),
-        basis=basis,
-        raw_vectors=_readonly(raw),
-        lambdas=_readonly(lambdas),
-        excluded_lambdas=tuple(excluded),
-        functionals=functionals,
-        reference_values=_readonly(refs),
-        metrics=metrics,
-        checks=checks,
-        tolerances=tol.as_dict(),
-        hypothesis={"unverified": False, "flags": []},
-        m_requested=m,
-        m_achieved=int(lambdas.size),
-        k_max=k_max,
-        orbit_length=orbit.length,
-        degree=degree,
-        picard_shift=complex(cs.picard_shift),
+    return _certify(
+        op, e, orbit, raw, lambdas, excluded, EntireLaw(cs.coefficients), k_max, tol,
+        hypothesis={"unverified": False, "flags": []}, m_requested=m,
     )
 
 
@@ -435,7 +435,7 @@ def build_blaschke(
     functional-norm hypothesis sum(r_n / n) is checked against the cap and
     reported: exceeding it marks the certificate hypothesis-unverified
     without failing the finite-sum annihilation identity, which holds (and
-    is checked against the stored lambda*F_m(lambda) references) regardless.
+    is checked against the derived lambda*F_m(lambda) references) regardless.
     """
     tol = tolerances or Tolerances()
     if m < 1:
@@ -477,8 +477,9 @@ def build_blaschke(
             raise ArgumentError(
                 f"Taylor order {order} cannot cover orbit length {length}"
             )
-        bd = blaschke_taylor(lambdas, order, defect_cap=defect_cap)
-        table = fm_coefficient_table(bd, m_max, length - 1)
+        if defect_cap is not None:  # the summability guard; the law derives the series
+            blaschke_taylor(lambdas, order, defect_cap=defect_cap)
+        law = BlaschkeLaw(_readonly(lambdas), order)
 
     with _stage("selection"):
         kept, excluded = _select_lambdas(op, lambdas, m, tol, noise_floor=None)
@@ -487,114 +488,66 @@ def build_blaschke(
         raw, kept, dropped = _solve_resolvents(op, e, kept, tol)
         excluded.extend(dropped)
 
-    with _stage("basis"):
-        basis = qr_basis(raw)
-
-    with _stage("functionals"):
-        rows = [table[j] for j in range(1, m_max + 1)]
-        bounds = [
-            bd.growth_constant * j * partial for j in range(1, m_max + 1)
-        ]
-        functionals = _build_functionals(orbit, rows, bounds, index_base=1)
-
-    with _stage("metrics"):
-        refs = np.empty((m_max, kept.size), dtype=np.complex128)
-        for j in range(1, m_max + 1):
-            for n, lam in enumerate(kept):
-                # identity reference: lambda * F_j(lambda), truncated series
-                refs[j - 1, n] = lam * np.polynomial.polynomial.polyval(lam, table[j])
-        max_b = float(np.max(np.abs(bd.taylor)))
-        scale = (1.0 + float(np.max(np.abs(kept)))) ** (m_max + 1) * max_b
-        metrics, checks = compute_metrics(
-            op, e, raw, basis, functionals, kept, refs, scale, "Blaschke", tol
-        )
-
-    return HalfSpaceCertificate(
-        construction="Blaschke",
-        operator_config=_operator_echo(op),
-        defect_vector=_readonly(e),
-        basis=basis,
-        raw_vectors=_readonly(raw),
-        lambdas=_readonly(kept),
-        excluded_lambdas=tuple(excluded),
-        functionals=functionals,
-        reference_values=_readonly(refs),
-        metrics=metrics,
-        checks=checks,
-        tolerances=tol.as_dict(),
-        hypothesis=hypothesis,
-        m_requested=m,
-        m_achieved=int(kept.size),
-        k_max=m_max,
-        orbit_length=orbit.length,
-        degree=None,
-        picard_shift=0.0,
+    return _certify(
+        op, e, orbit, raw, kept, excluded, law, m_max, tol,
+        hypothesis=hypothesis, m_requested=m,
     )
 
 
 def verify_certificate(
     op: OperatorModel, cert: HalfSpaceCertificate, tolerances: Tolerances | None = None
 ) -> dict:
-    """From-scratch audit: recompute every metric and diff against stored.
+    """From-scratch audit: derive everything from the stored inputs and diff against stored.
 
-    Resolvent vectors are re-solved from the stored lambdas, so a tampered
-    basis or functional shows up both as a metric drift beyond the audit
-    tolerance and as a failed threshold.  Returns a report with per-metric
-    stored/recomputed/diff entries; ``passed`` is False on any mismatch or
-    failed check.
+    Re-solves the resolvent vectors and walks the orbit to the stored length
+    (no norm stage), then derives the rest with :func:`compute_metrics`.
+    Each stored metric must agree within ``tol_audit``, each stored check
+    must carry the verdict its derived value earns against its stored
+    threshold, and each derived value must pass the audit's own thresholds.
+    Returns per-metric stored/recomputed/diff entries and ``passed``.
     """
     tol = tolerances or Tolerances()
-    audit_failures: list = []
+    with _stage("audit"):
+        raw, _, failed = _solve_resolvents(op, cert.defect_vector, cert.lambdas, tol)
+        if failed:
+            raise AssumptionError(f"stored lambda {failed[0][0]} fails its {failed[0][1]}")
+        vectors, reached = orbit_walk(op, cert.defect_vector, cert.orbit_length)
+        if reached != cert.orbit_length:
+            raise AssumptionError(f"the orbit has {reached} vectors above the floor, "
+                                  f"not the stored {cert.orbit_length}")
+        duals = np.stack([f.dual_vector for f in cert.functionals], axis=1)
+        metrics, checks, _, _ = compute_metrics(
+            op, cert.defect_vector, vectors, raw, cert.lambdas, duals, cert.law, cert.k_max, tol
+        )
 
-    re_raw, kept, _ = _solve_resolvents(op, cert.defect_vector, cert.lambdas, tol)
-    if kept.size != cert.lambdas.size:
-        audit_failures.append("lambda_set")
+    def drift(stored, recomputed) -> float:
+        return abs(stored - recomputed) / max(abs(stored), abs(recomputed), 1.0)
 
-    metrics, checks = compute_metrics(
-        op,
-        cert.defect_vector,
-        cert.raw_vectors,
-        cert.basis,
-        cert.functionals,
-        cert.lambdas,
-        cert.reference_values,
-        cert.metrics["annihilation_scale"],
-        cert.construction,
-        tol,
-    )
-    # raw vectors must reproduce from the operator and stored lambdas
-    raw_drift = float(
-        np.max(np.abs(re_raw - cert.raw_vectors))
-        / max(float(np.max(np.abs(cert.raw_vectors))), 1e-300)
-    )
-    if raw_drift > tol.tol_audit:
-        audit_failures.append("raw_vectors")
-
-    report: dict = {"metrics": {}, "raw_vector_drift": raw_drift}
-    for name in (
-        "independence_sigma_min",
-        "ai_defect_rank",
-        "ai_residual",
-        "max_annihilation_residual",
-        "functional_independence_sigma_min",
-        "extension_residual_max",
-    ):
+    # the stored raw vectors must reproduce from the operator and stored lambdas
+    raw_drift = float(np.max(np.abs(raw - cert.raw_vectors))
+                      / max(float(np.max(np.abs(cert.raw_vectors))), 1e-300))
+    failures = [] if raw_drift <= tol.tol_audit else ["raw_vectors"]
+    report: dict = {"metrics": {}, "raw_vector_drift": raw_drift, "failures": failures}
+    for name, recomputed in metrics.items():
         stored = cert.metrics[name]
-        recomputed = metrics[name]
-        scale = max(abs(stored), abs(recomputed), 1.0)
-        diff = abs(stored - recomputed) / scale
-        ok = diff <= tol.tol_audit
-        if not ok:
-            audit_failures.append(name)
-        if not checks[name]["passed"]:
-            audit_failures.append(f"{name}:threshold")
-        report["metrics"][name] = {
-            "stored": stored,
-            "recomputed": recomputed,
-            "relative_diff": diff,
-            "agrees": ok,
-            "threshold_passed": bool(checks[name]["passed"]),
-        }
-    report["failures"] = audit_failures
-    report["passed"] = not audit_failures
+        if isinstance(recomputed, (str, list)):  # construction, lambda_set
+            if stored != recomputed:
+                failures.append(name)
+            continue
+        diff = drift(stored, recomputed)
+        agrees, passed = diff <= tol.tol_audit, checks.get(name, {"passed": True})["passed"]
+        report["metrics"][name] = {"stored": stored, "recomputed": recomputed,
+                                   "relative_diff": diff, "agrees": agrees,
+                                   "threshold_passed": passed}
+        if not agrees:
+            failures.append(name)
+        if not passed:
+            failures.append(f"{name}:threshold")
+    claimed = _judge(metrics, {name: cert.checks[name]["threshold"] for name in _CHECKS})
+    for name, check in claimed.items():
+        stored = cert.checks[name]
+        if (stored["passed"] != check["passed"]
+                or not drift(stored["value"], check["value"]) <= tol.tol_audit):
+            failures.append(f"checks.{name}")
+    report["passed"] = not failures
     return report

@@ -37,6 +37,7 @@ __all__ = [
     "OrbitData",
     "build_operator",
     "compute_orbit",
+    "orbit_walk",
     "max_orbit_length",
     "matrix_digest",
     "geometric_weights",
@@ -111,11 +112,13 @@ class OperatorModel:
         w = self._array.reshape((-1,) + (1,) * (x.ndim - 1))
         if conj:
             w = w.conj()
-        out = np.zeros_like(x)
+        out = np.empty_like(x)
         if down:
-            out[1:] = w * x[:-1]
+            out[0] = 0.0
+            np.multiply(w, x[:-1], out=out[1:])
         else:
-            out[:-1] = w * x[1:]
+            out[-1] = 0.0
+            np.multiply(w, x[1:], out=out[:-1])
         return out
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
@@ -359,8 +362,6 @@ class OrbitData:
 
     Attributes
     ----------
-    seed : numpy.ndarray
-        The starting vector ``x_0``.
     vectors : numpy.ndarray
         Shape ``(length, dim)``; row ``n`` is ``x_n = T^n x_0``.
     biorthogonal_norms : numpy.ndarray
@@ -372,7 +373,6 @@ class OrbitData:
         Number of orbit vectors.
     """
 
-    seed: np.ndarray
     vectors: np.ndarray
     biorthogonal_norms: np.ndarray
     length: int
@@ -388,6 +388,26 @@ def max_orbit_length(op: OperatorModel, seed: np.ndarray, cap: int) -> int:
         count += 1
         x = op.apply(x)
     return count
+
+
+def orbit_walk(op: OperatorModel, seed: np.ndarray, length: int) -> tuple[np.ndarray, int]:
+    """Rows ``x_0 .. x_{length-1}`` and the count of leading vectors above the floor.
+
+    No norm is taken per step: the walk goes one step past ``length`` (short
+    of ``dim``) and checks the floor in one pass, so the count equals
+    ``length`` exactly when ``max_orbit_length(op, seed, op.dim)`` does.
+    """
+    steps = min(length + 1, op.dim)
+    vectors = np.empty((steps, op.dim), dtype=np.complex128)
+    x = np.asarray(seed, dtype=np.complex128)
+    for n in range(steps):
+        vectors[n] = x
+        x = op.apply(x)
+    alive = (np.linalg.norm(vectors, axis=1) >= ORBIT_NORM_FLOOR) & np.all(
+        np.isfinite(vectors), axis=1
+    )
+    reached = steps if alive.all() else int(np.argmin(alive))
+    return vectors[:length], reached
 
 
 def compute_orbit(op: OperatorModel, seed: np.ndarray, length: int) -> OrbitData:
@@ -419,18 +439,12 @@ def compute_orbit(op: OperatorModel, seed: np.ndarray, length: int) -> OrbitData
     if not 1 <= length <= op.dim:
         raise ArgumentError(f"orbit length must satisfy 1 <= L <= dim, got {length}")
 
-    vectors = np.empty((length, op.dim), dtype=np.complex128)
-    x = e
-    for n in range(length):
-        nx = float(np.linalg.norm(x))
-        if nx < ORBIT_NORM_FLOOR or not np.all(np.isfinite(x)):
-            raise OrbitDeathError(n, nx, ORBIT_NORM_FLOOR)
-        vectors[n] = x
-        x = op.apply(x)
+    vectors, reached = orbit_walk(op, e, length)
+    if reached < length:
+        raise OrbitDeathError(reached, float(np.linalg.norm(vectors[reached])), ORBIT_NORM_FLOOR)
 
     norms = _biorthogonal_norms(vectors)
     return OrbitData(
-        seed=_readonly(e),
         vectors=_readonly(vectors),
         biorthogonal_norms=norms,
         length=length,

@@ -3,23 +3,29 @@
 Every real number inside a JSON document is a hex float (``float.hex``
 round-trips bit-exactly); complex scalars are ``{"re": hex, "im": hex}``
 and arrays are ``{"dtype", "shape", "data"}`` with flat row-major data.
-Documents render with sorted keys, two-space indent, and no timestamps,
-so the same in-memory object always produces the same bytes.  CSV
-summaries are the human-readable side: decimals at ``%.17g``, columns
-frozen per schema version.
+Documents render compact with sorted keys and no timestamps, so the same
+in-memory object always produces the same bytes; certificates are
+schema-checked on read.  CSV summaries are the human-readable side:
+decimals at ``%.17g``, columns frozen per schema version.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
+import itertools
 import json
+import math
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 
+from .config import check_document
 from .errors import ArgumentError
-from .halfspace import FunctionalRep, HalfSpaceCertificate
-from .operators import _readonly
+from .halfspace import _CHECKS, BlaschkeLaw, EntireLaw, FunctionalRep, HalfSpaceCertificate
+from .operators import Family, _readonly
 
 __all__ = [
     "CERT_SCHEMA_ID",
@@ -43,7 +49,7 @@ __all__ = [
     "write_csv",
 ]
 
-CERT_SCHEMA_ID = "aihs-cert/1"
+CERT_SCHEMA_ID = "aihs-cert/2"
 CHAIN_SCHEMA_ID = "aihs-chain-transcript/1"
 
 
@@ -68,12 +74,16 @@ def encode_array(a: np.ndarray) -> dict:
 
 
 def decode_array(doc: dict) -> np.ndarray:
+    if not isinstance(doc, dict) or doc.keys() != {"dtype", "shape", "data"}:
+        raise ArgumentError("an array document has exactly the keys dtype, shape and data")
     shape = tuple(doc["shape"])
+    if len(doc["data"]) != math.prod(shape):
+        raise ArgumentError(f"array data has {len(doc['data'])} entries for shape {shape}")
     if doc["dtype"] == "complex128":
-        flat = np.array(
-            [complex(float.fromhex(re), float.fromhex(im)) for re, im in doc["data"]],
-            dtype=np.complex128,
-        )
+        parts = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(doc["data"])), float)
+        if parts.size != 2 * len(doc["data"]):
+            raise ArgumentError("complex array data must be [re, im] pairs")
+        flat = parts.view(np.complex128)
     elif doc["dtype"] == "float64":
         flat = np.array([float.fromhex(x) for x in doc["data"]], dtype=np.float64)
     else:
@@ -104,14 +114,6 @@ def encode_value(value):
     raise ArgumentError(f"cannot encode {type(value).__name__} into a document")
 
 
-def _is_array_doc(d: dict) -> bool:
-    return set(d.keys()) == {"dtype", "shape", "data"}
-
-
-def _is_complex_doc(d: dict) -> bool:
-    return set(d.keys()) == {"re", "im"}
-
-
 def decode_value(value):
     """Inverse of :func:`encode_value` for aihs documents.
 
@@ -128,9 +130,9 @@ def decode_value(value):
                 return value
         return value
     if isinstance(value, dict):
-        if _is_complex_doc(value):
+        if value.keys() == {"re", "im"}:
             return complex(float.fromhex(value["re"]), float.fromhex(value["im"]))
-        if _is_array_doc(value):
+        if value.keys() == {"dtype", "shape", "data"}:
             return decode_array(value)
         return {k: decode_value(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -139,7 +141,7 @@ def decode_value(value):
 
 
 def dumps_canonical(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_json(path, doc: dict) -> Path:
@@ -156,85 +158,117 @@ def read_json(path) -> dict:
 # certificates
 
 
+_LAWS = {law.construction: law for law in (EntireLaw, BlaschkeLaw)}
+
+
+def _record(**properties) -> dict:
+    """An object schema that requires exactly these properties."""
+    return {"type": "object", "required": list(properties), "properties": properties,
+            "additionalProperties": False}
+
+
+# Structure only, and cheap: jsonschema spends about 15 us a node, so the
+# schema stops at arrays and lists, and decode_array checks each array as it
+# parses it.
+_HEX = {"type": "string", "pattern": r"^-?(0x[0-9a-f]+(\.[0-9a-f]*)?p[-+]?[0-9]+|inf|nan)$"}
+_INT = {"type": "integer", "minimum": 0}
+_OBJECT, _LIST = {"type": "object"}, {"type": "array"}
+_METRICS = dict.fromkeys(_CHECKS, _HEX) | {
+    "construction": {"enum": list(_LAWS)}, "lambda_set": _LIST,
+    "ai_defect_rank": {"type": "integer"}, "annihilation_scale": _HEX,
+}
+# the document's fields besides its law, operator, functionals and exclusions
+_SHAPED = ("defect_vector", "raw_vectors", "lambdas")
+_ENCODED = _SHAPED + ("metrics", "checks", "tolerances", "hypothesis")
+_COUNTS = ("m_requested", "m_achieved", "k_max", "orbit_length")
+
+CERT_SCHEMA = _record(
+    schema={"const": CERT_SCHEMA_ID},
+    construction={"enum": list(_LAWS)},
+    operator={"type": "object", "required": ["family", "dim"], "additionalProperties": False,
+              "properties": {"family": {"enum": [family.value for family in Family]},
+                             "dim": {"type": "integer", "minimum": 2},
+                             "weights": {"type": "array"}, "matrix_sha256": {"type": "string"}}},
+    **dict.fromkeys(_SHAPED, _OBJECT),
+    excluded_lambdas=_LIST,
+    functionals={"type": "array", "minItems": 1},
+    law={"oneOf": [_record(coefficients=_OBJECT), _record(zeros=_OBJECT, order=_INT)]},
+    **dict.fromkeys(_COUNTS, _INT),
+    metrics=_record(**_METRICS),
+    checks=_record(**{name: _record(value=_METRICS[name], threshold=_METRICS[name],
+                                    passed={"type": "boolean"}) for name in _CHECKS}),
+    tolerances=_OBJECT,
+    hypothesis={"type": "object", "required": ["unverified", "flags"],
+                "properties": {"unverified": {"type": "boolean"}, "flags": _LIST}},
+    config_echo=_OBJECT,
+)
+
+
+@functools.cache
+def _cert_validator():
+    cls = jsonschema.validators.validator_for(CERT_SCHEMA)
+    cls.check_schema(CERT_SCHEMA)
+    return cls(CERT_SCHEMA)
+
+
 def certificate_to_document(cert: HalfSpaceCertificate) -> dict:
     return {
         "schema": CERT_SCHEMA_ID,
         "construction": cert.construction,
         "operator": encode_value(cert.operator_config),
-        "defect_vector": encode_array(cert.defect_vector),
-        "basis": encode_array(cert.basis),
-        "raw_vectors": encode_array(cert.raw_vectors),
-        "lambdas": encode_array(cert.lambdas),
+        **{name: encode_value(getattr(cert, name)) for name in _ENCODED},
         "excluded_lambdas": [
             {"lam": _complex_doc(complex(lam)), "reason": reason}
             for lam, reason in cert.excluded_lambdas
         ],
         "functionals": [
-            {
-                "k": f.k,
-                "orbit_values": encode_array(f.orbit_values),
-                "dual_vector": encode_array(f.dual_vector),
-                "norm_bound": _fhex(f.norm_bound),
-                "extension_residual": _fhex(f.extension_residual),
-            }
-            for f in cert.functionals
+            {"k": f.k, "dual_vector": encode_array(f.dual_vector)} for f in cert.functionals
         ],
-        "reference_values": encode_array(cert.reference_values),
-        "metrics": encode_value(cert.metrics),
-        "checks": encode_value(cert.checks),
-        "tolerances": encode_value(cert.tolerances),
-        "hypothesis": encode_value(cert.hypothesis),
-        "m_requested": cert.m_requested,
-        "m_achieved": cert.m_achieved,
-        "k_max": cert.k_max,
-        "orbit_length": cert.orbit_length,
-        "degree": cert.degree,
-        "picard_shift": _complex_doc(complex(cert.picard_shift)),
+        "law": encode_value(dataclasses.asdict(cert.law)),
+        **{name: getattr(cert, name) for name in _COUNTS},
         # config echo is the user's own JSON, kept verbatim (decimals and all)
         "config_echo": cert.config_echo,
     }
 
 
+def _shaped(doc: dict, name: str, shape: tuple) -> np.ndarray:
+    a = decode_array(doc)
+    if a.shape != shape:
+        raise ArgumentError(f"{name} has shape {a.shape}, expected {shape}")
+    return _readonly(a)
+
+
 def certificate_from_document(doc: dict) -> HalfSpaceCertificate:
-    if doc.get("schema") != CERT_SCHEMA_ID:
-        raise ArgumentError(
-            f"expected schema {CERT_SCHEMA_ID!r}, found {doc.get('schema')!r}"
-        )
-    functionals = tuple(
-        FunctionalRep(
-            k=int(f["k"]),
-            orbit_values=_readonly(decode_array(f["orbit_values"])),
-            dual_vector=_readonly(decode_array(f["dual_vector"])),
-            norm_bound=float.fromhex(f["norm_bound"]),
-            extension_residual=float.fromhex(f["extension_residual"]),
-        )
-        for f in doc["functionals"]
-    )
-    excluded = tuple(
-        (decode_value(entry["lam"]), entry["reason"])
-        for entry in doc["excluded_lambdas"]
-    )
+    """The certificate a document holds.
+
+    A malformed document raises ArgumentError, KeyError, TypeError or ValueError.
+    """
+    found = doc.get("schema") if isinstance(doc, dict) else None
+    if found != CERT_SCHEMA_ID:
+        raise ArgumentError(f"expected schema {CERT_SCHEMA_ID!r}, found {found!r}")
+    check_document(_cert_validator(), doc, "certificate")
+    law_cls = _LAWS[doc["construction"]]
+    indices = [f["k"] for f in doc["functionals"]]
+    if indices != list(range(law_cls.first_index, doc["k_max"] + 1)):
+        raise ArgumentError(f"functional indices {indices} do not run "
+                            f"{law_cls.first_index}..k_max = {doc['k_max']}")
+    dim, m = doc["operator"]["dim"], doc["m_achieved"]
     return HalfSpaceCertificate(
-        construction=doc["construction"],
+        law=law_cls(**{key: value if key == "order" else decode_array(value)
+                       for key, value in doc["law"].items()}),
         operator_config=decode_value(doc["operator"]),
-        defect_vector=_readonly(decode_array(doc["defect_vector"])),
-        basis=_readonly(decode_array(doc["basis"])),
-        raw_vectors=_readonly(decode_array(doc["raw_vectors"])),
-        lambdas=_readonly(decode_array(doc["lambdas"])),
-        excluded_lambdas=excluded,
-        functionals=functionals,
-        reference_values=_readonly(decode_array(doc["reference_values"])),
-        metrics=decode_value(doc["metrics"]),
-        checks=decode_value(doc["checks"]),
-        tolerances=decode_value(doc["tolerances"]),
-        hypothesis=decode_value(doc["hypothesis"]),
-        m_requested=int(doc["m_requested"]),
-        m_achieved=int(doc["m_achieved"]),
-        k_max=int(doc["k_max"]),
-        orbit_length=int(doc["orbit_length"]),
-        degree=None if doc["degree"] is None else int(doc["degree"]),
-        picard_shift=decode_value(doc["picard_shift"]),
-        config_echo=doc.get("config_echo", {}),
+        defect_vector=_shaped(doc["defect_vector"], "defect_vector", (dim,)),
+        raw_vectors=_shaped(doc["raw_vectors"], "raw_vectors", (dim, m)),
+        lambdas=_shaped(doc["lambdas"], "lambdas", (m,)),
+        excluded_lambdas=tuple(
+            (decode_value(entry["lam"]), entry["reason"]) for entry in doc["excluded_lambdas"]
+        ),
+        functionals=tuple(
+            FunctionalRep(k=f["k"], dual_vector=_shaped(f["dual_vector"], "dual_vector", (dim,)))
+            for f in doc["functionals"]
+        ),
+        **{name: decode_value(doc[name]) for name in _ENCODED if name not in _SHAPED},
+        **{name: doc[name] for name in (*_COUNTS, "config_echo")},
     )
 
 
@@ -288,27 +322,14 @@ def _cell(value) -> str:
 
 
 def certificate_csv_row(cert: HalfSpaceCertificate) -> dict:
-    m = cert.metrics
-    return {
-        "schema": CERT_SCHEMA_ID,
-        "label": cert.config_echo.get("label", ""),
-        "construction": cert.construction,
-        "family": cert.operator_config.get("family", ""),
-        "dim": cert.operator_config.get("dim", ""),
-        "m_requested": cert.m_requested,
-        "m_achieved": cert.m_achieved,
-        "k_max": cert.k_max,
-        "orbit_length": cert.orbit_length,
-        "degree": cert.degree,
-        "independence_sigma_min": m["independence_sigma_min"],
-        "ai_defect_rank": m["ai_defect_rank"],
-        "ai_residual": m["ai_residual"],
-        "max_annihilation_residual": m["max_annihilation_residual"],
-        "functional_independence_sigma_min": m["functional_independence_sigma_min"],
-        "extension_residual_max": m["extension_residual_max"],
-        "passed": cert.passed,
-        "hypothesis_unverified": cert.hypothesis_unverified,
-    }
+    """One CSV row: the certificate's counts, its metrics and its verdicts."""
+    row = {"schema": CERT_SCHEMA_ID, "label": cert.config_echo.get("label", ""),
+           "family": cert.operator_config.get("family", ""),
+           "dim": cert.operator_config.get("dim", "")}
+    for col in CERT_CSV_COLUMNS:
+        if col not in row:
+            row[col] = cert.metrics[col] if col in cert.metrics else getattr(cert, col)
+    return row
 
 
 def probe_rows(errors: np.ndarray, oracle) -> list:

@@ -155,7 +155,7 @@ def test_criterion_2_certificate_end_to_end(gate, geometric_op, end_to_end_cert)
     # strong oracle: the functional values of resolvent vectors equal the
     # shifted polynomial, an exact finite-sum identity, on a 52-point grid
     # chosen well away from the certificate's zero set
-    c = cert.functionals[0].orbit_values[: cert.degree + 1]
+    c = cert.law.coefficients
     grid = lambda_grid([0.5, 3.0, 11.0, 29.0], 13, phase=0.37)
     worst = 0.0
     for lam in grid:

@@ -8,9 +8,12 @@ import jsonschema
 import numpy as np
 import pytest
 
-from aihs import cli, config
+from aihs import chains, cli, config
+from aihs import serialize as ser
 from aihs.blaschke import blaschke_sequence
+from aihs.chains import extend_chain, init_chain, verify_chain
 from aihs.cli import main
+from aihs.operators import operator_from_config
 from aihs.errors import ArgumentError
 from aihs.serialize import (
     CERT_CSV_COLUMNS,
@@ -205,16 +208,6 @@ def test_verify_round_trip(tmp_path):
     assert main(["verify", str(tmp_path / "run.cert.json")]) == 0
 
 
-def test_verify_tampered_basis_fails(tmp_path):
-    cfg = _write(tmp_path / "run.json", _entire_cfg())
-    main(["build", "--config", cfg, "--out", str(tmp_path)])
-    path = tmp_path / "run.cert.json"
-    doc = json.loads(path.read_text())
-    doc["basis"]["data"][0] = [(0.123).hex(), (0.456).hex()]
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 1
-
-
 @pytest.mark.parametrize("field, value", [("functionals", 5), ("lambdas", "x")])
 def test_verify_malformed_certificate_is_a_one_line_error(tmp_path, capsys, field, value):
     cfg = _write(tmp_path / "run.json", _entire_cfg())
@@ -296,6 +289,44 @@ def test_chain_transcript_records_properties(tmp_path):
         assert props["codim_exact"] is True
     assert doc["witness"]["ranks"] == [1, 2, 3]
     assert doc["codim"]["n"] == 2 and doc["codim"]["dim_y"] == 30
+
+
+@pytest.mark.parametrize(
+    "operator, seed_index, branch",
+    [
+        ({"family": "donoghue-backward-shift", "dim": 48,
+          "weights": {"kind": "geometric", "params": {"ratio": 0.5}}}, 0, "deep-chain"),
+        ({"family": "forward-weighted-shift", "dim": 16,
+          "weights": {"kind": "explicit", "params": {"values": [1.0] * 15}}}, 0,
+         "invariant-subspace"),
+    ],
+)
+def test_chain_transcript_folds_each_level_once(tmp_path, monkeypatch, operator, seed_index, branch):
+    # the transcript at depth n is the worst value over levels 1..n; a
+    # running fold derives each level once in the command, plus once in
+    # extend_chain, instead of every level again at every depth
+    depth = 10
+    cfg = _write(tmp_path / "chain.json", {
+        "schema": "aihs-chain/1", "operator": operator, "depth": depth,
+        "seed_vector": {"kind": "basis", "index": seed_index}, "label": "chain",
+    })
+    calls = []
+    level_report = chains._level_report
+    monkeypatch.setattr(chains, "_level_report", lambda *a: calls.append(a[2]) or level_report(*a))
+    assert main(["chain", "--config", cfg, "--out", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    doc = ser.decode_value(ser.read_json(tmp_path / "chain.transcript.json"))
+    assert doc["outcome"]["branch"] == branch
+    reached = doc["outcome"]["depth_reached"]
+    assert len(calls) == 2 * reached - 1 <= 19
+
+    op = operator_from_config(operator)
+    state = init_chain(op, z1=np.eye(op.dim)[seed_index])
+    folded = [verify_chain(op, state)]  # the full fold, level by level
+    for _ in range(reached - 1):
+        state = extend_chain(op, state)
+        folded.append(verify_chain(op, state))
+    assert [step["properties"] for step in doc["steps"]] == folded
 
 
 def test_sweep_three_dims_three_rows(tmp_path):
