@@ -35,12 +35,18 @@ __all__ = [
     "find_zeros",
     "shifted_coefficients",
     "poly_eval_normalized",
+    "evaluation_noise",
 ]
 
 #: Pairwise zero separation must exceed this times the largest modulus.
 DISTINCT_RTOL = 1e-9
 
 DEGREE_CAP = 64
+
+#: Newton steps per seed at most; a seed normally reaches the noise floor in one.
+NEWTON_CAP = 40
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,54 +187,75 @@ def shifted_coefficients(cs: CoefficientSequence, k: int) -> np.ndarray:
 # overflow-safe polynomial evaluation
 
 
-def _horner_raw(c: np.ndarray, z: complex) -> tuple[complex, complex, bool]:
-    """(F(z)/s_d, F'(z)/s_{d-1}, rescaled) with s_k = z^k when |z| > 1.
+def _horner(c: list, z: complex) -> tuple[complex, complex, bool, float]:
+    """(F(z)/s_d, F'(z)/s_{d-1}, rescaled, a(z)/|s_d|) with s_k = z^k when |z| > 1.
 
-    Inside the closed unit disk this is plain Horner (s_k = 1); outside it is
-    Horner in u = 1/z on reversed coefficients, so no intermediate ever
-    exceeds sum|c_i| and huge z cannot overflow.
+    ``c`` is a list of Python complexes, lowest first, and a(z) = sum
+    |c_i| |z|^i is the round-off scale of the evaluation.  Inside the closed
+    unit disk this is plain Horner (s_k = 1); outside it is Horner in u = 1/z
+    on reversed coefficients, so no intermediate ever exceeds sum|c_i| and
+    huge z cannot overflow.
     """
-    d = c.size - 1
-    if abs(z) <= 1.0:
-        f = complex(0.0)
-        fp = complex(0.0)
-        for i in range(d, -1, -1):
+    r = abs(z)
+    f = fp = 0j
+    a = 0.0
+    if r <= 1.0:
+        for ci in reversed(c):
             fp = fp * z + f
-            f = f * z + c[i]
-        return f, fp, False
-    u = 1.0 / z
-    f = complex(0.0)  # sum c_i u^(d-i) = F(z) / z^d
-    for i in range(d + 1):
-        f = f * u + c[i]
-    fp = complex(0.0)  # sum i c_i u^(d-i) = F'(z) / z^(d-1)
-    for i in range(1, d + 1):
-        fp = fp * u + i * c[i]
-    return f, fp, True
+            f = f * z + ci
+            a = a * r + abs(ci)
+        return f, fp, False, a
+    u, ru = 1.0 / z, 1.0 / r
+    # f = sum c_i u^(d-i) = F(z)/z^d and fp = sum i c_i u^(d-i) = F'(z)/z^(d-1)
+    for i, ci in enumerate(c):
+        f = f * u + ci
+        fp = fp * u + i * ci
+        a = a * ru + abs(ci)
+    return f, fp, True, a
 
 
 def poly_eval_normalized(c, z: complex) -> complex:
     """F(z) / max(1, |z|)^d without overflow, lowest-first coefficients."""
-    c = np.asarray(c, dtype=np.complex128).reshape(-1)
+    c = np.asarray(c, dtype=np.complex128).reshape(-1).tolist()
     z = complex(z)
-    f, _, rescaled = _horner_raw(c, z)
+    f, _, rescaled, _ = _horner(c, z)
     if rescaled:
-        f = f * (z / abs(z)) ** (c.size - 1)
+        f = f * (z / abs(z)) ** (len(c) - 1)
     return f
 
 
-def _newton_polish(c: np.ndarray, z: complex, iters: int = 40) -> tuple[complex, float]:
-    best_z, best_r = z, abs(_horner_raw(c, z)[0])
-    for _ in range(iters):
-        f, fp, rescaled = _horner_raw(c, z)
+def evaluation_noise(c, z: complex) -> float:
+    """eps * sum |c_i| |z|^i: the round-off floor of evaluating F at z.
+
+    Infinite once the sum leaves the float range; it never raises.
+    """
+    c = np.asarray(c, dtype=np.complex128).reshape(-1).tolist()
+    _, _, rescaled, a = _horner(c, complex(z))
+    if rescaled:
+        with np.errstate(over="ignore"):
+            a = float(a * np.float64(abs(z)) ** (len(c) - 1))
+    return _EPS * a
+
+
+def _newton_polish(c: list, z: complex) -> tuple[complex, float]:
+    """Newton from ``z`` on the normalised pair; the best iterate and its residual.
+
+    Takes at least one step, then stops once |F| is within the evaluation
+    noise eps * a(z), where further steps only move z by round-off, or after
+    ``NEWTON_CAP`` steps.
+    """
+    f, fp, rescaled, _ = _horner(c, z)
+    best_z, best_r = z, abs(f)
+    for _ in range(NEWTON_CAP):
         if fp == 0:
             break
         # F/F' = (f/fp) * (s_d / s_{d-1}); the scale ratio is z when |z| > 1
-        step = (f / fp) * (z if rescaled else 1.0)
-        z = z - step
-        r = abs(_horner_raw(c, z)[0])
+        z = z - (f / fp) * (z if rescaled else 1.0)
+        f, fp, rescaled, a = _horner(c, z)
+        r = abs(f)
         if r < best_r:
             best_z, best_r = z, r
-        if abs(step) < 1e-16 * max(1.0, abs(z)):
+        if r <= _EPS * a:
             break
     return best_z, best_r
 
@@ -237,9 +264,11 @@ def find_zeros(cs: CoefficientSequence, m: int, rtol: float = Tolerances.tol_zer
     """The m largest-modulus zeros of the truncated polynomial, ascending.
 
     Companion-matrix seeds on geometrically balanced coefficients, then
-    Newton polishing through the normalized Horner pair.  Raises when some
-    returned zero misses the residual tolerance ``rtol`` (relative to the
-    largest coefficient) or two of them collide.
+    Newton polishing through the normalized Horner pair, in Python complex
+    arithmetic.  Each seed stops at the evaluation noise floor
+    |F(z)| <= eps * sum |c_i| |z|^i, normally after one step.  Raises when
+    some returned zero misses the residual tolerance ``rtol`` (relative to
+    the largest coefficient) or two of them collide.
     """
     c = np.asarray(cs.coefficients, dtype=np.complex128)
     d = cs.degree
@@ -255,9 +284,10 @@ def find_zeros(cs: CoefficientSequence, m: int, rtol: float = Tolerances.tol_zer
     seeds = npoly.polyroots(b) * s
 
     max_c = float(np.max(np.abs(c)))
+    c_list = c.tolist()
     polished = []
     for z0 in seeds:
-        z, r = _newton_polish(c, complex(z0))
+        z, r = _newton_polish(c_list, complex(z0))
         polished.append((z, r / max_c))
 
     polished.sort(key=lambda t: abs(t[0]))

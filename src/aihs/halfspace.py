@@ -35,6 +35,7 @@ from .entire import (
     DEGREE_CAP,
     apply_picard_shift,
     coefficients_from_norms,
+    evaluation_noise,
     find_zeros,
 )
 from .errors import AihsError, ArgumentError, AssumptionError, SingularResolventError, StageError
@@ -54,8 +55,6 @@ __all__ = [
     "verify_certificate",
     "compute_metrics",
 ]
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,13 +390,12 @@ def build_entire(
         # all candidates; selection guards next
         zero_set = find_zeros(cs, degree, rtol=tol.tol_zero)
 
-    abs_c = np.abs(cs.coefficients)
-    max_c = float(abs_c.max())
-    powers = np.arange(abs_c.size) + k_max + 1
+    max_c = float(np.abs(cs.coefficients).max())
 
     def noise_floor(lam: complex) -> tuple[float, float]:
+        # the round-off of evaluating lam^(k_max+1) F(lam)
         with np.errstate(over="ignore"):
-            noise = _EPS * float(np.sum(abs_c * np.abs(lam) ** powers))
+            noise = evaluation_noise(cs.coefficients, lam) * np.float64(abs(lam)) ** (k_max + 1)
         budget = (
             tol.noise_guard_fraction
             * tol.tol_annihilation_base
@@ -523,9 +521,10 @@ def verify_certificate(
     def drift(stored, recomputed) -> float:
         return abs(stored - recomputed) / max(abs(stored), abs(recomputed), 1.0)
 
-    # the stored raw vectors must reproduce from the operator and stored lambdas
-    raw_drift = float(np.max(np.abs(raw - cert.raw_vectors))
-                      / max(float(np.max(np.abs(cert.raw_vectors))), 1e-300))
+    # the stored raw vectors must reproduce from the operator and stored lambdas,
+    # each at its own scale: the columns span many orders of magnitude
+    scale = np.maximum(np.max(np.abs(cert.raw_vectors), axis=0), 1e-300)
+    raw_drift = float(np.max(np.max(np.abs(raw - cert.raw_vectors), axis=0) / scale))
     failures = [] if raw_drift <= tol.tol_audit else ["raw_vectors"]
     report: dict = {"metrics": {}, "raw_vector_drift": raw_drift, "failures": failures}
     for name, recomputed in metrics.items():

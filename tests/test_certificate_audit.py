@@ -160,6 +160,18 @@ def raw_vector_entry(doc):
     pair[:] = [_scaled(part, 1.0 + 1e-6) for part in pair]
 
 
+def small_column_entry(doc):
+    """The largest entry of the column of smallest scale set to 0.123+0.456i.
+
+    At the entire fixture the column maxima run from about 6e22 to 8e32, so
+    against the largest entry overall this change reads below tol_audit.
+    """
+    raw = _array(doc["raw_vectors"])
+    col = int(np.argmin(np.max(np.abs(raw), axis=0)))
+    row = int(np.argmax(np.abs(raw[:, col])))
+    doc["raw_vectors"]["data"][row * raw.shape[1] + col] = [(0.123).hex(), (0.456).hex()]
+
+
 def defect_vector_entry(doc):
     pair = doc["defect_vector"]["data"][0]
     pair[0] = _scaled(pair[0], 2.0)
@@ -219,6 +231,7 @@ MUTATIONS = [
     ("zero-sequence", changed_zero, ("blaschke",)),
     ("taylor-order", short_order, ("blaschke",)),
     ("raw-vector-entry", raw_vector_entry, _BOTH),
+    ("raw-vector-small-column", small_column_entry, _BOTH),
     ("defect-vector-entry", defect_vector_entry, _BOTH),
     ("dual-vector-entry", dual_vector_entry, _BOTH),
     *[(f"metric-{name}", _metric(name), _BOTH)

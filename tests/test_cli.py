@@ -223,6 +223,22 @@ def test_verify_malformed_certificate_is_a_one_line_error(tmp_path, capsys, fiel
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("weight", ["oops", ["0x1p-1", "0x0p+0", "0x0p+0"]],
+                         ids=["string", "three-element-pair"])
+def test_verify_bad_stored_weight_is_a_one_line_error(tmp_path, capsys, weight):
+    cfg = _write(tmp_path / "run.json", _entire_cfg())
+    main(["build", "--config", cfg, "--out", str(tmp_path)])
+    path = tmp_path / "run.cert.json"
+    doc = json.loads(path.read_text())
+    doc["operator"]["weights"][0] = weight
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse certificate")
+    assert err.count("\n") == 1
+
+
 def test_tiny_tol_zero_fails_the_zeros_stage(tmp_path, capsys):
     # polished zero residuals sit far below the 1e-10 default, not below 1e-300
     cfg = _write(tmp_path / "run.json", _entire_cfg())

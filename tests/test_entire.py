@@ -2,20 +2,24 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from numpy.testing import assert_allclose
 
+from aihs import entire as entire_mod
 from aihs.entire import (
     CoefficientSequence,
     apply_picard_shift,
     coefficients_from_norms,
+    evaluation_noise,
     find_zeros,
     poly_eval_normalized,
     shifted_coefficients,
 )
 from aihs.errors import ArgumentError
+from aihs.halfspace import build_entire
+from aihs.operators import Family, build_operator, geometric_weights
 
 
 def dyadic_norms(count):
@@ -221,6 +225,115 @@ def test_find_zeros_argument_guards():
     cs2 = CoefficientSequence.from_coefficients([1.0, 1.0])
     with pytest.raises(ArgumentError):
         find_zeros(cs2, 2)  # m > degree
+
+
+# ----------------------------------------------------------------------------
+# the noise-floor stop
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def _reference_horner(c, z):
+    """The previous evaluation: numpy scalars, F and F' only."""
+    d = c.size - 1
+    if abs(z) <= 1.0:
+        f = fp = complex(0.0)
+        for i in range(d, -1, -1):
+            fp = fp * z + f
+            f = f * z + c[i]
+        return f, fp, False
+    u = 1.0 / z
+    f = complex(0.0)
+    for i in range(d + 1):
+        f = f * u + c[i]
+    fp = complex(0.0)
+    for i in range(1, d + 1):
+        fp = fp * u + i * c[i]
+    return f, fp, True
+
+
+def _reference_polish(c, z):
+    """The previous polish: all 40 Newton steps unless the step drops below 1e-16 |z|."""
+    best_z, best_r = z, abs(_reference_horner(c, z)[0])
+    for _ in range(40):
+        f, fp, rescaled = _reference_horner(c, z)
+        if fp == 0:
+            break
+        step = (f / fp) * (z if rescaled else 1.0)
+        z = z - step
+        r = abs(_reference_horner(c, z)[0])
+        if r < best_r:
+            best_z, best_r = z, r
+        if abs(step) < 1e-16 * max(1.0, abs(z)):
+            break
+    return best_z
+
+
+def _reference_zeros(c):
+    # the same balanced companion-matrix seeds as find_zeros
+    d = c.size - 1
+    s = (abs(c[0]) / abs(c[d])) ** (1.0 / d)
+    b = c * s ** np.arange(d + 1)
+    b /= np.max(np.abs(b))
+    return np.array([_reference_polish(c, complex(z0)) for z0 in npoly.polyroots(b) * s])
+
+
+def test_geometric_build_stops_each_seed_at_the_noise_floor(monkeypatch):
+    calls = []
+    horner = entire_mod._horner
+
+    def counting(c, z):
+        calls.append(z)
+        return horner(c, z)
+
+    monkeypatch.setattr(entire_mod, "_horner", counting)
+    op = build_operator(Family.FORWARD, 1024, weights=geometric_weights(1024, 0.9))
+    e = np.zeros(1024, dtype=np.complex128)
+    e[0] = 1.0
+    cert = build_entire(op, e, m=8, k_max=5)
+    assert cert.passed
+    # one evaluation at the seed and one after the first step, plus one noise
+    # check per candidate in the selection; the 40-step polish made about 78
+    assert len(calls) <= 4 * cert.degree
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ratio=st.floats(min_value=0.3, max_value=0.96),
+    length=st.integers(min_value=5, max_value=129),
+    jitter=st.floats(min_value=0.0, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_polished_zeros_sit_at_the_noise_floor(ratio, length, jitter, seed):
+    # law-like: the biorthogonal norms of a forward shift orbit from e_1 whose
+    # weights are ratio^i times a factor in [1 - jitter, 1], cut at the orbit
+    # floor, with the build's degree rule; this reaches degrees 2..64.
+    # (Between ratios of about 0.963 and 0.984 at degree 64 some companion
+    # seeds start too far out for 40 Newton steps, before and after the stop.)
+    rng = np.random.default_rng(seed)
+    weights = ratio ** np.arange(1, length) * rng.uniform(1.0 - jitter, 1.0, length - 1)
+    orbit_norms = np.concatenate([[1.0], np.cumprod(weights)])
+    orbit_norms = orbit_norms[orbit_norms >= 1e-150]
+    degree = min((orbit_norms.size - 1) // 2, 64)
+    assume(degree >= 2)
+    cs = apply_picard_shift(coefficients_from_norms(1.0 / orbit_norms, 0, degree=degree))
+    c = np.asarray(cs.coefficients)
+    zs = find_zeros(cs, degree)
+    reference = _reference_zeros(c)
+    for z in zs.lambdas:
+        f, fp, rescaled, a = entire_mod._horner(c.tolist(), complex(z))
+        assert abs(f) <= EPS * a
+        radius = EPS * a / abs(fp) * (abs(z) if rescaled else 1.0)  # eps a(z) / |F'(z)|
+        assert np.min(np.abs(reference - z)) <= 2.0 * radius
+
+
+def test_evaluation_noise_matches_the_direct_sum_and_saturates():
+    c = np.array([2.0, -1.0 + 1.0j, 0.25, 0.125j])
+    for z in (0.3 - 0.2j, 4.0 + 3.0j):
+        direct = EPS * np.sum(np.abs(c) * abs(z) ** np.arange(4))
+        assert evaluation_noise(c, z) == pytest.approx(direct, rel=1e-14)
+    assert evaluation_noise(c, 1e200) == np.inf
 
 
 # ----------------------------------------------------------------------------
