@@ -67,15 +67,12 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _slug(cfg: dict, config_path: str) -> str:
-    label = cfg.get("label") or Path(config_path).stem
-    return "".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in label)
-
-
 def _out_path(args, cfg: dict, suffix: str) -> Path:
+    """``--out``/<label><suffix>, the label falling back to the config file's stem."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out / (_slug(cfg, args.config) + suffix)
+    label = cfg.get("label") or Path(args.config).stem
+    return out / ("".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in label) + suffix)
 
 
 def _tolerances(args, cfg: dict):
@@ -123,12 +120,13 @@ def _run_certificate(run_cfg: dict, args):
     return op, dataclasses.replace(cert, config_echo=echo)
 
 
-def _certificate_exit(cert) -> int:
+def _outcome(cert) -> tuple[int, str, str]:
+    """(exit code, build verdict, sweep status) of a finished certificate."""
     if not cert.passed:
-        return EXIT_FAIL
+        return EXIT_FAIL, "FAIL", "fail"
     if cert.hypothesis_unverified:
-        return EXIT_UNVERIFIED
-    return EXIT_PASS
+        return EXIT_UNVERIFIED, "PASS (hypothesis unverified)", "hypothesis-unverified"
+    return EXIT_PASS, "PASS", "pass"
 
 
 def _print_checks(cert) -> None:
@@ -152,8 +150,8 @@ def cmd_build(args) -> int:
     _print_checks(cert)
     print(f"wrote {cert_path}")
     print(f"wrote {csv_path}")
-    code = _certificate_exit(cert)
-    print({EXIT_PASS: "PASS", EXIT_FAIL: "FAIL", EXIT_UNVERIFIED: "PASS (hypothesis unverified)"}[code])
+    code, verdict, _ = _outcome(cert)
+    print(verdict)
     return code
 
 
@@ -177,11 +175,7 @@ def _operator_for_certificate(cert, args):
                 echo["operator"], np.random.default_rng(cert.config_echo.get("seed", 0))
             )
         else:
-            try:  # the schema leaves the [re, im] items unchecked
-                weights = [complex(re, im) for re, im in stored["weights"]]
-            except (TypeError, ValueError) as exc:
-                raise ArgumentError(f"cannot parse certificate operator weights: {exc}") from None
-            op = build_operator(family, int(stored["dim"]), weights=weights)
+            op = build_operator(family, stored["dim"], weights=stored.get("weights"))
     if op.dim != int(cert.operator_config["dim"]):
         raise ArgumentError(
             f"operator dim {op.dim} does not match certificate dim "
@@ -308,17 +302,14 @@ def cmd_sweep(args) -> int:
             )
             any_fail = True
             continue
-        code = _certificate_exit(cert)
-        status = {EXIT_PASS: "pass", EXIT_FAIL: "fail", EXIT_UNVERIFIED: "hypothesis-unverified"}[code]
+        code, _, status = _outcome(cert)
         any_fail = any_fail or code == EXIT_FAIL
         any_flag = any_flag or code == EXIT_UNVERIFIED
         row = {"index": idx, "status": status}
         row.update(ser.certificate_csv_row(cert))
         row["label"] = name
         rows.append(row)
-        cert_path = Path(args.out) / f"{_slug({'label': name}, args.config)}.cert.json"
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        ser.write_certificate(cert_path, cert)
+        ser.write_certificate(_out_path(args, {"label": name}, ".cert.json"), cert)
     path = _out_path(args, cfg, ".sweep.csv")
     ser.write_csv(path, ser.SWEEP_CSV_COLUMNS, rows)
     print(f"sweep: {len(rows)} runs, "

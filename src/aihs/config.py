@@ -11,6 +11,7 @@ import jsonschema
 import numpy as np
 
 from .errors import ArgumentError
+from .operators import _as_complex
 
 __all__ = [
     "Tolerances",
@@ -48,19 +49,12 @@ class Tolerances:
     blaschke_norm_cap: float = 1e6
     spectral_radius_slack: float = 1e-9
 
-    def replace(self, **kwargs) -> "Tolerances":
-        return dataclasses.replace(self, **kwargs)
-
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-_COMPLEX = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-    ]
-}
+# a number or an [re, im] pair; the item keywords apply to arrays only
+_COMPLEX = {"type": ["number", "array"], "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 
 _WEIGHTS = {
     "type": "object",
@@ -286,9 +280,7 @@ def seed_vector_from_config(cfg: dict | None, dim: int) -> np.ndarray:
     values = cfg["values"]
     if len(values) != dim:
         raise ArgumentError(f"explicit seed vector needs {dim} entries, got {len(values)}")
-    for i, v in enumerate(values):
-        e[i] = complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-    return e
+    return np.array([_as_complex(v) for v in values], dtype=np.complex128)
 
 
 def tolerances_from_config(cfg: dict | None, **overrides) -> Tolerances:

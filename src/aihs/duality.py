@@ -63,18 +63,17 @@ def _check_orthonormal(q: np.ndarray, name: str) -> np.ndarray:
     return q
 
 
+def _worst_ratio(parts: np.ndarray, vectors: np.ndarray) -> float:
+    """max over columns j of ||parts_j|| / ||vectors_j||, skipping zero columns (0 if none)."""
+    norms = np.linalg.norm(vectors, axis=0)
+    live = norms != 0.0
+    return float(np.max(np.linalg.norm(parts[:, live], axis=0) / norms[live], initial=0.0))
+
+
 def containment_residual(vectors: np.ndarray, basis: np.ndarray | None) -> float:
     """max over columns v of ||(I - P_B) v|| / ||v|| (0 for zero columns)."""
     v = np.asarray(vectors, dtype=np.complex128)
-    worst = 0.0
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        norm = float(np.linalg.norm(col))
-        if norm == 0.0:
-            continue
-        resid = col if basis is None or basis.shape[1] == 0 else col - basis @ (basis.conj().T @ col)
-        worst = max(worst, float(np.linalg.norm(resid)) / norm)
-    return worst
+    return _worst_ratio(v if basis is None else v - basis @ (basis.conj().T @ v), v)
 
 
 def minimal_defect_space(op: OperatorModel, basis_y: np.ndarray) -> tuple[np.ndarray, int]:
@@ -155,16 +154,9 @@ def adjoint_halfspace(
             dim_f=orthonormal_columns(f).shape[1] if f.size else 0,
         )
     image = op.adjoint_apply(z)
-    worst = 0.0
-    for j in range(image.shape[1]):
-        col = image[:, j]
-        norm = float(np.linalg.norm(col))
-        if norm == 0.0:
-            continue
-        worst = max(worst, float(np.linalg.norm(q.conj().T @ col)) / norm)
     return AdjointReport(
         z_basis=_readonly(z),
-        residual=worst,
+        residual=_worst_ratio(q.conj().T @ image, image),
         dim_z=z.shape[1],
         dim_y_perp=op.dim - q.shape[1],
         dim_f=orthonormal_columns(f).shape[1] if f.size else 0,

@@ -127,8 +127,8 @@ class HalfSpaceCertificate:
 
     The inputs and witnesses, with the ``metrics`` they determine; ``checks``
     pairs each metric with its threshold and verdict.  ``basis`` and
-    ``reference_values`` are a fresh build's derived arrays, kept for
-    library callers; a certificate read back from a document has ``None``.
+    ``reference_values`` are derived from the stored fields on first access,
+    so a fresh build and a read-back certificate give the same arrays.
     """
 
     law: EntireLaw | BlaschkeLaw
@@ -147,8 +147,17 @@ class HalfSpaceCertificate:
     k_max: int
     orbit_length: int
     config_echo: dict = field(default_factory=dict)
-    basis: np.ndarray | None = None
-    reference_values: np.ndarray | None = None
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """Orthonormal basis of Y, ``qr_basis`` of the resolvent vectors."""
+        return _readonly(qr_basis(self.raw_vectors))
+
+    @functools.cached_property
+    def reference_values(self) -> np.ndarray:
+        """f_k(h(lambda_n)) as the law prescribes, one row per functional."""
+        rows = self.law.orbit_values(self.k_max, self.orbit_length)
+        return _readonly(self.law.references(rows, self.lambdas))
 
     @property
     def construction(self) -> str:
@@ -201,7 +210,7 @@ def _stage(name: str):
 def _operator_echo(op: OperatorModel) -> dict:
     echo: dict = {"family": op.family.value, "dim": op.dim}
     if op.weights is not None:
-        echo["weights"] = [[float(w.real), float(w.imag)] for w in op.weights]
+        echo["weights"] = _readonly(op.weights)
     else:
         echo["matrix_sha256"] = matrix_digest(op)
     return echo
@@ -270,8 +279,8 @@ def compute_metrics(
     law: EntireLaw | BlaschkeLaw,
     k_max: int,
     tol: Tolerances,
-) -> tuple[dict, dict, np.ndarray, np.ndarray]:
-    """(metrics, checks, basis, references) from a certificate's inputs.
+) -> tuple[dict, dict]:
+    """(metrics, checks) from a certificate's inputs.
 
     The one derivation behind the builders and the audit.  Inputs: the orbit
     rows x_0..x_{L-1}, the resolvent vectors and the dual vectors (columns),
@@ -308,7 +317,7 @@ def compute_metrics(
         "extension_residual_max": extension,
     }
     thresholds = {name: getattr(tol, key) if key else 1 for name, (key, _) in _CHECKS.items()}
-    return metrics, _judge(metrics, thresholds), basis, refs
+    return metrics, _judge(metrics, thresholds)
 
 
 def _certify(op, e, orbit: OrbitData, raw, lambdas, excluded, law, k_max, tol, **fields):
@@ -317,7 +326,7 @@ def _certify(op, e, orbit: OrbitData, raw, lambdas, excluded, law, k_max, tol, *
         rows = law.orbit_values(k_max, orbit.length)
         duals = min_norm_dual(orbit.vectors.T, rows.T)  # (dim, k), one solve
     with _stage("metrics"):
-        metrics, checks, basis, refs = compute_metrics(
+        metrics, checks = compute_metrics(
             op, e, orbit.vectors, raw, lambdas, duals, law, k_max, tol)
     return HalfSpaceCertificate(
         law=law,
@@ -335,8 +344,6 @@ def _certify(op, e, orbit: OrbitData, raw, lambdas, excluded, law, k_max, tol, *
         m_achieved=int(lambdas.size),
         k_max=k_max,
         orbit_length=orbit.length,
-        basis=basis,
-        reference_values=_readonly(refs),
         **fields,
     )
 
@@ -514,7 +521,7 @@ def verify_certificate(
             raise AssumptionError(f"the orbit has {reached} vectors above the floor, "
                                   f"not the stored {cert.orbit_length}")
         duals = np.stack([f.dual_vector for f in cert.functionals], axis=1)
-        metrics, checks, _, _ = compute_metrics(
+        metrics, checks = compute_metrics(
             op, cert.defect_vector, vectors, raw, cert.lambdas, duals, cert.law, cert.k_max, tol
         )
 

@@ -185,7 +185,8 @@ class OperatorModel:
         """Estimate of the operator 2-norm (exact for shift families)."""
         if self.weights is not None:
             return float(np.max(np.abs(self.weights)))
-        return _sigma_max_estimate(self.matrix)
+        m = self.matrix
+        return _power_root(lambda v: m.conj().T @ (m @ v), np.ones(self.dim, dtype=np.complex128))
 
 
 def matrix_digest(op: OperatorModel) -> str:
@@ -193,20 +194,26 @@ def matrix_digest(op: OperatorModel) -> str:
     return hashlib.sha256(np.ascontiguousarray(op.matrix).tobytes()).hexdigest()
 
 
-def _sigma_max_estimate(m: np.ndarray, iters: int = 12) -> float:
-    """Deterministic power-iteration estimate of the largest singular value."""
-    n = m.shape[0]
-    v = np.ones(n, dtype=np.complex128) / math.sqrt(n)
-    sigma = 0.0
+def _power_root(gram, start: np.ndarray, iters: int = 12) -> float:
+    """sqrt of the top eigenvalue of a positive semidefinite map, by power iteration.
+
+    ``gram`` is ``v -> G v``; with ``G = A^H A`` the result estimates
+    sigma_max(A).  The estimate misses an eigenvector orthogonal to
+    ``start``.  An iterate that vanishes gives 0, one that is not finite
+    gives inf.
+    """
+    v = start / np.linalg.norm(start)
+    root = 0.0
     for _ in range(iters):
-        w = m @ v
-        v = m.conj().T @ w
-        nv = np.linalg.norm(v)
+        v = gram(v)
+        nv = float(np.linalg.norm(v))
+        if not math.isfinite(nv):
+            return math.inf
         if nv == 0.0:
             return 0.0
-        sigma = math.sqrt(nv)
+        root = math.sqrt(nv)
         v = v / nv
-    return sigma
+    return root
 
 
 def _check_weights(family: Family, weights, dim: int) -> tuple[complex, ...]:

@@ -26,7 +26,7 @@ from .errors import (
     SingularResolventError,
 )
 from .config import Tolerances
-from .operators import OperatorModel, _readonly
+from .operators import OperatorModel, _readonly, _power_root
 
 __all__ = [
     "ResolventVector",
@@ -66,10 +66,12 @@ class ResolventVector:
     condition: float
 
 
-def _solve_scale(lam: complex, h: np.ndarray, e: np.ndarray, th: np.ndarray) -> float:
-    return float(
-        np.linalg.norm(e) + abs(1.0 / lam) * np.linalg.norm(h) + np.linalg.norm(th)
-    )
+def _relative_defect(op: OperatorModel, lam: complex, h: np.ndarray, e: np.ndarray) -> float:
+    """``||(1/lam) h - T h - e||`` over the solve scale ``|e| + |h|/|lam| + |T h|``."""
+    th = op.apply(h)
+    resid = (1.0 / lam) * h - th - e
+    scale = np.linalg.norm(e) + abs(1.0 / lam) * np.linalg.norm(h) + np.linalg.norm(th)
+    return float(np.linalg.norm(resid)) / float(scale)
 
 
 class ResolventSolver:
@@ -99,9 +101,7 @@ class ResolventSolver:
             raise SingularResolventError(self.lam, str(exc)) from exc
         if not np.all(np.isfinite(h)):
             raise SingularResolventError(self.lam, "solve produced non-finite entries")
-        th = self.op.apply(h)
-        resid = (1.0 / self.lam) * h - th - e
-        defect = float(np.linalg.norm(resid)) / _solve_scale(self.lam, h, e, th)
+        defect = _relative_defect(self.op, self.lam, h, e)
         if defect > self.defect_tol:
             raise SingularResolventError(
                 self.lam, f"relative defect {defect:.3e} exceeds {self.defect_tol:.1e}"
@@ -117,39 +117,26 @@ class ResolventSolver:
 
     def condition_estimate(self, iters: int = 12) -> float:
         """cond_2 estimate: power iteration for sigma_max, inverse iteration
-        for sigma_min.  Builds and LU-factors the dense ``1/lam - T`` on first
-        call, for every family.  Fixed internal seed."""
+        for sigma_min, both by :func:`_power_root`.  Builds and LU-factors the
+        dense ``1/lam - T`` on first call, for every family.  Random start
+        vectors from a fixed internal seed."""
         if self._condition is None:
             a = np.diag(np.full(self.op.dim, 1.0 / self.lam)) - self.op.matrix
             with warnings.catch_warnings():
                 # exact singularity shows as non-finite inverse iterates
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
                 lu = scipy.linalg.lu_factor(a, check_finite=False)
-            rng = np.random.default_rng(0)
-            v = rng.standard_normal(self.op.dim) + 1j * rng.standard_normal(self.op.dim)
-            v /= np.linalg.norm(v)
-            hi = 0.0
-            for _ in range(iters):
-                w = a @ v
-                v = a.conj().T @ w
-                nv = float(np.linalg.norm(v))
-                if nv == 0.0:
-                    break
-                hi = math.sqrt(nv)
-                v /= nv
-            u = rng.standard_normal(self.op.dim) + 1j * rng.standard_normal(self.op.dim)
-            u /= np.linalg.norm(u)
-            inv_hi = 0.0
-            for _ in range(iters):
+
+            def inverse_gram(u):  # (A^H A)^-1 u from the one LU
                 w = scipy.linalg.lu_solve(lu, u, trans=2, check_finite=False)
-                u = scipy.linalg.lu_solve(lu, w, check_finite=False)
-                nu = float(np.linalg.norm(u))
-                if not math.isfinite(nu) or nu == 0.0:
-                    inv_hi = math.inf
-                    break
-                inv_hi = math.sqrt(nu)
-                u /= nu
-            self._condition = math.inf if inv_hi == math.inf else hi * inv_hi
+                return scipy.linalg.lu_solve(lu, w, check_finite=False)
+
+            rng = np.random.default_rng(0)
+            v, u = (rng.standard_normal(self.op.dim) + 1j * rng.standard_normal(self.op.dim)
+                    for _ in range(2))
+            hi = _power_root(lambda x: a.conj().T @ (a @ x), v, iters)
+            inv_hi = _power_root(inverse_gram, u, iters)
+            self._condition = hi * inv_hi if math.isfinite(inv_hi) else math.inf
         return self._condition
 
 
@@ -192,15 +179,12 @@ def neumann_resolvent(
         if last_norm > NEUMANN_TAIL_TOL * max(sum_norm, 1e-300):
             raise NeumannDivergenceError(lam, last_norm)
 
-    th = op.apply(acc)
-    resid = (1.0 / lam) * acc - th - e
-    defect = float(np.linalg.norm(resid)) / _solve_scale(lam, acc, e, th)
     return ResolventVector(
         lam=lam,
         vector=_readonly(acc),
         method="neumann",
         terms=terms,
-        defect=defect,
+        defect=_relative_defect(op, lam, acc, e),
         condition=math.nan,
     )
 
@@ -211,10 +195,7 @@ def neumann_resolvent(
 
 def check_th_identity(op: OperatorModel, rv: ResolventVector, e: np.ndarray) -> float:
     """Relative residual of ``T h = h / lam - e``."""
-    e = np.asarray(e, dtype=np.complex128).reshape(-1)
-    th = op.apply(rv.vector)
-    resid = th - ((1.0 / rv.lam) * rv.vector - e)
-    return float(np.linalg.norm(resid)) / _solve_scale(rv.lam, rv.vector, e, th)
+    return _relative_defect(op, rv.lam, rv.vector, np.asarray(e, dtype=np.complex128).reshape(-1))
 
 
 def check_replacement(

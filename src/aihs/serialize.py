@@ -188,7 +188,7 @@ CERT_SCHEMA = _record(
     operator={"type": "object", "required": ["family", "dim"], "additionalProperties": False,
               "properties": {"family": {"enum": [family.value for family in Family]},
                              "dim": {"type": "integer", "minimum": 2},
-                             "weights": {"type": "array"}, "matrix_sha256": {"type": "string"}}},
+                             "weights": _OBJECT, "matrix_sha256": {"type": "string"}}},
     **dict.fromkeys(_SHAPED, _OBJECT),
     excluded_lambdas=_LIST,
     functionals={"type": "array", "minItems": 1},
@@ -256,7 +256,8 @@ def certificate_from_document(doc: dict) -> HalfSpaceCertificate:
     return HalfSpaceCertificate(
         law=law_cls(**{key: value if key == "order" else decode_array(value)
                        for key, value in doc["law"].items()}),
-        operator_config=decode_value(doc["operator"]),
+        operator_config={key: _shaped(value, key, (dim - 1,)) if key == "weights" else value
+                         for key, value in doc["operator"].items()},
         defect_vector=_shaped(doc["defect_vector"], "defect_vector", (dim,)),
         raw_vectors=_shaped(doc["raw_vectors"], "raw_vectors", (dim, m)),
         lambdas=_shaped(doc["lambdas"], "lambdas", (m,)),

@@ -206,7 +206,7 @@ def swapped_construction(doc):
 
 
 def operator_weight(doc):
-    pair = doc["operator"]["weights"][0]
+    pair = doc["operator"]["weights"]["data"][0]
     pair[0] = _scaled(pair[0], 1.1)
 
 

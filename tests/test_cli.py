@@ -43,6 +43,12 @@ def _entire_cfg(dim=64, m=3, k_max=2, label="run"):
     }
 
 
+def _with_weight(value):
+    cfg = _halved_blaschke_cfg()
+    cfg["operator"]["weights"]["params"]["values"][3] = value
+    return cfg
+
+
 def _halved_blaschke_cfg():
     return {
         "schema": "aihs-run/1",
@@ -164,6 +170,8 @@ def test_dense_krylov_orbit_minimality_is_exact(tmp_path, capsys, dim):
         ("build", {**_entire_cfg(), "construction": "other", "extra": 1}),
         ("sweep", {"runs": [_entire_cfg(), {**_entire_cfg(), "k_max": -1}]}),
         ("chain", {"operator": _entire_cfg()["operator"], "depth": "ten"}),
+        ("build", _with_weight("0.5")),  # a complex entry is a number or an [re, im] pair
+        ("build", _with_weight([0.5, 0.0, 0.0])),
     ],
 )
 def test_config_errors_read_as_jsonschema_validate(command, cfg):
@@ -230,12 +238,36 @@ def test_verify_bad_stored_weight_is_a_one_line_error(tmp_path, capsys, weight):
     main(["build", "--config", cfg, "--out", str(tmp_path)])
     path = tmp_path / "run.cert.json"
     doc = json.loads(path.read_text())
-    doc["operator"]["weights"][0] = weight
+    doc["operator"]["weights"]["data"][0] = weight
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot parse certificate")
+    assert err.count("\n") == 1
+
+
+def _drop_first_weight(operator):
+    weights = operator["weights"]
+    weights["data"], weights["shape"] = weights["data"][1:], [len(weights["data"]) - 1]
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_drop_first_weight, "cannot parse certificate"),
+    (lambda operator: operator.pop("weights"), "forward-weighted-shift requires weights"),
+], ids=["wrong-length", "missing"])
+def test_verify_stored_weights_of_the_wrong_shape_are_a_one_line_error(tmp_path, capsys, tamper,
+                                                                       message):
+    cfg = _write(tmp_path / "run.json", _entire_cfg())
+    main(["build", "--config", cfg, "--out", str(tmp_path)])
+    path = tmp_path / "run.cert.json"
+    doc = json.loads(path.read_text())
+    tamper(doc["operator"])
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
 
 

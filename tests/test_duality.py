@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aihs.duality import (
     adjoint_halfspace,
@@ -64,6 +66,41 @@ def test_containment_residual_basics():
     outside = np.array([[0.0], [0.0], [1.0], [0.0]], dtype=complex)
     assert containment_residual(inside, y) < 1e-15
     assert containment_residual(outside, y) == pytest.approx(1.0)
+
+
+def _containment_per_column(vectors, basis):
+    """The per-column loop containment_residual replaced, kept as the reference."""
+    worst = 0.0
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        norm = float(np.linalg.norm(col))
+        if norm == 0.0:
+            continue
+        resid = col if basis is None or basis.shape[1] == 0 else col - basis @ (basis.conj().T @ col)
+        worst = max(worst, float(np.linalg.norm(resid)) / norm)
+    return worst
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    cols=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    zero_cols=st.lists(st.booleans(), min_size=6, max_size=6),
+    basis_kind=st.sampled_from(["none", "empty", "span"]),
+    rank=st.integers(1, 8),
+)
+def test_containment_residual_matches_the_per_column_loop(n, cols, seed, zero_cols, basis_kind,
+                                                          rank):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+    v[:, np.array(zero_cols[:cols], dtype=bool)] = 0.0
+    basis = {"none": None, "empty": np.zeros((n, 0), dtype=np.complex128),
+             "span": random_orthonormal(rng, n, min(rank, n))}[basis_kind]
+    # the ratio is already relative to ||v||, so atol is its round-off floor
+    # (a basis of the whole space leaves only round-off)
+    assert np.isclose(containment_residual(v, basis), _containment_per_column(v, basis),
+                      rtol=1e-12, atol=1e-14)
 
 
 def test_perturbation_restores_invariance_dense():

@@ -147,9 +147,6 @@ def test_certificate_invariant_under_basis_rotation(geometric_cert):
         assert abs(rotated[name] - cert.metrics[name]) <= 1e-9 * max(
             1.0, abs(cert.metrics[name])
         )
-    # and a rotated in-memory basis is never read by the audit
-    report = verify_certificate(op, dataclasses.replace(cert, basis=cert.basis @ q))
-    assert report["passed"], report["failures"]
 
 
 def test_seed_scaling_keeps_verdicts(geometric_cert):
@@ -297,10 +294,10 @@ def test_metrics_do_not_depend_on_basis_layout(tmp_path):
     back = read_certificate(write_certificate(tmp_path / "ill.cert.json", cert))
     vectors = compute_orbit(op, e, back.orbit_length).vectors
     duals = np.stack([f.dual_vector for f in back.functionals], axis=1)
-    metrics, _, basis, _ = compute_metrics(op, back.defect_vector, vectors, back.raw_vectors,
-                                           back.lambdas, duals, back.law, back.k_max, Tolerances())
+    metrics, _ = compute_metrics(op, back.defect_vector, vectors, back.raw_vectors,
+                                 back.lambdas, duals, back.law, back.k_max, Tolerances())
     assert metrics == cert.metrics
-    assert np.array_equal(basis, cert.basis)
+    assert np.array_equal(back.basis, cert.basis)
 
     entry = verify_certificate(op, back)["metrics"]["ai_residual"]
     assert entry["agrees"]

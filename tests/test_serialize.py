@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 from aihs import serialize as ser
 from aihs.errors import ArgumentError
-from aihs.halfspace import build_entire, verify_certificate
+from aihs.halfspace import build_blaschke, build_entire, verify_certificate
 from aihs.operators import Family, build_operator, geometric_weights
 
 
@@ -98,12 +99,41 @@ def test_certificate_document_round_trip(small_cert):
     assert np.array_equal(back.law.coefficients, cert.law.coefficients)
     for f_back, f in zip(back.functionals, cert.functionals, strict=True):
         assert f_back.k == f.k and np.array_equal(f_back.dual_vector, f.dual_vector)
-    assert back.basis is None and back.reference_values is None  # derived, not stored
+    # derived, not stored: a read-back certificate derives the same arrays
+    assert np.array_equal(back.basis, cert.basis)
+    assert np.array_equal(back.reference_values, cert.reference_values)
     assert np.array_equal(back.lambdas, cert.lambdas)
     assert back.metrics == cert.metrics
     assert back.checks == cert.checks
     assert back.m_achieved == cert.m_achieved
     assert back.passed == cert.passed
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal types; arrays bit for bit, with dtype and shape."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("route", ["entire", "blaschke"])
+def test_read_back_certificate_equals_the_build(tmp_path, route):
+    op = build_operator(Family.FORWARD, 64, weights=geometric_weights(64, 0.9))
+    e = np.zeros(64, dtype=np.complex128)
+    e[0] = 1.0
+    cert = build_entire(op, e, m=3, k_max=2) if route == "entire" else build_blaschke(op, e, 4, 3)
+    back = ser.read_certificate(ser.write_certificate(tmp_path / "cert.json", cert))
+    # the derived arrays too: a certificate has one shape, fresh or read back
+    for name in [f.name for f in dataclasses.fields(cert)] + ["basis", "reference_values"]:
+        assert _same(getattr(back, name), getattr(cert, name)), name
 
 
 def test_certificate_file_round_trip_and_audit(small_cert, tmp_path):
