@@ -9,7 +9,6 @@ span but keeps the SVD/QR honest.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .config import Tolerances
 
@@ -117,8 +116,34 @@ def null_space(a: np.ndarray, rtol: float = Tolerances.tol_rank) -> np.ndarray:
     return vh[svd_rank(s, rtol):].conj().T
 
 
+def greedy_column_order(a: np.ndarray) -> np.ndarray:
+    """Column order of a pivoted QR: each step takes the largest remaining norm.
+
+    This is the order LAPACK's ``geqp3`` picks, read from a pivoted Cholesky
+    of the Gram matrix ``a^H a``.  The Gram matrix is only n x n for n
+    columns, and only the order is taken from it, not the factor.
+    """
+    gram = a.conj().T @ a
+    n = gram.shape[0]
+    rows = np.zeros((n, n), dtype=gram.dtype)  # rows of R in pivot order
+    residual = np.real(np.diagonal(gram)).copy()  # squared norms off the chosen span
+    order = []
+    for k in range(n):
+        j = int(np.argmax(residual))
+        order.append(j)
+        if residual[j] > 0.0:
+            rows[k] = (gram[j] - rows[:k, j].conj() @ rows[:k]) / np.sqrt(residual[j])
+            residual -= np.abs(rows[k]) ** 2
+        residual[order] = -np.inf  # also after a nan update: the order stays a permutation
+    return np.array(order, dtype=int)
+
+
 def qr_basis(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis via column-pivoted QR of the column-normalized matrix."""
+    """Orthonormal basis by column-pivoted QR of the column-normalized matrix.
+
+    Columns are ordered as :func:`greedy_column_order` gives and then
+    factored by Householder QR, so a nearly dependent column comes last.
+    """
     a = unit_columns(a)
-    q, _, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    return q[:, : a.shape[1]]
+    q, _ = np.linalg.qr(a[:, greedy_column_order(a)])
+    return q

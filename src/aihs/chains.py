@@ -25,7 +25,8 @@ the acceptance suite exercises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,14 +67,22 @@ class ChainState:
     """Immutable snapshot: the vectors z_k and the dual vectors phi_k.
 
     Y_n is the joint kernel of phi_1..phi_n; no basis of it is stored.
+    ``report`` is the newest level's property report (see
+    :func:`verify_chain`) when ``extend_chain`` made the state, else ``None``.
     """
 
     zs: tuple
     phis: tuple
+    report: dict | None = field(default=None, repr=False)
 
     @property
     def depth(self) -> int:
         return len(self.zs)
+
+    @functools.cached_property
+    def q(self) -> np.ndarray:
+        """Q_n, the orthonormal basis of span{phi_1..phi_n}, derived once."""
+        return qr_basis(np.stack(self.phis, axis=1))
 
     def f(self, n: int, x: np.ndarray) -> complex:
         """Value f_n(x), 1-indexed."""
@@ -126,7 +135,7 @@ def extend_chain(op: OperatorModel, state: ChainState) -> ChainState:
         raise ArgumentError("chain is exhausted: Y_n is already trivial")
     phis = np.stack(state.phis, axis=1)
     zs = np.stack(state.zs, axis=1)
-    q = qr_basis(phis)
+    q = state.q
 
     v = op.adjoint_apply(state.phis[-1])
     phi_next = v - phis @ ((zs.conj().T @ v) / np.sum(zs.conj() * phis, axis=0))
@@ -141,8 +150,10 @@ def extend_chain(op: OperatorModel, state: ChainState) -> ChainState:
     new_state = ChainState(
         zs=state.zs + (_readonly(on_y / norm_on_y),),
         phis=state.phis + (_readonly(phi_next),),
+        report={},
     )
-    report = _level_report(op, new_state, depth + 1)
+    report = new_state.report  # filled once, here, so that new_state keeps its cached Q
+    report.update(_level_report(op, new_state, q))
     bad = {key: report[key] for key in RESIDUAL_KEYS if report[key] >= PROPERTY_TOL}
     if bad or report["biorthogonality_diag_min"] < PROPERTY_TOL:
         raise AssumptionError(f"chain properties degraded at depth {depth + 1}: {bad}")
@@ -159,10 +170,14 @@ def build_chain(op: OperatorModel, depth: int, z1: np.ndarray | None = None) -> 
     return state
 
 
-def _level_report(op: OperatorModel, state: ChainState, k: int) -> dict:
-    """The properties level k adds to levels 1..k-1 (1-indexed); keys as in verify_chain."""
-    phis = np.stack(state.phis[:k], axis=1)
-    zs = np.stack(state.zs[:k], axis=1)
+def _level_report(op: OperatorModel, state: ChainState, q_prev: np.ndarray | None) -> dict:
+    """The properties level k = ``state.depth`` adds to levels 1..k-1; keys as in verify_chain.
+
+    ``q_prev`` is Q_{k-1}, ``None`` at k = 1.
+    """
+    k = state.depth
+    phis = np.stack(state.phis, axis=1)
+    zs = np.stack(state.zs, axis=1)
     s = np.linalg.svd(unit_columns(phis), compute_uv=False)
     # bio[i, j] = |f_i(z_j)| / (||phi_i|| ||z_j||); level k adds the last row and column
     norms = np.outer(np.linalg.norm(phis, axis=0), np.linalg.norm(zs, axis=0))
@@ -178,7 +193,7 @@ def _level_report(op: OperatorModel, state: ChainState, k: int) -> dict:
         "codim_exact": svd_rank(s) == k,
     }
     if k > 1:
-        q_prev, q_next = qr_basis(phis[:, :-1]), qr_basis(phis)
+        q_next = state.q
         z_next, phi_next, phi_prev = unit_columns(zs[:, -1:]), phis[:, -1], phis[:, -2]
         out["z_in_previous"] = float(np.linalg.norm(q_prev.conj().T @ z_next))
         mismatch = _project_off(q_prev, phi_next - op.adjoint_apply(phi_prev))
@@ -207,11 +222,17 @@ def verify_chain(op: OperatorModel, state: ChainState, prior: dict | None = None
     smallest singular value of the stacked unit phi's) and codim_exact
     (phi_1..phi_n have numerical rank n at every level, so dim Y_n = N - n).
 
-    ``prior``, this report for the chain one level shorter, spares re-deriving its levels.
+    ``prior``, this report for the chain one level shorter, is folded with
+    the newest level's report that ``extend_chain`` derived and checked when
+    it made ``state``; without both, every level is re-derived.
     """
-    n = state.depth
-    levels = [prior] if prior is not None else [_level_report(op, state, k) for k in range(1, n)]
-    levels.append(_level_report(op, state, n))
+    if prior is not None and state.report is not None:
+        levels = [prior, state.report]
+    else:
+        chain = [ChainState(state.zs[:k], state.phis[:k]) for k in range(1, state.depth)]
+        chain.append(state)
+        levels = [_level_report(op, level, shorter.q if shorter else None)
+                  for shorter, level in zip([None] + chain[:-1], chain)]
     # min over the booleans of codim_exact is their conjunction
     return {
         key: (min if key in _MIN_KEYS else max)(level[key] for level in levels)

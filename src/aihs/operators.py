@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ArgumentError, MinimalityError, OrbitDeathError
 
@@ -52,6 +51,10 @@ ORBIT_NORM_FLOOR = 1e-150
 #: An orbit vector closer (relatively) than this to the span of the others
 #: makes the orbit non-minimal.
 MINIMALITY_RTOL = 1e-13
+
+#: Blocks of at most this many rows are inverted whole by
+#: :func:`upper_triangular_inverse`.
+INVERSE_LEAF = 32
 
 
 class Family(str, enum.Enum):
@@ -137,29 +140,40 @@ class OperatorModel:
         """``rhs -> h`` solving ``(z - T) h = rhs`` for a fixed ``z``.
 
         ``rhs`` is one vector or a ``(dim, k)`` block of columns.  Shift
-        families run an O(N) banded solve (bandwidth (1, 0) forward, (0, 1)
-        Donoghue); dense operators are LU-factored once, here.  A banded
-        solve raises ``numpy.linalg.LinAlgError`` on an exactly singular
-        system; a singular dense LU yields non-finite entries instead.
+        families run an O(N) substitution down the bidiagonal, forward for
+        the forward shift and backward for Donoghue; ``z = 0`` makes the
+        solve raise ``numpy.linalg.LinAlgError``, and overflow leaves
+        non-finite entries.  Dense operators are LU-factored once, here; a
+        singular dense LU yields non-finite entries.
         """
         z = complex(z)
         if self.family is Family.DENSE:
-            a = np.diag(np.full(self.dim, z)) - self._array
-            with warnings.catch_warnings():
-                # singularity surfaces in the caller's defect check
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(a, check_finite=False)
-            return lambda rhs: scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-        bands = np.zeros((2, self.dim), dtype=np.complex128)
-        if self.family is Family.FORWARD:
-            bands[0] = z
-            bands[1, :-1] = -self._array
-            widths = (1, 0)
-        else:
-            bands[0, 1:] = -self._array
-            bands[1] = z
-            widths = (0, 1)
-        return lambda rhs: scipy.linalg.solve_banded(widths, bands, rhs, check_finite=False)
+            return _dense_lu_solver(np.diag(np.full(self.dim, z)) - self._array)
+        backward = self.family is Family.DONOGHUE
+        # h_i = (rhs_i + w h_{i-1}) / z in Python complex arithmetic, since
+        # per-element numpy calls would cost more.  Dividing at each step is
+        # the most accurate form tried: with precomputed ratios w / z, the
+        # round-off in ai_residual failed one smoke Blaschke seed in 40.
+        weights = [0j] + (self._array[::-1] if backward else self._array).tolist()
+
+        def solve(rhs):
+            if z == 0:
+                raise np.linalg.LinAlgError("z - T is singular at z = 0")
+            rhs = np.asarray(rhs, dtype=np.complex128)
+            cols = rhs.reshape(self.dim, -1)
+            if backward:
+                cols = cols[::-1]
+            out = np.empty(cols.shape[::-1], dtype=np.complex128)
+            for j, col in enumerate(cols.T.tolist()):
+                h, row = 0j, []
+                for bi, wi in zip(col, weights):
+                    h = (bi + wi * h) / z
+                    row.append(h)
+                out[j] = row
+            out = out.T[::-1] if backward else out.T
+            return out.reshape(rhs.shape)
+
+        return solve
 
     @property
     def is_nilpotent(self) -> bool:
@@ -186,12 +200,34 @@ class OperatorModel:
         if self.weights is not None:
             return float(np.max(np.abs(self.weights)))
         m = self.matrix
-        return _power_root(lambda v: m.conj().T @ (m @ v), np.ones(self.dim, dtype=np.complex128))
+        (start,) = _random_starts(self.dim, 1)
+        return _power_root(lambda v: m.conj().T @ (m @ v), start)
 
 
 def matrix_digest(op: OperatorModel) -> str:
     """sha256 of the dense matrix bytes (row-major), the dense operator's echo."""
     return hashlib.sha256(np.ascontiguousarray(op.matrix).tobytes()).hexdigest()
+
+
+def _dense_lu_solver(a: np.ndarray):
+    """``(rhs, trans=0) -> x`` solving ``a x = rhs`` (``trans=2``: ``a^H x = rhs``).
+
+    ``a`` is LU-factored once.  This is the only place scipy is imported, so
+    runs on the shift families never load it.  A singular ``a`` gives
+    non-finite solutions, which callers check.
+    """
+    import scipy.linalg
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu = scipy.linalg.lu_factor(a, check_finite=False)
+    return lambda rhs, trans=0: scipy.linalg.lu_solve(lu, rhs, trans=trans, check_finite=False)
+
+
+def _random_starts(dim: int, count: int) -> list[np.ndarray]:
+    """``count`` complex Gaussian start vectors for power iteration, from a fixed seed."""
+    rng = np.random.default_rng(0)
+    return [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(count)]
 
 
 def _power_root(gram, start: np.ndarray, iters: int = 12) -> float:
@@ -464,15 +500,14 @@ def _biorthogonal_norms(vectors: np.ndarray) -> np.ndarray:
     ``R S`` with ``S = diag ||x_n||`` is the R factor of the orbit itself;
     see :func:`compute_orbit` for the formula.
     """
-    length = vectors.shape[0]
     scales = np.linalg.norm(vectors, axis=1)
     _, r = np.linalg.qr((vectors / scales[:, None]).T)
     r = r * scales[None, :]  # the R factor of the unscaled orbit
-    try:
-        rinv = scipy.linalg.solve_triangular(r, np.eye(length), check_finite=False)
-    except np.linalg.LinAlgError:  # an exactly zero pivot: x_n is in the span
-        n = int(np.flatnonzero(np.diagonal(r) == 0)[0])
-        raise MinimalityError(n, 0.0, float(scales[n])) from None
+    zero = np.flatnonzero(np.diagonal(r) == 0)
+    if zero.size:  # an exactly zero pivot: x_n is in the span
+        n = int(zero[0])
+        raise MinimalityError(n, 0.0, float(scales[n]))
+    rinv = upper_triangular_inverse(r)
     out = np.linalg.norm(rinv, axis=1)
     dist = 1.0 / out
     bad = np.flatnonzero(~(dist >= MINIMALITY_RTOL * scales))  # nan counts as bad
@@ -480,4 +515,25 @@ def _biorthogonal_norms(vectors: np.ndarray) -> np.ndarray:
         n = int(bad[0])
         raise MinimalityError(n, float(dist[n]), float(scales[n]))
     out.setflags(write=False)
+    return out
+
+
+def upper_triangular_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverse of an upper triangular ``r`` with a nonzero diagonal.
+
+    Recursive 2 x 2 blocks, ``[[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1],
+    [0, D^-1]]``, with ``numpy.linalg.inv`` on blocks of at most
+    ``INVERSE_LEAF`` rows.  It matches ``numpy.linalg.solve(r, I)`` to
+    round-off at about a quarter of its cost, since the products run in BLAS.
+    """
+    n = r.shape[0]
+    if n <= INVERSE_LEAF:
+        return np.linalg.inv(r)
+    h = n // 2
+    a_inv = upper_triangular_inverse(r[:h, :h])
+    d_inv = upper_triangular_inverse(r[h:, h:])
+    out = np.zeros(r.shape, dtype=a_inv.dtype)
+    out[:h, :h] = a_inv
+    out[h:, h:] = d_inv
+    out[:h, h:] = -(a_inv @ r[:h, h:]) @ d_inv
     return out

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ArgumentError,
@@ -26,7 +24,7 @@ from .errors import (
     SingularResolventError,
 )
 from .config import Tolerances
-from .operators import OperatorModel, _readonly, _power_root
+from .operators import OperatorModel, _dense_lu_solver, _power_root, _random_starts, _readonly
 
 __all__ = [
     "ResolventVector",
@@ -77,9 +75,9 @@ def _relative_defect(op: OperatorModel, lam: complex, h: np.ndarray, e: np.ndarr
 class ResolventSolver:
     """Direct solver for ``(1/lam - T) h = e``, reusable across right-hand sides.
 
-    The solve is :meth:`OperatorModel.shifted_solver`: O(N) banded for the
-    shift families, an LU factored once for dense operators.  Every solve
-    is checked against ``op.apply``.  The condition estimate is opt-in.
+    The solve is :meth:`OperatorModel.shifted_solver`: an O(N) substitution
+    for the shift families, an LU factored once for dense operators.  Every
+    solve is checked against ``op.apply``.  The condition estimate is opt-in.
     """
 
     def __init__(
@@ -122,18 +120,12 @@ class ResolventSolver:
         vectors from a fixed internal seed."""
         if self._condition is None:
             a = np.diag(np.full(self.op.dim, 1.0 / self.lam)) - self.op.matrix
-            with warnings.catch_warnings():
-                # exact singularity shows as non-finite inverse iterates
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(a, check_finite=False)
+            solve = _dense_lu_solver(a)  # exact singularity: non-finite inverse iterates
 
             def inverse_gram(u):  # (A^H A)^-1 u from the one LU
-                w = scipy.linalg.lu_solve(lu, u, trans=2, check_finite=False)
-                return scipy.linalg.lu_solve(lu, w, check_finite=False)
+                return solve(solve(u, trans=2))
 
-            rng = np.random.default_rng(0)
-            v, u = (rng.standard_normal(self.op.dim) + 1j * rng.standard_normal(self.op.dim)
-                    for _ in range(2))
+            v, u = _random_starts(self.op.dim, 2)
             hi = _power_root(lambda x: a.conj().T @ (a @ x), v, iters)
             inv_hi = _power_root(inverse_gram, u, iters)
             self._condition = hi * inv_hi if math.isfinite(inv_hi) else math.inf

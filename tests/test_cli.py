@@ -351,22 +351,30 @@ def test_chain_transcript_records_properties(tmp_path):
 )
 def test_chain_transcript_folds_each_level_once(tmp_path, monkeypatch, operator, seed_index, branch):
     # the transcript at depth n is the worst value over levels 1..n; a
-    # running fold derives each level once in the command, plus once in
-    # extend_chain, instead of every level again at every depth
+    # running fold takes each new level's report from extend_chain, which
+    # derived it once, and each level's Q_n is derived once
     depth = 10
     cfg = _write(tmp_path / "chain.json", {
         "schema": "aihs-chain/1", "operator": operator, "depth": depth,
         "seed_vector": {"kind": "basis", "index": seed_index}, "label": "chain",
     })
-    calls = []
-    level_report = chains._level_report
-    monkeypatch.setattr(chains, "_level_report", lambda *a: calls.append(a[2]) or level_report(*a))
+    calls = {"_level_report": 0, "qr_basis": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(chains, name, counted(name, getattr(chains, name)))
     assert main(["chain", "--config", cfg, "--out", str(tmp_path)]) == 0
     monkeypatch.undo()
     doc = ser.decode_value(ser.read_json(tmp_path / "chain.transcript.json"))
     assert doc["outcome"]["branch"] == branch
     reached = doc["outcome"]["depth_reached"]
-    assert len(calls) == 2 * reached - 1 <= 19
+    assert calls == {"_level_report": reached, "qr_basis": reached}
+    assert reached <= depth
 
     op = operator_from_config(operator)
     state = init_chain(op, z1=np.eye(op.dim)[seed_index])

@@ -121,6 +121,14 @@ def test_dense_norm_estimate_tracks_sigma_max():
     assert op.norm_estimate() == pytest.approx(sigma, rel=0.05)
 
 
+def test_dense_norm_estimate_finds_a_top_vector_orthogonal_to_ones():
+    # the top right singular vector (1, -1, 0) is orthogonal to the flat
+    # vector, so power iteration from it would stall at 0.5
+    m = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+    op = build_operator(Family.DENSE, 3, matrix=m)
+    assert op.norm_estimate() == pytest.approx(2.0, rel=1e-12)
+
+
 # ----------------------------------------------------------------------------
 # weight generators and configs
 

@@ -17,7 +17,14 @@ from numpy.testing import assert_allclose
 from aihs import _linalg
 from aihs.errors import MinimalityError
 from aihs.halfspace import build_blaschke
-from aihs.operators import Family, _biorthogonal_norms, build_operator, compute_orbit
+from aihs.operators import (
+    INVERSE_LEAF,
+    Family,
+    _biorthogonal_norms,
+    build_operator,
+    compute_orbit,
+    upper_triangular_inverse,
+)
 
 
 def _lstsq_norms(x: np.ndarray) -> np.ndarray:
@@ -70,6 +77,25 @@ def test_exactly_zero_pivot_is_a_minimality_error_at_its_index():
     with pytest.raises(MinimalityError) as info:
         compute_orbit(op, np.eye(4)[0], 3)
     assert (info.value.index, info.value.distance, info.value.scale) == (1, 0.0, 1.0)
+
+
+def test_zero_pivot_past_the_first_inverse_block_is_a_minimality_error():
+    # x_40 repeats x_3 exactly; unit basis vectors leave Householder QR exact
+    vectors = np.eye(41, 64, dtype=np.complex128)
+    vectors[40] = vectors[3]
+    assert 40 > INVERSE_LEAF
+    with pytest.raises(MinimalityError) as info:
+        _biorthogonal_norms(vectors)
+    assert (info.value.index, info.value.distance, info.value.scale) == (40, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("length", [1, 31, 32, 33, 256])
+def test_upper_triangular_inverse_matches_dense_solve(length):
+    rng = np.random.default_rng(length)
+    _, r = np.linalg.qr(_random_complex(rng, length, length))
+    inverse = upper_triangular_inverse(r)
+    assert_allclose(inverse, np.linalg.solve(r, np.eye(length)), rtol=1e-12, atol=0)
+    assert not np.any(np.tril(inverse, -1))
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])

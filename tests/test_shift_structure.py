@@ -3,8 +3,15 @@
 The shift families never build their N x N matrix on the certificate path;
 these tests pin the structured kernels to the dense ``op.matrix`` and guard
 that the build and audit paths stay off the dense LU and the opt-in
-condition estimate.
+condition estimate, and that a shift run never imports scipy.
 """
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import aihs
 from aihs.errors import SingularResolventError
 from aihs.halfspace import build_entire, verify_certificate
 from aihs.operators import Family, build_operator, geometric_weights
@@ -76,6 +84,12 @@ def test_banded_solve_matches_dense_lu(op, cols, seed):
     a = np.diag(np.full(op.dim, z)) - op.matrix
     ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), rhs)
     assert np.linalg.norm(h - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("family", SHIFTS)
+def test_substitution_solve_keeps_an_empty_block(family):
+    op = build_operator(family, 4, weights=[0.5, 0.25, 0.125])
+    assert op.shifted_solver(2.0)(np.empty((4, 0))).shape == (4, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,3 +158,58 @@ def test_dense_build_and_verify_still_use_lu(spies):
     _build_and_verify(op)
     assert spies["lu_factor"] > 0
     assert spies["condition_estimate"] == 0
+
+
+_LOADS_SCIPY = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from aihs.cli import main
+
+    def loaded():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+        print(json.dumps([argv[0], loaded()[:3]]))
+""")
+
+
+def _run_config(label, operator, **extra):
+    return {"schema": "aihs-run/1", "operator": operator, "construction": "entire",
+            "m": 4, "k_max": 3, "label": label, **extra}
+
+
+def test_shift_runs_never_import_scipy_and_dense_runs_do(tmp_path):
+    shift = {"family": "forward-weighted-shift", "dim": 64,
+             "weights": {"kind": "geometric", "params": {"ratio": 0.9}}}
+    donoghue = {"family": "donoghue-backward-shift", "dim": 32,
+                "weights": {"kind": "geometric", "params": {"ratio": 0.5}}}
+    dense = {"family": "dense", "dim": 32,
+             "matrix": {"kind": "random-gaussian", "scale": 0.5}}
+    configs = {
+        "build": _run_config("shift", shift),
+        "chain": {"schema": "aihs-chain/1", "operator": donoghue, "depth": 6, "label": "chain"},
+        "sweep": {"schema": "aihs-sweep/1", "label": "sweep",
+                  "runs": [_run_config("sweep-a", shift), _run_config("sweep-b", donoghue)]},
+        "dense": _run_config("dense", dense, seed=0),
+    }
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
+    out = str(tmp_path)
+    calls = [
+        ["build", "--config", f"{out}/build.json", "--out", out],
+        ["verify", f"{out}/shift.cert.json"],
+        ["chain", "--config", f"{out}/chain.json", "--out", out],
+        ["sweep", "--config", f"{out}/sweep.json", "--out", out],
+        ["build", "--config", f"{out}/dense.json", "--out", out],
+    ]
+    src = str(Path(aihs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADS_SCIPY, json.dumps(calls)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    loaded = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [command for command, _ in loaded] == ["build", "verify", "chain", "sweep", "build"]
+    assert all(modules == [] for _, modules in loaded[:4])
+    assert loaded[4][1]  # the dense build's LU imports scipy
