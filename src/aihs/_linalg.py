@@ -85,29 +85,21 @@ def smallest_singular_value(a: np.ndarray) -> float:
     return float(s[-1]) if s.size else 0.0
 
 
-def min_norm_dual(orbit: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Minimum-norm representer ``f`` with ``f^H x_n = values[n]`` for each column.
+def min_norm_dual(q: np.ndarray, r_inverse: np.ndarray, scales: np.ndarray,
+                  values: np.ndarray) -> np.ndarray:
+    """Minimum-norm ``f`` with ``f^H x_n = values[n]``, from the orbit's QR factor.
 
-    ``values`` is one vector of length ``L`` (one value per orbit column),
-    giving one ``f``, or an ``(L, k)`` block whose column ``j`` gives column
-    ``j`` of the ``(dim, k)`` result; the whole block takes one least-squares
-    solve, with the same columns as ``k`` separate calls.  Rows of the
-    constraint system are scaled to unit norm before the solve; for a
-    consistent system this leaves the solution set (and hence the
-    minimum-norm point) unchanged while taming the orbit's dynamic range.
+    With ``x_n = s_n Q R e_n`` (:class:`aihs.operators.OrbitData`) the
+    constraints read ``S R^H Q^H f = conj(v)``, so ``f = Q R^-H (conj(v) / s)``.
+    ``values`` is one vector of length ``L`` or an ``(L, k)`` block, giving a
+    ``(dim,)`` or ``(dim, k)`` result.  Each column takes its own
+    matrix-vector products, so a block matches ``k`` separate calls bit for bit.
     """
-    x = as_complex_matrix(orbit)
     v = np.asarray(values, dtype=np.complex128)
-    if v.ndim not in (1, 2) or v.shape[0] != x.shape[1]:
-        raise ValueError(f"expected {x.shape[1]} values per column, got {v.shape}")
-    norms = np.linalg.norm(x, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("orbit matrix has a zero column")
-    # row n states x_n^H f = conj(v_n), i.e. f^H x_n = v_n
-    a = (x / norms).conj().T
-    scale = norms if v.ndim == 1 else norms[:, None]
-    f, *_ = np.linalg.lstsq(a, np.conj(v) / scale, rcond=None)
-    return f
+    if v.ndim not in (1, 2) or v.shape[0] != scales.size:
+        raise ValueError(f"expected {scales.size} values per column, got {v.shape}")
+    w = np.conj(v).T / scales  # one row per column of values
+    return (q @ (r_inverse.conj().T @ w[..., None]))[..., 0].T
 
 
 def null_space(a: np.ndarray, rtol: float = Tolerances.tol_rank) -> np.ndarray:

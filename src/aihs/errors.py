@@ -12,7 +12,6 @@ __all__ = [
     "AihsError",
     "ArgumentError",
     "AssumptionError",
-    "OrbitDeathError",
     "MinimalityError",
     "SingularResolventError",
     "NeumannDivergenceError",
@@ -31,22 +30,6 @@ class ArgumentError(AihsError):
 
 class AssumptionError(AihsError):
     """A numerical assumption required by an operation failed to hold."""
-
-
-class OrbitDeathError(AssumptionError):
-    """An orbit vector fell below the usable norm floor.
-
-    ``index`` is the first orbit index whose vector is numerically zero.
-    """
-
-    def __init__(self, index: int, norm: float, floor: float):
-        self.index = index
-        self.norm = norm
-        self.floor = floor
-        super().__init__(
-            f"orbit vector at index {index} has norm {norm:.3e} below the "
-            f"floor {floor:.3e}; the orbit died before the requested length"
-        )
 
 
 class MinimalityError(AssumptionError):

@@ -40,9 +40,7 @@ from .entire import (
 )
 from .errors import AihsError, ArgumentError, AssumptionError, SingularResolventError, StageError
 from ._linalg import min_norm_dual, numerical_rank, qr_basis, smallest_singular_value, unit_columns
-from .operators import (
-    OperatorModel, OrbitData, compute_orbit, matrix_digest, max_orbit_length, orbit_walk, _readonly
-)
+from .operators import OperatorModel, OrbitData, compute_orbit, matrix_digest, orbit_walk, _readonly
 from .resolvent import ResolventSolver, filter_lambda_gap
 
 __all__ = [
@@ -321,10 +319,10 @@ def compute_metrics(
 
 
 def _certify(op, e, orbit: OrbitData, raw, lambdas, excluded, law, k_max, tol, **fields):
-    """The builders' tail: solve the dual vectors, derive the rest; ``fields`` are the route's."""
+    """The builders' tail: the dual vectors, then the rest; ``fields`` are the route's."""
     with _stage("functionals"):
         rows = law.orbit_values(k_max, orbit.length)
-        duals = min_norm_dual(orbit.vectors.T, rows.T)  # (dim, k), one solve
+        duals = min_norm_dual(orbit.q, orbit.r_inverse, orbit.scales, rows.T)  # (dim, k)
     with _stage("metrics"):
         metrics, checks = compute_metrics(
             op, e, orbit.vectors, raw, lambdas, duals, law, k_max, tol)
@@ -371,12 +369,12 @@ def build_entire(
     e = np.asarray(e, dtype=np.complex128).reshape(-1)
 
     with _stage("orbit"):
-        length = max_orbit_length(op, e, cap=op.dim)
+        orbit = compute_orbit(op, e, op.dim)
+        length = orbit.length
         if length < k_max + 3:
             raise AssumptionError(
                 f"orbit supports only {length} vectors; need k_max + 3 = {k_max + 3}"
             )
-        orbit = compute_orbit(op, e, length)
 
     with _stage("coefficients"):
         if degree is None:
@@ -465,9 +463,8 @@ def build_blaschke(
             lambdas = blaschke_sequence("explicit", m, values=np.asarray(lambdas).reshape(-1))
 
     with _stage("orbit"):
-        length = max_orbit_length(op, e, cap=op.dim)
-        orbit = compute_orbit(op, e, length)
-        norms = orbit.biorthogonal_norms
+        orbit = compute_orbit(op, e, op.dim)
+        length, norms = orbit.length, orbit.biorthogonal_norms
         partial = float(np.sum(norms[1:] / np.arange(1, length, dtype=float)))
         hypothesis["norm_sum_partial"] = partial
         hypothesis["norm_sum_cap"] = tol.blaschke_norm_cap
@@ -504,8 +501,8 @@ def verify_certificate(
 ) -> dict:
     """From-scratch audit: derive everything from the stored inputs and diff against stored.
 
-    Re-solves the resolvent vectors and walks the orbit to the stored length
-    (no norm stage), then derives the rest with :func:`compute_metrics`.
+    Re-solves the resolvent vectors and walks the orbit (no norm stage), whose
+    length must be the stored one, then derives the rest with :func:`compute_metrics`.
     Each stored metric must agree within ``tol_audit``, each stored check
     must carry the verdict its derived value earns against its stored
     threshold, and each derived value must pass the audit's own thresholds.
@@ -516,9 +513,9 @@ def verify_certificate(
         raw, _, failed = _solve_resolvents(op, cert.defect_vector, cert.lambdas, tol)
         if failed:
             raise AssumptionError(f"stored lambda {failed[0][0]} fails its {failed[0][1]}")
-        vectors, reached = orbit_walk(op, cert.defect_vector, cert.orbit_length)
-        if reached != cert.orbit_length:
-            raise AssumptionError(f"the orbit has {reached} vectors above the floor, "
+        vectors = orbit_walk(op, cert.defect_vector, op.dim)
+        if len(vectors) != cert.orbit_length:
+            raise AssumptionError(f"the orbit has {len(vectors)} vectors above the floor, "
                                   f"not the stored {cert.orbit_length}")
         duals = np.stack([f.dual_vector for f in cert.functionals], axis=1)
         metrics, checks = compute_metrics(

@@ -14,7 +14,7 @@ exploit: Neumann sums terminate and the point ``0`` is the only (spurious)
 eigenvalue.  They are also bidiagonal, so :class:`OperatorModel` keeps only
 their weights: applying ``T`` or ``T*`` and solving ``(z - T) h = e`` cost
 O(N), and the dense matrix is built only when a caller asks for it.  Dense
-operators keep their matrix, a matvec and an LU factorization.
+operators keep their matrix, a matvec and a dense solve.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ import enum
 import functools
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, MinimalityError, OrbitDeathError
+from .errors import ArgumentError, MinimalityError
 
 __all__ = [
     "Family",
@@ -143,12 +142,12 @@ class OperatorModel:
         families run an O(N) substitution down the bidiagonal, forward for
         the forward shift and backward for Donoghue; ``z = 0`` makes the
         solve raise ``numpy.linalg.LinAlgError``, and overflow leaves
-        non-finite entries.  Dense operators are LU-factored once, here; a
-        singular dense LU yields non-finite entries.
+        non-finite entries.  Dense operators take ``numpy.linalg.solve`` on
+        each call; an exactly singular ``z - T`` raises ``LinAlgError``.
         """
         z = complex(z)
         if self.family is Family.DENSE:
-            return _dense_lu_solver(np.diag(np.full(self.dim, z)) - self._array)
+            return functools.partial(np.linalg.solve, np.diag(np.full(self.dim, z)) - self._array)
         backward = self.family is Family.DONOGHUE
         # h_i = (rhs_i + w h_{i-1}) / z in Python complex arithmetic, since
         # per-element numpy calls would cost more.  Dividing at each step is
@@ -207,21 +206,6 @@ class OperatorModel:
 def matrix_digest(op: OperatorModel) -> str:
     """sha256 of the dense matrix bytes (row-major), the dense operator's echo."""
     return hashlib.sha256(np.ascontiguousarray(op.matrix).tobytes()).hexdigest()
-
-
-def _dense_lu_solver(a: np.ndarray):
-    """``(rhs, trans=0) -> x`` solving ``a x = rhs`` (``trans=2``: ``a^H x = rhs``).
-
-    ``a`` is LU-factored once.  This is the only place scipy is imported, so
-    runs on the shift families never load it.  A singular ``a`` gives
-    non-finite solutions, which callers check.
-    """
-    import scipy.linalg
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu = scipy.linalg.lu_factor(a, check_finite=False)
-    return lambda rhs, trans=0: scipy.linalg.lu_solve(lu, rhs, trans=trans, check_finite=False)
 
 
 def _random_starts(dim: int, count: int) -> list[np.ndarray]:
@@ -401,73 +385,76 @@ def operator_from_config(cfg: dict, rng: np.random.Generator | None = None) -> O
 
 @dataclass(frozen=True, eq=False)
 class OrbitData:
-    """A finite forward orbit with its biorthogonal norms.
+    """A finite forward orbit, its one QR factor and its biorthogonal norms.
+
+    With ``s_n = ||x_n||``, ``X_s = Q R`` factors the orbit with unit columns
+    ``x_n / s_n``.  The functionals dual to the orbit are the rows of
+    ``pinv(X) = S^-1 R^-1 Q^H``: their norms and their minimum-norm dual
+    vectors (:func:`aihs._linalg.min_norm_dual`) both come from this factor.
 
     Attributes
     ----------
     vectors : numpy.ndarray
         Shape ``(length, dim)``; row ``n`` is ``x_n = T^n x_0``.
     biorthogonal_norms : numpy.ndarray
-        ``r_n = 1 / dist(x_n, span of the other orbit vectors)``, the norm of
-        the n-th coordinate functional of the (minimal) orbit system.  With
-        ``X_s = Q R`` the QR factorization of the orbit with columns scaled
-        to unit norm, ``r_n = ||row n of R^-1|| / ||x_n||``.
-    length : int
-        Number of orbit vectors.
+        ``r_n = 1 / dist(x_n, span of the others) = ||row n of R^-1|| / s_n``,
+        the norm of the n-th coordinate functional of the (minimal) orbit.
+    q, r_inverse, scales : numpy.ndarray
+        ``Q`` (``dim x length``), the upper triangular ``R^-1`` and ``s``.
     """
 
     vectors: np.ndarray
     biorthogonal_norms: np.ndarray
-    length: int
+    q: np.ndarray
+    r_inverse: np.ndarray
+    scales: np.ndarray
+
+    @property
+    def length(self) -> int:
+        return self.vectors.shape[0]
+
+
+def _alive(x: np.ndarray) -> bool:
+    """``||x|| >= ORBIT_NORM_FLOOR`` with every entry finite.  One ``vdot``
+    decides it unless ``||x||^2`` is not finite (inf or nan entries, or overflow)."""
+    squared = np.vdot(x, x).real
+    if math.isfinite(squared):
+        return squared >= ORBIT_NORM_FLOOR**2
+    return bool(np.linalg.norm(x) >= ORBIT_NORM_FLOOR and np.all(np.isfinite(x)))
+
+
+def orbit_walk(op: OperatorModel, seed: np.ndarray, cap: int) -> np.ndarray:
+    """Rows ``x_0, x_1, ...`` of the orbit ``x_n = T^n seed``, shape ``(count, dim)``.
+
+    At most ``cap`` rows, stopping before the first vector that is below
+    ``ORBIT_NORM_FLOOR`` or not finite.  Every orbit is walked here.
+    """
+    x = np.asarray(seed, dtype=np.complex128)
+    rows = []
+    while len(rows) < cap and _alive(x):
+        rows.append(x)
+        x = op.apply(x)
+    return np.array(rows, dtype=np.complex128).reshape(-1, x.size)
 
 
 def max_orbit_length(op: OperatorModel, seed: np.ndarray, cap: int) -> int:
-    """Longest orbit ``x_0 .. x_{L-1}`` whose vectors all stay above the floor."""
-    x = np.asarray(seed, dtype=np.complex128)
-    count = 0
-    for _ in range(cap):
-        if np.linalg.norm(x) < ORBIT_NORM_FLOOR or not np.all(np.isfinite(x)):
-            break
-        count += 1
-        x = op.apply(x)
-    return count
+    """Longest orbit ``x_0 .. x_{L-1}`` (``L <= cap``) whose vectors all stay above the floor."""
+    return len(orbit_walk(op, seed, cap))
 
 
-def orbit_walk(op: OperatorModel, seed: np.ndarray, length: int) -> tuple[np.ndarray, int]:
-    """Rows ``x_0 .. x_{length-1}`` and the count of leading vectors above the floor.
+def compute_orbit(op: OperatorModel, seed: np.ndarray, cap: int) -> OrbitData:
+    """The orbit ``x_n = T^n e``, walked once (at most ``cap`` vectors) and factored once.
 
-    No norm is taken per step: the walk goes one step past ``length`` (short
-    of ``dim``) and checks the floor in one pass, so the count equals
-    ``length`` exactly when ``max_orbit_length(op, seed, op.dim)`` does.
-    """
-    steps = min(length + 1, op.dim)
-    vectors = np.empty((steps, op.dim), dtype=np.complex128)
-    x = np.asarray(seed, dtype=np.complex128)
-    for n in range(steps):
-        vectors[n] = x
-        x = op.apply(x)
-    alive = (np.linalg.norm(vectors, axis=1) >= ORBIT_NORM_FLOOR) & np.all(
-        np.isfinite(vectors), axis=1
-    )
-    reached = steps if alive.all() else int(np.argmin(alive))
-    return vectors[:length], reached
-
-
-def compute_orbit(op: OperatorModel, seed: np.ndarray, length: int) -> OrbitData:
-    """Compute ``x_n = T^n e`` for ``n < length`` plus biorthogonal norms.
-
-    The norms cost O(L^3) for ``L = length``: one QR of the column-normalized
-    orbit ``X_s = Q R`` and one triangular inverse, since the functionals
-    dual to the orbit are the rows of ``pinv(X_s) = R^-1 Q^H``.  Then
-    ``r_n = ||row n of R^-1|| / ||x_n||``, and the orbit is minimal when
-    every ``dist(x_n, others) = ||x_n|| / ||row n of R^-1||`` is at least
-    ``MINIMALITY_RTOL * ||x_n||``.  The distance is to the exact span of
-    the other vectors, with no rank truncation.
+    The factor costs O(L^3) for ``L`` vectors: one QR and one triangular
+    inverse (see :class:`OrbitData`).  The orbit is minimal when every
+    ``dist(x_n, others) = s_n / ||row n of R^-1||``, to the exact span of the
+    others with no rank truncation, is at least ``MINIMALITY_RTOL * s_n``.
 
     Raises
     ------
-    OrbitDeathError
-        If some ``x_n`` with ``n < length`` falls below ``ORBIT_NORM_FLOOR``.
+    ArgumentError
+        If the seed is misshapen, below the floor or not finite, or ``cap``
+        is outside ``1 .. dim``.
     MinimalityError
         If some ``x_n`` lies numerically in the span of the other orbit
         vectors (e.g. the identity operator, whose orbit vectors coincide).
@@ -477,45 +464,37 @@ def compute_orbit(op: OperatorModel, seed: np.ndarray, length: int) -> OrbitData
     e = np.asarray(seed, dtype=np.complex128).reshape(-1)
     if e.shape != (op.dim,):
         raise ArgumentError(f"seed shape {e.shape} != ({op.dim},)")
-    if np.linalg.norm(e) == 0.0:
-        raise ArgumentError("seed vector must be nonzero")
-    if not 1 <= length <= op.dim:
-        raise ArgumentError(f"orbit length must satisfy 1 <= L <= dim, got {length}")
-
-    vectors, reached = orbit_walk(op, e, length)
-    if reached < length:
-        raise OrbitDeathError(reached, float(np.linalg.norm(vectors[reached])), ORBIT_NORM_FLOOR)
-
-    norms = _biorthogonal_norms(vectors)
-    return OrbitData(
-        vectors=_readonly(vectors),
-        biorthogonal_norms=norms,
-        length=length,
-    )
+    if not 1 <= cap <= op.dim:
+        raise ArgumentError(f"orbit cap must satisfy 1 <= cap <= dim, got {cap}")
+    vectors = orbit_walk(op, e, cap)
+    if not len(vectors):
+        raise ArgumentError("seed vector must be finite with norm at least ORBIT_NORM_FLOOR")
+    vectors.setflags(write=False)
+    return OrbitData(vectors, *_biorthogonal_norms(vectors))
 
 
-def _biorthogonal_norms(vectors: np.ndarray) -> np.ndarray:
-    """``r_n = 1 / dist(x_n, span{x_i : i != n})``, the row norms of ``(R S)^-1``.
+def _biorthogonal_norms(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(r, Q, R^-1, s)`` of the orbit rows, in :class:`OrbitData`'s terms.
 
-    ``R S`` with ``S = diag ||x_n||`` is the R factor of the orbit itself;
-    see :func:`compute_orbit` for the formula.
+    ``r_n = ||row n of R^-1|| / s_n``; see :func:`compute_orbit` for the
+    minimality test.  Every returned array is read-only.
     """
     scales = np.linalg.norm(vectors, axis=1)
-    _, r = np.linalg.qr((vectors / scales[:, None]).T)
-    r = r * scales[None, :]  # the R factor of the unscaled orbit
+    q, r = np.linalg.qr((vectors / scales[:, None]).T)
     zero = np.flatnonzero(np.diagonal(r) == 0)
     if zero.size:  # an exactly zero pivot: x_n is in the span
         n = int(zero[0])
         raise MinimalityError(n, 0.0, float(scales[n]))
-    rinv = upper_triangular_inverse(r)
-    out = np.linalg.norm(rinv, axis=1)
-    dist = 1.0 / out
+    r_inverse = upper_triangular_inverse(r)
+    norms = np.linalg.norm(r_inverse, axis=1) / scales
+    dist = 1.0 / norms
     bad = np.flatnonzero(~(dist >= MINIMALITY_RTOL * scales))  # nan counts as bad
     if bad.size:
         n = int(bad[0])
         raise MinimalityError(n, float(dist[n]), float(scales[n]))
-    out.setflags(write=False)
-    return out
+    for a in (norms, q, r_inverse, scales):
+        a.setflags(write=False)
+    return norms, q, r_inverse, scales
 
 
 def upper_triangular_inverse(r: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from .errors import (
     SingularResolventError,
 )
 from .config import Tolerances
-from .operators import OperatorModel, _dense_lu_solver, _power_root, _random_starts, _readonly
+from .operators import OperatorModel, _power_root, _random_starts, _readonly
 
 __all__ = [
     "ResolventVector",
@@ -76,7 +76,7 @@ class ResolventSolver:
     """Direct solver for ``(1/lam - T) h = e``, reusable across right-hand sides.
 
     The solve is :meth:`OperatorModel.shifted_solver`: an O(N) substitution
-    for the shift families, an LU factored once for dense operators.  Every
+    for the shift families, ``numpy.linalg.solve`` for dense operators.  Every
     solve is checked against ``op.apply``.  The condition estimate is opt-in.
     """
 
@@ -114,20 +114,19 @@ class ResolventSolver:
         )
 
     def condition_estimate(self, iters: int = 12) -> float:
-        """cond_2 estimate: power iteration for sigma_max, inverse iteration
-        for sigma_min, both by :func:`_power_root`.  Builds and LU-factors the
-        dense ``1/lam - T`` on first call, for every family.  Random start
-        vectors from a fixed internal seed."""
+        """cond_2 estimate: power iteration on ``A^H A`` and on its inverse, both
+        by :func:`_power_root`.  Builds and inverts the dense ``A = 1/lam - T``
+        on first call, for every family; an exactly singular ``A`` gives inf.
+        Random start vectors from a fixed internal seed."""
         if self._condition is None:
             a = np.diag(np.full(self.op.dim, 1.0 / self.lam)) - self.op.matrix
-            solve = _dense_lu_solver(a)  # exact singularity: non-finite inverse iterates
-
-            def inverse_gram(u):  # (A^H A)^-1 u from the one LU
-                return solve(solve(u, trans=2))
-
             v, u = _random_starts(self.op.dim, 2)
+            try:
+                a_inv = np.linalg.inv(a)
+                inv_hi = _power_root(lambda x: a_inv @ (a_inv.conj().T @ x), u, iters)
+            except np.linalg.LinAlgError:  # exactly singular
+                inv_hi = math.inf
             hi = _power_root(lambda x: a.conj().T @ (a @ x), v, iters)
-            inv_hi = _power_root(inverse_gram, u, iters)
             self._condition = hi * inv_hi if math.isfinite(inv_hi) else math.inf
         return self._condition
 
@@ -202,7 +201,7 @@ def check_replacement(
 
         h(lam, e) - h(mu, e) = (1/mu - 1/lam) h(lam, h(mu, e)).
 
-    Solvers may be passed in to reuse LU factors across many checks.
+    Solvers may be passed in to reuse them across many checks.
     """
     if lam == mu:
         raise ArgumentError("replacement identity needs distinct points")

@@ -19,6 +19,7 @@ from aihs import serialize as ser
 from aihs.cli import main
 from aihs.halfspace import _CHECKS
 from aihs.operators import (
+    ORBIT_NORM_FLOOR,
     Family,
     build_operator,
     compute_orbit,
@@ -398,21 +399,51 @@ def test_verify_runs_no_norm_stage(docs, monkeypatch, route):
     assert _verify(doc, path) == 0
 
 
-@pytest.mark.parametrize(
-    "op",
-    [
-        build_operator(Family.FORWARD, 96, weights=geometric_weights(96, 0.5)),  # dies early
-        build_operator(Family.FORWARD, 40, weights=np.ones(39)),  # L = N
-        build_operator(Family.DONOGHUE, 30, weights=geometric_weights(30, 0.8)),
-    ],
-    ids=["dying", "full-length", "donoghue"],
-)
-def test_orbit_walk_matches_the_stepwise_length_and_orbit(op):
+def _stepwise_orbit(op, e, cap):
+    """The orbit walked with the two-call test: ``||x|| >= floor`` and finite entries."""
+    rows, x = [], e
+    while len(rows) < cap and np.linalg.norm(x) >= ORBIT_NORM_FLOOR and np.all(np.isfinite(x)):
+        rows.append(x)
+        x = op.apply(x)
+    return rows
+
+
+_WALKS = {
+    "dying": build_operator(Family.FORWARD, 96, weights=geometric_weights(96, 0.5)),
+    "full-length": build_operator(Family.FORWARD, 40, weights=np.ones(39)),  # L = N
+    "donoghue": build_operator(Family.DONOGHUE, 30, weights=geometric_weights(30, 0.8)),
+    # x_1 is finite but ||x_1||^2 overflows: alive; x_2 is inf
+    "overflowing-square": build_operator(Family.DENSE, 4, matrix=1e200 * np.eye(4)),
+}
+
+
+def _walk_seed(op):
     e = np.zeros(op.dim, dtype=np.complex128)
     e[-1 if op.family is Family.DONOGHUE else 0] = 1.0
+    return e
+
+
+@pytest.mark.parametrize("name", ["dying", "full-length", "donoghue"])
+def test_orbit_walk_matches_the_stepwise_length_and_orbit(name):
+    op = _WALKS[name]
+    e = _walk_seed(op)
+    vectors = orbit_walk(op, e, op.dim)
     length = max_orbit_length(op, e, cap=op.dim)
-    vectors, reached = orbit_walk(op, e, length)
-    assert reached == length
-    assert np.array_equal(vectors, compute_orbit(op, e, length).vectors)
+    assert vectors.shape == (length, op.dim)
+    assert np.array_equal(vectors, compute_orbit(op, e, op.dim).vectors)
     if length > 1:
-        assert orbit_walk(op, e, length - 1)[1] == length  # the orbit goes on past it
+        assert len(orbit_walk(op, e, length - 1)) == length - 1  # the cap ends the walk
+        assert np.array_equal(orbit_walk(op, e, length - 1), vectors[:-1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and nan on the overflowing orbit
+@pytest.mark.parametrize("name", _WALKS)
+def test_walker_keeps_the_two_call_predicate(name):
+    op = _WALKS[name]
+    e = _walk_seed(op)
+    expected = _stepwise_orbit(op, e, op.dim)
+    vectors = orbit_walk(op, e, op.dim)
+    assert len(vectors) == len(expected)
+    assert np.array_equal(vectors, np.array(expected))
+    if name == "overflowing-square":
+        assert len(vectors) == 2 and np.isinf(np.vdot(vectors[1], vectors[1]).real)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from aihs.errors import ArgumentError, MinimalityError, OrbitDeathError
+from aihs.errors import ArgumentError, MinimalityError
 from aihs.operators import (
     Family,
     build_operator,
@@ -207,11 +207,12 @@ def test_biorthogonal_norms_match_least_squares_oracle():
     assert_allclose(data.biorthogonal_norms, expected, rtol=1e-9)
 
 
-def test_orbit_death_raises_with_index():
+def test_a_cap_past_the_floor_returns_the_live_prefix():
     op = build_operator(Family.FORWARD, 4, weights=[1.0, 1.0, 1.0])
-    with pytest.raises(OrbitDeathError) as exc:
-        compute_orbit(op, basis(4, 3), 2)  # T e_4 = 0
-    assert exc.value.index == 1
+    data = compute_orbit(op, basis(4, 3), 2)  # T e_4 = 0
+    assert data.length == 1
+    assert np.array_equal(data.vectors, [basis(4, 3)])
+    assert_allclose(data.biorthogonal_norms, [1.0], rtol=1e-15)
 
 
 def test_identity_orbit_is_not_minimal():

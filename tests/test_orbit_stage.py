@@ -1,9 +1,11 @@
-"""The orbit stage: biorthogonal norms from one triangular inverse, and all
-annihilating functionals from one least-squares solve.
+"""The orbit stage: one walk and one QR factor per orbit, which give both the
+biorthogonal norms and the annihilating functionals' dual vectors.
 
 The norms are pinned to an independent per-n least-squares distance, the
-block dual solve to column-by-column solves, and a guard checks that a
-full-length (L = N) Blaschke build stays off the per-n distance helper.
+dual vectors to a least-squares minimum-norm solve and the block form to
+column-by-column calls.  Guards check that a full-length (L = N) Blaschke
+build stays off the per-n distance helper and walks and factors its orbit
+once, with no least-squares solve.
 """
 
 import sys
@@ -14,9 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from aihs import _linalg
+from aihs import _linalg, halfspace, operators
 from aihs.errors import MinimalityError
-from aihs.halfspace import build_blaschke
+from aihs.halfspace import build_blaschke, verify_certificate
 from aihs.operators import (
     INVERSE_LEAF,
     Family,
@@ -68,7 +70,8 @@ def dense_orbits(draw, max_dim=24):
 def test_biorthogonal_norms_match_per_n_lstsq_distance(x):
     unit = x / np.linalg.norm(x, axis=1)[:, None]
     assume(np.linalg.cond(unit.T) < 1e6)
-    assert_allclose(_biorthogonal_norms(x), _lstsq_norms(x), rtol=1e-10)
+    norms, *_ = _biorthogonal_norms(x)
+    assert_allclose(norms, _lstsq_norms(x), rtol=1e-10)
 
 
 def test_exactly_zero_pivot_is_a_minimality_error_at_its_index():
@@ -98,23 +101,54 @@ def test_upper_triangular_inverse_matches_dense_solve(length):
     assert not np.any(np.tril(inverse, -1))
 
 
+def _lstsq_duals(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Reference minimum-norm ``f`` with ``f^H x_n = values[n]``, by lstsq.
+
+    Row ``n`` of the system, ``x_n^H f = conj(v_n)``, is scaled to unit
+    norm; that keeps the solution set and tames the orbit's dynamic range.
+    """
+    norms = np.linalg.norm(x, axis=1)
+    f, *_ = np.linalg.lstsq((x / norms[:, None]).conj(), np.conj(values) / norms, rcond=None)
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=dense_orbits(), seed=st.integers(0, 2**32 - 1))
+def test_duals_from_the_factor_match_the_lstsq_minimum_norm_solution(x, seed):
+    unit = x / np.linalg.norm(x, axis=1)[:, None]
+    assume(np.linalg.cond(unit.T) < 1e6)
+    values = _random_complex(np.random.default_rng(seed), x.shape[0])
+    _, q, r_inverse, scales = _biorthogonal_norms(x)
+    f = _linalg.min_norm_dual(q, r_inverse, scales, values)
+    reference = _lstsq_duals(x, values)
+    assert np.max(np.abs(f - reference)) <= 1e-9 * np.max(np.abs(reference))
+    residual = np.abs(x.conj() @ f - np.conj(values)) / (np.linalg.norm(f) * scales)
+    assert np.max(residual) <= 1e-13
+
+
+def _orbit_factor(orbit_columns):
+    _, q, r_inverse, scales = _biorthogonal_norms(orbit_columns.T)
+    return q, r_inverse, scales
+
+
 @pytest.mark.parametrize("k", [1, 3, 6])
 def test_block_min_norm_dual_equals_column_calls(k):
     rng = np.random.default_rng(k)
     orbit = _random_complex(rng, 40, 12) * np.logspace(0, -8, 12)  # decaying columns
     values = _random_complex(rng, 12, k)
-    block = _linalg.min_norm_dual(orbit, values)
+    factor = _orbit_factor(orbit)
+    block = _linalg.min_norm_dual(*factor, values)
     assert block.shape == (40, k)
     for j in range(k):
-        assert np.array_equal(block[:, j], _linalg.min_norm_dual(orbit, values[:, j]))
+        assert np.array_equal(block[:, j], _linalg.min_norm_dual(*factor, values[:, j]))
 
 
 def test_min_norm_dual_rejects_a_wrong_value_count():
-    orbit = np.eye(5, 3, dtype=np.complex128)
+    factor = _orbit_factor(np.eye(5, 3, dtype=np.complex128))
     with pytest.raises(ValueError):
-        _linalg.min_norm_dual(orbit, np.ones(4))
+        _linalg.min_norm_dual(*factor, np.ones(4))
     with pytest.raises(ValueError):
-        _linalg.min_norm_dual(orbit, np.ones((4, 2)))
+        _linalg.min_norm_dual(*factor, np.ones((4, 2)))
 
 
 @pytest.fixture
@@ -144,3 +178,41 @@ def test_full_length_blaschke_orbit_uses_no_distance_to_span(spies):
     cert = build_blaschke(op, e, m=8, m_max=5)
     assert cert.passed
     assert spies == {"distance_to_span": 0, "min_norm_dual": 1}
+
+
+@pytest.fixture
+def orbit_spies(monkeypatch):
+    """Count orbit walks, QRs of an orbit-shaped matrix and lstsq calls."""
+    calls = {"orbit_walk": 0, "orbit_qr": 0, "lstsq": 0}
+    walk, qr, lstsq = operators.orbit_walk, np.linalg.qr, np.linalg.lstsq
+
+    def counted_walk(*args, **kwargs):
+        calls["orbit_walk"] += 1
+        return walk(*args, **kwargs)
+
+    def counted_qr(a, *args, **kwargs):
+        calls["orbit_qr"] += np.shape(a) == (256, 256)
+        return qr(a, *args, **kwargs)
+
+    def counted_lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
+    for module in (operators, halfspace):
+        monkeypatch.setattr(module, "orbit_walk", counted_walk)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    return calls
+
+
+def test_full_length_build_walks_and_factors_its_orbit_once(orbit_spies):
+    dim = 256
+    phases = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, dim - 1)
+    op = build_operator(Family.FORWARD, dim, weights=np.exp(1j * phases))
+    e = np.zeros(dim, dtype=np.complex128)
+    e[0] = 1.0
+    cert = build_blaschke(op, e, m=8, m_max=5)
+    assert cert.passed and cert.orbit_length == dim
+    assert orbit_spies == {"orbit_walk": 1, "orbit_qr": 1, "lstsq": 0}
+    assert verify_certificate(op, cert)["passed"]
+    assert orbit_spies == {"orbit_walk": 2, "orbit_qr": 1, "lstsq": 0}
