@@ -163,25 +163,28 @@ def test_dense_krylov_orbit_minimality_is_exact(tmp_path, capsys, dim):
 
 
 @pytest.mark.parametrize(
-    "command, cfg",
+    "command, cfg, message",
     [
-        ("build", {"operator": {}, "construction": "entire", "m": 1, "k_max": 0}),
-        ("build", _entire_cfg(m=0)),
-        ("build", {**_entire_cfg(), "construction": "other", "extra": 1}),
-        ("sweep", {"runs": [_entire_cfg(), {**_entire_cfg(), "k_max": -1}]}),
-        ("chain", {"operator": _entire_cfg()["operator"], "depth": "ten"}),
-        ("build", _with_weight("0.5")),  # a complex entry is a number or an [re, im] pair
-        ("build", _with_weight([0.5, 0.0, 0.0])),
+        ("build", {"operator": {}, "construction": "entire", "m": 1, "k_max": 0},
+         "operator: 'family' is a required property"),
+        ("build", _entire_cfg(m=0), "m: 0 is less than the minimum of 1"),
+        ("build", {**_entire_cfg(), "construction": "other", "extra": 1},
+         "<root>: Additional properties are not allowed ('extra' was unexpected)"),
+        ("sweep", {"runs": [_entire_cfg(), {**_entire_cfg(), "k_max": -1}]},
+         "runs/1/k_max: -1 is less than the minimum of 0"),
+        ("chain", {"operator": _entire_cfg()["operator"], "depth": "ten"},
+         "depth: 'ten' is not of type 'integer'"),
+        # a complex entry is a number or an [re, im] pair
+        ("build", _with_weight("0.5"),
+         "operator/weights/params/values/3: '0.5' is not of type 'number', 'array'"),
+        ("build", _with_weight([0.5, 0.0, 0.0]),
+         "operator/weights/params/values/3: [0.5, 0.0, 0.0] is too long"),
     ],
 )
-def test_config_errors_read_as_jsonschema_validate(command, cfg):
-    with pytest.raises(jsonschema.ValidationError) as expected:
-        jsonschema.validate(cfg, config._SCHEMAS[command])
-    exc = expected.value
-    path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+def test_config_errors_are_one_line(command, cfg, message):
     with pytest.raises(ArgumentError) as got:
         config.validate_config(cfg, command)
-    assert str(got.value) == f"config invalid at {path}: {exc.message}"
+    assert str(got.value) == f"config invalid at {message}"
 
 
 def test_config_schema_is_checked_once_per_command(monkeypatch):
