@@ -281,6 +281,7 @@ def cmd_chain(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = validate_config(load_config(args.config), "sweep")
+    _tolerances(args, {})  # a bad --tol-* flag stops the sweep before its first run
     rows = []
     any_fail = False
     any_flag = False

@@ -1,13 +1,13 @@
-"""Run configuration: schema validation and tolerance bundles."""
+"""Run configuration: schema checking and tolerance bundles."""
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
+import math
+import re
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from .errors import ArgumentError
@@ -138,7 +138,6 @@ _BLASCHKE = {
 }
 
 RUN_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "required": ["operator", "construction", "m", "k_max"],
     "properties": {
@@ -157,7 +156,6 @@ RUN_SCHEMA = {
 }
 
 CHAIN_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "required": ["operator", "depth"],
     "properties": {
@@ -174,7 +172,6 @@ CHAIN_SCHEMA = {
 }
 
 SWEEP_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "required": ["runs"],
     "properties": {
@@ -186,7 +183,6 @@ SWEEP_SCHEMA = {
 }
 
 PROBE_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "required": ["dim", "k_max"],
     "properties": {
@@ -210,35 +206,114 @@ _SCHEMAS = {
 
 
 def load_config(path) -> dict:
+    def reject(literal):
+        raise ArgumentError(f"config {path} holds {literal}, which is not a JSON number")
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise ArgumentError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-@functools.cache
-def _validator(command: str):
-    """The schema's validator, checked and compiled once per command."""
-    schema = _SCHEMAS[command]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+# every JSON Schema (draft 7) keyword the checker implements
+KEYWORDS = frozenset({"type", "const", "enum", "minimum", "exclusiveMinimum", "pattern", "items",
+                      "minItems", "maxItems", "required", "properties", "additionalProperties",
+                      "oneOf"})
 
 
-def check_document(validator, doc, what: str) -> None:
-    """Raise jsonschema's best-match error, the one ``jsonschema.validate`` raises, in one line."""
-    exc = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ArgumentError(f"{what} invalid at {path}: {exc.message}") from exc
+def _is(doc, kind: str) -> bool:
+    if kind in ("number", "integer"):  # draft 7: True is no number, and 1.0 is an integer
+        return (isinstance(doc, (int, float)) and not isinstance(doc, bool)
+                and (kind == "number" or isinstance(doc, int) or doc.is_integer()))
+    return isinstance(doc, {"string": str, "boolean": bool, "array": list, "object": dict}[kind])
+
+
+def _errors(schema: dict, doc, path: tuple) -> list:
+    """Each violation as (path, message, context), in schema order; a failed
+    ``type`` ends the node."""
+    found = []
+    is_dict, is_list = isinstance(doc, dict), isinstance(doc, list)
+    for key, value in schema.items():
+        message, context = None, ()
+        if key == "type":
+            kinds = [value] if isinstance(value, str) else value
+            if not any(_is(doc, kind) for kind in kinds):
+                return found + [(path, f"{doc!r} is not of type {', '.join(map(repr, kinds))}", ())]
+        elif key == "properties" and is_dict:
+            for name, sub in value.items():
+                if name in doc:
+                    found += _errors(sub, doc[name], path + (name,))
+        elif key == "items" and is_list:
+            for index, item in enumerate(doc):
+                found += _errors(value, item, path + (index,))
+        elif key == "required" and is_dict:
+            found += [(path, f"{name!r} is a required property", ()) for name in value
+                      if name not in doc]
+        elif key == "additionalProperties" and is_dict and value is False:
+            extras = [repr(name) for name in sorted(doc, key=str)
+                      if name not in schema.get("properties", ())]
+            if extras:
+                message = (f"Additional properties are not allowed ({', '.join(extras)} "
+                           f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif key == "const" and doc != value:
+            message = f"{value!r} was expected"
+        elif key == "enum" and doc not in value:
+            message = f"{doc!r} is not one of {value!r}"
+        elif key == "minimum" and _is(doc, "number") and doc < value:
+            message = f"{doc!r} is less than the minimum of {value!r}"
+        elif key == "exclusiveMinimum" and _is(doc, "number") and doc <= value:
+            message = f"{doc!r} is less than or equal to the minimum of {value!r}"
+        elif key == "pattern" and isinstance(doc, str) and not re.search(value, doc):
+            message = f"{doc!r} does not match {value!r}"
+        elif key == "minItems" and is_list and len(doc) < value:
+            message = f"{doc!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif key == "maxItems" and is_list and len(doc) > value:
+            message = f"{doc!r} {'is expected to be empty' if value == 0 else 'is too long'}"
+        elif key == "oneOf":
+            branches = [_errors(sub, doc, path) for sub in value]
+            valid = [repr(sub) for sub, errors in zip(value, branches) if not errors]
+            if len(valid) > 1:
+                message = f"{doc!r} is valid under each of {', '.join(valid[1:] + valid[:1])}"
+            elif not valid:
+                message = f"{doc!r} is not valid under any of the given schemas"
+                context = [error for errors in branches for error in errors]
+        if message:
+            found.append((path, message, context))
+    return found
+
+
+def check_document(schema: dict, doc, what: str) -> None:
+    """Raise ``<what> invalid at <path>: <message>`` for the most relevant violation.
+
+    That is the shallowest. Among equally shallow ones at different nodes,
+    the path that sorts last wins (a later list index, a key later in the
+    alphabet); at one node, the first in schema order. A ``oneOf`` that no
+    branch matches names the deepest error of its branches, unless two tie.
+    Rule and messages are those of the draft-7 reference validator, which
+    tests/test_schema_checker.py holds this checker to.
+    """
+    found = _errors(schema, doc, ())
+    if not found:
+        return
+
+    def relevance(error):
+        return -len(error[0]), error[0]
+
+    best = max(found, key=relevance)
+    while best[2]:
+        ranked = sorted(best[2], key=relevance)
+        if len(ranked) > 1 and relevance(ranked[0]) == relevance(ranked[1]):
+            break
+        best = ranked[0]
+    raise ArgumentError(f"{what} invalid at {'/'.join(map(str, best[0])) or '<root>'}: {best[1]}")
 
 
 def validate_config(cfg: dict, command: str) -> dict:
     """Schema- and semantics-check a config for the given subcommand."""
     if command not in _SCHEMAS:
         raise ArgumentError(f"no config schema for command {command!r}")
-    check_document(_validator(command), cfg, "config")
+    check_document(_SCHEMAS[command], cfg, "config")
 
     op = cfg.get("operator", {})
     family = op.get("family")
@@ -284,11 +359,14 @@ def seed_vector_from_config(cfg: dict | None, dim: int) -> np.ndarray:
 
 
 def tolerances_from_config(cfg: dict | None, **overrides) -> Tolerances:
-    """Defaults, updated by the config block, updated by CLI overrides."""
+    """Defaults, updated by the config block, updated by CLI overrides; each a finite number > 0."""
     merged = dict(cfg or {})
     merged.update({k: v for k, v in overrides.items() if v is not None})
     known = {f.name for f in dataclasses.fields(Tolerances)}
     bad = set(merged) - known
     if bad:
         raise ArgumentError(f"unknown tolerance keys: {sorted(bad)}")
+    for name, value in merged.items():
+        if not 0 < value < math.inf:
+            raise ArgumentError(f"tolerance {name} must be a finite number > 0, got {value!r}")
     return Tolerances(**merged)

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import itertools
 import json
 import math
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .config import check_document
@@ -167,7 +165,7 @@ def _record(**properties) -> dict:
             "additionalProperties": False}
 
 
-# Structure only, and cheap: jsonschema spends about 15 us a node, so the
+# Structure only, and cheap: check_document spends about 2 us a node, so the
 # schema stops at arrays and lists, and decode_array checks each array as it
 # parses it.
 _HEX = {"type": "string", "pattern": r"^-?(0x[0-9a-f]+(\.[0-9a-f]*)?p[-+]?[0-9]+|inf|nan)$"}
@@ -202,13 +200,6 @@ CERT_SCHEMA = _record(
                 "properties": {"unverified": {"type": "boolean"}, "flags": _LIST}},
     config_echo=_OBJECT,
 )
-
-
-@functools.cache
-def _cert_validator():
-    cls = jsonschema.validators.validator_for(CERT_SCHEMA)
-    cls.check_schema(CERT_SCHEMA)
-    return cls(CERT_SCHEMA)
 
 
 def certificate_to_document(cert: HalfSpaceCertificate) -> dict:
@@ -246,7 +237,7 @@ def certificate_from_document(doc: dict) -> HalfSpaceCertificate:
     found = doc.get("schema") if isinstance(doc, dict) else None
     if found != CERT_SCHEMA_ID:
         raise ArgumentError(f"expected schema {CERT_SCHEMA_ID!r}, found {found!r}")
-    check_document(_cert_validator(), doc, "certificate")
+    check_document(CERT_SCHEMA, doc, "certificate")
     law_cls = _LAWS[doc["construction"]]
     indices = [f["k"] for f in doc["functionals"]]
     if indices != list(range(law_cls.first_index, doc["k_max"] + 1)):

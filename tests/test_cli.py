@@ -4,7 +4,6 @@ import json
 import re
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 
@@ -162,46 +161,92 @@ def test_dense_krylov_orbit_minimality_is_exact(tmp_path, capsys, dim):
         assert not read_certificate(cert).passed
 
 
-@pytest.mark.parametrize(
-    "command, cfg, message",
-    [
-        ("build", {"operator": {}, "construction": "entire", "m": 1, "k_max": 0},
-         "operator: 'family' is a required property"),
-        ("build", _entire_cfg(m=0), "m: 0 is less than the minimum of 1"),
-        ("build", {**_entire_cfg(), "construction": "other", "extra": 1},
-         "<root>: Additional properties are not allowed ('extra' was unexpected)"),
-        ("sweep", {"runs": [_entire_cfg(), {**_entire_cfg(), "k_max": -1}]},
-         "runs/1/k_max: -1 is less than the minimum of 0"),
-        ("chain", {"operator": _entire_cfg()["operator"], "depth": "ten"},
-         "depth: 'ten' is not of type 'integer'"),
-        # a complex entry is a number or an [re, im] pair
-        ("build", _with_weight("0.5"),
-         "operator/weights/params/values/3: '0.5' is not of type 'number', 'array'"),
-        ("build", _with_weight([0.5, 0.0, 0.0]),
-         "operator/weights/params/values/3: [0.5, 0.0, 0.0] is too long"),
-    ],
-)
+_CONFIG_ERRORS = [
+    ("build", {"operator": {}, "construction": "entire", "m": 1, "k_max": 0},
+     "operator: 'family' is a required property"),
+    ("build", _entire_cfg(m=0), "m: 0 is less than the minimum of 1"),
+    ("build", {**_entire_cfg(), "construction": "other", "extra": 1},
+     "<root>: Additional properties are not allowed ('extra' was unexpected)"),
+    ("sweep", {"runs": [_entire_cfg(), {**_entire_cfg(), "k_max": -1}]},
+     "runs/1/k_max: -1 is less than the minimum of 0"),
+    ("chain", {"operator": _entire_cfg()["operator"], "depth": "ten"},
+     "depth: 'ten' is not of type 'integer'"),
+    # a complex entry is a number or an [re, im] pair
+    ("build", _with_weight("0.5"),
+     "operator/weights/params/values/3: '0.5' is not of type 'number', 'array'"),
+    ("build", _with_weight([0.5, 0.0, 0.0]),
+     "operator/weights/params/values/3: [0.5, 0.0, 0.0] is too long"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, message", _CONFIG_ERRORS,
+                         ids=[f"{case[0]}-cfg{i}" for i, case in enumerate(_CONFIG_ERRORS)])
 def test_config_errors_are_one_line(command, cfg, message):
     with pytest.raises(ArgumentError) as got:
         config.validate_config(cfg, command)
     assert str(got.value) == f"config invalid at {message}"
 
 
-def test_config_schema_is_checked_once_per_command(monkeypatch):
-    checked = []
-    check_schema = vars(jsonschema.Draft7Validator)["check_schema"].__func__
+def _keywords(schema):
+    """Every keyword a schema and its subschemas use."""
+    assert schema.get("additionalProperties", False) is False  # the only form checked
+    subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]
+    subs += [schema["items"]] if "items" in schema else []
+    return set(schema).union(*map(_keywords, subs))
 
-    def counted(cls, schema, *args, **kwargs):
-        checked.append(schema)
-        return check_schema(cls, schema, *args, **kwargs)
 
-    monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", classmethod(counted))
-    config._validator.cache_clear()
-    for _ in range(3):
-        config.validate_config(_entire_cfg(), "build")
-        config.validate_config({"runs": [_entire_cfg(), _entire_cfg()]}, "sweep")
-    config._validator.cache_clear()
-    assert [id(s) for s in checked] == [id(config.RUN_SCHEMA), id(config.SWEEP_SCHEMA)]
+@pytest.mark.parametrize("schema", [config.RUN_SCHEMA, config.CHAIN_SCHEMA, config.SWEEP_SCHEMA,
+                                    config.PROBE_SCHEMA, ser.CERT_SCHEMA],
+                         ids=["run", "chain", "sweep", "probe", "cert"])
+def test_schemas_use_only_the_checkers_keywords(schema):
+    assert _keywords(schema) <= config.KEYWORDS
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where", ["tolerance", "ratio"])
+def test_non_json_number_in_config_is_a_one_line_error(tmp_path, capsys, literal, where):
+    cfg = _entire_cfg()
+    if where == "tolerance":
+        cfg["tolerances"] = {"tol_ai": "@"}
+    else:
+        cfg["operator"]["weights"]["params"]["ratio"] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg).replace('"@"', literal), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and literal in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, in_config", [
+    ("build", ["--tol-ai", "-1"], None),
+    ("build", ["--tol-ai", "nan"], None),
+    ("sweep", ["--tol-ai", "0"], None),
+    ("build", [], "1e999"),  # a JSON number that reads as inf
+])
+def test_bad_build_tolerance_is_a_one_line_error(tmp_path, capsys, command, flags, in_config):
+    cfg = _entire_cfg()
+    if in_config:
+        cfg["tolerances"] = {"tol_ai": "@"}
+    path = tmp_path / "run.json"
+    text = json.dumps({"runs": [cfg]} if command == "sweep" else cfg)
+    path.write_text(text.replace('"@"', str(in_config)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tolerance tol_ai must be a finite number > 0")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("tol_ai", ["-1", "0", "inf", "nan"])
+def test_verify_bad_tolerance_flag_is_a_one_line_error(tmp_path, capsys, tol_ai):
+    main(["build", "--config", _write(tmp_path / "run.json", _entire_cfg()), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "run.cert.json"), "--tol-ai", tol_ai]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: tolerance tol_ai must be a finite number > 0")
 
 
 def test_build_blaschke_unverified_exits_two(tmp_path, capsys):

@@ -3,8 +3,8 @@
 The shift families never build their N x N matrix on the certificate path;
 these tests pin the structured kernels to the dense ``op.matrix`` and guard
 that the build and audit paths stay off the dense solve and the opt-in
-condition estimate.  No run imports scipy, which the tests use only as a
-reference.
+condition estimate.  No run imports scipy or jsonschema, which the tests
+use only as references.
 """
 
 import json
@@ -161,12 +161,12 @@ def test_dense_build_and_verify_still_use_lu(spies):
     assert spies["condition_estimate"] == 0
 
 
-_LOADS_SCIPY = textwrap.dedent("""
+_LOADS_REFERENCES = textwrap.dedent("""
     import contextlib, io, json, sys
     from aihs.cli import main
 
     def loaded():
-        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema"))
 
     for argv in json.loads(sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -180,7 +180,7 @@ def _run_config(label, operator, **extra):
             "m": 4, "k_max": 3, "label": label, **extra}
 
 
-def test_no_run_imports_scipy(tmp_path):
+def test_no_run_imports_scipy_or_jsonschema(tmp_path):
     shift = {"family": "forward-weighted-shift", "dim": 64,
              "weights": {"kind": "geometric", "params": {"ratio": 0.9}}}
     donoghue = {"family": "donoghue-backward-shift", "dim": 32,
@@ -207,7 +207,7 @@ def test_no_run_imports_scipy(tmp_path):
     src = str(Path(aihs.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADS_SCIPY, json.dumps(calls)],
+        [sys.executable, "-c", _LOADS_REFERENCES, json.dumps(calls)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     loaded = [json.loads(line) for line in proc.stdout.splitlines()]
