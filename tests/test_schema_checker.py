@@ -146,6 +146,67 @@ def test_mutated_certificates_match_jsonschema(certificates, data, which):
     assert _got(ser.CERT_SCHEMA, doc) == _expected(ser.CERT_SCHEMA, doc)
 
 
+_DROP = object()
+_VALUES = ("operator", "weights", "params", "values")
+
+
+@pytest.mark.parametrize("name, path, value, violations", [
+    ("run", ("m",), _DROP, 1),
+    ("run", ("extra",), 1, 1),
+    ("run", ("m",), True, 1),
+    ("run", ("m",), "3", 1),
+    ("run", ("m",), 3.0, 0),  # an integral float is an integer
+    ("run", ("m",), 2.5, 1),
+    ("run", ("k_max",), -1, 1),
+    ("run", ("tolerances", "tol_ai"), 0, 1),
+    ("run", ("seed_vector", "values", 0), False, 1),
+    ("run", _VALUES + (1,), [0.25], 1),
+    ("run", _VALUES + (1,), [0.25, 0, 1], 1),
+    ("run", _VALUES, [], 1),
+    ("chain", ("witness",), 1, 1),
+    ("probe", ("p",), 0.5, 1),
+])
+def test_single_mutations_match_jsonschema(name, path, value, violations):
+    schema, doc = DOCUMENTS[name]
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    assert len(list(jsonschema.Draft7Validator(schema).iter_errors(doc))) == violations
+    assert _got(schema, doc) == _expected(schema, doc)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("functionals", []), ("metrics", "x"), ("m_achieved", 1.5),
+])
+def test_single_certificate_mutations_match_jsonschema(certificates, field, value):
+    doc = {**certificates[0], field: value}
+    got = _got(ser.CERT_SCHEMA, doc)
+    assert got is not None and got == _expected(ser.CERT_SCHEMA, doc)
+
+
+def test_bad_hex_float_matches_jsonschema(certificates):
+    doc = copy.deepcopy(certificates[0])
+    doc["metrics"]["ai_residual"] = "0x1.zp+0"
+    got = _got(ser.CERT_SCHEMA, doc)
+    assert got.startswith("doc invalid at metrics/ai_residual: '0x1.zp+0' does not match")
+    assert got == _expected(ser.CERT_SCHEMA, doc)
+
+
+@pytest.mark.parametrize("schema, doc", [
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1),  # valid under each branch
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1.5),
+    ({"minimum": 0, "type": "integer"}, -1.5),  # a keyword before a failed type
+    ({"type": "array", "minItems": 2, "maxItems": 0}, [1]),
+])
+def test_small_schemas_match_jsonschema(schema, doc):
+    assert _got(schema, doc) == _expected(schema, doc)
+
+
 @pytest.mark.parametrize("law, message", [
     ({"coefficients": {}, "order": 2}, "is not valid under any of the given schemas"),
     ({"zeros": {}}, "is not valid under any of the given schemas"),
