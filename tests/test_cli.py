@@ -241,7 +241,8 @@ def test_bad_build_tolerance_is_a_one_line_error(tmp_path, capsys, command, flag
 
 @pytest.mark.parametrize("tol_ai", ["-1", "0", "inf", "nan"])
 def test_verify_bad_tolerance_flag_is_a_one_line_error(tmp_path, capsys, tol_ai):
-    main(["build", "--config", _write(tmp_path / "run.json", _entire_cfg()), "--out", str(tmp_path)])
+    cfg = _write(tmp_path / "run.json", _entire_cfg())
+    main(["build", "--config", cfg, "--out", str(tmp_path)])
     capsys.readouterr()
     assert main(["verify", str(tmp_path / "run.cert.json"), "--tol-ai", tol_ai]) == 1
     out, err = capsys.readouterr()

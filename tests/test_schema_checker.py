@@ -79,9 +79,9 @@ def certificates(tmp_path_factory):
 def _paths(doc, path=()):
     """Every node of a JSON document, as the key path that reaches it."""
     yield path
-    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
-    for key, child in children:
-        yield from _paths(child, path + (key,))
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(child, path + (key,))
 
 
 def _mutate(draw, doc):
