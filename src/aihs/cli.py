@@ -282,11 +282,11 @@ def cmd_chain(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = validate_config(load_config(args.config), "sweep")
     _tolerances(args, {})  # a bad --tol-* flag stops the sweep before its first run
+    runs = [validate_config(run, "build") for run in cfg["runs"]]  # all before the first write
     rows = []
     any_fail = False
     any_flag = False
-    for idx, run in enumerate(cfg["runs"]):
-        run = validate_config(run, "build")
+    for idx, run in enumerate(runs):
         name = run.get("label") or f"run-{idx:03d}"
         try:
             op, cert = _run_certificate(run, args)

@@ -510,6 +510,8 @@ def verify_certificate(
     """
     tol = tolerances or Tolerances()
     with _stage("audit"):
+        if not np.any(cert.defect_vector):
+            raise AssumptionError("the stored defect vector is zero")
         raw, _, failed = _solve_resolvents(op, cert.defect_vector, cert.lambdas, tol)
         if failed:
             raise AssumptionError(f"stored lambda {failed[0][0]} fails its {failed[0][1]}")

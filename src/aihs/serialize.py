@@ -3,6 +3,8 @@
 Every real number inside a JSON document is a hex float (``float.hex``
 round-trips bit-exactly); complex scalars are ``{"re": hex, "im": hex}``
 and arrays are ``{"dtype", "shape", "data"}`` with flat row-major data.
+An array whose trailing rows (along its first axis) are all zero stores
+only the rows up to its last nonzero one and says how many in ``rows``.
 Documents render compact with sorted keys and no timestamps, so the same
 in-memory object always produces the same bytes; certificates are
 schema-checked on read.  CSV summaries are the human-readable side:
@@ -60,23 +62,42 @@ def _complex_doc(z: complex) -> dict:
 
 
 def encode_array(a: np.ndarray) -> dict:
-    """Tagged, shape-carrying, bit-exact array document."""
+    """Tagged, shape-carrying, bit-exact array document.
+
+    Rows along the first axis after the last row holding a nonzero value are
+    not stored; ``rows`` then counts the stored ones.  A row is zero when
+    every entry compares ``== 0``, so a trimmed ``-0.0`` reads back as
+    ``+0.0``; every stored entry but a nan round-trips bit for bit.
+    """
     a = np.asarray(a)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+    doc = {"dtype": a.dtype.name, "shape": list(a.shape)}
+    if a.ndim and a.size:
+        nonzero = np.flatnonzero(a.any(axis=tuple(range(1, a.ndim))))
+        rows = int(nonzero[-1]) + 1 if nonzero.size else 0
+        if rows < len(a):
+            doc["rows"], a = rows, a[:rows]
     if np.iscomplexobj(a):
-        data = [[_fhex(z.real), _fhex(z.imag)] for z in a.ravel()]
-        dtype = "complex128"
+        doc["data"] = list(map(list, zip(map(float.hex, a.real.ravel().tolist()),
+                                         map(float.hex, a.imag.ravel().tolist()))))
     else:
-        data = [_fhex(x) for x in a.ravel()]
-        dtype = "float64"
-    return {"dtype": dtype, "shape": list(a.shape), "data": data}
+        doc["data"] = list(map(float.hex, a.ravel().tolist()))
+    return doc
+
+
+# an array document's keys, without and with the trimmed-row count
+_ARRAY_KEYS = ({"dtype", "shape", "data"}, {"dtype", "shape", "data", "rows"})
 
 
 def decode_array(doc: dict) -> np.ndarray:
-    if not isinstance(doc, dict) or doc.keys() != {"dtype", "shape", "data"}:
-        raise ArgumentError("an array document has exactly the keys dtype, shape and data")
+    if not isinstance(doc, dict) or doc.keys() not in _ARRAY_KEYS:
+        raise ArgumentError("an array document has the keys dtype, shape, data and maybe rows")
     shape = tuple(doc["shape"])
-    if len(doc["data"]) != math.prod(shape):
-        raise ArgumentError(f"array data has {len(doc['data'])} entries for shape {shape}")
+    rows = doc.get("rows", shape[0] if shape else 1)
+    if "rows" in doc and not (shape and type(rows) is int and 0 <= rows <= shape[0]):
+        raise ArgumentError(f"array rows {rows!r} is not a count of rows in shape {shape}")
+    if len(doc["data"]) != rows * math.prod(shape[1:]):
+        raise ArgumentError(f"array data has {len(doc['data'])} entries for {rows} rows of {shape}")
     if doc["dtype"] == "complex128":
         parts = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(doc["data"])), float)
         if parts.size != 2 * len(doc["data"]):
@@ -86,7 +107,9 @@ def decode_array(doc: dict) -> np.ndarray:
         flat = np.array([float.fromhex(x) for x in doc["data"]], dtype=np.float64)
     else:
         raise ArgumentError(f"unknown array dtype {doc['dtype']!r}")
-    return flat.reshape(shape)
+    out = np.zeros(shape, flat.dtype)
+    out.reshape(-1)[:flat.size] = flat  # the rows not stored are zero
+    return out
 
 
 def encode_value(value):
@@ -130,7 +153,7 @@ def decode_value(value):
     if isinstance(value, dict):
         if value.keys() == {"re", "im"}:
             return complex(float.fromhex(value["re"]), float.fromhex(value["im"]))
-        if value.keys() == {"dtype", "shape", "data"}:
+        if value.keys() in _ARRAY_KEYS:
             return decode_array(value)
         return {k: decode_value(v) for k, v in value.items()}
     if isinstance(value, list):

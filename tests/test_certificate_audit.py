@@ -29,18 +29,18 @@ from aihs.operators import (
 )
 
 
-def _entire_cfg():
+def _entire_cfg(dim=64, label="entire"):
     return {
         "schema": "aihs-run/1",
         "operator": {
             "family": "forward-weighted-shift",
-            "dim": 64,
+            "dim": dim,
             "weights": {"kind": "geometric", "params": {"ratio": 0.9}},
         },
         "construction": "entire",
         "m": 3,
         "k_max": 2,
-        "label": "entire",
+        "label": label,
     }
 
 
@@ -65,9 +65,14 @@ def _blaschke_cfg():
 
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
-    """route -> (clean document, a path to write mutated copies to)."""
+    """route -> (clean document, a path to write mutated copies to).
+
+    At N = 256 the entire route's orbit saturates at L = 81, so that
+    certificate ("trimmed") stores its raw vectors without their zero tail.
+    """
     out = {}
-    for route, cfg in (("entire", _entire_cfg()), ("blaschke", _blaschke_cfg())):
+    for route, cfg in (("entire", _entire_cfg()), ("blaschke", _blaschke_cfg()),
+                       ("trimmed", _entire_cfg(256, "trimmed"))):
         work = tmp_path_factory.mktemp(route)
         (work / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["build", "--config", str(work / "cfg.json"), "--out", str(work)]) == 0
@@ -183,6 +188,26 @@ def dual_vector_entry(doc):
     pair[0] = _shifted(pair[0], 1e-3)
 
 
+def _cut_before_largest_row(get):
+    """An array's ``rows`` cut to just before its largest row, its data cut to match.
+
+    Dropping only the last stored row is no material change: that row sits at
+    round-off scale (a subnormal in raw columns whose largest entries are
+    1e22 to 1e33, about 1e-77 in a dual vector led by 2.0), so the audit
+    reads it as no change.
+    """
+    def mutate(doc):
+        arr = get(doc)
+        a = _array(arr)
+        arr["rows"] = int(np.argmax(np.abs(a).reshape(len(a), -1).max(axis=1)))
+        arr["data"] = arr["data"][:arr["rows"] * math.prod(arr["shape"][1:])]
+    return mutate
+
+
+def zero_defect_rows(doc):
+    doc["defect_vector"]["rows"], doc["defect_vector"]["data"] = 0, []
+
+
 def _metric(name):
     def mutate(doc):
         doc["metrics"][name] = _shifted(doc["metrics"][name], 1e-6)
@@ -221,6 +246,7 @@ def swapped_functional_indices(doc):
 
 
 _BOTH = ("entire", "blaschke")
+_ALL = (*_BOTH, "trimmed")
 MUTATIONS = [
     ("tiny-orthogonal-duals", tiny_orthogonal_duals, _BOTH),
     ("scaled-annihilation", scaled_annihilation, _BOTH),
@@ -235,6 +261,10 @@ MUTATIONS = [
     ("raw-vector-small-column", small_column_entry, _BOTH),
     ("defect-vector-entry", defect_vector_entry, _BOTH),
     ("dual-vector-entry", dual_vector_entry, _BOTH),
+    ("raw-vector-rows-cut", _cut_before_largest_row(lambda doc: doc["raw_vectors"]), _ALL),
+    ("dual-vector-rows-cut",
+     _cut_before_largest_row(lambda doc: doc["functionals"][0]["dual_vector"]), _ALL),
+    ("defect-vector-rows-zero", zero_defect_rows, _ALL),
     *[(f"metric-{name}", _metric(name), _BOTH)
       for name in (*(n for n in _CHECKS if n != "ai_defect_rank"), "annihilation_scale")],
     ("metric-ai_defect_rank", defect_rank, _BOTH),
@@ -359,14 +389,44 @@ def malformed_exclusion(doc):
     doc["excluded_lambdas"] = [{"reason": "noise-floor"}]
 
 
+def _trimmed_raw_vectors(doc) -> dict:
+    raw = doc["raw_vectors"]
+    assert raw["rows"] < raw["shape"][0]  # the fixture stores a zero tail trimmed
+    return raw
+
+
+def rows_above_shape(doc):
+    raw = _trimmed_raw_vectors(doc)
+    width = raw["shape"][1]
+    raw["data"] += [["0x0.0p+0", "0x0.0p+0"]] * width * (raw["shape"][0] + 1 - raw["rows"])
+    raw["rows"] = raw["shape"][0] + 1
+
+
+def negative_rows(doc):
+    _trimmed_raw_vectors(doc)["rows"] = -1
+
+
+def boolean_rows(doc):
+    raw = _trimmed_raw_vectors(doc)
+    raw["rows"], raw["data"] = True, raw["data"][:raw["shape"][1]]  # one row's data
+
+
+def full_length_trimmed_data(doc):
+    """The trimmed raw vectors written back with every row, zeros included; rows kept."""
+    raw = _trimmed_raw_vectors(doc)
+    raw["data"] = [[z.real.hex(), z.imag.hex()] for z in _array(raw).ravel().tolist()]
+
+
+# these need a certificate whose raw vectors are stored trimmed
+ROWS_MALFORMED = [rows_above_shape, negative_rows, boolean_rows, full_length_trimmed_data]
 MALFORMED = [transposed_raw_vectors, empty_functionals, string_in_metrics, bad_hex, short_data,
              stored_basis, old_schema, string_rank, array_without_shape, functional_without_dual,
-             malformed_exclusion]
+             malformed_exclusion, *ROWS_MALFORMED]
 
 
 @pytest.mark.parametrize("mutate", MALFORMED, ids=[m.__name__ for m in MALFORMED])
 def test_malformed_certificate_is_a_one_line_error(docs, capsys, mutate):
-    doc, path = docs["entire"]
+    doc, path = docs["trimmed" if mutate in ROWS_MALFORMED else "entire"]
     doc = copy.deepcopy(doc)
     mutate(doc)
     capsys.readouterr()

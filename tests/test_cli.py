@@ -470,6 +470,31 @@ def test_sweep_continues_past_failure(tmp_path):
     assert set(rows[0]) == set(SWEEP_CSV_COLUMNS)
 
 
+def test_sweep_checks_every_run_before_writing(tmp_path, capsys):
+    # a dense run without its matrix passes the schema but not the semantic check
+    malformed = _entire_cfg(label="no-matrix")
+    malformed["operator"] = {"family": "dense", "dim": 8}
+    cfg = _write(tmp_path / "sweep.json", {"runs": [_entire_cfg(label="fine"), malformed]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'matrix'" in err
+    assert not out.exists()
+
+
+def test_sweep_run_with_an_infinite_tolerance_is_an_error_row(tmp_path):
+    bad = _entire_cfg(label="inf-tol")
+    bad["tolerances"] = {"tol_ai": "@"}
+    path = tmp_path / "sweep.json"
+    text = json.dumps({"runs": [bad, _entire_cfg(label="fine")], "label": "tol"})
+    path.write_text(text.replace('"@"', "1e999"), encoding="utf-8")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 1
+    with (tmp_path / "tol.sweep.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["status"].startswith("error: tolerance tol_ai must be a finite number > 0")
+    assert rows[1]["status"] == "pass"
+
+
 def test_probe_dense_table(tmp_path):
     cfg = _write(
         tmp_path / "probe.json",

@@ -2,11 +2,15 @@ import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aihs import serialize as ser
+from aihs.cli import main
 from aihs.errors import ArgumentError
 from aihs.halfspace import build_blaschke, build_entire, verify_certificate
 from aihs.operators import Family, build_operator, geometric_weights
@@ -57,6 +61,97 @@ def test_empty_array_keeps_shape():
     a = np.zeros((0, 3), dtype=np.complex128)
     b = ser.decode_array(ser.encode_array(a))
     assert b.shape == (0, 3) and b.dtype == np.complex128
+
+
+@st.composite
+def _arrays(draw):
+    """float64 or complex128 arrays with nan/inf, signed zeros and zero rows."""
+    complex_ = draw(st.booleans())
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(), (0,), (n,), (n, k), (0, k)]))
+    parts = (*shape, 2) if complex_ else shape
+    values = draw(st.lists(st.floats(width=64), min_size=math.prod(parts),
+                           max_size=math.prod(parts)))
+    real = np.array(values, dtype=np.float64).reshape(parts)
+    if shape and shape[0]:
+        tail = draw(st.integers(0, shape[0]))  # shape[0] makes the whole array zero
+        zero = draw(st.sets(st.integers(0, shape[0] - 1))) | set(range(shape[0] - tail, shape[0]))
+        for row in zero:  # each zero keeps the sign of the value it replaces
+            real[row] = np.copysign(0.0, real[row])
+    return real.view(np.complex128)[..., 0] if complex_ else real
+
+
+def _bits(x: np.ndarray) -> bytes:
+    """The float64 bits of x; float.hex spells every nan "nan", so nans compare as one."""
+    parts = x.reshape(-1).view(np.float64)
+    return np.where(np.isnan(parts), np.nan, parts).tobytes()
+
+
+@given(_arrays())
+def test_array_round_trip_property(a):
+    doc = ser.encode_array(a)
+    b = ser.decode_array(json.loads(json.dumps(doc)))
+    assert b.dtype == a.dtype and b.shape == a.shape
+    assert np.array_equal(a, b, equal_nan=True)  # by value everywhere: -0.0 == +0.0
+    rows = doc.get("rows", len(a) if a.ndim else None)
+    stored = slice(rows) if a.ndim else ()
+    assert _bits(a[stored]) == _bits(b[stored])  # bit for bit on the stored rows
+    last_row_zero = a.ndim > 0 and len(a) > 0 and not np.any(a[-1] != 0)
+    assert ("rows" in doc) == last_row_zero
+    if last_row_zero:
+        assert not np.any(a[rows:] != 0) and (rows == 0 or np.any(a[rows - 1] != 0))
+
+
+def test_untrimmed_array_documents_keep_their_bytes():
+    a = np.array([[-0.0, 1.5], [0.0, 0.0], [math.inf, -2.0**-1074]])
+    assert ser.encode_array(a) == {"dtype": "float64", "shape": [3, 2], "data": [
+        "-0x0.0p+0", "0x1.8000000000000p+0", "0x0.0p+0", "0x0.0p+0", "inf",
+        "-0x0.0000000000001p-1022"]}
+    z = np.array([complex(0.25, -0.0), complex(math.nan, -3.0)])
+    assert ser.encode_array(z) == {"dtype": "complex128", "shape": [2], "data": [
+        ["0x1.0000000000000p-2", "-0x0.0p+0"], ["nan", "-0x1.8000000000000p+1"]]}
+
+
+def test_trailing_zero_rows_are_not_stored():
+    doc = ser.encode_array(np.array([[1.0, 0.0], [0.0, -0.0], [-0.0, 0.0]]))
+    assert doc == {"dtype": "float64", "shape": [3, 2], "rows": 1,
+                   "data": ["0x1.0000000000000p+0", "0x0.0p+0"]}
+    back = ser.decode_value(doc)
+    assert back.shape == (3, 2) and not np.signbit(back[1:]).any()  # a trimmed zero is +0.0
+
+
+@pytest.mark.parametrize("rows, data, shape, message", [
+    (4, 4, [3], "rows 4"), (1, 1, [0], "rows 1"), (-1, 0, [3], "rows -1"),
+    (True, 1, [3], "rows True"), (1.0, 1, [3], "rows 1.0"), ("1", 1, [3], "rows '1'"),
+    (None, 0, [3], "rows None"), (0, 0, [], "rows 0"), (1, 3, [3], "3 entries"),
+])
+def test_bad_rows_is_rejected(rows, data, shape, message):
+    doc = {"dtype": "float64", "shape": shape, "rows": rows, "data": ["0x1.0p+0"] * data}
+    with pytest.raises(ArgumentError, match=message):
+        ser.decode_array(doc)
+
+
+def _entire_certificate(tmp_path, dim: int, ratio: float) -> Path:
+    """The certificate ``aihs build`` writes for a forward geometric shift, m = 8, k_max = 5."""
+    label = f"n{dim}-r{round(ratio * 1e4)}"
+    cfg = {"schema": "aihs-run/1", "construction": "entire", "m": 8, "k_max": 5, "seed": 0,
+           "label": label, "operator": {"family": "forward-weighted-shift", "dim": dim, "weights": {
+               "kind": "geometric", "params": {"ratio": ratio}}}}
+    (tmp_path / "run.json").write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["build", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path)]) == 0
+    return tmp_path / f"{label}.cert.json"
+
+
+def test_certificate_size_grows_with_the_orbit_not_the_dimension(tmp_path):
+    def bytes_without_weights(dim):
+        text = _entire_certificate(tmp_path, dim, 0.9).read_text(encoding="utf-8")
+        return len(text) - len(ser.dumps_canonical(json.loads(text)["operator"]["weights"]))
+
+    # the orbit saturates at L = 81 at both sizes; only the weights grow with N
+    small, large = bytes_without_weights(1024), bytes_without_weights(4096)
+    assert abs(large - small) <= 0.05 * small
+    # the benchmark's seed-0 entire-n1024 input: 467 725 bytes with every row stored
+    assert _entire_certificate(tmp_path, 1024, 0.9175).stat().st_size < 135_000
 
 
 def test_value_walker_mixed_dict():
