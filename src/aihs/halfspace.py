@@ -39,8 +39,8 @@ from .entire import (
     find_zeros,
 )
 from .errors import AihsError, ArgumentError, AssumptionError, SingularResolventError, StageError
-from ._linalg import min_norm_dual, numerical_rank, qr_basis, smallest_singular_value, unit_columns
-from .operators import OperatorModel, OrbitData, compute_orbit, matrix_digest, orbit_walk, _readonly
+from ._linalg import numerical_rank, qr_basis, smallest_singular_value, unit_columns
+from .operators import OperatorModel, OrbitData, compute_orbit, matrix_digest, orbit_form, _readonly
 from .resolvent import ResolventSolver, filter_lambda_gap
 
 __all__ = [
@@ -228,6 +228,10 @@ def _select_lambdas(
     without it, far-out zeros of saturated coefficient tails would certify
     nothing.  Excluded zeros are recorded with reasons, and a shortfall
     reports a reduced m rather than failing.
+
+    Moduli equal within ``tol_zero``, the zero finder's relative accuracy,
+    tie, and the member with Im >= 0 ranks higher, so a conjugate pair cut
+    at the m-th place always gives the same member.
     """
     excluded: list = []
     survivors = []
@@ -247,7 +251,11 @@ def _select_lambdas(
             "raise the truncation or lower k_max"
         )
     survivors.sort(key=abs)
-    return np.array(survivors[-m:], dtype=np.complex128), excluded
+    tier = [0]  # a modulus within tol_zero of the one below shares its tier
+    for below, lam in zip(survivors, survivors[1:]):
+        tier.append(tier[-1] + (abs(lam) - abs(below) > tol.tol_zero * abs(lam)))
+    ranked = sorted(range(len(survivors)), key=lambda i: (tier[i], survivors[i].imag >= 0))
+    return np.array([survivors[i] for i in ranked[-m:]], dtype=np.complex128), excluded
 
 
 def _solve_resolvents(
@@ -270,7 +278,7 @@ def _solve_resolvents(
 def compute_metrics(
     op: OperatorModel,
     e: np.ndarray,
-    orbit_vectors: np.ndarray,
+    orbit: OrbitData,
     raw_vectors: np.ndarray,
     lambdas: np.ndarray,
     duals: np.ndarray,
@@ -281,14 +289,14 @@ def compute_metrics(
     """(metrics, checks) from a certificate's inputs.
 
     The one derivation behind the builders and the audit.  Inputs: the orbit
-    rows x_0..x_{L-1}, the resolvent vectors and the dual vectors (columns),
-    and the law, which prescribes the orbit values and references.  Y's
+    x_0..x_{L-1} in its form, the resolvent vectors and the dual vectors
+    (columns), and the law, which prescribes the orbit values and references.  Y's
     basis is ``qr_basis`` of the resolvent vectors.  ``ai_defect_rank`` is
     the rank excess of [T*basis | basis | e] over [basis | e].  The
     annihilation residual is divided by (1+max|lambda|)^(k_max+1)*max|c_i|,
     the round-off growth of lambda^(k+1)*F(lambda).
     """
-    rows = law.orbit_values(k_max, orbit_vectors.shape[0])
+    rows = law.orbit_values(k_max, orbit.length)
     refs = law.references(rows, lambdas)
     scale = (1.0 + float(np.max(np.abs(lambdas)))) ** (k_max + 1) * law.coefficient_max()
     basis = qr_basis(raw_vectors)
@@ -299,7 +307,7 @@ def compute_metrics(
     inner = duals.conj().T @ raw_vectors  # inner[j, n] = f_j(h(lambda_n))
     if law.construction == "Blaschke":
         inner = inner - refs
-    replayed = duals.conj().T @ orbit_vectors.T  # replayed[j, i] = f_j(x_i)
+    replayed = orbit.replay(duals)  # replayed[j, i] = f_j(x_i)
     extension = float(np.max(np.abs(replayed - rows))) / max(float(np.max(np.abs(rows))), 1e-300)
 
     metrics = {
@@ -322,10 +330,9 @@ def _certify(op, e, orbit: OrbitData, raw, lambdas, excluded, law, k_max, tol, *
     """The builders' tail: the dual vectors, then the rest; ``fields`` are the route's."""
     with _stage("functionals"):
         rows = law.orbit_values(k_max, orbit.length)
-        duals = min_norm_dual(orbit.q, orbit.r_inverse, orbit.scales, rows.T)  # (dim, k)
+        duals = orbit.min_norm_duals(rows.T)  # (dim, k)
     with _stage("metrics"):
-        metrics, checks = compute_metrics(
-            op, e, orbit.vectors, raw, lambdas, duals, law, k_max, tol)
+        metrics, checks = compute_metrics(op, e, orbit, raw, lambdas, duals, law, k_max, tol)
     return HalfSpaceCertificate(
         law=law,
         operator_config=_operator_echo(op),
@@ -501,8 +508,9 @@ def verify_certificate(
 ) -> dict:
     """From-scratch audit: derive everything from the stored inputs and diff against stored.
 
-    Re-solves the resolvent vectors and walks the orbit (no norm stage), whose
-    length must be the stored one, then derives the rest with :func:`compute_metrics`.
+    Re-solves the resolvent vectors and walks the orbit in its form (no norm
+    stage), whose length must be the stored one, then derives the rest with
+    :func:`compute_metrics`.
     Each stored metric must agree within ``tol_audit``, each stored check
     must carry the verdict its derived value earns against its stored
     threshold, and each derived value must pass the audit's own thresholds.
@@ -515,13 +523,13 @@ def verify_certificate(
         raw, _, failed = _solve_resolvents(op, cert.defect_vector, cert.lambdas, tol)
         if failed:
             raise AssumptionError(f"stored lambda {failed[0][0]} fails its {failed[0][1]}")
-        vectors = orbit_walk(op, cert.defect_vector, op.dim)
-        if len(vectors) != cert.orbit_length:
-            raise AssumptionError(f"the orbit has {len(vectors)} vectors above the floor, "
+        orbit = orbit_form(op, cert.defect_vector, op.dim)
+        if orbit.length != cert.orbit_length:
+            raise AssumptionError(f"the orbit has {orbit.length} vectors above the floor, "
                                   f"not the stored {cert.orbit_length}")
         duals = np.stack([f.dual_vector for f in cert.functionals], axis=1)
         metrics, checks = compute_metrics(
-            op, cert.defect_vector, vectors, raw, cert.lambdas, duals, cert.law, cert.k_max, tol
+            op, cert.defect_vector, orbit, raw, cert.lambdas, duals, cert.law, cert.k_max, tol
         )
 
     def drift(stored, recomputed) -> float:

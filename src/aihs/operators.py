@@ -33,8 +33,11 @@ __all__ = [
     "Family",
     "OperatorModel",
     "OrbitData",
+    "DenseOrbit",
+    "CoordinateOrbit",
     "build_operator",
     "compute_orbit",
+    "orbit_form",
     "orbit_walk",
     "max_orbit_length",
     "matrix_digest",
@@ -236,15 +239,18 @@ def _power_root(gram, start: np.ndarray, iters: int = 12) -> float:
     return root
 
 
-def _check_weights(family: Family, weights, dim: int) -> tuple[complex, ...]:
+def _check_weights(family: Family, weights, dim: int) -> tuple[tuple[complex, ...], np.ndarray]:
+    """The weights as a tuple and as a read-only array, checked."""
     w = tuple(complex(x) for x in weights)
     if len(w) != dim - 1:
         raise ArgumentError(
             f"{family.value} at dim {dim} needs {dim - 1} weights, got {len(w)}"
         )
-    for i, x in enumerate(w):
-        if x == 0:
-            raise ArgumentError(f"weight {i + 1} is zero; all weights must be nonzero")
+    array = _readonly(w)
+    bad = np.flatnonzero((array == 0) | ~np.isfinite(array))
+    if bad.size:  # the orbit walks read the weights as finite and nonzero
+        i = int(bad[0])
+        raise ArgumentError(f"weight {i + 1} is {w[i]}; all weights must be finite and nonzero")
     if family is Family.DONOGHUE:
         mods = [abs(x) for x in w]
         for i in range(len(mods) - 1):
@@ -253,7 +259,7 @@ def _check_weights(family: Family, weights, dim: int) -> tuple[complex, ...]:
                     "Donoghue weights must be strictly decreasing in modulus; "
                     f"|w_{i + 1}| = {mods[i]:.6g} vs |w_{i + 2}| = {mods[i + 1]:.6g}"
                 )
-    return w
+    return w, array
 
 
 def build_operator(
@@ -296,8 +302,8 @@ def build_operator(
         raise ArgumentError(f"{family.value} takes weights, not a matrix")
     if weights is None:
         raise ArgumentError(f"{family.value} requires weights")
-    w = _check_weights(family, weights, dim)
-    return OperatorModel(family, w, dim, _readonly(w))
+    w, array = _check_weights(family, weights, dim)
+    return OperatorModel(family, w, dim, array)
 
 
 # ----------------------------------------------------------------------------
@@ -385,33 +391,108 @@ def operator_from_config(cfg: dict, rng: np.random.Generator | None = None) -> O
 
 @dataclass(frozen=True, eq=False)
 class OrbitData:
-    """A finite forward orbit, its one QR factor and its biorthogonal norms.
+    """A finite forward orbit ``x_n = T^n e``, its biorthogonal norms and duals.
+
+    An orbit takes one of two forms, which :func:`orbit_form` picks from the
+    operator's family and the seed's support alone:
+
+    * :class:`CoordinateOrbit`, a shift family seeded at ``c e_j``: each
+      ``x_n = a_n e_{p_n}`` is a scaled basis vector, so the orbit is
+      orthogonal.  Nothing is factored: ``r_n = 1 / |a_n|``, and the
+      minimum-norm dual for values ``v`` is ``f = sum_n conj(v_n / a_n) e_{p_n}``.
+    * :class:`DenseOrbit`, every other orbit: its rows, factored once.
+
+    Both forms give ``length``, ``biorthogonal_norms`` (``r_n = 1 /
+    dist(x_n, span of the others)``, the norm of the n-th coordinate
+    functional of the minimal orbit), ``min_norm_duals(values)`` (the
+    minimum-norm ``f`` with ``f^H x_n = values[n]``, for one vector of ``L``
+    values or an ``(L, k)`` block, giving ``(dim,)`` or ``(dim, k)``),
+    ``replay(duals)`` (``f_j(x_n)`` for dual columns, shape ``(k, L)``) and
+    ``vectors``, the ``(L, dim)`` rows ``x_n``.
+    """
+
+    dim: int
+
+
+@dataclass(frozen=True, eq=False)
+class DenseOrbit(OrbitData):
+    """The orbit rows ``vectors``, shape ``(length, dim)``, and their one QR factor.
 
     With ``s_n = ||x_n||``, ``X_s = Q R`` factors the orbit with unit columns
     ``x_n / s_n``.  The functionals dual to the orbit are the rows of
-    ``pinv(X) = S^-1 R^-1 Q^H``: their norms and their minimum-norm dual
-    vectors (:func:`aihs._linalg.min_norm_dual`) both come from this factor.
-
-    Attributes
-    ----------
-    vectors : numpy.ndarray
-        Shape ``(length, dim)``; row ``n`` is ``x_n = T^n x_0``.
-    biorthogonal_norms : numpy.ndarray
-        ``r_n = 1 / dist(x_n, span of the others) = ||row n of R^-1|| / s_n``,
-        the norm of the n-th coordinate functional of the (minimal) orbit.
-    q, r_inverse, scales : numpy.ndarray
-        ``Q`` (``dim x length``), the upper triangular ``R^-1`` and ``s``.
+    ``pinv(X) = S^-1 R^-1 Q^H``: the norms ``r_n = ||row n of R^-1|| / s_n``
+    and the duals (:func:`aihs._linalg.min_norm_dual`) both come from
+    ``factor``, computed on first use.  Replaying duals reads only the rows.
     """
 
     vectors: np.ndarray
-    biorthogonal_norms: np.ndarray
-    q: np.ndarray
-    r_inverse: np.ndarray
-    scales: np.ndarray
 
     @property
     def length(self) -> int:
         return self.vectors.shape[0]
+
+    @functools.cached_property
+    def factor(self) -> tuple[np.ndarray, ...]:
+        """``(r, Q, R^-1, s)``; raises ``MinimalityError`` as :func:`compute_orbit` says."""
+        return _biorthogonal_norms(self.vectors)
+
+    @property
+    def biorthogonal_norms(self) -> np.ndarray:
+        return self.factor[0]
+
+    def min_norm_duals(self, values) -> np.ndarray:
+        from ._linalg import min_norm_dual  # _linalg imports config, which imports this module
+
+        return min_norm_dual(*self.factor[1:], values)
+
+    def replay(self, duals: np.ndarray) -> np.ndarray:
+        return duals.conj().T @ self.vectors.T
+
+
+@dataclass(frozen=True, eq=False)
+class CoordinateOrbit(OrbitData):
+    """A shift orbit seeded at a basis vector: ``x_n = amplitudes[n] e_{positions[n]}``.
+
+    The duals are written in closed form, their ``-0.0`` entries as ``+0.0``,
+    and a replay reads one entry of each dual per orbit vector, so no
+    ``(L, dim)`` array is formed.  ``vectors`` builds one on each access,
+    for callers that want the rows.
+    """
+
+    positions: np.ndarray
+    amplitudes: np.ndarray
+
+    @property
+    def length(self) -> int:
+        return self.amplitudes.size
+
+    @functools.cached_property
+    def biorthogonal_norms(self) -> np.ndarray:
+        norms = 1.0 / np.abs(self.amplitudes)
+        norms.setflags(write=False)
+        return norms
+
+    def min_norm_duals(self, values) -> np.ndarray:
+        v = np.asarray(values, dtype=np.complex128)
+        if v.ndim not in (1, 2) or v.shape[0] != self.length:
+            raise ValueError(f"expected {self.length} values per column, got {v.shape}")
+        out = np.zeros((self.dim,) + v.shape[1:], dtype=np.complex128)
+        a = self.amplitudes.reshape((-1,) + (1,) * (v.ndim - 1))
+        # conj(0 / a) has a -0.0 imaginary part; adding +0.0 makes it +0.0
+        out[self.positions] = np.conj(v / a) + 0.0
+        return out
+
+    def replay(self, duals: np.ndarray) -> np.ndarray:
+        return (duals[self.positions].conj() * self.amplitudes[:, None]).T
+
+    @property
+    def vectors(self) -> np.ndarray:
+        out = np.zeros((self.length, self.dim), dtype=np.complex128)
+        out[np.arange(self.length), self.positions] = self.amplitudes
+        return out
+
+
+_FLOOR_SQUARED = ORBIT_NORM_FLOOR**2
 
 
 def _alive(x: np.ndarray) -> bool:
@@ -419,15 +500,30 @@ def _alive(x: np.ndarray) -> bool:
     decides it unless ``||x||^2`` is not finite (inf or nan entries, or overflow)."""
     squared = np.vdot(x, x).real
     if math.isfinite(squared):
-        return squared >= ORBIT_NORM_FLOOR**2
+        return squared >= _FLOOR_SQUARED
     return bool(np.linalg.norm(x) >= ORBIT_NORM_FLOOR and np.all(np.isfinite(x)))
+
+
+def _entry_alive(a: complex, position: int, dim: int) -> bool:
+    """:func:`_alive` of the vector ``a e_position``, read off its one entry.
+
+    ``re^2 + im^2`` is the sum ``vdot`` takes.  Within a few ulps of the
+    floor its rounding order could decide, so there, and for a nan entry,
+    :func:`_alive` runs on the vector itself.
+    """
+    squared = a.real * a.real + a.imag * a.imag
+    if abs(squared - _FLOOR_SQUARED) > 1e-15 * _FLOOR_SQUARED:  # false for nan
+        return squared >= _FLOOR_SQUARED and math.isfinite(a.real) and math.isfinite(a.imag)
+    x = np.zeros(dim, dtype=np.complex128)
+    x[position] = a
+    return _alive(x)
 
 
 def orbit_walk(op: OperatorModel, seed: np.ndarray, cap: int) -> np.ndarray:
     """Rows ``x_0, x_1, ...`` of the orbit ``x_n = T^n seed``, shape ``(count, dim)``.
 
     At most ``cap`` rows, stopping before the first vector that is below
-    ``ORBIT_NORM_FLOOR`` or not finite.  Every orbit is walked here.
+    ``ORBIT_NORM_FLOOR`` or not finite.  One matvec per row.
     """
     x = np.asarray(seed, dtype=np.complex128)
     rows = []
@@ -437,18 +533,66 @@ def orbit_walk(op: OperatorModel, seed: np.ndarray, cap: int) -> np.ndarray:
     return np.array(rows, dtype=np.complex128).reshape(-1, x.size)
 
 
+def _coordinate_walk(op: OperatorModel, seed: np.ndarray, j: int, cap: int) -> CoordinateOrbit:
+    """The orbit of ``seed = c e_j`` under a shift: ``x_n = a_n e_{j +- n}``.
+
+    ``a_n`` is a running product of the weights, up the index for the
+    forward shift and down it for Donoghue.  Each step is the one-entry
+    ``numpy.multiply(w, a)`` that :meth:`OperatorModel.apply` runs on the
+    whole vector, so the amplitudes equal :func:`orbit_walk`'s bit for bit,
+    and the walk stops where it does.
+    """
+    forward = op.family is Family.FORWARD
+    step = 1 if forward else -1
+    count = min(cap, op.dim - j if forward else j + 1)  # the walk leaves the index range
+    amplitudes = np.empty(count, dtype=np.complex128)
+    amplitudes[0] = seed[j]
+    length = int(_alive(seed))
+    while 0 < length < count:
+        position = j + step * length
+        k = position - 1 if forward else position  # the weight into e_position
+        np.multiply(op._array[k:k + 1], amplitudes[length - 1:length],
+                    out=amplitudes[length:length + 1])
+        if not _entry_alive(complex(amplitudes[length]), position, op.dim):
+            break
+        length += 1
+    positions = np.arange(j, j + step * length, step)
+    amplitudes = amplitudes[:length]
+    for a in (positions, amplitudes):
+        a.setflags(write=False)
+    return CoordinateOrbit(op.dim, positions, amplitudes)
+
+
+def orbit_form(op: OperatorModel, seed: np.ndarray, cap: int) -> OrbitData:
+    """The orbit ``x_n = T^n seed``, walked to at most ``cap`` vectors, not factored.
+
+    A shift family seeded at exactly one nonzero entry gives a
+    :class:`CoordinateOrbit`; every other pair gives a :class:`DenseOrbit`
+    of :func:`orbit_walk`'s rows.  Both stop at the same vector.
+    """
+    e = np.asarray(seed, dtype=np.complex128).reshape(-1)
+    support = np.flatnonzero(e)
+    if op.family is not Family.DENSE and support.size == 1:
+        return _coordinate_walk(op, e, int(support[0]), cap)
+    vectors = orbit_walk(op, e, cap)
+    vectors.setflags(write=False)
+    return DenseOrbit(op.dim, vectors)
+
+
 def max_orbit_length(op: OperatorModel, seed: np.ndarray, cap: int) -> int:
     """Longest orbit ``x_0 .. x_{L-1}`` (``L <= cap``) whose vectors all stay above the floor."""
-    return len(orbit_walk(op, seed, cap))
+    return orbit_form(op, seed, cap).length
 
 
 def compute_orbit(op: OperatorModel, seed: np.ndarray, cap: int) -> OrbitData:
-    """The orbit ``x_n = T^n e``, walked once (at most ``cap`` vectors) and factored once.
+    """The orbit ``x_n = T^n e`` (at most ``cap`` vectors) with its norms, in its form.
 
-    The factor costs O(L^3) for ``L`` vectors: one QR and one triangular
-    inverse (see :class:`OrbitData`).  The orbit is minimal when every
-    ``dist(x_n, others) = s_n / ||row n of R^-1||``, to the exact span of the
-    others with no rank truncation, is at least ``MINIMALITY_RTOL * s_n``.
+    :func:`orbit_form` picks the form from structure.  A coordinate orbit
+    costs O(L) and is always minimal.  A dense orbit is walked once and
+    factored once, in O(L^3): one QR and one triangular inverse (see
+    :class:`DenseOrbit`).  It is minimal when every ``dist(x_n, others) =
+    s_n / ||row n of R^-1||``, to the exact span of the others with no rank
+    truncation, is at least ``MINIMALITY_RTOL * s_n``.
 
     Raises
     ------
@@ -466,15 +610,15 @@ def compute_orbit(op: OperatorModel, seed: np.ndarray, cap: int) -> OrbitData:
         raise ArgumentError(f"seed shape {e.shape} != ({op.dim},)")
     if not 1 <= cap <= op.dim:
         raise ArgumentError(f"orbit cap must satisfy 1 <= cap <= dim, got {cap}")
-    vectors = orbit_walk(op, e, cap)
-    if not len(vectors):
+    orbit = orbit_form(op, e, cap)
+    if not orbit.length:
         raise ArgumentError("seed vector must be finite with norm at least ORBIT_NORM_FLOOR")
-    vectors.setflags(write=False)
-    return OrbitData(vectors, *_biorthogonal_norms(vectors))
+    orbit.biorthogonal_norms  # factors a dense orbit, which checks its minimality
+    return orbit
 
 
 def _biorthogonal_norms(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(r, Q, R^-1, s)`` of the orbit rows, in :class:`OrbitData`'s terms.
+    """``(r, Q, R^-1, s)`` of the orbit rows, in :class:`DenseOrbit`'s terms.
 
     ``r_n = ||row n of R^-1|| / s_n``; see :func:`compute_orbit` for the
     minimality test.  Every returned array is read-only.

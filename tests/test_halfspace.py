@@ -5,7 +5,13 @@ import pytest
 
 from aihs.config import Tolerances
 from aihs.errors import ArgumentError, StageError
-from aihs.halfspace import build_blaschke, build_entire, compute_metrics, verify_certificate
+from aihs.halfspace import (
+    _select_lambdas,
+    build_blaschke,
+    build_entire,
+    compute_metrics,
+    verify_certificate,
+)
 from aihs.operators import Family, build_operator, compute_orbit, geometric_weights
 from aihs.serialize import read_certificate, write_certificate
 from aihs._linalg import unit_columns
@@ -138,9 +144,9 @@ def test_certificate_invariant_under_basis_rotation(geometric_cert):
     )
     # the basis is derived from the resolvent vectors: a rotated spanning
     # set spans the same Y, so the span-level metrics agree
-    vectors = compute_orbit(op, cert.defect_vector, cert.orbit_length).vectors
+    orbit = compute_orbit(op, cert.defect_vector, cert.orbit_length)
     duals = np.stack([f.dual_vector for f in cert.functionals], axis=1)
-    rotated, *_ = compute_metrics(op, cert.defect_vector, vectors,
+    rotated, *_ = compute_metrics(op, cert.defect_vector, orbit,
                                   unit_columns(cert.raw_vectors) @ q, cert.lambdas, duals,
                                   cert.law, cert.k_max, Tolerances())
     for name in ("ai_defect_rank", "ai_residual"):
@@ -292,9 +298,9 @@ def test_metrics_do_not_depend_on_basis_layout(tmp_path):
     # certificate gives must equal the build's bit for bit.
     cert = build_blaschke(op, e, m=4, m_max=3)
     back = read_certificate(write_certificate(tmp_path / "ill.cert.json", cert))
-    vectors = compute_orbit(op, e, back.orbit_length).vectors
+    orbit = compute_orbit(op, e, back.orbit_length)
     duals = np.stack([f.dual_vector for f in back.functionals], axis=1)
-    metrics, _ = compute_metrics(op, back.defect_vector, vectors, back.raw_vectors,
+    metrics, _ = compute_metrics(op, back.defect_vector, orbit, back.raw_vectors,
                                  back.lambdas, duals, back.law, back.k_max, Tolerances())
     assert metrics == cert.metrics
     assert np.array_equal(back.basis, cert.basis)
@@ -302,3 +308,27 @@ def test_metrics_do_not_depend_on_basis_layout(tmp_path):
     entry = verify_certificate(op, back)["metrics"]["ai_residual"]
     assert entry["agrees"]
     assert not entry["threshold_passed"]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["upper-first", "lower-first"])
+@pytest.mark.parametrize("larger", [0, 1], ids=["upper-larger", "lower-larger"])
+def test_a_conjugate_pair_cut_at_m_keeps_the_upper_member(larger, reverse):
+    # the moduli of a conjugate pair from a real law differ by round-off;
+    # whichever is an ulp larger, and in either order, the Im >= 0 member wins
+    z = 1.276 + 5.218j
+    pair = [z, z.conjugate()]
+    pair[larger] *= 1.0 + 2.0**-52
+    assert abs(pair[larger]) > abs(pair[1 - larger])
+    if reverse:
+        pair.reverse()
+    op = build_operator(Family.FORWARD, 8, weights=np.ones(7))
+    kept, excluded = _select_lambdas(op, np.array(pair), 1, Tolerances(), noise_floor=None)
+    assert kept.tolist() == [pair[reverse]] and not excluded
+    assert kept[0].imag > 0
+
+
+def test_moduli_apart_by_more_than_tol_zero_still_rank_by_modulus():
+    op = build_operator(Family.FORWARD, 8, weights=np.ones(7))
+    lower = (1.276 - 5.218j) * (1.0 + 10 * Tolerances.tol_zero)
+    kept, _ = _select_lambdas(op, np.array([1.276 + 5.218j, lower]), 1, Tolerances(), None)
+    assert kept.tolist() == [lower]

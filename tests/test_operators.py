@@ -74,6 +74,8 @@ def test_matrices_are_read_only():
         (Family.DENSE, dict(matrix=np.eye(3))),  # wrong shape for dim 4
         (Family.DENSE, dict(matrix=np.eye(4), weights=[1, 1, 1])),
         (Family.DENSE, dict()),
+        (Family.FORWARD, dict(weights=[1.0, np.inf, 1.0])),  # inf * 0 is nan off the orbit
+        (Family.FORWARD, dict(weights=[complex(np.nan, 1.0), 0.5, 0.25])),
     ],
 )
 def test_invalid_construction_is_rejected(family, kwargs):

@@ -1,11 +1,12 @@
-"""The orbit stage: one walk and one QR factor per orbit, which give both the
-biorthogonal norms and the annihilating functionals' dual vectors.
+"""The orbit stage: one walk and one QR factor per dense orbit, which give both
+the biorthogonal norms and the annihilating functionals' dual vectors.
 
 The norms are pinned to an independent per-n least-squares distance, the
 dual vectors to a least-squares minimum-norm solve and the block form to
 column-by-column calls.  Guards check that a full-length (L = N) Blaschke
-build stays off the per-n distance helper and walks and factors its orbit
-once, with no least-squares solve.
+build stays off the per-n distance helper; that a shift seeded at e_0
+neither walks nor factors its orbit, in the build or the audit; and that a
+dense orbit is walked and factored once, with no least-squares solve.
 """
 
 import sys
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from aihs import _linalg, halfspace, operators
+from aihs import _linalg, operators
 from aihs.errors import MinimalityError
 from aihs.halfspace import build_blaschke, verify_certificate
 from aihs.operators import (
@@ -168,51 +169,86 @@ def spies(monkeypatch):
     return calls
 
 
-def test_full_length_blaschke_orbit_uses_no_distance_to_span(spies):
-    # unimodular weights: the orbit never decays, so L = N = 256
-    dim = 256
+def _unimodular_shift(dim):
     phases = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, dim - 1)
-    op = build_operator(Family.FORWARD, dim, weights=np.exp(1j * phases))
+    return build_operator(Family.FORWARD, dim, weights=np.exp(1j * phases))
+
+
+def _e0(dim):
     e = np.zeros(dim, dtype=np.complex128)
     e[0] = 1.0
-    cert = build_blaschke(op, e, m=8, m_max=5)
+    return e
+
+
+def test_full_length_blaschke_orbit_uses_no_distance_to_span(spies):
+    # unimodular weights: the orbit never decays, so L = N = 256; a shift
+    # seeded at e_0 writes its duals in closed form, without the factor
+    dim = 256
+    cert = build_blaschke(_unimodular_shift(dim), _e0(dim), m=8, m_max=5)
     assert cert.passed
-    assert spies == {"distance_to_span": 0, "min_norm_dual": 1}
+    assert spies == {"distance_to_span": 0, "min_norm_dual": 0}
 
 
 @pytest.fixture
 def orbit_spies(monkeypatch):
-    """Count orbit walks, QRs of an orbit-shaped matrix and lstsq calls."""
-    calls = {"orbit_walk": 0, "orbit_qr": 0, "lstsq": 0}
-    walk, qr, lstsq = operators.orbit_walk, np.linalg.qr, np.linalg.lstsq
+    """Count orbit walks, one-vector matvecs, QRs by shape and lstsq calls."""
+    calls = {"orbit_walk": 0, "matvec": 0, "qr_shapes": [], "lstsq": 0}
+    walk, apply = operators.orbit_walk, operators.OperatorModel.apply
+    qr, lstsq = np.linalg.qr, np.linalg.lstsq
 
     def counted_walk(*args, **kwargs):
         calls["orbit_walk"] += 1
         return walk(*args, **kwargs)
 
+    def counted_apply(self, vec):
+        calls["matvec"] += np.ndim(vec) == 1
+        return apply(self, vec)
+
     def counted_qr(a, *args, **kwargs):
-        calls["orbit_qr"] += np.shape(a) == (256, 256)
+        calls["qr_shapes"].append(np.shape(a))
         return qr(a, *args, **kwargs)
 
     def counted_lstsq(*args, **kwargs):
         calls["lstsq"] += 1
         return lstsq(*args, **kwargs)
 
-    for module in (operators, halfspace):
-        monkeypatch.setattr(module, "orbit_walk", counted_walk)
+    monkeypatch.setattr(operators, "orbit_walk", counted_walk)
+    monkeypatch.setattr(operators.OperatorModel, "apply", counted_apply)
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
     return calls
 
 
-def test_full_length_build_walks_and_factors_its_orbit_once(orbit_spies):
+def _orbit_qrs(spies, cert):
+    """QRs of a dim x L matrix: the orbit's factor (the basis QRs have m columns)."""
+    return spies["qr_shapes"].count((cert.defect_vector.size, cert.orbit_length))
+
+
+def test_full_length_shift_build_and_audit_never_walk_or_factor_the_orbit(orbit_spies):
     dim = 256
-    phases = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, dim - 1)
-    op = build_operator(Family.FORWARD, dim, weights=np.exp(1j * phases))
-    e = np.zeros(dim, dtype=np.complex128)
-    e[0] = 1.0
-    cert = build_blaschke(op, e, m=8, m_max=5)
-    assert cert.passed and cert.orbit_length == dim
-    assert orbit_spies == {"orbit_walk": 1, "orbit_qr": 1, "lstsq": 0}
+    op = _unimodular_shift(dim)
+    cert = build_blaschke(op, _e0(dim), m=8, m_max=5)
+    assert cert.passed and cert.orbit_length == dim and not cert.excluded_lambdas
+    # the only matvecs are the resolvent solves' defect checks, one per lambda
+    assert (orbit_spies["orbit_walk"], orbit_spies["matvec"]) == (0, 8)
+    assert (_orbit_qrs(orbit_spies, cert), orbit_spies["lstsq"]) == (0, 0)
     assert verify_certificate(op, cert)["passed"]
-    assert orbit_spies == {"orbit_walk": 2, "orbit_qr": 1, "lstsq": 0}
+    assert (orbit_spies["orbit_walk"], orbit_spies["matvec"]) == (0, 16)
+    assert (_orbit_qrs(orbit_spies, cert), orbit_spies["lstsq"]) == (0, 0)
+
+
+def test_dense_build_walks_and_factors_its_orbit_once(orbit_spies):
+    # a unimodular shift in a random unitary basis: a dense operator whose
+    # orbit is well conditioned, so it stays minimal at L = N = 64
+    dim = 64
+    rng = np.random.default_rng(1)
+    u, _ = np.linalg.qr(_random_complex(rng, dim, dim))
+    orbit_spies["qr_shapes"].clear()  # the QR that drew u has the orbit's shape
+    shift = _unimodular_shift(dim).matrix
+    op = build_operator(Family.DENSE, dim, matrix=u @ shift @ u.conj().T)
+    cert = build_blaschke(op, u[:, 0], m=8, m_max=5)
+    assert cert.passed and cert.orbit_length == dim
+    assert (orbit_spies["orbit_walk"], _orbit_qrs(orbit_spies, cert)) == (1, 1)
+    assert verify_certificate(op, cert)["passed"]
+    assert (orbit_spies["orbit_walk"], _orbit_qrs(orbit_spies, cert)) == (2, 1)
+    assert orbit_spies["lstsq"] == 0
