@@ -85,10 +85,12 @@ class ZeroSet:
 
     ``residuals[i]`` is |F(lambda_i)| / max(1, |lambda_i|)^d, i.e. already
     normalized by the growth factor its tolerance would otherwise carry.
+    ``noise[i]`` is :func:`evaluation_noise` at lambda_i, kept from the polish.
     """
 
     lambdas: np.ndarray
     residuals: np.ndarray
+    noise: np.ndarray
 
 
 def _beta(c: np.ndarray, r: np.ndarray, k_max: int) -> np.ndarray:
@@ -230,22 +232,29 @@ def evaluation_noise(c, z: complex) -> float:
     Infinite once the sum leaves the float range; it never raises.
     """
     c = np.asarray(c, dtype=np.complex128).reshape(-1).tolist()
-    _, _, rescaled, a = _horner(c, complex(z))
+    z = complex(z)
+    _, _, rescaled, a = _horner(c, z)
+    return _noise(a, rescaled, z, len(c) - 1)
+
+
+def _noise(a: float, rescaled: bool, z: complex, d: int) -> float:
+    """eps * a(z) from :func:`_horner`'s ``a`` at ``z``, for degree ``d``."""
     if rescaled:
         with np.errstate(over="ignore"):
-            a = float(a * np.float64(abs(z)) ** (len(c) - 1))
+            a = float(a * np.float64(abs(z)) ** d)
     return _EPS * a
 
 
-def _newton_polish(c: list, z: complex) -> tuple[complex, float]:
-    """Newton from ``z`` on the normalised pair; the best iterate and its residual.
+def _newton_polish(c: list, z: complex) -> tuple[complex, float, float]:
+    """Newton from ``z`` on the normalised pair; the best iterate, its residual and noise.
 
     Takes at least one step, then stops once |F| is within the evaluation
     noise eps * a(z), where further steps only move z by round-off, or after
-    ``NEWTON_CAP`` steps.
+    ``NEWTON_CAP`` steps.  The noise is :func:`evaluation_noise` at the best
+    iterate, from the evaluation made there.
     """
-    f, fp, rescaled, _ = _horner(c, z)
-    best_z, best_r = z, abs(f)
+    f, fp, rescaled, a = _horner(c, z)
+    best_z, best_r, best_a = z, abs(f), (a, rescaled)
     for _ in range(NEWTON_CAP):
         if fp == 0:
             break
@@ -254,10 +263,10 @@ def _newton_polish(c: list, z: complex) -> tuple[complex, float]:
         f, fp, rescaled, a = _horner(c, z)
         r = abs(f)
         if r < best_r:
-            best_z, best_r = z, r
+            best_z, best_r, best_a = z, r, (a, rescaled)
         if r <= _EPS * a:
             break
-    return best_z, best_r
+    return best_z, best_r, _noise(*best_a, best_z, len(c) - 1)
 
 
 def find_zeros(cs: CoefficientSequence, m: int, rtol: float = Tolerances.tol_zero) -> ZeroSet:
@@ -287,12 +296,12 @@ def find_zeros(cs: CoefficientSequence, m: int, rtol: float = Tolerances.tol_zer
     c_list = c.tolist()
     polished = []
     for z0 in seeds:
-        z, r = _newton_polish(c_list, complex(z0))
-        polished.append((z, r / max_c))
+        z, r, noise = _newton_polish(c_list, complex(z0))
+        polished.append((z, r / max_c, noise))
 
     polished.sort(key=lambda t: abs(t[0]))
     chosen = polished[-m:]
-    bad = [(z, r) for z, r in chosen if not (r < rtol)]
+    bad = [(z, r) for z, r, _ in chosen if not (r < rtol)]
     if bad:
         worst = max(bad, key=lambda t: t[1])
         raise AssumptionError(
@@ -300,8 +309,8 @@ def find_zeros(cs: CoefficientSequence, m: int, rtol: float = Tolerances.tol_zer
             f"{worst[1]:.3e} at |z| = {abs(worst[0]):.6g} (tol {rtol:.1e})"
         )
 
-    lambdas = np.array([z for z, _ in chosen], dtype=np.complex128)
-    residuals = np.array([r * max_c for _, r in chosen])
+    lambdas = np.array([z for z, _, _ in chosen], dtype=np.complex128)
+    residuals = np.array([r * max_c for _, r, _ in chosen])
     # distinctness is judged at each pair's own scale: zero sets here span
     # many orders of magnitude, and a global scale would flag every small
     # pair as coincident with the largest ring
@@ -313,4 +322,5 @@ def find_zeros(cs: CoefficientSequence, m: int, rtol: float = Tolerances.tol_zer
                     f"zeros {i} and {j} coincide within {DISTINCT_RTOL:.1e} "
                     f"of their modulus {pair_scale:.6g}; raise the degree"
                 )
-    return ZeroSet(lambdas=_readonly(lambdas), residuals=residuals.copy())
+    return ZeroSet(lambdas=_readonly(lambdas), residuals=residuals,
+                   noise=np.array([noise for _, _, noise in chosen]))

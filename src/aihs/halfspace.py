@@ -35,7 +35,6 @@ from .entire import (
     DEGREE_CAP,
     apply_picard_shift,
     coefficients_from_norms,
-    evaluation_noise,
     find_zeros,
 )
 from .errors import AihsError, ArgumentError, AssumptionError, SingularResolventError, StageError
@@ -295,20 +294,30 @@ def compute_metrics(
     the rank excess of [T*basis | basis | e] over [basis | e].  The
     annihilation residual is divided by (1+max|lambda|)^(k_max+1)*max|c_i|,
     the round-off growth of lambda^(k+1)*F(lambda).
+
+    A shift moves a row by one, so for the shift families every metric but
+    the orbit replay is derived on the k rows up to one past the last nonzero
+    row of the raw vectors, the duals and e (read off the arrays, not a stored
+    count), through the k x k truncation of T: the work stops at the zero tail.
     """
     rows = law.orbit_values(k_max, orbit.length)
     refs = law.references(rows, lambdas)
     scale = (1.0 + float(np.max(np.abs(lambdas)))) ** (k_max + 1) * law.coefficient_max()
-    basis = qr_basis(raw_vectors)
+    replayed = orbit.replay(duals)  # replayed[j, i] = f_j(x_i)
+    extension = float(np.max(np.abs(replayed - rows))) / max(float(np.max(np.abs(rows))), 1e-300)
 
-    with_e = np.hstack([basis, e.reshape(-1, 1)])
+    e = e.reshape(-1, 1)
+    if op.is_nilpotent:
+        live = np.flatnonzero(np.hstack([raw_vectors, duals, e]).any(axis=1))
+        k = min(int(np.max(live, initial=0)) + 2, op.dim)
+        op, e, raw_vectors, duals = op.leading(k), e[:k], raw_vectors[:k], duals[:k]
+    basis = qr_basis(raw_vectors)
+    with_e = np.hstack([basis, e])
     moved = op.apply(basis)
 
     inner = duals.conj().T @ raw_vectors  # inner[j, n] = f_j(h(lambda_n))
     if law.construction == "Blaschke":
         inner = inner - refs
-    replayed = orbit.replay(duals)  # replayed[j, i] = f_j(x_i)
-    extension = float(np.max(np.abs(replayed - rows))) / max(float(np.max(np.abs(rows))), 1e-300)
 
     metrics = {
         "construction": law.construction,
@@ -403,11 +412,12 @@ def build_entire(
         zero_set = find_zeros(cs, degree, rtol=tol.tol_zero)
 
     max_c = float(np.abs(cs.coefficients).max())
+    noise_at = dict(zip(zero_set.lambdas.tolist(), zero_set.noise.tolist()))
 
     def noise_floor(lam: complex) -> tuple[float, float]:
         # the round-off of evaluating lam^(k_max+1) F(lam)
         with np.errstate(over="ignore"):
-            noise = evaluation_noise(cs.coefficients, lam) * np.float64(abs(lam)) ** (k_max + 1)
+            noise = noise_at[complex(lam)] * np.float64(abs(lam)) ** (k_max + 1)
         budget = (
             tol.noise_guard_fraction
             * tol.tol_annihilation_base

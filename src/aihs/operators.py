@@ -13,8 +13,9 @@ Truncations of both shift families are nilpotent, which downstream modules
 exploit: Neumann sums terminate and the point ``0`` is the only (spurious)
 eigenvalue.  They are also bidiagonal, so :class:`OperatorModel` keeps only
 their weights: applying ``T`` or ``T*`` and solving ``(z - T) h = e`` cost
-O(N), and the dense matrix is built only when a caller asks for it.  Dense
-operators keep their matrix, a matvec and a dense solve.
+O(N), the solve only up to the exact zero tail of ``h``, and the dense matrix
+is built only when a caller asks for it.  Dense operators keep their matrix,
+a matvec and a dense solve.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -142,11 +144,14 @@ class OperatorModel:
         """``rhs -> h`` solving ``(z - T) h = rhs`` for a fixed ``z``.
 
         ``rhs`` is one vector or a ``(dim, k)`` block of columns.  Shift
-        families run an O(N) substitution down the bidiagonal, forward for
-        the forward shift and backward for Donoghue; ``z = 0`` makes the
-        solve raise ``numpy.linalg.LinAlgError``, and overflow leaves
-        non-finite entries.  Dense operators take ``numpy.linalg.solve`` on
-        each call; an exactly singular ``z - T`` raises ``LinAlgError``.
+        families run a substitution down the bidiagonal, forward for the
+        forward shift and backward for Donoghue, and stop at the exact zero
+        tail: once ``h`` is zero past the column's last nonzero entry, so is
+        every later entry, and those rows are ``+0.0``, never computed.
+        ``z = 0`` makes the solve raise ``numpy.linalg.LinAlgError``, and
+        overflow leaves non-finite entries.  Dense operators take
+        ``numpy.linalg.solve`` on each call; an exactly singular ``z - T``
+        raises ``LinAlgError``.
         """
         z = complex(z)
         if self.family is Family.DENSE:
@@ -156,7 +161,7 @@ class OperatorModel:
         # per-element numpy calls would cost more.  Dividing at each step is
         # the most accurate form tried: with precomputed ratios w / z, the
         # round-off in ai_residual failed one smoke Blaschke seed in 40.
-        weights = [0j] + (self._array[::-1] if backward else self._array).tolist()
+        weights = self._substitution_weights
 
         def solve(rhs):
             if z == 0:
@@ -165,17 +170,35 @@ class OperatorModel:
             cols = rhs.reshape(self.dim, -1)
             if backward:
                 cols = cols[::-1]
-            out = np.empty(cols.shape[::-1], dtype=np.complex128)
-            for j, col in enumerate(cols.T.tolist()):
+            out = np.zeros(cols.shape[::-1], dtype=np.complex128)
+            for j, col in enumerate(cols.T):
+                support = np.flatnonzero(col)
+                head = int(support[-1]) + 1 if support.size else 0
                 h, row = 0j, []
-                for bi, wi in zip(col, weights):
+                for bi, wi in zip(col[:head].tolist(), weights):
                     h = (bi + wi * h) / z
                     row.append(h)
-                out[j] = row
+                for wi in itertools.islice(weights, head, None):
+                    if not h:  # h and the rest of rhs are zero: so is every later h
+                        break
+                    h = (0j + wi * h) / z  # (rhs_i + w h) / z with rhs_i = +0, to the bit
+                    row.append(h)
+                out[j, :len(row)] = row
             out = out.T[::-1] if backward else out.T
             return out.reshape(rhs.shape)
 
         return solve
+
+    @functools.cached_property
+    def _substitution_weights(self) -> list:
+        """``[0, w...]`` as Python complexes, in the order the substitution reads them."""
+        return [0j] + (self._array[::-1] if self.family is Family.DONOGHUE
+                       else self._array).tolist()
+
+    def leading(self, k: int) -> OperatorModel:
+        """The ``k x k`` principal truncation of a shift family (``2 <= k <= dim``);
+        on vectors that vanish past row ``k - 2`` it acts as ``T`` on their leading rows."""
+        return OperatorModel(self.family, self.weights[:k - 1], k, self._array[:k - 1])
 
     @property
     def is_nilpotent(self) -> bool:
@@ -501,7 +524,8 @@ def _alive(x: np.ndarray) -> bool:
     squared = np.vdot(x, x).real
     if math.isfinite(squared):
         return squared >= _FLOOR_SQUARED
-    return bool(np.linalg.norm(x) >= ORBIT_NORM_FLOOR and np.all(np.isfinite(x)))
+    with np.errstate(over="ignore"):  # the norm of a finite x is inf past 1.34e154 too
+        return bool(np.linalg.norm(x) >= ORBIT_NORM_FLOOR and np.all(np.isfinite(x)))
 
 
 def _entry_alive(a: complex, position: int, dim: int) -> bool:
@@ -623,7 +647,11 @@ def _biorthogonal_norms(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
     ``r_n = ||row n of R^-1|| / s_n``; see :func:`compute_orbit` for the
     minimality test.  Every returned array is read-only.
     """
-    scales = np.linalg.norm(vectors, axis=1)
+    with np.errstate(over="ignore"):
+        scales = np.linalg.norm(vectors, axis=1)
+    for n in np.flatnonzero(~np.isfinite(scales)):  # ||x_n||^2 overflows past 1.34e154
+        top = np.max(np.abs(vectors[n]))
+        scales[n] = top * np.linalg.norm(vectors[n] / top)
     q, r = np.linalg.qr((vectors / scales[:, None]).T)
     zero = np.flatnonzero(np.diagonal(r) == 0)
     if zero.size:  # an exactly zero pivot: x_n is in the span

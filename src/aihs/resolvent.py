@@ -75,9 +75,10 @@ def _relative_defect(op: OperatorModel, lam: complex, h: np.ndarray, e: np.ndarr
 class ResolventSolver:
     """Direct solver for ``(1/lam - T) h = e``, reusable across right-hand sides.
 
-    The solve is :meth:`OperatorModel.shifted_solver`: an O(N) substitution
-    for the shift families, ``numpy.linalg.solve`` for dense operators.  Every
-    solve is checked against ``op.apply``.  The condition estimate is opt-in.
+    The solve is :meth:`OperatorModel.shifted_solver`: a substitution that
+    stops at the exact zero tail of ``h`` for the shift families,
+    ``numpy.linalg.solve`` for dense operators.  Every solve is checked
+    against ``op.apply``.  The condition estimate is opt-in.
     """
 
     def __init__(
@@ -244,7 +245,8 @@ def filter_lambda_gap(
     """Drop lam whose reciprocal sits too close to an eigenvalue of T.
 
     The gap is relative to ``max(|1/lam|, spectral radius)``; for nilpotent
-    truncations (all eigenvalues zero) every nonzero lam survives.
+    truncations (all eigenvalues zero) every nonzero lam survives.  Their
+    gap is ``|1/lam|`` itself, so no N-length scan of the eigenvalues runs.
     """
     eig = op.eigenvalues()
     rho = op.spectral_radius()
@@ -253,7 +255,7 @@ def filter_lambda_gap(
         if lam == 0:
             continue
         z = 1.0 / lam
-        gap = float(np.min(np.abs(eig - z)))
+        gap = float(np.abs(z) if op.is_nilpotent else np.min(np.abs(eig - z)))
         if gap >= gap_rtol * max(abs(z), rho):
             keep.append(lam)
         else:

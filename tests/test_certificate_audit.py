@@ -208,6 +208,21 @@ def zero_defect_rows(doc):
     doc["defect_vector"]["rows"], doc["defect_vector"]["data"] = 0, []
 
 
+def _last_row_set(get):
+    """The array's last row, past the vectors' support, set to its largest entry.
+
+    The audit reads its row bound off the arrays, never off a stored count,
+    so an entry past the zero tail is as visible as one inside it.
+    """
+    def mutate(doc):
+        arr = get(doc)
+        a = _array(arr)
+        a[-1] = np.max(np.abs(a))
+        arr.clear()
+        arr.update(ser.encode_array(a))
+    return mutate
+
+
 def _metric(name):
     def mutate(doc):
         doc["metrics"][name] = _shifted(doc["metrics"][name], 1e-6)
@@ -265,6 +280,9 @@ MUTATIONS = [
     ("dual-vector-rows-cut",
      _cut_before_largest_row(lambda doc: doc["functionals"][0]["dual_vector"]), _ALL),
     ("defect-vector-rows-zero", zero_defect_rows, _ALL),
+    ("raw-vector-past-support", _last_row_set(lambda doc: doc["raw_vectors"]), ("trimmed",)),
+    ("dual-vector-past-support",
+     _last_row_set(lambda doc: doc["functionals"][-1]["dual_vector"]), ("trimmed",)),
     *[(f"metric-{name}", _metric(name), _BOTH)
       for name in (*(n for n in _CHECKS if n != "ai_defect_rank"), "annihilation_scale")],
     ("metric-ai_defect_rank", defect_rank, _BOTH),

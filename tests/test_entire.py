@@ -19,7 +19,7 @@ from aihs.entire import (
 )
 from aihs.errors import ArgumentError
 from aihs.halfspace import build_entire
-from aihs.operators import Family, build_operator, geometric_weights
+from aihs.operators import Family, build_operator, compute_orbit, geometric_weights
 
 
 def dyadic_norms(count):
@@ -321,11 +321,29 @@ def test_polished_zeros_sit_at_the_noise_floor(ratio, length, jitter, seed):
     c = np.asarray(cs.coefficients)
     zs = find_zeros(cs, degree)
     reference = _reference_zeros(c)
-    for z in zs.lambdas:
+    for z, noise in zip(zs.lambdas, zs.noise):
         f, fp, rescaled, a = entire_mod._horner(c.tolist(), complex(z))
         assert abs(f) <= EPS * a
+        assert float(noise).hex() == evaluation_noise(c, z).hex()  # kept from the polish
         radius = EPS * a / abs(fp) * (abs(z) if rescaled else 1.0)  # eps a(z) / |F'(z)|
         assert np.min(np.abs(reference - z)) <= 2.0 * radius
+
+
+def test_kept_noise_is_the_evaluation_noise_bit_for_bit():
+    # the build's law at N = 1024 (every zero outside the unit disk), and a
+    # law with zeros on both sides of it
+    op = build_operator(Family.FORWARD, 1024, weights=geometric_weights(1024, 0.9))
+    e = np.zeros(1024, dtype=np.complex128)
+    e[0] = 1.0
+    norms = compute_orbit(op, e, 1024).biorthogonal_norms
+    laws = [apply_picard_shift(coefficients_from_norms(norms, 5, degree=40)),
+            CoefficientSequence.from_coefficients(
+                npoly.polyfromroots([0.5, -0.3j, 0.9 + 0.1j, 2.0, -30.0 + 1.0j]))]
+    for cs in laws:
+        zs = find_zeros(cs, cs.degree)
+        for z, noise in zip(zs.lambdas, zs.noise):
+            assert float(noise).hex() == evaluation_noise(cs.coefficients, z).hex()
+    assert np.min(np.abs(zs.lambdas)) < 1.0 < np.max(np.abs(zs.lambdas))
 
 
 def test_evaluation_noise_matches_the_direct_sum_and_saturates():

@@ -209,6 +209,18 @@ def test_biorthogonal_norms_match_least_squares_oracle():
     assert_allclose(data.biorthogonal_norms, expected, rtol=1e-9)
 
 
+def test_dense_orbit_past_the_squared_norm_overflow_is_minimal():
+    # ||x_3||^2 ~ 5e363 overflows; scaling x_n by 1e-60n leaves every span, so
+    # r_n is the diag(1, 2, 3, 4) orbit's r_n over 1e60n
+    op = build_operator(Family.DENSE, 4, matrix=np.diag([1e60, 2e60, 3e60, 4e60]))
+    data = compute_orbit(op, np.ones(4), 4)
+    assert data.length == 4
+    small = compute_orbit(build_operator(Family.DENSE, 4, matrix=np.diag([1.0, 2, 3, 4])),
+                          np.ones(4), 4)
+    assert_allclose(data.biorthogonal_norms * 1e60 ** np.arange(4), small.biorthogonal_norms,
+                    rtol=1e-9)
+
+
 def test_a_cap_past_the_floor_returns_the_live_prefix():
     op = build_operator(Family.FORWARD, 4, weights=[1.0, 1.0, 1.0])
     data = compute_orbit(op, basis(4, 3), 2)  # T e_4 = 0
