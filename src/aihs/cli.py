@@ -47,7 +47,7 @@ from .config import (
 )
 from .errors import AihsError, ArgumentError, ChainTerminated, StageError
 from .halfspace import build_blaschke, build_entire, verify_certificate
-from .operators import Family, _as_complex, build_operator, matrix_digest, operator_from_config
+from .operators import _as_complex, operator_digest, operator_from_config
 from .resolvent import dense_subsequence_probe, probe_tail_oracle
 
 __all__ = ["main"]
@@ -156,34 +156,30 @@ def cmd_build(args) -> int:
 
 
 def _operator_for_certificate(cert, args):
-    """Rebuild the audited operator, preferring an explicit --config."""
+    """Rebuild the audited operator from --config, else from the config echo, with
+    --seed or the source's own seed; it must have the stored dim, family and digest."""
     if args.config:
         cfg = validate_config(load_config(args.config), "verify")
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        op = operator_from_config(cfg["operator"], np.random.default_rng(seed))
+        source, seed = args.config, cfg.get("seed", 0)
+    elif cert.config_echo.get("config"):  # not schema-checked: the digest audits it
+        cfg, seed = cert.config_echo["config"], cert.config_echo.get("seed", 0)
+        source = "the config echo"
     else:
-        stored = cert.operator_config
-        family = Family(stored["family"])
-        if family is Family.DENSE:
-            echo = cert.config_echo.get("config")
-            if not echo:
-                raise ArgumentError(
-                    "dense-operator certificate carries only a matrix digest; "
-                    "pass --config to rebuild the operator"
-                )
-            op = operator_from_config(
-                echo["operator"], np.random.default_rng(cert.config_echo.get("seed", 0))
-            )
-        else:
-            op = build_operator(family, stored["dim"], weights=stored.get("weights"))
-    if op.dim != int(cert.operator_config["dim"]):
-        raise ArgumentError(
-            f"operator dim {op.dim} does not match certificate dim "
-            f"{cert.operator_config['dim']}"
-        )
-    digest = cert.operator_config.get("matrix_sha256")
-    if digest is not None and matrix_digest(op) != digest:
-        raise ArgumentError("rebuilt dense matrix does not match the stored digest")
+        raise ArgumentError("the certificate has no config echo; "
+                            "pass --config to rebuild the operator")
+    stored = cert.operator_config
+    try:
+        if cfg["operator"]["dim"] != stored["dim"]:  # checked before building anything
+            raise ArgumentError(f"operator dim {cfg['operator']['dim']!r} from {source} "
+                                f"does not match the certificate's {stored['dim']}")
+        seed = seed if args.seed is None else args.seed
+        op = operator_from_config(cfg["operator"], np.random.default_rng(seed))
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ArgumentError(f"cannot rebuild the operator from {source}: "
+                            f"{type(exc).__name__}: {exc}") from exc
+    if op.family.value != stored["family"] or operator_digest(op) != stored["sha256"]:
+        raise ArgumentError(f"the operator rebuilt from {source} does not match "
+                            "the stored family and digest")
     return op
 
 

@@ -39,7 +39,7 @@ from .entire import (
 )
 from .errors import AihsError, ArgumentError, AssumptionError, SingularResolventError, StageError
 from ._linalg import numerical_rank, qr_basis, smallest_singular_value, unit_columns
-from .operators import OperatorModel, OrbitData, compute_orbit, matrix_digest, orbit_form, _readonly
+from .operators import OperatorModel, OrbitData, compute_orbit, operator_digest, orbit_form, _readonly
 from .resolvent import ResolventSolver, filter_lambda_gap
 
 __all__ = [
@@ -204,15 +204,6 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def _operator_echo(op: OperatorModel) -> dict:
-    echo: dict = {"family": op.family.value, "dim": op.dim}
-    if op.weights is not None:
-        echo["weights"] = _readonly(op.weights)
-    else:
-        echo["matrix_sha256"] = matrix_digest(op)
-    return echo
-
-
 def _select_lambdas(
     op: OperatorModel,
     candidates: np.ndarray,
@@ -344,7 +335,7 @@ def _certify(op, e, orbit: OrbitData, raw, lambdas, excluded, law, k_max, tol, *
         metrics, checks = compute_metrics(op, e, orbit, raw, lambdas, duals, law, k_max, tol)
     return HalfSpaceCertificate(
         law=law,
-        operator_config=_operator_echo(op),
+        operator_config={"family": op.family.value, "dim": op.dim, "sha256": operator_digest(op)},
         defect_vector=_readonly(e),
         raw_vectors=_readonly(raw),
         lambdas=_readonly(lambdas),

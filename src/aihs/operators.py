@@ -42,7 +42,7 @@ __all__ = [
     "orbit_form",
     "orbit_walk",
     "max_orbit_length",
-    "matrix_digest",
+    "operator_digest",
     "geometric_weights",
     "factorial_decay_weights",
     "weights_from_config",
@@ -83,10 +83,10 @@ class OperatorModel:
     ----------
     family : Family
         Which construction produced the operator.
-    weights : tuple[complex, ...] | None
-        The shift weights (length ``dim - 1``); ``None`` for dense operators.
     dim : int
         Truncation size ``N >= 2``.
+    weights : numpy.ndarray | None
+        The read-only shift weights (length ``dim - 1``); ``None`` if dense.
     matrix : numpy.ndarray
         The dense ``(dim, dim)`` complex matrix, read-only.  Shift families
         build it on first access; nothing on the build and verify paths
@@ -95,10 +95,13 @@ class OperatorModel:
     """
 
     family: Family
-    weights: tuple[complex, ...] | None
     dim: int
     # the matrix for dense operators, the read-only weight array for shifts
     _array: np.ndarray = field(repr=False)
+
+    @property
+    def weights(self) -> np.ndarray | None:
+        return None if self.family is Family.DENSE else self._array
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -198,7 +201,7 @@ class OperatorModel:
     def leading(self, k: int) -> OperatorModel:
         """The ``k x k`` principal truncation of a shift family (``2 <= k <= dim``);
         on vectors that vanish past row ``k - 2`` it acts as ``T`` on their leading rows."""
-        return OperatorModel(self.family, self.weights[:k - 1], k, self._array[:k - 1])
+        return OperatorModel(self.family, k, self._array[:k - 1])
 
     @property
     def is_nilpotent(self) -> bool:
@@ -229,9 +232,9 @@ class OperatorModel:
         return _power_root(lambda v: m.conj().T @ (m @ v), start)
 
 
-def matrix_digest(op: OperatorModel) -> str:
-    """sha256 of the dense matrix bytes (row-major), the dense operator's echo."""
-    return hashlib.sha256(np.ascontiguousarray(op.matrix).tobytes()).hexdigest()
+def operator_digest(op: OperatorModel) -> str:
+    """sha256 of the operator's one array: a shift's weights, a dense matrix (row-major)."""
+    return hashlib.sha256(op._array.tobytes()).hexdigest()
 
 
 def _random_starts(dim: int, count: int) -> list[np.ndarray]:
@@ -262,27 +265,30 @@ def _power_root(gram, start: np.ndarray, iters: int = 12) -> float:
     return root
 
 
-def _check_weights(family: Family, weights, dim: int) -> tuple[tuple[complex, ...], np.ndarray]:
-    """The weights as a tuple and as a read-only array, checked."""
-    w = tuple(complex(x) for x in weights)
-    if len(w) != dim - 1:
+def _check_weights(family: Family, weights, dim: int) -> np.ndarray:
+    """The weights as a read-only 1-D array, checked."""
+    array = _readonly(weights)
+    if array.ndim != 1:
+        raise ArgumentError(f"weights must be one-dimensional, got shape {array.shape}")
+    if array.size != dim - 1:
         raise ArgumentError(
-            f"{family.value} at dim {dim} needs {dim - 1} weights, got {len(w)}"
+            f"{family.value} at dim {dim} needs {dim - 1} weights, got {array.size}"
         )
-    array = _readonly(w)
     bad = np.flatnonzero((array == 0) | ~np.isfinite(array))
     if bad.size:  # the orbit walks read the weights as finite and nonzero
         i = int(bad[0])
-        raise ArgumentError(f"weight {i + 1} is {w[i]}; all weights must be finite and nonzero")
+        raise ArgumentError(f"weight {i + 1} is {array[i]}; all weights must be finite and nonzero")
     if family is Family.DONOGHUE:
-        mods = [abs(x) for x in w]
+        # Python's abs, not numpy's: the two differ in the last bit on some
+        # inputs, and a near-tie must get the verdict it always had
+        mods = [abs(x) for x in array.tolist()]
         for i in range(len(mods) - 1):
             if not mods[i + 1] < mods[i]:
                 raise ArgumentError(
                     "Donoghue weights must be strictly decreasing in modulus; "
                     f"|w_{i + 1}| = {mods[i]:.6g} vs |w_{i + 2}| = {mods[i + 1]:.6g}"
                 )
-    return w, array
+    return array
 
 
 def build_operator(
@@ -319,14 +325,13 @@ def build_operator(
         m = np.asarray(matrix, dtype=np.complex128)
         if m.shape != (dim, dim):
             raise ArgumentError(f"matrix shape {m.shape} != ({dim}, {dim})")
-        return OperatorModel(family, None, dim, _readonly(m))
+        return OperatorModel(family, dim, _readonly(m))
 
     if matrix is not None:
         raise ArgumentError(f"{family.value} takes weights, not a matrix")
     if weights is None:
         raise ArgumentError(f"{family.value} requires weights")
-    w, array = _check_weights(family, weights, dim)
-    return OperatorModel(family, w, dim, array)
+    return OperatorModel(family, dim, _check_weights(family, weights, dim))
 
 
 # ----------------------------------------------------------------------------

@@ -49,7 +49,7 @@ __all__ = [
     "write_csv",
 ]
 
-CERT_SCHEMA_ID = "aihs-cert/2"
+CERT_SCHEMA_ID = "aihs-cert/3"
 CHAIN_SCHEMA_ID = "aihs-chain-transcript/1"
 
 
@@ -206,10 +206,9 @@ _COUNTS = ("m_requested", "m_achieved", "k_max", "orbit_length")
 CERT_SCHEMA = _record(
     schema={"const": CERT_SCHEMA_ID},
     construction={"enum": list(_LAWS)},
-    operator={"type": "object", "required": ["family", "dim"], "additionalProperties": False,
-              "properties": {"family": {"enum": [family.value for family in Family]},
-                             "dim": {"type": "integer", "minimum": 2},
-                             "weights": _OBJECT, "matrix_sha256": {"type": "string"}}},
+    operator=_record(family={"enum": [family.value for family in Family]},
+                     dim={"type": "integer", "minimum": 2},
+                     sha256={"type": "string", "pattern": "^[0-9a-f]{64}$"}),
     **dict.fromkeys(_SHAPED, _OBJECT),
     excluded_lambdas=_LIST,
     functionals={"type": "array", "minItems": 1},
@@ -270,8 +269,7 @@ def certificate_from_document(doc: dict) -> HalfSpaceCertificate:
     return HalfSpaceCertificate(
         law=law_cls(**{key: value if key == "order" else decode_array(value)
                        for key, value in doc["law"].items()}),
-        operator_config={key: _shaped(value, key, (dim - 1,)) if key == "weights" else value
-                         for key, value in doc["operator"].items()},
+        operator_config=doc["operator"],
         defect_vector=_shaped(doc["defect_vector"], "defect_vector", (dim,)),
         raw_vectors=_shaped(doc["raw_vectors"], "raw_vectors", (dim, m)),
         lambdas=_shaped(doc["lambdas"], "lambdas", (m,)),
@@ -339,8 +337,7 @@ def _cell(value) -> str:
 def certificate_csv_row(cert: HalfSpaceCertificate) -> dict:
     """One CSV row: the certificate's counts, its metrics and its verdicts."""
     row = {"schema": CERT_SCHEMA_ID, "label": cert.config_echo.get("label", ""),
-           "family": cert.operator_config.get("family", ""),
-           "dim": cert.operator_config.get("dim", "")}
+           "family": cert.operator_config["family"], "dim": cert.operator_config["dim"]}
     for col in CERT_CSV_COLUMNS:
         if col not in row:
             row[col] = cert.metrics[col] if col in cert.metrics else getattr(cert, col)

@@ -246,13 +246,30 @@ def swapped_construction(doc):
     doc["construction"] = "Blaschke" if doc["construction"] == "Entire" else "Entire"
 
 
-def operator_weight(doc):
-    pair = doc["operator"]["weights"]["data"][0]
-    pair[0] = _scaled(pair[0], 1.1)
+def operator_echo_weight(doc):
+    """The echo's weight ratio, or its first explicit [re, im] weight, times 1.1."""
+    params = doc["config_echo"]["config"]["operator"]["weights"]["params"]
+    if "ratio" in params:
+        params["ratio"] *= 1.1
+    else:
+        params["values"][0] = [1.1 * part for part in params["values"][0]]
+
+
+def operator_digest(doc):
+    digest = doc["operator"]["sha256"]
+    doc["operator"]["sha256"] = ("1" if digest[0] == "0" else "0") + digest[1:]
 
 
 def operator_dim(doc):
     doc["operator"]["dim"] += 1
+
+
+def operator_echo_dim(doc):
+    doc["config_echo"]["config"]["operator"]["dim"] += 1
+
+
+def operator_family(doc):
+    doc["operator"]["family"] = "donoghue-backward-shift"
 
 
 def swapped_functional_indices(doc):
@@ -289,8 +306,11 @@ MUTATIONS = [
     ("metric-lambda_set", lambda_set, _BOTH),
     ("check-value", check_value, _BOTH),
     ("construction", swapped_construction, _BOTH),
-    ("operator-weight", operator_weight, _BOTH),
+    ("operator-echo-weight", operator_echo_weight, _BOTH),
+    ("operator-digest", operator_digest, _BOTH),
     ("operator-dim", operator_dim, _BOTH),
+    ("operator-echo-dim", operator_echo_dim, _BOTH),
+    ("operator-family", operator_family, _BOTH),
     ("m-achieved", _set("m_achieved", -1), _BOTH),
     ("k-max", _set("k_max", 1), _BOTH),
     ("functional-indices", swapped_functional_indices, _BOTH),
@@ -407,6 +427,10 @@ def malformed_exclusion(doc):
     doc["excluded_lambdas"] = [{"reason": "noise-floor"}]
 
 
+def operator_without_digest(doc):
+    del doc["operator"]["sha256"]
+
+
 def _trimmed_raw_vectors(doc) -> dict:
     raw = doc["raw_vectors"]
     assert raw["rows"] < raw["shape"][0]  # the fixture stores a zero tail trimmed
@@ -439,7 +463,7 @@ def full_length_trimmed_data(doc):
 ROWS_MALFORMED = [rows_above_shape, negative_rows, boolean_rows, full_length_trimmed_data]
 MALFORMED = [transposed_raw_vectors, empty_functionals, string_in_metrics, bad_hex, short_data,
              stored_basis, old_schema, string_rank, array_without_shape, functional_without_dual,
-             malformed_exclusion, *ROWS_MALFORMED]
+             malformed_exclusion, operator_without_digest, *ROWS_MALFORMED]
 
 
 @pytest.mark.parametrize("mutate", MALFORMED, ids=[m.__name__ for m in MALFORMED])
@@ -455,12 +479,12 @@ def test_malformed_certificate_is_a_one_line_error(docs, capsys, mutate):
 
 
 def test_old_schema_is_rejected_by_name(docs, capsys):
-    doc, path = docs["entire"]
-    doc = copy.deepcopy(doc)
-    old_schema(doc)
-    capsys.readouterr()
-    assert _verify(doc, path) == 1
-    assert "found 'aihs-cert/1'" in capsys.readouterr().err
+    for schema in ("aihs-cert/1", "aihs-cert/2"):
+        doc = copy.deepcopy(docs["entire"][0])
+        doc["schema"] = schema
+        capsys.readouterr()
+        assert _verify(doc, docs["entire"][1]) == 1
+        assert f"found {schema!r}" in capsys.readouterr().err
 
 
 # --- the audit runs no norm stage ------------------------------------------------

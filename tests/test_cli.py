@@ -12,7 +12,7 @@ from aihs import serialize as ser
 from aihs.blaschke import blaschke_sequence
 from aihs.chains import extend_chain, init_chain, verify_chain
 from aihs.cli import main
-from aihs.operators import operator_from_config
+from aihs.operators import geometric_weights, operator_from_config
 from aihs.errors import ArgumentError
 from aihs.serialize import (
     CERT_CSV_COLUMNS,
@@ -280,44 +280,121 @@ def test_verify_malformed_certificate_is_a_one_line_error(tmp_path, capsys, fiel
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("weight", ["oops", ["0x1p-1", "0x0p+0", "0x0p+0"]],
-                         ids=["string", "three-element-pair"])
-def test_verify_bad_stored_weight_is_a_one_line_error(tmp_path, capsys, weight):
-    cfg = _write(tmp_path / "run.json", _entire_cfg())
-    main(["build", "--config", cfg, "--out", str(tmp_path)])
-    path = tmp_path / "run.cert.json"
-    doc = json.loads(path.read_text())
-    doc["operator"]["weights"]["data"][0] = weight
+def _built_certificate(tmp_path, cfg: dict) -> tuple[Path, dict]:
+    """The certificate ``aihs build`` writes for ``cfg``, and its document."""
+    main(["build", "--config", _write(tmp_path / "run.json", cfg), "--out", str(tmp_path)])
+    path = tmp_path / f"{cfg['label']}.cert.json"
+    return path, json.loads(path.read_text())
+
+
+def _verify_error(capsys, path, doc, *flags) -> str:
+    """The one stderr line of ``aihs verify`` on ``doc``, which must exit 1."""
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["verify", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot parse certificate")
-    assert err.count("\n") == 1
+    assert main(["verify", str(path), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    return err
 
 
-def _drop_first_weight(operator):
-    weights = operator["weights"]
-    weights["data"], weights["shape"] = weights["data"][1:], [len(weights["data"]) - 1]
+@pytest.mark.parametrize("weight, message", [
+    ("oops", "cannot rebuild the operator from the config echo: ValueError"),
+    ([0.5, 0.0, 0.0], "complex entries must be [re, im], got [0.5, 0.0, 0.0]"),
+    (1e300, "cannot rebuild the operator from the config echo: OverflowError"),
+], ids=["string", "three-element-pair", "overflowing-ratio"])
+def test_verify_bad_stored_weight_is_a_one_line_error(tmp_path, capsys, weight, message):
+    # the config echo stores the weights, and verify does not schema-check it
+    path, doc = _built_certificate(tmp_path, _entire_cfg())
+    doc["config_echo"]["config"]["operator"]["weights"]["params"]["ratio"] = weight
+    assert _verify_error(capsys, path, doc).startswith(f"error: {message}")
+
+
+def _drop_last_weight(operator):
+    values = [[w.real, w.imag] for w in geometric_weights(operator["dim"], 0.9)]
+    operator["weights"] = {"kind": "explicit", "params": {"values": values[:-1]}}
 
 
 @pytest.mark.parametrize("tamper, message", [
-    (_drop_first_weight, "cannot parse certificate"),
-    (lambda operator: operator.pop("weights"), "forward-weighted-shift requires weights"),
-], ids=["wrong-length", "missing"])
+    (_drop_last_weight, "forward-weighted-shift at dim 64 needs 63 weights, got 62"),
+    (lambda operator: operator.pop("weights"),
+     "cannot rebuild the operator from the config echo: KeyError: 'weights'"),
+    (lambda operator: operator.update(weights="oops"),
+     "cannot rebuild the operator from the config echo: AttributeError: "
+     "'str' object has no attribute 'get'"),
+], ids=["wrong-length", "missing", "not-an-object"])
 def test_verify_stored_weights_of_the_wrong_shape_are_a_one_line_error(tmp_path, capsys, tamper,
                                                                        message):
-    cfg = _write(tmp_path / "run.json", _entire_cfg())
-    main(["build", "--config", cfg, "--out", str(tmp_path)])
-    path = tmp_path / "run.cert.json"
-    doc = json.loads(path.read_text())
-    tamper(doc["operator"])
-    path.write_text(json.dumps(doc))
+    path, doc = _built_certificate(tmp_path, _entire_cfg())
+    tamper(doc["config_echo"]["config"]["operator"])
+    assert _verify_error(capsys, path, doc) == f"error: {message}\n"
+
+
+def _dense_cfg(matrix: dict, dim: int = 16) -> dict:
+    return {"schema": "aihs-run/1", "operator": {"family": "dense", "dim": dim, "matrix": matrix},
+            "construction": "entire", "m": 2, "k_max": 1, "seed": 3, "label": "dense"}
+
+
+def _shift_matrix(dim: int, ratio: float) -> dict:
+    """A forward geometric shift written out as an explicit dense matrix."""
+    return {"kind": "explicit", "entries": [[ratio ** (j + 1) if i == j + 1 else 0.0
+                                             for j in range(dim)] for i in range(dim)]}
+
+
+def _del_echo_dim(doc):
+    del doc["config_echo"]["config"]["operator"]["dim"]
+
+
+def _string_echo(doc):
+    doc["config_echo"] = {"config": "oops"}
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_del_echo_dim, "cannot rebuild the operator from the config echo: KeyError: 'dim'"),
+    (_string_echo, "cannot rebuild the operator from the config echo: TypeError: "),
+    (lambda doc: doc.update(config_echo={}),
+     "the certificate has no config echo; pass --config to rebuild the operator"),
+], ids=["no-dim", "string-config", "no-echo"])
+@pytest.mark.parametrize("family", ["shift", "dense"])
+def test_verify_malformed_config_echo_is_a_one_line_error(tmp_path, capsys, family, tamper,
+                                                          message):
+    cfg = _entire_cfg() if family == "shift" else _dense_cfg(_shift_matrix(16, 0.9))
+    path, doc = _built_certificate(tmp_path, cfg)
+    assert main(["verify", str(path)]) == 0
+    tamper(doc)
+    assert _verify_error(capsys, path, doc).startswith(f"error: {message}")
+
+
+def _mismatch(source) -> str:
+    return (f"error: the operator rebuilt from {source} does not match "
+            "the stored family and digest\n")
+
+
+def test_verify_cross_checks_the_shift_operator_of_a_config(tmp_path, capsys):
+    # the benchmark's seed-0 entire-n1024 input; its orbit dies by row 91, so
+    # weights past row 300 never reach a certified value
+    cfg = _entire_cfg(dim=1024, m=8, k_max=5, label="entire-n1024")
+    cfg["operator"]["weights"]["params"]["ratio"] = 0.9175
+    path, doc = _built_certificate(tmp_path, cfg)
+    values = [[w.real, w.imag] for w in geometric_weights(1024, 0.9175)[:300]]
+    cfg["operator"]["weights"] = {"kind": "explicit",
+                                  "params": {"values": values + [0.5] * 723}}
+    other = _write(tmp_path / "other.json", cfg)
+    assert main(["verify", str(path)]) == 0
+    assert _verify_error(capsys, path, doc, "--config", other) == _mismatch(other)
+
+
+def test_verify_cross_checks_the_seed_of_a_dense_operator(tmp_path, capsys):
+    cfg = _dense_cfg({"kind": "random-gaussian", "scale": 0.5}, dim=8)
+    path, doc = _built_certificate(tmp_path, cfg)
+    same = _write(tmp_path / "same.json", cfg)
     capsys.readouterr()
-    assert main(["verify", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}")
-    assert err.count("\n") == 1
+    main(["verify", str(path), "--config", same])
+    assert capsys.readouterr().err == ""  # the audit runs: the operator is the certified one
+    cfg["seed"] = 4
+    other = _write(tmp_path / "other.json", cfg)
+    assert _verify_error(capsys, path, doc, "--config", other) == _mismatch(other)
+    # --seed overrides the echo's seed as it does the config's
+    assert _verify_error(capsys, path, doc, "--seed", "4") == _mismatch("the config echo")
 
 
 def test_tiny_tol_zero_fails_the_zeros_stage(tmp_path, capsys):

@@ -83,6 +83,14 @@ def test_invalid_construction_is_rejected(family, kwargs):
         build_operator(family, 4, **kwargs)
 
 
+@pytest.mark.parametrize("weights", [[[0.5, 0.25], [0.125, 0.0625]], 0.5],
+                         ids=["two-dimensional", "scalar"])
+def test_weights_that_are_not_one_dimensional_are_rejected(weights):
+    with pytest.raises(ArgumentError, match="weights must be one-dimensional") as info:
+        build_operator(Family.FORWARD, 5, weights=weights)
+    assert "\n" not in str(info.value)
+
+
 def test_dim_below_two_is_rejected():
     with pytest.raises(ArgumentError):
         build_operator(Family.FORWARD, 1, weights=[])
@@ -156,7 +164,9 @@ def test_operator_from_config_explicit_complex_weights():
         "weights": {"kind": "explicit", "params": {"values": [[0.0, 1.0], 0.5]}},
     }
     op = operator_from_config(cfg)
-    assert op.weights == (1j, 0.5)
+    assert op.weights.tolist() == [1j, 0.5]
+    with pytest.raises(ValueError):  # read-only
+        op.weights[0] = 1.0
 
 
 def test_operator_from_config_random_dense_is_seed_deterministic():

@@ -28,7 +28,7 @@ SHIFTS = (Family.FORWARD, Family.DONOGHUE)
 def _full_substitution(op: OperatorModel, z: complex, rhs: np.ndarray) -> np.ndarray:
     """``(z - T) h = rhs`` by the substitution run over every row, the reference."""
     backward = op.family is Family.DONOGHUE
-    weights = [0j] + list(op.weights[::-1] if backward else op.weights)
+    weights = [0j] + (op.weights[::-1] if backward else op.weights).tolist()
     cols = rhs.reshape(op.dim, -1)
     if backward:
         cols = cols[::-1]
