@@ -5,7 +5,7 @@ dual vectors (f(x) = phi^H x).  The nested subspaces are never stored: Y_n is
 the joint kernel of f_1..f_n, so its annihilator Y_n^perp is
 span{phi_1..phi_n}, and every subspace and every chain property comes from
 those n vectors.  Q_n below is an orthonormal basis of span{phi_1..phi_n},
-derived when needed, and P_{Y_n} = I - Q_n Q_n^H is the orthogonal
+derived once per level, and P_{Y_n} = I - Q_n Q_n^H is the orthogonal
 projection onto Y_n.  The operator acts only through ``op.apply`` and
 ``op.adjoint_apply``, so a step costs O(N n^2) with no N x N matrix.
 
@@ -25,7 +25,6 @@ the acceptance suite exercises.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,23 +65,21 @@ _MIN_KEYS = ("biorthogonality_diag_min", "functional_sigma_min", "codim_exact")
 class ChainState:
     """Immutable snapshot: the vectors z_k and the dual vectors phi_k.
 
-    Y_n is the joint kernel of phi_1..phi_n; no basis of it is stored.
-    ``report`` is the newest level's property report (see
-    :func:`verify_chain`) when ``extend_chain`` made the state, else ``None``.
+    Y_n is the joint kernel of phi_1..phi_n; no basis of it is stored.  ``q``
+    is Q_n, the orthonormal basis of span{phi_1..phi_n}, and ``reports[k-1]``
+    is the property report of levels 1..k (see :func:`verify_chain`).  Both
+    are derived once, as :func:`init_chain` and :func:`extend_chain` make
+    each level; :func:`verify_chain` reads neither.
     """
 
     zs: tuple
     phis: tuple
-    report: dict | None = field(default=None, repr=False)
+    q: np.ndarray = field(repr=False)
+    reports: tuple = field(repr=False)
 
     @property
     def depth(self) -> int:
         return len(self.zs)
-
-    @functools.cached_property
-    def q(self) -> np.ndarray:
-        """Q_n, the orthonormal basis of span{phi_1..phi_n}, derived once."""
-        return qr_basis(np.stack(self.phis, axis=1))
 
     def f(self, n: int, x: np.ndarray) -> complex:
         """Value f_n(x), 1-indexed."""
@@ -96,12 +93,8 @@ def _project_off(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def init_chain(
-    op: OperatorModel,
-    z1: np.ndarray | None = None,
-    phi1: np.ndarray | None = None,
-) -> ChainState:
-    """Depth-1 chain: z_1 = e_1 and f_1 its dual direction unless overridden."""
+def init_chain(op: OperatorModel, z1: np.ndarray | None = None) -> ChainState:
+    """Depth-1 chain: z_1 = e_1 unless given, and phi_1 = z_1, so f_1(z_1) = ||z_1||^2 > 0."""
     n = op.dim
     if z1 is None:
         z1 = np.zeros(n, dtype=np.complex128)
@@ -110,12 +103,9 @@ def init_chain(
         z1 = np.asarray(z1, dtype=np.complex128).reshape(-1)
         if z1.shape[0] != n or not np.linalg.norm(z1) > 0:
             raise ArgumentError("z1 must be a nonzero vector of the operator dimension")
-    phi1 = z1.copy() if phi1 is None else np.asarray(phi1, dtype=np.complex128).reshape(-1)
-    if phi1.shape[0] != n:
-        raise ArgumentError("phi1 must match the operator dimension")
-    if abs(np.vdot(phi1, z1)) <= 0:
-        raise ArgumentError("f_1(z_1) must be nonzero")
-    return ChainState(zs=(_readonly(z1),), phis=(_readonly(phi1),))
+    zs = (_readonly(z1),)
+    q, report = _derive_level(op, zs, zs, None)
+    return ChainState(zs=zs, phis=zs, q=q, reports=(report,))
 
 
 def extend_chain(op: OperatorModel, state: ChainState) -> ChainState:
@@ -147,17 +137,13 @@ def extend_chain(op: OperatorModel, state: ChainState) -> ChainState:
         resid = containment_residual(op.adjoint_apply(q), q)
         raise ChainTerminated(state, invariance_residual=resid, verified=resid < INVARIANCE_TOL)
 
-    new_state = ChainState(
-        zs=state.zs + (_readonly(on_y / norm_on_y),),
-        phis=state.phis + (_readonly(phi_next),),
-        report={},
-    )
-    report = new_state.report  # filled once, here, so that new_state keeps its cached Q
-    report.update(_level_report(op, new_state, q))
-    bad = {key: report[key] for key in RESIDUAL_KEYS if report[key] >= PROPERTY_TOL}
-    if bad or report["biorthogonality_diag_min"] < PROPERTY_TOL:
+    new_zs = state.zs + (_readonly(on_y / norm_on_y),)
+    new_phis = state.phis + (_readonly(phi_next),)
+    q_next, level = _derive_level(op, new_zs, new_phis, q)
+    bad = {key: level[key] for key in RESIDUAL_KEYS if level[key] >= PROPERTY_TOL}
+    if bad or level["biorthogonality_diag_min"] < PROPERTY_TOL:
         raise AssumptionError(f"chain properties degraded at depth {depth + 1}: {bad}")
-    return new_state
+    return ChainState(new_zs, new_phis, q_next, state.reports + (_fold(state.reports[-1], level),))
 
 
 def build_chain(op: OperatorModel, depth: int, z1: np.ndarray | None = None) -> ChainState:
@@ -170,14 +156,18 @@ def build_chain(op: OperatorModel, depth: int, z1: np.ndarray | None = None) -> 
     return state
 
 
-def _level_report(op: OperatorModel, state: ChainState, q_prev: np.ndarray | None) -> dict:
-    """The properties level k = ``state.depth`` adds to levels 1..k-1; keys as in verify_chain.
+def _derive_level(
+    op: OperatorModel, zs: tuple, phis: tuple, q_prev: np.ndarray | None
+) -> tuple[np.ndarray, dict]:
+    """(Q_k, the properties level k = ``len(zs)`` adds to levels 1..k-1); keys as in verify_chain.
 
-    ``q_prev`` is Q_{k-1}, ``None`` at k = 1.
+    ``zs`` and ``phis`` hold z_1..z_k and phi_1..phi_k; ``q_prev`` is
+    Q_{k-1}, ``None`` at k = 1.
     """
-    k = state.depth
-    phis = np.stack(state.phis, axis=1)
-    zs = np.stack(state.zs, axis=1)
+    k = len(zs)
+    phis = np.stack(phis, axis=1)
+    zs = np.stack(zs, axis=1)
+    q = qr_basis(phis)
     s = np.linalg.svd(unit_columns(phis), compute_uv=False)
     # bio[i, j] = |f_i(z_j)| / (||phi_i|| ||z_j||); level k adds the last row and column
     norms = np.outer(np.linalg.norm(phis, axis=0), np.linalg.norm(zs, axis=0))
@@ -193,17 +183,24 @@ def _level_report(op: OperatorModel, state: ChainState, q_prev: np.ndarray | Non
         "codim_exact": svd_rank(s) == k,
     }
     if k > 1:
-        q_next = state.q
         z_next, phi_next, phi_prev = unit_columns(zs[:, -1:]), phis[:, -1], phis[:, -2]
         out["z_in_previous"] = float(np.linalg.norm(q_prev.conj().T @ z_next))
         mismatch = _project_off(q_prev, phi_next - op.adjoint_apply(phi_prev))
         scale = np.linalg.norm(phi_next) + np.linalg.norm(phi_prev) * op.norm_estimate()
         out["recurrence_norm"] = float(np.linalg.norm(mismatch) / scale)
-        out["adjoint_map"] = containment_residual(op.adjoint_apply(q_prev), q_next)
-    return out
+        out["adjoint_map"] = containment_residual(op.adjoint_apply(q_prev), q)
+    return q, out
 
 
-def verify_chain(op: OperatorModel, state: ChainState, prior: dict | None = None) -> dict:
+def _fold(report: dict, level: dict) -> dict:
+    """The report of levels 1..k from that of levels 1..k-1 and level k's own.
+
+    min over the booleans of codim_exact is their conjunction.
+    """
+    return {key: (min if key in _MIN_KEYS else max)(report[key], level[key]) for key in report}
+
+
+def verify_chain(op: OperatorModel, state: ChainState) -> dict:
     """Re-derive the chain properties from the raw state, as residuals.
 
     Every level n + 1 is checked against level n, in dual form.  Keys (all
@@ -222,22 +219,15 @@ def verify_chain(op: OperatorModel, state: ChainState, prior: dict | None = None
     smallest singular value of the stacked unit phi's) and codim_exact
     (phi_1..phi_n have numerical rank n at every level, so dim Y_n = N - n).
 
-    ``prior``, this report for the chain one level shorter, is folded with
-    the newest level's report that ``extend_chain`` derived and checked when
-    it made ``state``; without both, every level is re-derived.
+    Every level is re-derived from ``state.zs`` and ``state.phis`` alone, by
+    the derivation the walk itself ran, so the result equals
+    ``state.reports[-1]`` for a chain that init_chain and extend_chain made.
     """
-    if prior is not None and state.report is not None:
-        levels = [prior, state.report]
-    else:
-        chain = [ChainState(state.zs[:k], state.phis[:k]) for k in range(1, state.depth)]
-        chain.append(state)
-        levels = [_level_report(op, level, shorter.q if shorter else None)
-                  for shorter, level in zip([None] + chain[:-1], chain)]
-    # min over the booleans of codim_exact is their conjunction
-    return {
-        key: (min if key in _MIN_KEYS else max)(level[key] for level in levels)
-        for key in levels[0]
-    }
+    q, report = _derive_level(op, state.zs[:1], state.phis[:1], None)
+    for k in range(2, state.depth + 1):
+        q, level = _derive_level(op, state.zs[:k], state.phis[:k], q)
+        report = _fold(report, level)
+    return report
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,14 +247,11 @@ class WitnessReport:
     cross_max: float
 
 
-def build_non_ai_halfspace_witness(
-    op: OperatorModel, depth: int, z1: np.ndarray | None = None
-) -> WitnessReport:
-    """Span of the even chain vectors, plus evidence its defect never closes."""
-    if depth < 2:
+def build_non_ai_halfspace_witness(op: OperatorModel, state: ChainState) -> WitnessReport:
+    """Span of the even vectors of a built chain, plus evidence its defect never closes."""
+    if state.depth < 2:
         raise ArgumentError("need depth >= 2 for at least one even vector")
-    state = build_chain(op, depth, z1=z1)
-    pairs = depth // 2
+    pairs = state.depth // 2
     evens = np.stack(state.zs[1 : 2 * pairs : 2], axis=1)  # z_2, z_4, ..., z_{2 pairs}
     z_basis = qr_basis(evens)
 

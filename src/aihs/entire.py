@@ -4,10 +4,11 @@ The construction: given positive norms ``r_0, r_1, ...`` set ``c_0 = 1`` and
 
     c_i = 2^-i * min{1/r_1, ..., 1/r_2i}        (capped at the supplied range)
 
-so that ``c_i * r_{i+k} <= 2^-i`` termwise for ``i >= k`` and the bounds
-``beta_k = sum_i c_i r_{i+k}`` stay finite.  The degree-d truncation
-``F(z) = sum c_i z^i`` (optionally with its constant term shifted) is the
-polynomial whose zeros downstream modules feed into resolvent solves.
+so that ``c_i * r_{i+k} <= 2^-i`` termwise for ``i >= k``, which keeps the
+bounds ``beta_k = sum_i c_i r_{i+k}`` finite (nothing here computes them).
+The degree-d truncation ``F(z) = sum c_i z^i`` (optionally with its constant
+term shifted) is the polynomial whose zeros downstream modules feed into
+resolvent solves.
 
 Orbit norms grow super-geometrically for decaying shift weights, so the c_i
 span hundreds of orders of magnitude.  All polynomial evaluation here is done
@@ -18,7 +19,7 @@ reversed coefficients, which keeps every intermediate quantity representable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -51,32 +52,24 @@ _EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSequence:
-    """Coefficients c_0..c_d with the norms and bounds that produced them.
+    """Coefficients c_0..c_d of the truncated F.
 
     ``picard_shift`` is the (negative) constant subtracted from c_0, zero
-    while unshifted.  ``norm_bounds[k]`` is beta_k for k = 0..k_max.
+    while unshifted.
     """
 
     coefficients: np.ndarray
-    orbit_norms: np.ndarray
-    norm_bounds: np.ndarray
     degree: int
     k_max: int
     picard_shift: float = 0.0
 
     @classmethod
-    def from_coefficients(cls, c, orbit_norms=(), k_max: int = 0) -> "CoefficientSequence":
-        """Wrap explicit coefficients (no norm provenance, no bounds)."""
+    def from_coefficients(cls, c, k_max: int = 0) -> "CoefficientSequence":
+        """Wrap explicit coefficients (no norm provenance)."""
         c = np.asarray(c, dtype=np.complex128).reshape(-1)
         if c.size < 2:
             raise ArgumentError("need at least degree 1")
-        return cls(
-            coefficients=_readonly(c),
-            orbit_norms=np.asarray(orbit_norms, dtype=float),
-            norm_bounds=np.zeros(0),
-            degree=c.size - 1,
-            k_max=int(k_max),
-        )
+        return cls(coefficients=_readonly(c), degree=c.size - 1, k_max=int(k_max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,14 +84,6 @@ class ZeroSet:
     lambdas: np.ndarray
     residuals: np.ndarray
     noise: np.ndarray
-
-
-def _beta(c: np.ndarray, r: np.ndarray, k_max: int) -> np.ndarray:
-    d = c.size - 1
-    out = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        out[k] = float(np.sum(np.abs(c) * r[k : k + d + 1]))
-    return out
 
 
 def coefficients_from_norms(r, k_max: int, degree: int | None = None) -> CoefficientSequence:
@@ -142,40 +127,22 @@ def coefficients_from_norms(r, k_max: int, degree: int | None = None) -> Coeffic
             hi += 1
             running_max = max(running_max, r[hi])
         c[i] = math.ldexp(1.0, -i) / running_max
-    return CoefficientSequence(
-        coefficients=_readonly(c),
-        orbit_norms=r.copy(),
-        norm_bounds=_beta(c, r, k_max),
-        degree=degree,
-        k_max=k_max,
-    )
+    return CoefficientSequence(coefficients=_readonly(c), degree=degree, k_max=k_max)
 
 
-def apply_picard_shift(cs: CoefficientSequence, strategy="unit") -> CoefficientSequence:
-    """Replace c_0 by c_0 - d_shift for a negative d_shift.
+def apply_picard_shift(cs: CoefficientSequence) -> CoefficientSequence:
+    """Replace c_0 by c_0 - d_shift with the unit shift d_shift = -max(1, c_0).
 
-    ``strategy`` is either the string ``"unit"`` (d_shift = -max(1, c_0))
-    or an explicit negative real.  The truncated polynomial keeps its full
-    complement of zeros either way; the shift pins F(0) != 0.
+    The truncated polynomial keeps its full complement of zeros; the shift
+    pins F(0) != 0.
     """
     if cs.picard_shift != 0.0:
         raise ArgumentError("coefficient sequence is already shifted")
-    c0 = float(cs.coefficients[0].real)
-    if strategy == "unit":
-        d_shift = -max(1.0, c0)
-    else:
-        d_shift = float(strategy)
-        if not d_shift < 0:
-            raise ArgumentError(f"d_shift must be negative, got {d_shift}")
+    d_shift = -max(1.0, float(cs.coefficients[0].real))
     c = np.array(cs.coefficients, copy=True)
     c[0] = c[0] - d_shift
-    bounds = _beta(c, cs.orbit_norms, cs.k_max) if cs.norm_bounds.size else cs.norm_bounds
-    return replace(
-        cs,
-        coefficients=_readonly(c),
-        norm_bounds=bounds,
-        picard_shift=d_shift,
-    )
+    return CoefficientSequence(coefficients=_readonly(c), degree=cs.degree, k_max=cs.k_max,
+                               picard_shift=d_shift)
 
 
 def shifted_coefficients(cs: CoefficientSequence, k: int) -> np.ndarray:

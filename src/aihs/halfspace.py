@@ -225,8 +225,9 @@ def _select_lambdas(
     """
     excluded: list = []
     survivors = []
+    gapped = set(filter_lambda_gap(op, candidates, tol.eigen_gap_rtol).tolist())
     for lam in candidates:
-        if filter_lambda_gap(op, np.array([lam]), tol.eigen_gap_rtol).size == 0:
+        if complex(lam) not in gapped:
             excluded.append((complex(lam), "eigenvalue-gap"))
             continue
         if noise_floor is not None:
@@ -292,7 +293,8 @@ def compute_metrics(
     count), through the k x k truncation of T: the work stops at the zero tail.
     """
     rows = law.orbit_values(k_max, orbit.length)
-    refs = law.references(rows, lambdas)
+    # the entire route's references vanish at its zeros, so only the Blaschke route subtracts any
+    refs = law.references(rows, lambdas) if law.construction == "Blaschke" else None
     scale = (1.0 + float(np.max(np.abs(lambdas)))) ** (k_max + 1) * law.coefficient_max()
     replayed = orbit.replay(duals)  # replayed[j, i] = f_j(x_i)
     extension = float(np.max(np.abs(replayed - rows))) / max(float(np.max(np.abs(rows))), 1e-300)
@@ -307,7 +309,7 @@ def compute_metrics(
     moved = op.apply(basis)
 
     inner = duals.conj().T @ raw_vectors  # inner[j, n] = f_j(h(lambda_n))
-    if law.construction == "Blaschke":
+    if refs is not None:
         inner = inner - refs
 
     metrics = {
@@ -487,9 +489,11 @@ def build_blaschke(
             raise ArgumentError(
                 f"Taylor order {order} cannot cover orbit length {length}"
             )
-        if defect_cap is not None:  # the summability guard; the law derives the series
-            blaschke_taylor(lambdas, order, defect_cap=defect_cap)
         law = BlaschkeLaw(_readonly(lambdas), order)
+        # the summability guard, on the series the law derives
+        if defect_cap is not None and law.series.defect_sum > defect_cap:
+            raise AssumptionError(f"sum of (1 - |lam|) = {law.series.defect_sum:.6g} "
+                                  f"exceeds the cap {defect_cap:.6g}")
 
     with _stage("selection"):
         kept, excluded = _select_lambdas(op, lambdas, m, tol, noise_floor=None)

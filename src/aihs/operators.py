@@ -342,7 +342,11 @@ def geometric_weights(dim: int, ratio: complex) -> tuple[complex, ...]:
     """``w_i = ratio**i`` for ``i = 1 .. dim - 1``."""
     if ratio == 0:
         raise ArgumentError("geometric ratio must be nonzero")
-    return tuple(complex(ratio) ** i for i in range(1, dim))
+    try:
+        return tuple(complex(ratio) ** i for i in range(1, dim))
+    except OverflowError:
+        raise ArgumentError(f"geometric weights overflow: |ratio|**{dim - 1} with "
+                            f"|ratio| = {abs(ratio):.6g} leaves the float range") from None
 
 
 def factorial_decay_weights(dim: int) -> tuple[complex, ...]:

@@ -47,21 +47,11 @@ NEUMANN_TAIL_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class ResolventVector:
-    """One solve of ``(1/lam - T) h = e``.
-
-    ``defect`` is the solve residual relative to the solve scale, ``terms``
-    the number of Neumann terms (``None`` for direct solves), ``condition``
-    a two-sided power-iteration estimate of cond_2(1/lam - T), or ``nan``
-    unless the caller asked for it by calling
-    :meth:`ResolventSolver.condition_estimate` before the solve.
-    """
+    """One solve of ``(1/lam - T) h = e``; ``defect`` is its residual over the solve scale."""
 
     lam: complex
     vector: np.ndarray
-    method: str
-    terms: int | None
     defect: float
-    condition: float
 
 
 def _relative_defect(op: OperatorModel, lam: complex, h: np.ndarray, e: np.ndarray) -> float:
@@ -90,7 +80,6 @@ class ResolventSolver:
         self.lam = complex(lam)
         self.defect_tol = float(defect_tol)
         self._solve = op.shifted_solver(1.0 / self.lam)
-        self._condition: float | None = None
 
     def solve(self, e: np.ndarray) -> ResolventVector:
         e = np.asarray(e, dtype=np.complex128).reshape(-1)
@@ -105,31 +94,22 @@ class ResolventSolver:
             raise SingularResolventError(
                 self.lam, f"relative defect {defect:.3e} exceeds {self.defect_tol:.1e}"
             )
-        return ResolventVector(
-            lam=self.lam,
-            vector=_readonly(h),
-            method="direct",
-            terms=None,
-            defect=defect,
-            condition=math.nan if self._condition is None else self._condition,
-        )
+        return ResolventVector(lam=self.lam, vector=_readonly(h), defect=defect)
 
     def condition_estimate(self, iters: int = 12) -> float:
         """cond_2 estimate: power iteration on ``A^H A`` and on its inverse, both
         by :func:`_power_root`.  Builds and inverts the dense ``A = 1/lam - T``
-        on first call, for every family; an exactly singular ``A`` gives inf.
-        Random start vectors from a fixed internal seed."""
-        if self._condition is None:
-            a = np.diag(np.full(self.op.dim, 1.0 / self.lam)) - self.op.matrix
-            v, u = _random_starts(self.op.dim, 2)
-            try:
-                a_inv = np.linalg.inv(a)
-                inv_hi = _power_root(lambda x: a_inv @ (a_inv.conj().T @ x), u, iters)
-            except np.linalg.LinAlgError:  # exactly singular
-                inv_hi = math.inf
-            hi = _power_root(lambda x: a.conj().T @ (a @ x), v, iters)
-            self._condition = hi * inv_hi if math.isfinite(inv_hi) else math.inf
-        return self._condition
+        for every family; an exactly singular ``A`` gives inf.  Random start
+        vectors from a fixed internal seed."""
+        a = np.diag(np.full(self.op.dim, 1.0 / self.lam)) - self.op.matrix
+        v, u = _random_starts(self.op.dim, 2)
+        try:
+            a_inv = np.linalg.inv(a)
+            inv_hi = _power_root(lambda x: a_inv @ (a_inv.conj().T @ x), u, iters)
+        except np.linalg.LinAlgError:  # exactly singular
+            inv_hi = math.inf
+        hi = _power_root(lambda x: a.conj().T @ (a @ x), v, iters)
+        return hi * inv_hi if math.isfinite(inv_hi) else math.inf
 
 
 def neumann_resolvent(
@@ -171,14 +151,7 @@ def neumann_resolvent(
         if last_norm > NEUMANN_TAIL_TOL * max(sum_norm, 1e-300):
             raise NeumannDivergenceError(lam, last_norm)
 
-    return ResolventVector(
-        lam=lam,
-        vector=_readonly(acc),
-        method="neumann",
-        terms=terms,
-        defect=_relative_defect(op, lam, acc, e),
-        condition=math.nan,
-    )
+    return ResolventVector(lam=lam, vector=_readonly(acc), defect=_relative_defect(op, lam, acc, e))
 
 
 # ----------------------------------------------------------------------------

@@ -11,7 +11,10 @@ from aihs.blaschke import (
     evaluate_taylor,
     fm_coefficient_table,
 )
-from aihs.errors import ArgumentError, AssumptionError
+from aihs import halfspace
+from aihs.errors import ArgumentError, StageError
+from aihs.halfspace import build_blaschke
+from aihs.operators import Family, build_operator
 
 
 def test_inverse_square_first_three():
@@ -91,9 +94,42 @@ def test_growth_constant_matches_brute_force():
     assert np.isfinite(bd.growth_constant)
 
 
-def test_defect_cap_is_enforced():
-    with pytest.raises(AssumptionError):
-        blaschke_taylor([0.1, 0.1], order=4, defect_cap=1.0)
+def _counted_taylor(monkeypatch) -> list:
+    calls = []
+    real = halfspace.blaschke_taylor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(halfspace, "blaschke_taylor", counted)
+    return calls
+
+
+def _e0(dim):
+    e = np.zeros(dim, dtype=np.complex128)
+    e[0] = 1.0
+    return e
+
+
+def test_defect_cap_is_enforced(monkeypatch):
+    # sum(1 - |lam|) = 1.8 > 1, checked in the taylor stage on the law's own series
+    calls = _counted_taylor(monkeypatch)
+    op = build_operator(Family.FORWARD, 16, weights=np.full(15, 0.5))
+    with pytest.raises(StageError) as exc:
+        build_blaschke(op, _e0(16), m=2, m_max=1, lambdas=[0.1, 0.1], defect_cap=1.0)
+    assert exc.value.stage == "taylor"
+    assert str(exc.value.cause) == "sum of (1 - |lam|) = 1.8 exceeds the cap 1"
+    assert len(calls) == 1
+
+
+def test_a_capped_build_derives_its_series_once(monkeypatch):
+    calls = _counted_taylor(monkeypatch)
+    op = build_operator(Family.FORWARD, 16, weights=np.full(15, 0.5))
+    capped = build_blaschke(op, _e0(16), m=2, m_max=1, lambdas=[0.1, 0.1], defect_cap=2.0)
+    assert len(calls) == 1
+    plain = build_blaschke(op, _e0(16), m=2, m_max=1, lambdas=[0.1, 0.1])
+    assert capped.metrics == plain.metrics
 
 
 def test_taylor_agrees_with_product_inside_disk():

@@ -74,6 +74,6 @@ def test_donoghue_chain_and_witness_at_n1024_stay_structured(monkeypatch):
     state = build_chain(op, 10)
     assert state.depth == 10
     assert len(calls) == 0  # no basis of any Y_n
-    witness = build_non_ai_halfspace_witness(op, 10)
+    witness = build_non_ai_halfspace_witness(op, state)
     assert witness.ranks == (1, 2, 3, 4, 5)
     assert "matrix" not in vars(op)  # the N x N matrix was never built

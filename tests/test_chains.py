@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,18 +113,27 @@ def test_verify_chain_detects_tampering():
     a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     op = dense_op(a)
     state = build_chain(op, 4)
-    tampered = state.__class__(
-        zs=state.zs[:-1] + (rng.standard_normal(12) + 0j,),
-        phis=state.phis,
-    )
+    tampered = dataclasses.replace(state, zs=state.zs[:-1] + (rng.standard_normal(12) + 0j,))
     report = verify_chain(op, tampered)
     assert max(report[k] for k in RESIDUAL_KEYS) > 1e-4
+
+
+def test_verify_chain_reads_only_the_vectors():
+    # Q_n and the per-level reports are the walk's by-products; the audit
+    # re-derives every level from z_k and phi_k and must not read them
+    rng = np.random.default_rng(8)
+    op = dense_op(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+    state = build_chain(op, 5)
+    garbage = dataclasses.replace(
+        state, q=np.full_like(state.q, np.nan), reports=({"bogus": -1.0},) * state.depth
+    )
+    assert verify_chain(op, garbage) == verify_chain(op, state) == state.reports[-1]
 
 
 def test_witness_forward_shift_oracle():
     n = 64
     op = build_operator(Family.FORWARD, n, weights=np.ones(n - 1))
-    rep = build_non_ai_halfspace_witness(op, 12, z1=basis_vec(n, n - 1))
+    rep = build_non_ai_halfspace_witness(op, build_chain(op, 12, z1=basis_vec(n, n - 1)))
     assert rep.ranks == tuple(range(1, 7))  # strict growth, one new direction per k
     assert rep.diagonal_min > 1e-10
     assert rep.cross_max < 1e-10
@@ -133,7 +144,7 @@ def test_witness_depth_two_single_vector():
     rng = np.random.default_rng(17)
     a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
     op = dense_op(a)
-    rep = build_non_ai_halfspace_witness(op, 2)
+    rep = build_non_ai_halfspace_witness(op, build_chain(op, 2))
     assert rep.ranks == (1,)
     assert rep.evaluations.shape == (1, 1)
     assert rep.cross_max == 0.0
@@ -142,14 +153,14 @@ def test_witness_depth_two_single_vector():
 def test_witness_identity_propagates_termination():
     op = dense_op(np.eye(6, dtype=complex))
     with pytest.raises(ChainTerminated):
-        build_non_ai_halfspace_witness(op, 4)
+        build_non_ai_halfspace_witness(op, build_chain(op, 4))
 
 
 def test_witness_rank_growth_random_dense():
     rng = np.random.default_rng(99)
     a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     op = dense_op(a)
-    rep = build_non_ai_halfspace_witness(op, 10)
+    rep = build_non_ai_halfspace_witness(op, build_chain(op, 10))
     assert all(b > a for a, b in zip(rep.ranks, rep.ranks[1:]))
     assert rep.diagonal_min > 1e-10
     assert rep.cross_max < 1e-10
@@ -199,7 +210,7 @@ def test_dichotomy_sweep_small():
         a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         op = dense_op(a)
         try:
-            rep = build_non_ai_halfspace_witness(op, 8)
+            rep = build_non_ai_halfspace_witness(op, build_chain(op, 8))
         except ChainTerminated as term:
             assert term.verified
             outcomes.append("invariant")
@@ -215,5 +226,3 @@ def test_init_chain_seed_validation():
         init_chain(op, z1=np.zeros(4))
     with pytest.raises(ArgumentError):
         init_chain(op, z1=np.ones(3))
-    with pytest.raises(ArgumentError):
-        init_chain(op, z1=basis_vec(4, 0), phi1=basis_vec(4, 1))  # f1(z1) = 0

@@ -297,16 +297,50 @@ def _verify_error(capsys, path, doc, *flags) -> str:
     return err
 
 
+_OVERFLOW = "geometric weights overflow: |ratio|**63 with |ratio| = 1e+300 leaves the float range"
+
+
 @pytest.mark.parametrize("weight, message", [
     ("oops", "cannot rebuild the operator from the config echo: ValueError"),
     ([0.5, 0.0, 0.0], "complex entries must be [re, im], got [0.5, 0.0, 0.0]"),
-    (1e300, "cannot rebuild the operator from the config echo: OverflowError"),
+    (1e300, _OVERFLOW),
 ], ids=["string", "three-element-pair", "overflowing-ratio"])
 def test_verify_bad_stored_weight_is_a_one_line_error(tmp_path, capsys, weight, message):
     # the config echo stores the weights, and verify does not schema-check it
     path, doc = _built_certificate(tmp_path, _entire_cfg())
     doc["config_echo"]["config"]["operator"]["weights"]["params"]["ratio"] = weight
     assert _verify_error(capsys, path, doc).startswith(f"error: {message}")
+
+
+def _overflowing(cfg: dict) -> dict:
+    cfg["operator"]["weights"]["params"]["ratio"] = 1e300  # ratio**2 already overflows
+    return cfg
+
+
+def test_build_with_overflowing_weights_is_a_one_line_error(tmp_path, capsys):
+    cfg = _write(tmp_path / "run.json", _overflowing(_entire_cfg()))
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {_OVERFLOW}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_chain_with_overflowing_weights_is_a_one_line_error(tmp_path, capsys):
+    operator = _overflowing(_entire_cfg())["operator"]
+    cfg = _write(tmp_path / "chain.json", {"operator": operator, "depth": 4, "label": "chain"})
+    assert main(["chain", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {_OVERFLOW}\n"
+
+
+def test_sweep_run_with_overflowing_weights_is_an_error_row(tmp_path):
+    runs = [_overflowing(_entire_cfg(label="overflow")), _entire_cfg(label="fine")]
+    cfg = _write(tmp_path / "sweep.json", {"runs": runs, "label": "over"})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
+    with (tmp_path / "over.sweep.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["status"] == f"error: {_OVERFLOW}"
+    assert rows[1]["status"] == "pass"
 
 
 def _drop_last_weight(operator):
@@ -476,15 +510,15 @@ def test_chain_transcript_records_properties(tmp_path):
     ],
 )
 def test_chain_transcript_folds_each_level_once(tmp_path, monkeypatch, operator, seed_index, branch):
-    # the transcript at depth n is the worst value over levels 1..n; a
-    # running fold takes each new level's report from extend_chain, which
-    # derived it once, and each level's Q_n is derived once
+    # the transcript at depth n is the worst value over levels 1..n; the
+    # walk derives each level's report and Q_n once, and the transcript
+    # writes the walk's own reports
     depth = 10
     cfg = _write(tmp_path / "chain.json", {
         "schema": "aihs-chain/1", "operator": operator, "depth": depth,
         "seed_vector": {"kind": "basis", "index": seed_index}, "label": "chain",
     })
-    calls = {"_level_report": 0, "qr_basis": 0}
+    calls = {"_derive_level": 0, "qr_basis": 0}
 
     def counted(name, original):
         def wrapper(*args):
@@ -499,7 +533,7 @@ def test_chain_transcript_folds_each_level_once(tmp_path, monkeypatch, operator,
     doc = ser.decode_value(ser.read_json(tmp_path / "chain.transcript.json"))
     assert doc["outcome"]["branch"] == branch
     reached = doc["outcome"]["depth_reached"]
-    assert calls == {"_level_report": reached, "qr_basis": reached}
+    assert calls == {"_derive_level": reached, "qr_basis": reached}
     assert reached <= depth
 
     op = operator_from_config(operator)
@@ -509,6 +543,45 @@ def test_chain_transcript_folds_each_level_once(tmp_path, monkeypatch, operator,
         state = extend_chain(op, state)
         folded.append(verify_chain(op, state))
     assert [step["properties"] for step in doc["steps"]] == folded
+
+
+@pytest.mark.parametrize(
+    "operator, depth, extended_at, outcome",
+    [
+        ({"family": "donoghue-backward-shift", "dim": 32,
+          "weights": {"kind": "geometric", "params": {"ratio": 0.5}}}, 7, [1, 2, 3, 4, 5, 6],
+         {"branch": "deep-chain", "depth_reached": 7}),
+        ({"family": "forward-weighted-shift", "dim": 16,
+          "weights": {"kind": "explicit", "params": {"values": [1.0] * 15}}}, 5, [1],
+         {"branch": "invariant-subspace", "depth_reached": 1}),
+    ],
+    ids=["deep", "terminated"],
+)
+def test_chain_with_witness_walks_its_chain_once(tmp_path, monkeypatch, operator, depth,
+                                                 extended_at, outcome):
+    # the witness reads the chain the transcript was written from
+    real = chains.extend_chain
+    extended = []
+
+    def counted(op, state):
+        extended.append(state.depth)
+        return real(op, state)
+
+    for module in (chains, cli):  # wherever the name is looked up
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, counted)
+    cfg = _write(tmp_path / "chain.json",
+                 {"operator": operator, "depth": depth, "witness": True, "label": "chain"})
+    assert main(["chain", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert extended == extended_at
+    doc = ser.decode_value(ser.read_json(tmp_path / "chain.transcript.json"))
+    assert {key: doc["outcome"][key] for key in outcome} == outcome
+    if outcome["branch"] == "deep-chain":
+        assert doc["witness"]["ranks"] == [1, 2, 3]
+    else:
+        assert doc["witness"] == {"branch": "invariant-subspace", "depth_reached": 1,
+                                  "invariance_residual": doc["outcome"]["invariance_residual"]}
 
 
 def test_sweep_three_dims_three_rows(tmp_path):

@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from aihs import halfspace
 from aihs.config import Tolerances
 from aihs.errors import ArgumentError, StageError
 from aihs.halfspace import (
+    EntireLaw,
     _select_lambdas,
     build_blaschke,
     build_entire,
@@ -332,3 +334,42 @@ def test_moduli_apart_by_more_than_tol_zero_still_rank_by_modulus():
     lower = (1.276 - 5.218j) * (1.0 + 10 * Tolerances.tol_zero)
     kept, _ = _select_lambdas(op, np.array([1.276 + 5.218j, lower]), 1, Tolerances(), None)
     assert kept.tolist() == [lower]
+
+
+def test_the_entire_route_never_derives_references(monkeypatch):
+    # its references vanish at its zeros, so neither build nor audit subtracts them
+    def refuse(self, rows, lambdas):
+        raise AssertionError("EntireLaw.references called")
+
+    monkeypatch.setattr(EntireLaw, "references", refuse)
+    op = geometric_shift(256)
+    cert = build_entire(op, basis_vec(256), m=8, k_max=5)
+    assert cert.passed
+    assert verify_certificate(op, cert)["passed"]
+
+
+def test_selection_makes_one_gap_call_and_keeps_the_exclusion_order(monkeypatch):
+    calls = []
+    real = halfspace.filter_lambda_gap
+
+    def counted(op, lams, *args):
+        calls.append(np.array(lams))
+        return real(op, lams, *args)
+
+    monkeypatch.setattr(halfspace, "filter_lambda_gap", counted)
+    op = build_operator(Family.DENSE, 2, matrix=np.diag([2.0, 4.0]).astype(complex))
+    # 1/0.5 and 1/0.25 are eigenvalues; the noise floor drops 0.2 and 0.15
+    candidates = np.array([0.5, 0.2, 0.25, 0.1, 0.15, 0.3], dtype=complex)
+
+    def noise_floor(lam):
+        return (1.0, 0.0) if lam in (0.2, 0.15) else (0.0, 1.0)
+
+    kept, excluded = _select_lambdas(op, candidates, 2, Tolerances(), noise_floor)
+    assert len(calls) == 1 and np.array_equal(calls[0], candidates)
+    assert excluded == [(0.5, "eigenvalue-gap"), (0.2, "noise-floor"),
+                        (0.25, "eigenvalue-gap"), (0.15, "noise-floor")]
+    assert sorted(kept.tolist(), key=abs) == [0.1, 0.3]
+
+    calls.clear()
+    build_entire(geometric_shift(256), basis_vec(256), m=8, k_max=5)
+    assert len(calls) == 1

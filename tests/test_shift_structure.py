@@ -103,14 +103,6 @@ def test_condition_estimate_on_shift_matches_svd(op, seed):
     assert 0.5 * exact <= solver.condition_estimate() <= 1.01 * exact
 
 
-def test_solve_reports_no_condition_unless_asked():
-    op = build_operator(Family.FORWARD, 16, weights=geometric_weights(16, 0.9))
-    solver = ResolventSolver(op, 2.0)
-    assert np.isnan(solver.solve(np.ones(16)).condition)
-    estimate = solver.condition_estimate()
-    assert solver.solve(np.ones(16)).condition == estimate
-
-
 @pytest.mark.parametrize("family", SHIFTS)
 def test_exactly_singular_shift_solve_is_a_singular_resolvent(family):
     # lam = inf puts z = 1/lam = 0, and z - T = -T is nilpotent
