@@ -81,10 +81,6 @@ class ChainState:
     def depth(self) -> int:
         return len(self.zs)
 
-    def f(self, n: int, x: np.ndarray) -> complex:
-        """Value f_n(x), 1-indexed."""
-        return complex(np.vdot(self.phis[n - 1], x))
-
 
 def _project_off(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(I - Q Q^H) v, applied twice so the result is orthogonal to Q to working precision."""
@@ -270,29 +266,40 @@ def build_non_ai_halfspace_witness(op: OperatorModel, state: ChainState) -> Witn
     )
 
 
-def codim_n_subspace(op: OperatorModel, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+def codim_n_subspace(
+    op: OperatorModel, n: int, walk: ChainState | ChainTerminated | None = None
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Codimension-n subspace Y with a single defect direction e_Y.
 
-    Happy path: the depth-n chain gives Y = Y_n and e_Y = z_n, since
-    T(Y_n) lands in Y_{n-1} = Y_n + span z_n.  If the chain terminates first
-    the terminal Y_d is invariant; the construction restricts T to it and
-    recurses for the remaining codimension, so the dichotomy never leaves
-    the caller empty-handed.  The returned basis of Y is the one place a
-    chain builds a basis of its subspace: the null space of the stacked
-    phi^H, once, at the end.  Residual is dist(Ty, Y + span e_Y), relative.
+    Happy path: the depth-n chain from e_1 gives Y = Y_n and e_Y = z_n, since
+    T(Y_n) lands in Y_{n-1} = Y_n + span z_n.  ``walk``, a chain from e_1 or
+    the ChainTerminated that ended one, is continued (or cut at depth n)
+    instead of walked again; a chain is deterministic, so the result is the
+    same.  If the chain terminates first the terminal Y_d is invariant; the
+    construction restricts T to it and recurses for the remaining
+    codimension, so the dichotomy never leaves the caller empty-handed.  The
+    returned basis of Y is the one place a chain builds a basis of its
+    subspace: the null space of the stacked phi^H, once, at the end.
+    Residual is dist(Ty, Y + span e_Y), relative.
     """
     if not 1 <= n < op.dim:
         raise ArgumentError("need 1 <= n < dim")
-    try:
-        state = build_chain(op, n)
-    except ChainTerminated as term:
-        state = term.state  # depth strictly below n: extension stops once depth reaches n
-    y_basis = null_space(np.stack(state.phis).conj())
-    e_y = np.asarray(state.zs[-1])
-    if state.depth < n:
+    if isinstance(walk, ChainTerminated):
+        state = walk.state  # extending it would terminate again
+    else:
+        state = init_chain(op) if walk is None else walk
+        try:
+            while state.depth < n:
+                state = extend_chain(op, state)
+        except ChainTerminated as term:
+            state = term.state  # depth strictly below n
+    phis, zs = state.phis[:n], state.zs[:n]
+    y_basis = null_space(np.stack(phis).conj())
+    e_y = np.asarray(zs[-1])
+    if len(zs) < n:
         q = y_basis
         restricted = build_operator(Family.DENSE, q.shape[1], matrix=q.conj().T @ op.apply(q))
-        y_sub, e_sub, _ = codim_n_subspace(restricted, n - state.depth)
+        y_sub, e_sub, _ = codim_n_subspace(restricted, n - len(zs))
         y_basis, e_y = q @ y_sub, q @ e_sub
 
     if np.linalg.norm(e_y) > 0:

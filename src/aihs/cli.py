@@ -41,7 +41,7 @@ from .config import (
 )
 from .errors import AihsError, ArgumentError, ChainTerminated, StageError
 from .halfspace import build_blaschke, build_entire, verify_certificate
-from .operators import _as_complex, operator_digest, operator_from_config
+from .operators import _complex_entries, operator_digest, operator_from_config
 from .resolvent import dense_subsequence_probe, probe_tail_oracle
 
 __all__ = ["main"]
@@ -84,7 +84,7 @@ def _blaschke_options(block: dict | None, m: int):
     if seq is not None:
         params = {"ratio": seq["ratio"]} if "ratio" in seq else {}
         if "values" in seq:
-            params["values"] = [_as_complex(v) for v in seq["values"]]
+            params["values"] = _complex_entries(seq["values"])
         lambdas = blaschke_sequence(seq["kind"], m, **params)
     return lambdas, block.get("order"), block.get("defect_cap")
 
@@ -238,7 +238,10 @@ def cmd_chain(args) -> int:
         doc["witness"] = ser.encode_value(witness)
 
     if "codim" in cfg:
-        basis_y, e_y, resid = codim_n_subspace(op, cfg["codim"])
+        # codim's chain starts at e_1: it continues this walk when this one did too
+        from_e1 = z1.tobytes() == seed_vector_from_config(None, op.dim).tobytes()
+        walk = (state if stop is None else stop) if from_e1 else None
+        basis_y, e_y, resid = codim_n_subspace(op, cfg["codim"], walk)
         doc["codim"] = ser.encode_value(
             {"n": cfg["codim"], "dim_y": basis_y.shape[1], "residual": resid}
         )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .operators import _as_complex
+from .operators import _complex_entries, _is_pair_list
 
 __all__ = [
     "Tolerances",
@@ -230,8 +230,11 @@ def _is(doc, kind: str) -> bool:
 
 
 def _errors(schema: dict, doc, path: tuple) -> list:
-    """Each violation as (path, message, context), in schema order; a failed
-    ``type`` ends the node."""
+    """Each violation as (path, message, context), in schema order.
+
+    Every keyword applies, as in draft 7: a failed ``type`` does not end the
+    node, so 1.5 against ``{"type": "integer", "minimum": 2}`` fails twice.
+    """
     found = []
     is_dict, is_list = isinstance(doc, dict), isinstance(doc, list)
     for key, value in schema.items():
@@ -239,12 +242,14 @@ def _errors(schema: dict, doc, path: tuple) -> list:
         if key == "type":
             kinds = [value] if isinstance(value, str) else value
             if not any(_is(doc, kind) for kind in kinds):
-                return found + [(path, f"{doc!r} is not of type {', '.join(map(repr, kinds))}", ())]
+                message = f"{doc!r} is not of type {', '.join(map(repr, kinds))}"
         elif key == "properties" and is_dict:
             for name, sub in value.items():
                 if name in doc:
                     found += _errors(sub, doc[name], path + (name,))
         elif key == "items" and is_list:
+            if value is _COMPLEX and _is_pair_list(doc):
+                continue  # every entry is a valid [re, im] pair
             for index, item in enumerate(doc):
                 found += _errors(value, item, path + (index,))
         elif key == "required" and is_dict:
@@ -355,7 +360,7 @@ def seed_vector_from_config(cfg: dict | None, dim: int) -> np.ndarray:
     values = cfg["values"]
     if len(values) != dim:
         raise ArgumentError(f"explicit seed vector needs {dim} entries, got {len(values)}")
-    return np.array([_as_complex(v) for v in values], dtype=np.complex128)
+    return _complex_entries(values)
 
 
 def tolerances_from_config(cfg: dict | None, **overrides) -> Tolerances:

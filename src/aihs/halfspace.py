@@ -123,9 +123,9 @@ class HalfSpaceCertificate:
     """Machine-checkable record of one half-space construction.
 
     The inputs and witnesses, with the ``metrics`` they determine; ``checks``
-    pairs each metric with its threshold and verdict.  ``basis`` and
-    ``reference_values`` are derived from the stored fields on first access,
-    so a fresh build and a read-back certificate give the same arrays.
+    pairs each metric with its threshold and verdict.  ``basis`` is derived
+    from the stored fields on first access, so a fresh build and a read-back
+    certificate give the same array.
     """
 
     law: EntireLaw | BlaschkeLaw
@@ -149,12 +149,6 @@ class HalfSpaceCertificate:
     def basis(self) -> np.ndarray:
         """Orthonormal basis of Y, ``qr_basis`` of the resolvent vectors."""
         return _readonly(qr_basis(self.raw_vectors))
-
-    @functools.cached_property
-    def reference_values(self) -> np.ndarray:
-        """f_k(h(lambda_n)) as the law prescribes, one row per functional."""
-        rows = self.law.orbit_values(self.k_max, self.orbit_length)
-        return _readonly(self.law.references(rows, self.lambdas))
 
     @property
     def construction(self) -> str:

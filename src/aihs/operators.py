@@ -373,12 +373,29 @@ def _as_complex(value) -> complex:
     return complex(value)
 
 
-def weights_from_config(cfg: dict, dim: int) -> tuple[complex, ...]:
+def _is_pair_list(values) -> bool:
+    """Whether every entry is a list ``[re, im]`` of two ints or floats (bools excluded)."""
+    return (set(map(type, values)) == {list} and set(map(len, values)) == {2}
+            and set(map(type, itertools.chain.from_iterable(values))) <= {int, float})
+
+
+def _complex_entries(values) -> np.ndarray:
+    """Config entries, numbers or ``[re, im]`` pairs, as a complex array.
+
+    A list of pairs converts in one pass; the entries keep the bits that
+    :func:`_as_complex` gives each one, which handles every other list.
+    """
+    if _is_pair_list(values):
+        return np.array(values, dtype=np.float64).view(np.complex128).reshape(-1)
+    return np.array([_as_complex(v) for v in values], dtype=np.complex128)
+
+
+def weights_from_config(cfg: dict, dim: int) -> np.ndarray | tuple[complex, ...]:
     """Materialize a ``{"kind": ..., "params": {...}}`` weight description."""
     kind = cfg.get("kind")
     params = cfg.get("params", {})
     if kind == "explicit":
-        return tuple(_as_complex(v) for v in params["values"])
+        return _complex_entries(params["values"])
     if kind == "geometric":
         return geometric_weights(dim, _as_complex(params["ratio"]))
     if kind == "factorial-decay":
@@ -400,11 +417,8 @@ def operator_from_config(cfg: dict, rng: np.random.Generator | None = None) -> O
             raise ArgumentError("dense operator config requires a 'matrix' entry")
         kind = mcfg.get("kind", "explicit")
         if kind == "explicit":
-            entries = mcfg["entries"]
-            m = np.array(
-                [[_as_complex(v) for v in row] for row in entries],
-                dtype=np.complex128,
-            )
+            m = np.array([_complex_entries(row) for row in mcfg["entries"]],
+                         dtype=np.complex128)
         elif kind == "random-gaussian":
             if rng is None:
                 raise ArgumentError("random dense matrix requires a seeded rng")

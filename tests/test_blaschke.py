@@ -1,9 +1,14 @@
 """Blaschke sequences, Taylor products, and the F_m coefficient tables."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from aihs import blaschke
 from aihs.blaschke import (
     blaschke_sequence,
     blaschke_taylor,
@@ -72,6 +77,74 @@ def test_two_factor_coefficients_are_the_convolution_of_singles():
     single_b = blaschke_taylor([b], order=12).taylor
     both = blaschke_taylor([a, b], order=12).taylor
     assert_allclose(both, np.convolve(single_a, single_b)[:13], rtol=1e-13)
+
+
+def _convolution_product(lams, order):
+    """The product as the convolution of each factor's own series, cut at ``order``.
+
+    Factor lam: b_0 = |lam|, b_j = (|lam|/lam)(|lam|^2 - 1) conj(lam)^(j-1).
+    """
+    series = np.zeros(order + 1, dtype=np.complex128)
+    series[0] = 1.0
+    for lam in lams:
+        factor = np.empty(order + 1, dtype=np.complex128)
+        factor[0] = abs(lam)
+        factor[1:] = (abs(lam) / lam) * (abs(lam) ** 2 - 1.0) * np.conj(lam) ** np.arange(order)
+        series = np.convolve(series, factor)[: order + 1]
+    return series
+
+
+# |lam| = 1 - 10^t, from about 1e-3 up to 1 - 1e-6, at any angle
+_ZEROS = st.lists(
+    st.tuples(st.floats(-6.0, -5e-4), st.floats(0.0, 2 * math.pi)).map(
+        lambda p: (1.0 - 10.0 ** p[0]) * complex(math.cos(p[1]), math.sin(p[1]))),
+    min_size=1, max_size=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lams=_ZEROS, order=st.integers(0, 600))
+def test_recurrence_product_matches_the_convolution(lams, order):
+    got = blaschke_taylor(lams, order).taylor
+    want = _convolution_product(lams, order)
+    assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+
+
+class _Counted(np.ndarray):
+    """An array that counts the in-place additions made to it or to its views."""
+
+    passes = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.add and out is not None:
+            _Counted.passes += 1
+        plain = [a.view(np.ndarray) if isinstance(a, _Counted) else a for a in inputs]
+        if out is None:
+            return getattr(ufunc, method)(*plain, **kwargs)
+        getattr(ufunc, method)(*plain, out=tuple(a.view(np.ndarray) for a in out), **kwargs)
+        return out[0]  # in place: the counted array itself
+
+
+class _CountingNumpy:
+    """numpy, except that ``zeros`` hands out counted arrays."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def zeros(*args, **kwargs):
+        return np.zeros(*args, **kwargs).view(_Counted)
+
+
+@pytest.mark.parametrize("order", [255, 1023, 4095])
+def test_the_product_makes_a_logarithmic_number_of_vector_passes(monkeypatch, order):
+    # each factor: ceil(log2(order + 1)) scan passes, then one product pass
+    lams = blaschke_sequence("inverse-square", 8)
+    monkeypatch.setattr(blaschke, "np", _CountingNumpy())
+    _Counted.passes = 0
+    counted = blaschke_taylor(lams, order)
+    monkeypatch.undo()
+    assert _Counted.passes == lams.size * (math.ceil(math.log2(order + 1)) + 1)
+    assert np.array_equal(counted.taylor, blaschke_taylor(lams, order).taylor)
 
 
 def test_product_form_has_exact_zeros():

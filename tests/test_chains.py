@@ -50,7 +50,7 @@ def test_two_by_two_hand_oracle():
     extended = extend_chain(op, state)
     assert extended.depth == 2
     # hand simulation: f_2 = e_2 dual, z_2 = e_2, Y_2 = {0}
-    assert abs(extended.f(2, basis_vec(2, 1)) - 1.0) < 1e-14
+    assert abs(np.vdot(extended.phis[1], basis_vec(2, 1)) - 1.0) < 1e-14
     np.testing.assert_allclose(np.abs(extended.zs[1]), [0.0, 1.0], atol=1e-14)
     assert null_space(np.stack(extended.phis).conj()).shape == (2, 0)
     with pytest.raises(ArgumentError):

@@ -312,6 +312,30 @@ def test_verify_bad_stored_weight_is_a_one_line_error(tmp_path, capsys, weight, 
     assert _verify_error(capsys, path, doc).startswith(f"error: {message}")
 
 
+def _explicit_cfg():
+    phases = [0.37 * (i + 1) for i in range(15)]  # no weight is 1, which True would be
+    cfg = _entire_cfg(dim=16)
+    cfg["operator"]["weights"] = {"kind": "explicit",
+                                  "params": {"values": [[np.cos(p), np.sin(p)] for p in phases]}}
+    cfg.update(construction="blaschke", m=2, k_max=1)
+    return cfg
+
+
+@pytest.mark.parametrize("index", [0, 7, 14], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("weight, message", [
+    ([0.5, 0.0, 0.0], "complex entries must be [re, im], got [0.5, 0.0, 0.0]"),
+    ("oops", "cannot rebuild the operator from the config echo: ValueError"),
+    (True, "the operator rebuilt from the config echo does not match the stored family"),
+], ids=["three-element-pair", "string", "bool"])
+def test_verify_bad_explicit_weight_in_the_echo_is_a_one_line_error(tmp_path, capsys, index,
+                                                                     weight, message):
+    # a list of pairs converts in one pass; any other entry takes the per-entry parse
+    path, doc = _built_certificate(tmp_path, _explicit_cfg())
+    assert main(["verify", str(path)]) == 0
+    doc["config_echo"]["config"]["operator"]["weights"]["params"]["values"][index] = weight
+    assert _verify_error(capsys, path, doc).startswith(f"error: {message}")
+
+
 def _overflowing(cfg: dict) -> dict:
     cfg["operator"]["weights"]["params"]["ratio"] = 1e300  # ratio**2 already overflows
     return cfg
@@ -582,6 +606,41 @@ def test_chain_with_witness_walks_its_chain_once(tmp_path, monkeypatch, operator
     else:
         assert doc["witness"] == {"branch": "invariant-subspace", "depth_reached": 1,
                                   "invariance_residual": doc["outcome"]["invariance_residual"]}
+
+
+_DONOGHUE = {"family": "donoghue-backward-shift", "dim": 128,
+             "weights": {"kind": "geometric", "params": {"ratio": 0.5}}}
+_UNIT_SHIFT = {"family": "forward-weighted-shift", "dim": 16,
+               "weights": {"kind": "explicit", "params": {"values": [1.0] * 15}}}
+
+
+@pytest.mark.parametrize("operator, seed_vector, codim, extensions", [
+    (_DONOGHUE, None, 8, 9),  # the walk to depth 10 already holds the depth-8 chain
+    (_DONOGHUE, {"kind": "basis", "index": 0}, 12, 11),  # two steps past where the walk stopped
+    (_DONOGHUE, {"kind": "basis", "index": 3}, 8, 16),  # codim's chain starts at e_1, not here
+    # the walk ends at depth 1; only the recursion on the invariant Y_1 extends again
+    (_UNIT_SHIFT, None, 3, 2),
+], ids=["e1", "e1-deeper", "index-3", "terminated"])
+def test_chain_with_codim_continues_the_walk_from_e1(tmp_path, monkeypatch, operator,
+                                                     seed_vector, codim, extensions):
+    real = chains.extend_chain
+    calls = []
+
+    def counted(op, state):
+        calls.append(state.depth)
+        return real(op, state)
+
+    monkeypatch.setattr(chains, "extend_chain", counted)
+    cfg = {"operator": operator, "depth": 10, "codim": codim, "label": "chain"}
+    if seed_vector is not None:
+        cfg["seed_vector"] = seed_vector
+    assert main(["chain", "--config", _write(tmp_path / "chain.json", cfg),
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == extensions
+    monkeypatch.undo()
+    doc = ser.decode_value(ser.read_json(tmp_path / "chain.transcript.json"))
+    basis_y, _, residual = chains.codim_n_subspace(operator_from_config(operator), codim)
+    assert doc["codim"] == {"n": codim, "dim_y": basis_y.shape[1], "residual": residual}
 
 
 def test_sweep_three_dims_three_rows(tmp_path):

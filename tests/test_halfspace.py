@@ -79,7 +79,8 @@ def test_annihilation_identity_against_references(geometric_cert):
     duals = np.stack([f.dual_vector for f in cert.functionals], axis=1)
     inner = duals.conj().T @ cert.raw_vectors
     scale = cert.metrics["annihilation_scale"]
-    assert np.max(np.abs(inner - cert.reference_values)) / scale < 1e-10
+    rows = cert.law.orbit_values(cert.k_max, cert.orbit_length)
+    assert np.max(np.abs(inner - cert.law.references(rows, cert.lambdas))) / scale < 1e-10
 
 
 def test_entire_identity_on_off_zero_grid(geometric_cert):
@@ -240,7 +241,8 @@ def test_blaschke_identity_values(blaschke_cert):
     duals = np.stack([f.dual_vector for f in cert.functionals], axis=1)
     inner = duals.conj().T @ cert.raw_vectors
     scale = cert.metrics["annihilation_scale"]
-    assert np.max(np.abs(inner - cert.reference_values)) / scale < 1e-10
+    rows = cert.law.orbit_values(cert.k_max, cert.orbit_length)
+    assert np.max(np.abs(inner - cert.law.references(rows, cert.lambdas))) / scale < 1e-10
 
 
 def test_blaschke_single_zero_single_functional():
@@ -251,7 +253,8 @@ def test_blaschke_single_zero_single_functional():
     # f_1(h(l1,e)) = l1*F_1(l1) = l1^2*B(l1) = 0 up to series truncation
     duals = cert.functionals[0].dual_vector
     val = np.vdot(duals, cert.raw_vectors[:, 0])
-    assert abs(val - cert.reference_values[0, 0]) < 1e-10
+    rows = cert.law.orbit_values(cert.k_max, cert.orbit_length)
+    assert abs(val - cert.law.references(rows, cert.lambdas)[0, 0]) < 1e-10
     assert abs(val) < 1e-10  # 0.5^64 series tail is far below this
 
 

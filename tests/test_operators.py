@@ -13,6 +13,8 @@ from aihs.operators import (
     geometric_weights,
     max_orbit_length,
     operator_from_config,
+    weights_from_config,
+    _as_complex,
 )
 
 
@@ -167,6 +169,23 @@ def test_operator_from_config_explicit_complex_weights():
     assert op.weights.tolist() == [1j, 0.5]
     with pytest.raises(ValueError):  # read-only
         op.weights[0] = 1.0
+
+
+@pytest.mark.parametrize("values", [
+    [[1, 2], [-3, 0], [0, 7]],
+    [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]],
+    [[1e308, -1e308], [5e-324, 2.2250738585072014e-308]],
+    [[2**60 + 1, -(2**60 + 1)], [2**70 + 12345, 3], [0.1, 1 / 3]],
+    [0.5, [0.25, -0.5], 1, [1.0, 0], -0.0, [2**60 + 1, 0]],
+    [[True, 0], [1, 2]],
+], ids=["ints", "signed-zeros", "extremes", "large-ints", "numbers-and-pairs", "bool"])
+def test_explicit_weights_keep_the_bits_of_each_entry(values):
+    # one pass over a list of pairs; the per-entry parse is the reference
+    cfg = {"kind": "explicit", "params": {"values": values}}
+    got = np.asarray(weights_from_config(cfg, len(values) + 1))
+    want = np.array([_as_complex(v) for v in values], dtype=np.complex128)
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_operator_from_config_random_dense_is_seed_deterministic():

@@ -12,6 +12,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 
 import jsonschema
 import pytest
@@ -33,8 +34,19 @@ RUN = {
                  "order": 4, "defect_cap": 1e3},
     "tolerances": {"tol_ai": 1e-8, "tol_audit": 1e-10}, "seed": 3, "label": "run",
 }
+# the blaschke-orbit256 shape: 300 [re, im] weights, so most mutations land
+# in a list of pairs, which the checker accepts unwalked while it stays one
+_PHASES = [[math.cos(0.37 * i), math.sin(0.37 * i)] for i in range(300)]
+PAIRS_RUN = {
+    "schema": "aihs-run/1", "construction": "blaschke", "m": 8, "k_max": 5, "seed": 0,
+    "operator": {"family": "forward-weighted-shift", "dim": 301,
+                 "weights": {"kind": "explicit", "params": {"values": _PHASES}}},
+    "seed_vector": {"kind": "explicit", "values": [[1, 0], [0.5, -0.5], [0, 2], [-0.0, 1e308]]},
+    "blaschke": {"sequence": {"kind": "inverse-square"}}, "label": "pairs",
+}
 DOCUMENTS = {
     "run": (config.RUN_SCHEMA, RUN),
+    "pairs": (config.RUN_SCHEMA, PAIRS_RUN),
     "chain": (config.CHAIN_SCHEMA, {
         "schema": "aihs-chain/1", "depth": 4, "witness": True, "codim": 2, "seed": 0,
         "operator": {"family": "dense", "dim": 3, "matrix": {
@@ -180,6 +192,26 @@ def test_single_mutations_match_jsonschema(name, path, value, violations):
     assert _got(schema, doc) == _expected(schema, doc)
 
 
+_LONG = [[math.cos(0.01 * i), math.sin(0.01 * i)] for i in range(4096)]
+
+
+# the reference validator takes about 0.1 s over 4096 pairs, so each bad
+# value goes to one place, and each place gets at least one
+@pytest.mark.parametrize("value, index", [
+    (True, 0), ("1", 2048), ([1, 2, 3], 4095), ([1], 0), ([[1, 2], 3], 4095),
+], ids=["bool-first", "string-middle", "triple-last", "single-first", "nested-last"])
+def test_one_bad_entry_in_a_long_pair_list_matches_jsonschema(value, index):
+    # one entry that is not an [re, im] pair of numbers sends the list to the
+    # full walk, which names that entry as the reference validator does
+    doc = copy.deepcopy(PAIRS_RUN)
+    values = [list(pair) for pair in _LONG]
+    values[index] = value
+    doc["operator"]["weights"]["params"]["values"] = values
+    got = _got(config.RUN_SCHEMA, doc)
+    assert got.startswith(f"doc invalid at operator/weights/params/values/{index}")
+    assert got == _expected(config.RUN_SCHEMA, doc)
+
+
 @pytest.mark.parametrize("field, value", [
     ("functionals", []), ("metrics", "x"), ("m_achieved", 1.5),
 ])
@@ -202,6 +234,7 @@ def test_bad_hex_float_matches_jsonschema(certificates):
     ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1.5),
     ({"minimum": 0, "type": "integer"}, -1.5),  # a keyword before a failed type
     ({"type": "array", "minItems": 2, "maxItems": 0}, [1]),
+    ({"type": "integer", "minimum": 0}, -1.5),  # and one after it
 ])
 def test_small_schemas_match_jsonschema(schema, doc):
     assert _got(schema, doc) == _expected(schema, doc)
@@ -212,6 +245,8 @@ def test_small_schemas_match_jsonschema(schema, doc):
     ({"zeros": {}}, "is not valid under any of the given schemas"),
     ({"zeros": {}, "order": -1}, "order: -1 is less than the minimum of 0"),
     ({"zeros": {}, "order": 2.5}, "order: 2.5 is not of type 'integer'"),
+    # two errors at order, its type and its minimum, tie: the oneOf is named
+    ({"zeros": {}, "order": -0.5}, "is not valid under any of the given schemas"),
 ])
 def test_law_of_neither_shape(certificates, law, message):
     doc = {**certificates[1], "law": law}

@@ -193,12 +193,17 @@ def test_certificate_document_round_trip(small_cert):
         assert f_back.k == f.k and np.array_equal(f_back.dual_vector, f.dual_vector)
     # derived, not stored: a read-back certificate derives the same arrays
     assert np.array_equal(back.basis, cert.basis)
-    assert np.array_equal(back.reference_values, cert.reference_values)
+    assert np.array_equal(_references(back), _references(cert))
     assert np.array_equal(back.lambdas, cert.lambdas)
     assert back.metrics == cert.metrics
     assert back.checks == cert.checks
     assert back.m_achieved == cert.m_achieved
     assert back.passed == cert.passed
+
+
+def _references(cert) -> np.ndarray:
+    """f_k(h(lambda_n)) as the certificate's law prescribes, one row per functional."""
+    return cert.law.references(cert.law.orbit_values(cert.k_max, cert.orbit_length), cert.lambdas)
 
 
 def _same(a, b) -> bool:
@@ -224,8 +229,9 @@ def test_read_back_certificate_equals_the_build(tmp_path, route):
     cert = build_entire(op, e, m=3, k_max=2) if route == "entire" else build_blaschke(op, e, 4, 3)
     back = ser.read_certificate(ser.write_certificate(tmp_path / "cert.json", cert))
     # the derived arrays too: a certificate has one shape, fresh or read back
-    for name in [f.name for f in dataclasses.fields(cert)] + ["basis", "reference_values"]:
+    for name in [f.name for f in dataclasses.fields(cert)] + ["basis"]:
         assert _same(getattr(back, name), getattr(cert, name)), name
+    assert _same(_references(back), _references(cert))
 
 
 def test_certificate_file_round_trip_and_audit(small_cert, tmp_path):
