@@ -36,14 +36,12 @@ BOUNDEDNESS_SLACK = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class BlaschkeData:
-    """Zeros, Taylor coefficients, and diagnostics of a truncated product.
+    """Taylor coefficients and diagnostics of a truncated product.
 
     ``growth_constant`` is the smallest C with |b_n| <= C/(n+1) over the
-    computed range; ``defect_sum`` is sum(1 - |lam_n|) over retained factors.
+    computed range; ``defect_sum`` is sum(1 - |lam_n|) over its zeros.
     """
 
-    lambdas: np.ndarray
-    factors_used: int
     taylor: np.ndarray
     growth_constant: float
     defect_sum: float
@@ -136,8 +134,6 @@ def blaschke_taylor(lambdas, order: int) -> BlaschkeData:
         raise AssumptionError(f"|B| reached {worst} on the disk spot grid")
 
     return BlaschkeData(
-        lambdas=_readonly(lams),
-        factors_used=int(lams.size),
         taylor=_readonly(taylor),
         growth_constant=growth,
         defect_sum=float(np.sum(1.0 - np.abs(lams))),

@@ -319,10 +319,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_FAIL, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0, the seeds numpy's generator takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 _FLAGS = {
     "--config": {"required": True, "help": "JSON config path"},
     "--out": {"default": ".", "help": "output directory (default: .)"},
-    "--seed": {"type": int, "help": "override the config seed"},
+    "--seed": {"type": _seed, "help": "override the config seed (an integer >= 0)"},
     "--tol-ai": {"type": float, "metavar": "X"},
     "--tol-zero": {"type": float, "metavar": "X"},
     "--tol-annihilation": {"type": float, "metavar": "X", "dest": "tol_annihilation_base"},

@@ -125,7 +125,6 @@ _BLASCHKE = {
             "required": ["kind"],
             "properties": {
                 "kind": {"enum": ["inverse-square", "geometric", "explicit"]},
-                "count": {"type": "integer", "minimum": 1},
                 "ratio": {"type": "number"},
                 "values": {"type": "array", "items": _COMPLEX},
             },
@@ -314,36 +313,80 @@ def check_document(schema: dict, doc, what: str) -> None:
     raise ArgumentError(f"{what} invalid at {'/'.join(map(str, best[0])) or '<root>'}: {best[1]}")
 
 
+def _reads(block: dict, keys: tuple, path: str, what: str) -> None:
+    """Reject a key of ``block`` outside ``keys``: ``what`` never reads it."""
+    extra = sorted(set(block) - set(keys))
+    if extra:
+        raise ArgumentError(f"config key {path}/{extra[0]} has no effect on {what}")
+
+
+def _check_operator(op: dict) -> None:
+    """Check that an operator block holds the keys its family and kinds need, and no others."""
+    family = op["family"]
+    if family == "dense":
+        if "matrix" not in op:
+            raise ArgumentError("dense operator config requires a 'matrix' entry")
+        _reads(op, ("family", "dim", "matrix"), "operator", "dense operator")
+        matrix = op["matrix"]
+        if matrix.get("kind", "explicit") == "random-gaussian":
+            _reads(matrix, ("kind", "scale"), "operator/matrix", "random-gaussian matrix")
+            return
+        _reads(matrix, ("kind", "entries"), "operator/matrix", "explicit matrix")
+        if "entries" not in matrix:
+            raise ArgumentError("an explicit matrix requires 'entries'")
+        if len(set(map(len, matrix["entries"]))) > 1:
+            raise ArgumentError("the rows of operator/matrix/entries differ in length")
+        return
+    if "weights" not in op:
+        raise ArgumentError(f"{family} requires a 'weights' entry")
+    _reads(op, ("family", "dim", "weights"), "operator", f"{family} operator")
+    weights = op["weights"]
+    kind = weights["kind"]
+    param = {"explicit": "values", "geometric": "ratio"}.get(kind)
+    if param is None:
+        _reads(weights, ("kind",), "operator/weights", f"{kind} weights")
+        return
+    params = weights.get("params", {})
+    _reads(params, (param,), "operator/weights/params", f"{kind} weights")
+    if param not in params:
+        raise ArgumentError(f"{kind} weights require params.{param}")
+
+
 def validate_config(cfg: dict, command: str) -> dict:
-    """Schema- and semantics-check a config for the given subcommand."""
+    """Schema- and semantics-check a config for the given subcommand.
+
+    Beyond the schema: a key that the chosen family or kind never reads is
+    rejected, since it would have no effect.
+    """
     if command not in _SCHEMAS:
         raise ArgumentError(f"no config schema for command {command!r}")
     check_document(_SCHEMAS[command], cfg, "config")
 
     op = cfg.get("operator", {})
-    family = op.get("family")
-    if family == "dense" and "matrix" not in op:
-        raise ArgumentError("dense operator config requires a 'matrix' entry")
-    if family in ("forward-weighted-shift", "donoghue-backward-shift") and "weights" not in op:
-        raise ArgumentError(f"{family} requires a 'weights' entry")
+    if op:
+        _check_operator(op)
     if "codim" in cfg and cfg["codim"] >= op.get("dim", 0):
         raise ArgumentError("codim must be below the operator dimension")
     seed_vec = cfg.get("seed_vector")
     if seed_vec is not None:
-        if seed_vec["kind"] == "basis" and seed_vec.get("index", 0) >= op.get("dim", 0):
+        kind = seed_vec["kind"]
+        _reads(seed_vec, ("kind", "index" if kind == "basis" else "values"), "seed_vector",
+               f"{kind} seed_vector")
+        if kind == "basis" and seed_vec.get("index", 0) >= op.get("dim", 0):
             raise ArgumentError("seed_vector basis index out of range")
-        if seed_vec["kind"] == "explicit" and "values" not in seed_vec:
+        if kind == "explicit" and "values" not in seed_vec:
             raise ArgumentError("explicit seed_vector requires 'values'")
     if cfg.get("construction") == "blaschke":
         if cfg.get("k_max", 0) < 1:
             raise ArgumentError("blaschke construction needs k_max >= 1 functionals")
         seq = (cfg.get("blaschke") or {}).get("sequence")
         if seq is not None:
-            if seq.get("count", cfg["m"]) != cfg["m"]:
-                raise ArgumentError("blaschke sequence count must equal m")
-            if seq["kind"] == "geometric" and not 0.0 < seq.get("ratio", 0.0) < 1.0:
+            kind = seq["kind"]
+            param = {"geometric": ("ratio",), "explicit": ("values",)}.get(kind, ())
+            _reads(seq, ("kind",) + param, "blaschke/sequence", f"{kind} sequence")
+            if kind == "geometric" and not 0.0 < seq.get("ratio", 0.0) < 1.0:
                 raise ArgumentError("geometric blaschke sequence needs ratio in (0, 1)")
-            if seq["kind"] == "explicit" and len(seq.get("values", [])) != cfg["m"]:
+            if kind == "explicit" and len(seq.get("values", [])) != cfg["m"]:
                 raise ArgumentError("explicit blaschke sequence needs exactly m values")
     return cfg
 

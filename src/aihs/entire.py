@@ -19,7 +19,6 @@ reversed coefficients, which keeps every intermediate quantity representable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -29,8 +28,6 @@ from .errors import ArgumentError, AssumptionError
 from .operators import _readonly
 
 __all__ = [
-    "CoefficientSequence",
-    "ZeroSet",
     "coefficients_from_norms",
     "apply_picard_shift",
     "find_zeros",
@@ -50,44 +47,8 @@ NEWTON_CAP = 40
 _EPS = float(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientSequence:
-    """Coefficients c_0..c_d of the truncated F.
-
-    ``picard_shift`` is the (negative) constant subtracted from c_0, zero
-    while unshifted.
-    """
-
-    coefficients: np.ndarray
-    degree: int
-    k_max: int
-    picard_shift: float = 0.0
-
-    @classmethod
-    def from_coefficients(cls, c, k_max: int = 0) -> "CoefficientSequence":
-        """Wrap explicit coefficients (no norm provenance)."""
-        c = np.asarray(c, dtype=np.complex128).reshape(-1)
-        if c.size < 2:
-            raise ArgumentError("need at least degree 1")
-        return cls(coefficients=_readonly(c), degree=c.size - 1, k_max=int(k_max))
-
-
-@dataclass(frozen=True, eq=False)
-class ZeroSet:
-    """Distinct polished zeros, ascending in modulus.
-
-    ``residuals[i]`` is |F(lambda_i)| / max(1, |lambda_i|)^d, i.e. already
-    normalized by the growth factor its tolerance would otherwise carry.
-    ``noise[i]`` is :func:`evaluation_noise` at lambda_i, kept from the polish.
-    """
-
-    lambdas: np.ndarray
-    residuals: np.ndarray
-    noise: np.ndarray
-
-
-def coefficients_from_norms(r, k_max: int, degree: int | None = None) -> CoefficientSequence:
-    """Build the coefficient sequence from biorthogonal norms.
+def coefficients_from_norms(r, k_max: int, degree: int | None = None) -> np.ndarray:
+    """The coefficients c_0..c_d from biorthogonal norms, read-only complex.
 
     ``r`` holds r_0..r_{L-1}; the min in the formula runs over indices
     1..2i, capped at the entries supplied.  Needs ``len(r) >= degree + k_max
@@ -127,29 +88,25 @@ def coefficients_from_norms(r, k_max: int, degree: int | None = None) -> Coeffic
             hi += 1
             running_max = max(running_max, r[hi])
         c[i] = math.ldexp(1.0, -i) / running_max
-    return CoefficientSequence(coefficients=_readonly(c), degree=degree, k_max=k_max)
+    return _readonly(c)
 
 
-def apply_picard_shift(cs: CoefficientSequence) -> CoefficientSequence:
-    """Replace c_0 by c_0 - d_shift with the unit shift d_shift = -max(1, c_0).
+def apply_picard_shift(c) -> np.ndarray:
+    """c with c_0 replaced by c_0 - d_shift for the unit shift d_shift = -max(1, c_0).
 
     The truncated polynomial keeps its full complement of zeros; the shift
-    pins F(0) != 0.
+    pins F(0) != 0.  The result is a new read-only array.
     """
-    if cs.picard_shift != 0.0:
-        raise ArgumentError("coefficient sequence is already shifted")
-    d_shift = -max(1.0, float(cs.coefficients[0].real))
-    c = np.array(cs.coefficients, copy=True)
-    c[0] = c[0] - d_shift
-    return CoefficientSequence(coefficients=_readonly(c), degree=cs.degree, k_max=cs.k_max,
-                               picard_shift=d_shift)
+    c = np.array(c, dtype=np.complex128)
+    c[0] -= -max(1.0, float(c[0].real))
+    return _readonly(c)
 
 
-def shifted_coefficients(cs: CoefficientSequence, k: int) -> np.ndarray:
+def shifted_coefficients(c, k: int) -> np.ndarray:
     """c^(k): k zeros then c, so its polynomial is z^k F(z).  Length d+k+1."""
-    if not 0 <= k <= cs.k_max:
-        raise ArgumentError(f"k must lie in 0..{cs.k_max}, got {k}")
-    return np.concatenate([np.zeros(k, dtype=np.complex128), cs.coefficients])
+    if k < 0:
+        raise ArgumentError(f"k must be >= 0, got {k}")
+    return np.concatenate([np.zeros(k, dtype=np.complex128), c])
 
 
 # ----------------------------------------------------------------------------
@@ -236,20 +193,22 @@ def _newton_polish(c: list, z: complex) -> tuple[complex, float, float]:
     return best_z, best_r, _noise(*best_a, best_z, len(c) - 1)
 
 
-def find_zeros(cs: CoefficientSequence, m: int, rtol: float = Tolerances.tol_zero) -> ZeroSet:
-    """The m largest-modulus zeros of the truncated polynomial, ascending.
+def find_zeros(c, rtol: float = Tolerances.tol_zero) -> tuple[np.ndarray, np.ndarray]:
+    """Every zero of the polynomial with coefficients ``c``, and the noise floor at each.
 
     Companion-matrix seeds on geometrically balanced coefficients, then
     Newton polishing through the normalized Horner pair, in Python complex
     arithmetic.  Each seed stops at the evaluation noise floor
-    |F(z)| <= eps * sum |c_i| |z|^i, normally after one step.  Raises when
-    some returned zero misses the residual tolerance ``rtol`` (relative to
-    the largest coefficient) or two of them collide.
+    |F(z)| <= eps * sum |c_i| |z|^i, normally after one step.  Returns the d
+    zeros ascending by Python ``abs`` (read-only) and :func:`evaluation_noise`
+    at each, kept from the polish.  Raises when some zero misses the residual
+    tolerance ``rtol`` (|F| relative to the largest coefficient) or two of
+    them collide.
     """
-    c = np.asarray(cs.coefficients, dtype=np.complex128)
-    d = cs.degree
-    if not 1 <= m <= d:
-        raise ArgumentError(f"m must lie in 1..{d}, got {m}")
+    c = np.asarray(c, dtype=np.complex128).reshape(-1)
+    d = c.size - 1
+    if d < 1:
+        raise ArgumentError("need at least degree 1")
     if c[d] == 0:
         raise ArgumentError("leading coefficient vanishes; lower the degree")
 
@@ -261,33 +220,26 @@ def find_zeros(cs: CoefficientSequence, m: int, rtol: float = Tolerances.tol_zer
 
     max_c = float(np.max(np.abs(c)))
     c_list = c.tolist()
-    polished = []
-    for z0 in seeds:
-        z, r, noise = _newton_polish(c_list, complex(z0))
-        polished.append((z, r / max_c, noise))
-
-    polished.sort(key=lambda t: abs(t[0]))
-    chosen = polished[-m:]
-    bad = [(z, r) for z, r, _ in chosen if not (r < rtol)]
+    polished = sorted((_newton_polish(c_list, complex(z0)) for z0 in seeds),
+                      key=lambda t: abs(t[0]))
+    bad = [(z, r / max_c) for z, r, _ in polished if not (r / max_c < rtol)]
     if bad:
         worst = max(bad, key=lambda t: t[1])
         raise AssumptionError(
-            f"{len(bad)} of {m} zeros failed to polish; worst residual "
+            f"{len(bad)} of {d} zeros failed to polish; worst residual "
             f"{worst[1]:.3e} at |z| = {abs(worst[0]):.6g} (tol {rtol:.1e})"
         )
 
-    lambdas = np.array([z for z, _, _ in chosen], dtype=np.complex128)
-    residuals = np.array([r * max_c for _, r, _ in chosen])
+    lambdas = np.array([z for z, _, _ in polished], dtype=np.complex128)
     # distinctness is judged at each pair's own scale: zero sets here span
     # many orders of magnitude, and a global scale would flag every small
     # pair as coincident with the largest ring
-    for i in range(m):
-        for j in range(i + 1, m):
+    for i in range(d):
+        for j in range(i + 1, d):
             pair_scale = max(abs(lambdas[i]), abs(lambdas[j]))
             if abs(lambdas[i] - lambdas[j]) <= DISTINCT_RTOL * pair_scale:
                 raise AssumptionError(
                     f"zeros {i} and {j} coincide within {DISTINCT_RTOL:.1e} "
                     f"of their modulus {pair_scale:.6g}; raise the degree"
                 )
-    return ZeroSet(lambdas=_readonly(lambdas), residuals=residuals,
-                   noise=np.array([noise for _, _, noise in chosen]))
+    return _readonly(lambdas), np.array([noise for _, _, noise in polished])

@@ -31,12 +31,7 @@ from numpy.polynomial import polynomial as npoly
 from .blaschke import BlaschkeData, blaschke_sequence, blaschke_taylor, fm_coefficient_table
 from .config import Tolerances
 from .duality import containment_residual
-from .entire import (
-    DEGREE_CAP,
-    apply_picard_shift,
-    coefficients_from_norms,
-    find_zeros,
-)
+from .entire import DEGREE_CAP, apply_picard_shift, coefficients_from_norms, find_zeros
 from .errors import AihsError, ArgumentError, AssumptionError, SingularResolventError, StageError
 from ._linalg import numerical_rank, qr_basis, smallest_singular_value, unit_columns
 from .operators import OperatorModel, OrbitData, compute_orbit, operator_digest, orbit_form, _readonly
@@ -198,20 +193,15 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def _select_lambdas(
-    op: OperatorModel,
-    candidates: np.ndarray,
-    m: int,
-    tol: Tolerances,
-    noise_floor,
-) -> tuple[np.ndarray, list]:
+def _select_lambdas(op: OperatorModel, candidates: np.ndarray, m: int, tol: Tolerances,
+                    noisy: list | None = None) -> tuple[np.ndarray, list]:
     """Largest m candidates surviving the conditioning gap and noise floor.
 
-    ``noise_floor(lam) -> (noise, budget)`` excludes zeros whose evaluation
-    round-off already exceeds the guard fraction of the annihilation budget;
-    without it, far-out zeros of saturated coefficient tails would certify
-    nothing.  Excluded zeros are recorded with reasons, and a shortfall
-    reports a reduced m rather than failing.
+    ``noisy[i]`` excludes candidate i because its evaluation round-off
+    already exceeds the guard fraction of the annihilation budget; without
+    it, far-out zeros of saturated coefficient tails would certify nothing.
+    Excluded zeros are recorded with reasons, and a shortfall reports a
+    reduced m rather than failing.
 
     Moduli equal within ``tol_zero``, the zero finder's relative accuracy,
     tie, and the member with Im >= 0 ranks higher, so a conjugate pair cut
@@ -220,16 +210,13 @@ def _select_lambdas(
     excluded: list = []
     survivors = []
     gapped = set(filter_lambda_gap(op, candidates, tol.eigen_gap_rtol).tolist())
-    for lam in candidates:
-        if complex(lam) not in gapped:
-            excluded.append((complex(lam), "eigenvalue-gap"))
-            continue
-        if noise_floor is not None:
-            noise, budget = noise_floor(lam)
-            if not noise <= budget:
-                excluded.append((complex(lam), "noise-floor"))
-                continue
-        survivors.append(complex(lam))
+    for lam, loud in zip(candidates.tolist(), noisy or [False] * candidates.size):
+        if lam not in gapped:
+            excluded.append((lam, "eigenvalue-gap"))
+        elif loud:
+            excluded.append((lam, "noise-floor"))
+        else:
+            survivors.append(lam)
     if not survivors:
         raise AssumptionError(
             "no zero survives the conditioning and noise guards; "
@@ -322,8 +309,17 @@ def compute_metrics(
     return metrics, _judge(metrics, thresholds)
 
 
-def _certify(op, e, orbit: OrbitData, raw, lambdas, excluded, law, k_max, tol, **fields):
-    """The builders' tail: the dual vectors, then the rest; ``fields`` are the route's."""
+def _certify(op, e, orbit: OrbitData, candidates, m, law, k_max, tol, noisy=None, **fields):
+    """The builders' tail: selection, resolvent vectors, dual vectors, metrics.
+
+    ``candidates`` are the route's zeros, ``noisy`` its noise-floor mask on
+    them (the entire route's), and ``fields`` the route's certificate fields.
+    """
+    with _stage("selection"):
+        lambdas, excluded = _select_lambdas(op, candidates, m, tol, noisy)
+    with _stage("resolvent"):
+        raw, lambdas, dropped = _solve_resolvents(op, e, lambdas, tol)
+        excluded.extend(dropped)
     with _stage("functionals"):
         rows = law.orbit_values(k_max, orbit.length)
         duals = orbit.min_norm_duals(rows.T)  # (dim, k)
@@ -342,6 +338,7 @@ def _certify(op, e, orbit: OrbitData, raw, lambdas, excluded, law, k_max, tol, *
         metrics=metrics,
         checks=checks,
         tolerances=tol.as_dict(),
+        m_requested=m,
         m_achieved=int(lambdas.size),
         k_max=k_max,
         orbit_length=orbit.length,
@@ -355,7 +352,6 @@ def build_entire(
     m: int,
     k_max: int,
     tolerances: Tolerances | None = None,
-    degree: int | None = None,
 ) -> HalfSpaceCertificate:
     """Certificate via orbit coefficients, zeros, and resolvent vectors.
 
@@ -380,49 +376,37 @@ def build_entire(
             )
 
     with _stage("coefficients"):
-        if degree is None:
-            # halve the budget so the coefficient law never saturates at the
-            # orbit edge (saturated tails breed far-out zero clusters whose
-            # evaluation noise swamps the annihilation budget)
-            degree = min((length - 1) // 2, length - 1 - k_max, DEGREE_CAP)
+        # halve the budget so the coefficient law never saturates at the
+        # orbit edge (saturated tails breed far-out zero clusters whose
+        # evaluation noise swamps the annihilation budget)
+        degree = min((length - 1) // 2, length - 1 - k_max, DEGREE_CAP)
         if degree < 1:
             raise AssumptionError(f"no admissible polynomial degree at orbit length {length}")
         base = coefficients_from_norms(orbit.biorthogonal_norms, k_max, degree=degree)
 
     with _stage("picard"):
-        cs = apply_picard_shift(base)
+        c = apply_picard_shift(base)
 
     with _stage("zeros"):
         if degree < m:
             raise AssumptionError(f"degree {degree} yields fewer than m = {m} zeros")
-        # all candidates; selection guards next
-        zero_set = find_zeros(cs, degree, rtol=tol.tol_zero)
+        zeros, noise = find_zeros(c, rtol=tol.tol_zero)
 
-    max_c = float(np.abs(cs.coefficients).max())
-    noise_at = dict(zip(zero_set.lambdas.tolist(), zero_set.noise.tolist()))
-
-    def noise_floor(lam: complex) -> tuple[float, float]:
-        # the round-off of evaluating lam^(k_max+1) F(lam)
-        with np.errstate(over="ignore"):
-            noise = noise_at[complex(lam)] * np.float64(abs(lam)) ** (k_max + 1)
-        budget = (
-            tol.noise_guard_fraction
-            * tol.tol_annihilation_base
-            * (1.0 + abs(lam)) ** (k_max + 1)
-            * max_c
-        )
-        return noise, budget
-
-    with _stage("selection"):
-        lambdas, excluded = _select_lambdas(op, zero_set.lambdas, m, tol, noise_floor)
-
-    with _stage("resolvent"):
-        raw, lambdas, dropped = _solve_resolvents(op, e, lambdas, tol)
-        excluded.extend(dropped)
+    # the noise guard: the round-off of evaluating lam^(k_max+1) F(lam) against
+    # the guard's share of the annihilation budget, per zero in scalar numpy
+    # arithmetic (the vectorised abs and power round differently in the last bit)
+    max_c = float(np.abs(c).max())
+    with np.errstate(over="ignore"):
+        noisy = [
+            not noise_at * np.float64(abs(lam)) ** (k_max + 1)
+            <= (tol.noise_guard_fraction * tol.tol_annihilation_base
+                * (1.0 + abs(lam)) ** (k_max + 1) * max_c)
+            for lam, noise_at in zip(zeros, noise.tolist())
+        ]
 
     return _certify(
-        op, e, orbit, raw, lambdas, excluded, EntireLaw(cs.coefficients), k_max, tol,
-        hypothesis={"unverified": False, "flags": []}, m_requested=m,
+        op, e, orbit, zeros, m, EntireLaw(c), k_max, tol, noisy=noisy,
+        hypothesis={"unverified": False, "flags": []},
     )
 
 
@@ -489,17 +473,7 @@ def build_blaschke(
             raise AssumptionError(f"sum of (1 - |lam|) = {law.series.defect_sum:.6g} "
                                   f"exceeds the cap {defect_cap:.6g}")
 
-    with _stage("selection"):
-        kept, excluded = _select_lambdas(op, lambdas, m, tol, noise_floor=None)
-
-    with _stage("resolvent"):
-        raw, kept, dropped = _solve_resolvents(op, e, kept, tol)
-        excluded.extend(dropped)
-
-    return _certify(
-        op, e, orbit, raw, kept, excluded, law, m_max, tol,
-        hypothesis=hypothesis, m_requested=m,
-    )
+    return _certify(op, e, orbit, lambdas, m, law, m_max, tol, hypothesis=hypothesis)
 
 
 def verify_certificate(

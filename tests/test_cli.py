@@ -691,6 +691,118 @@ def test_sweep_checks_every_run_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def _with_weights(weights: dict) -> dict:
+    cfg = _entire_cfg(label="bad")
+    cfg["operator"]["weights"] = weights
+    return cfg
+
+
+# operator blocks that pass the schema but cannot build an operator
+_MALFORMED_OPERATORS = {
+    "explicit-weights-without-values": (_with_weights({"kind": "explicit"}),
+                                        "explicit weights require params.values"),
+    "geometric-weights-without-ratio": (_with_weights({"kind": "geometric", "params": {}}),
+                                        "geometric weights require params.ratio"),
+    "explicit-matrix-without-entries": (_dense_cfg({"kind": "explicit"}, dim=2),
+                                        "an explicit matrix requires 'entries'"),
+    "ragged-matrix-rows": (_dense_cfg({"entries": [[1.0, 0.0], [0.5]]}, dim=2),
+                           "the rows of operator/matrix/entries differ in length"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_OPERATORS))
+def test_malformed_operator_block_is_a_one_line_error(tmp_path, capsys, name):
+    cfg, message = _MALFORMED_OPERATORS[name]
+    out = tmp_path / "out"
+    assert main(["build", "--config", _write(tmp_path / "bad.json", cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_OPERATORS))
+def test_sweep_with_a_malformed_operator_block_writes_nothing(tmp_path, capsys, name):
+    # the earlier run would have written its certificate before the crash
+    cfg, message = _MALFORMED_OPERATORS[name]
+    sweep = _write(tmp_path / "sweep.json", {"runs": [_entire_cfg(label="fine"), cfg]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", sweep, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _blaschke_sequence_cfg(sequence: dict) -> dict:
+    return dict(_halved_blaschke_cfg(), m=2, blaschke={"sequence": sequence})
+
+
+def _seed_vector_cfg(seed_vector: dict) -> dict:
+    return dict(_entire_cfg(), seed_vector=seed_vector)
+
+
+_PAIRS = [[1.0, 0.0]] * 64
+# (config, the key it carries that its family or kind never reads, what reads none)
+_UNREAD_KEYS = [
+    (dict(_entire_cfg(), operator={**_entire_cfg()["operator"], "matrix": {"scale": 1.0}}),
+     "operator/matrix", "forward-weighted-shift operator"),
+    (dict(_dense_cfg({"kind": "random-gaussian"}),
+          operator={"family": "dense", "dim": 16, "matrix": {"kind": "random-gaussian"},
+                    "weights": {"kind": "factorial-decay"}}),
+     "operator/weights", "dense operator"),
+    (_with_weights({"kind": "explicit", "params": {"values": [0.5] * 63, "ratio": 0.5}}),
+     "operator/weights/params/ratio", "explicit weights"),
+    (_with_weights({"kind": "geometric", "params": {"ratio": 0.9, "values": [0.5]}}),
+     "operator/weights/params/values", "geometric weights"),
+    (_with_weights({"kind": "factorial-decay", "params": {}}),
+     "operator/weights/params", "factorial-decay weights"),
+    (_dense_cfg({"kind": "random-gaussian", "entries": [[1.0]]}),
+     "operator/matrix/entries", "random-gaussian matrix"),
+    (_dense_cfg(dict(_shift_matrix(16, 0.5), scale=2.0)),
+     "operator/matrix/scale", "explicit matrix"),
+    (_seed_vector_cfg({"kind": "basis", "index": 1, "values": _PAIRS}),
+     "seed_vector/values", "basis seed_vector"),
+    (_seed_vector_cfg({"kind": "explicit", "index": 1, "values": _PAIRS}),
+     "seed_vector/index", "explicit seed_vector"),
+    (_blaschke_sequence_cfg({"kind": "inverse-square", "ratio": 0.5}),
+     "blaschke/sequence/ratio", "inverse-square sequence"),
+    (_blaschke_sequence_cfg({"kind": "geometric", "ratio": 0.5, "values": [0.5, 0.25]}),
+     "blaschke/sequence/values", "geometric sequence"),
+    (_blaschke_sequence_cfg({"kind": "explicit", "ratio": 0.5, "values": [0.5, 0.25]}),
+     "blaschke/sequence/ratio", "explicit sequence"),
+]
+
+
+@pytest.mark.parametrize("cfg, key, what", _UNREAD_KEYS, ids=[case[1] + "-" + case[2].split()[0]
+                                                              for case in _UNREAD_KEYS])
+def test_a_key_the_config_never_reads_is_rejected(cfg, key, what):
+    with pytest.raises(ArgumentError) as got:
+        config.validate_config(cfg, "build")
+    assert str(got.value) == f"config key {key} has no effect on {what}"
+    # without that key the config is valid
+    block, name = cfg, key.split("/")
+    for part in name[:-1]:
+        block = block[part]
+    del block[name[-1]]
+    config.validate_config(cfg, "build")
+
+
+def test_blaschke_sequence_count_is_no_config_key():
+    cfg = _blaschke_sequence_cfg({"kind": "inverse-square", "count": 2})
+    with pytest.raises(ArgumentError) as got:
+        config.validate_config(cfg, "build")
+    assert "('count' was unexpected)" in str(got.value)
+
+
+@pytest.mark.parametrize("command", ["build", "chain", "sweep", "verify"])
+def test_negative_seed_is_a_usage_error(capsys, command):
+    # numpy's generators take only seeds >= 0; before, -1 raised a traceback
+    target = ["x.cert.json"] if command == "verify" else ["--config", "c.json"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *target, "--seed", "-1"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: aihs {command}")
+    assert err.endswith(f"aihs {command}: error: argument --seed: must be >= 0, got -1\n")
+
+
 def test_sweep_run_with_an_infinite_tolerance_is_an_error_row(tmp_path):
     bad = _entire_cfg(label="inf-tol")
     bad["tolerances"] = {"tol_ai": "@"}

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from aihs import entire as entire_mod
 from aihs.entire import (
-    CoefficientSequence,
     apply_picard_shift,
     coefficients_from_norms,
     evaluation_noise,
@@ -32,36 +31,35 @@ def dyadic_norms(count):
 
 
 def test_unit_norms_give_pure_dyadic_coefficients():
-    cs = coefficients_from_norms(np.ones(10), k_max=2)
-    assert cs.degree == 7  # 10 - 2 - 1
-    assert np.array_equal(cs.coefficients.real, 0.5 ** np.arange(8))
+    c = coefficients_from_norms(np.ones(10), k_max=2)
+    assert c.size - 1 == 7  # degree 10 - 2 - 1
+    assert np.array_equal(c.real, 0.5 ** np.arange(8))
+    assert c.dtype == np.complex128 and not c.flags.writeable
 
 
 def test_dyadic_orbit_norms_frozen_values():
-    cs = coefficients_from_norms(dyadic_norms(8), k_max=1)
+    c = coefficients_from_norms(dyadic_norms(8), k_max=1)
     # c_1 = (1/2) min{1/r_1, 1/r_2} = (1/2)(1/8); powers of two stay exact
-    assert cs.coefficients[1] == 2.0**-4
-    assert cs.coefficients[2] == 0.25 / 2.0**10
-    assert cs.coefficients[0] == 1.0
+    assert c[1] == 2.0**-4
+    assert c[2] == 0.25 / 2.0**10
+    assert c[0] == 1.0
 
 
 def test_termwise_bound_is_exact_for_power_of_two_norms():
     r = dyadic_norms(12)
     k_max = 3
-    cs = coefficients_from_norms(r, k_max=k_max)
-    c = cs.coefficients.real
+    c = coefficients_from_norms(r, k_max=k_max).real
     for k in range(k_max + 1):
-        for i in range(k, cs.degree + 1):
+        for i in range(k, c.size):
             # exact dyadic arithmetic: no rounding slack at all
             assert c[i] * r[i + k] <= 2.0**-i
 
 
 def test_linear_norms_keep_beta_finite():
     r = np.arange(1.0, 30.0)
-    cs = coefficients_from_norms(r, k_max=2)
-    c = cs.coefficients.real
+    c = coefficients_from_norms(r, k_max=2).real
     for k in range(3):
-        for i in range(k, cs.degree + 1):
+        for i in range(k, c.size):
             assert c[i] * r[i + k] <= 2.0**-i * (1 + 1e-12)
 
 
@@ -76,10 +74,9 @@ def test_termwise_bound_property(r, k_max):
     r = np.asarray(r)
     if r.size < k_max + 3:
         r = np.concatenate([r, np.ones(k_max + 3 - r.size)])
-    cs = coefficients_from_norms(r, k_max=k_max)
-    c = cs.coefficients.real
+    c = coefficients_from_norms(r, k_max=k_max).real
     for k in range(k_max + 1):
-        for i in range(max(k, 1), cs.degree + 1):
+        for i in range(max(k, 1), c.size):
             assert c[i] * r[i + k] <= 2.0**-i * (1 + 1e-12)
 
 
@@ -90,8 +87,7 @@ def test_insufficient_norms_error_names_required_length():
 
 
 def test_degree_is_capped_at_64():
-    cs = coefficients_from_norms(np.ones(200), k_max=0)
-    assert cs.degree == 64
+    assert coefficients_from_norms(np.ones(200), k_max=0).size == 65
 
 
 # ----------------------------------------------------------------------------
@@ -99,26 +95,17 @@ def test_degree_is_capped_at_64():
 
 
 def test_explicit_shift_example():
-    cs = coefficients_from_norms(np.ones(6), k_max=0)
-    out = apply_picard_shift(cs)  # the unit shift: d_shift = -max(1, c_0) = -1
-    assert out.coefficients[0] == 2.0  # c_0 - d_shift = 1 - (-1)
-    assert out.picard_shift == -1.0
-    assert np.array_equal(out.coefficients[1:], cs.coefficients[1:])
+    c = coefficients_from_norms(np.ones(6), k_max=0)
+    out = apply_picard_shift(c)  # the unit shift: d_shift = -max(1, c_0) = -1
+    assert out[0] == 2.0  # c_0 - d_shift = 1 - (-1)
+    assert np.array_equal(out[1:], c[1:])
+    assert c[0] == 1.0 and not out.flags.writeable  # a new array; the input keeps its c_0
 
 
 def test_unit_shift_default():
-    cs = coefficients_from_norms(np.ones(6), k_max=0)
-    out = apply_picard_shift(cs)
-    assert out.picard_shift == -1.0
-    assert out.coefficients[0] == 2.0
-    assert poly_eval_normalized(out.coefficients, 0.0) == 2.0  # F(0) != 0
-
-
-def test_shift_refuses_double_application_and_positive_values():
-    cs = coefficients_from_norms(np.ones(6), k_max=0)
-    shifted = apply_picard_shift(cs)
-    with pytest.raises(ArgumentError):
-        apply_picard_shift(shifted)
+    out = apply_picard_shift(coefficients_from_norms(np.ones(6), k_max=0))
+    assert out[0] == 2.0
+    assert poly_eval_normalized(out, 0.0) == 2.0  # F(0) != 0
 
 
 # ----------------------------------------------------------------------------
@@ -126,27 +113,26 @@ def test_shift_refuses_double_application_and_positive_values():
 
 
 def test_shifted_coefficients_examples():
-    cs = CoefficientSequence.from_coefficients([1.0, 0.5], k_max=1)
-    assert np.array_equal(shifted_coefficients(cs, 0), cs.coefficients)
-    assert np.array_equal(shifted_coefficients(cs, 1), [0.0, 1.0, 0.5])
+    c = np.array([1.0, 0.5], dtype=np.complex128)
+    assert np.array_equal(shifted_coefficients(c, 0), c)
+    assert np.array_equal(shifted_coefficients(c, 1), [0.0, 1.0, 0.5])
 
 
 def test_shifted_coefficients_evaluate_to_zk_times_f():
-    cs = CoefficientSequence.from_coefficients([2.0, -1.0, 0.25, 0.125], k_max=2)
+    c = np.array([2.0, -1.0, 0.25, 0.125], dtype=np.complex128)
     rng = np.random.default_rng(1)
     zs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     for k in range(3):
-        ck = shifted_coefficients(cs, k)
+        ck = shifted_coefficients(c, k)
         for z in zs:
             lhs = npoly.polyval(z, ck)
-            rhs = z**k * npoly.polyval(z, cs.coefficients)
+            rhs = z**k * npoly.polyval(z, c)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_shifted_coefficients_bounds_k():
-    cs = CoefficientSequence.from_coefficients([1.0, 1.0], k_max=1)
     with pytest.raises(ArgumentError):
-        shifted_coefficients(cs, 2)
+        shifted_coefficients(np.ones(2, dtype=np.complex128), -1)
 
 
 # ----------------------------------------------------------------------------
@@ -154,63 +140,53 @@ def test_shifted_coefficients_bounds_k():
 
 
 def test_quadratic_zeros():
-    cs = CoefficientSequence.from_coefficients([-1.0, 0.0, 1.0])
-    zs = find_zeros(cs, 2)
-    assert_allclose(sorted(zs.lambdas, key=lambda z: z.real), [-1.0, 1.0], atol=1e-14)
-    assert np.all(np.diff(np.abs(zs.lambdas)) >= 0)  # ascending in modulus
-    assert np.all(zs.residuals < 1e-12)
+    c = np.array([-1.0, 0.0, 1.0])
+    zs, _ = find_zeros(c)
+    assert_allclose(sorted(zs, key=lambda z: z.real), [-1.0, 1.0], atol=1e-14)
+    assert np.all(np.diff(np.abs(zs)) >= 0)  # ascending in modulus
+    assert all(abs(npoly.polyval(z, c)) < 1e-12 for z in zs)
 
 
 def test_linear_zero():
-    cs = CoefficientSequence.from_coefficients([1.0, 1.0])
-    zs = find_zeros(cs, 1)
-    assert_allclose(zs.lambdas, [-1.0], atol=1e-15)
+    zs, _ = find_zeros([1.0, 1.0])
+    assert_allclose(zs, [-1.0], atol=1e-15)
 
 
 def test_degree_twelve_dyadic_zeros_polish_and_separate():
-    cs = apply_picard_shift(coefficients_from_norms(dyadic_norms(13), k_max=0, degree=12))
-    zs = find_zeros(cs, 6)
-    assert len(zs.lambdas) == 6
-    mods = np.abs(zs.lambdas)
-    assert np.all(np.diff(mods) >= 0)  # ascending modulus
+    c = apply_picard_shift(coefficients_from_norms(dyadic_norms(13), k_max=0, degree=12))
+    zs, _ = find_zeros(c)
+    assert len(zs) == 12 and not zs.flags.writeable
+    # ascending by Python abs, the finder's sort key (numpy's vector abs can
+    # order a conjugate pair the other way round)
+    mods = [abs(complex(z)) for z in zs]
+    assert mods == sorted(mods)
     # direct plain-Horner evaluation as the independent residual route
-    max_c = np.max(np.abs(cs.coefficients))
-    for lam, stored in zip(zs.lambdas, zs.residuals):
-        direct = abs(npoly.polyval(lam, cs.coefficients))
+    max_c = np.max(np.abs(c))
+    for lam in zs:
+        direct = abs(npoly.polyval(lam, c))
         assert direct < 1e-10 * max_c * max(1.0, abs(lam)) ** 12
-        assert stored < 1e-10 * max_c
+        assert abs(poly_eval_normalized(c, lam)) < 1e-10 * max_c
     # pairwise separation far beyond the enforced floor
-    for i in range(6):
-        for j in range(i + 1, 6):
-            assert abs(zs.lambdas[i] - zs.lambdas[j]) > 1e-6
+    for i in range(12):
+        for j in range(i + 1, 12):
+            assert abs(zs[i] - zs[j]) > 1e-6
 
 
 def test_full_degree_reconstruction_matches_coefficients():
     # moderate dynamic range so the symmetric-function products stay
     # cancellation-free; zeros sit on rings near 1-2
-    cs = apply_picard_shift(coefficients_from_norms(np.ones(9), k_max=0))
-    zs = find_zeros(cs, cs.degree)
-    rebuilt = npoly.polyfromroots(zs.lambdas) * cs.coefficients[cs.degree]
-    assert_allclose(rebuilt, cs.coefficients, rtol=1e-8)
-
-
-def test_partial_request_returns_subset_of_largest_zeros():
-    cs = apply_picard_shift(coefficients_from_norms(dyadic_norms(13), k_max=0, degree=12))
-    all_zs = find_zeros(cs, 12).lambdas
-    top = find_zeros(cs, 6).lambdas
-    for z in top:
-        assert np.min(np.abs(all_zs - z)) < 1e-9 * abs(z)
-    # and they really are the largest six
-    assert np.min(np.abs(top)) >= np.sort(np.abs(all_zs))[5] * (1 - 1e-12)
+    c = apply_picard_shift(coefficients_from_norms(np.ones(9), k_max=0))
+    zs, _ = find_zeros(c)
+    assert len(zs) == c.size - 1
+    rebuilt = npoly.polyfromroots(zs) * c[-1]
+    assert_allclose(rebuilt, c, rtol=1e-8)
 
 
 def test_find_zeros_argument_guards():
-    cs = CoefficientSequence.from_coefficients([1.0, 1.0, 0.0])
     with pytest.raises(ArgumentError):
-        find_zeros(cs, 2)  # leading coefficient vanishes
-    cs2 = CoefficientSequence.from_coefficients([1.0, 1.0])
+        find_zeros([1.0, 1.0, 0.0])  # leading coefficient vanishes
     with pytest.raises(ArgumentError):
-        find_zeros(cs2, 2)  # m > degree
+        find_zeros([1.0])  # degree 0
 
 
 # ----------------------------------------------------------------------------
@@ -303,11 +279,10 @@ def test_polished_zeros_sit_at_the_noise_floor(ratio, length, jitter, seed):
     orbit_norms = orbit_norms[orbit_norms >= 1e-150]
     degree = min((orbit_norms.size - 1) // 2, 64)
     assume(degree >= 2)
-    cs = apply_picard_shift(coefficients_from_norms(1.0 / orbit_norms, 0, degree=degree))
-    c = np.asarray(cs.coefficients)
-    zs = find_zeros(cs, degree)
+    c = apply_picard_shift(coefficients_from_norms(1.0 / orbit_norms, 0, degree=degree))
+    zs, noises = find_zeros(c)
     reference = _reference_zeros(c)
-    for z, noise in zip(zs.lambdas, zs.noise):
+    for z, noise in zip(zs, noises):
         f, fp, rescaled, a = entire_mod._horner(c.tolist(), complex(z))
         assert abs(f) <= EPS * a
         assert float(noise).hex() == evaluation_noise(c, z).hex()  # kept from the polish
@@ -323,13 +298,12 @@ def test_kept_noise_is_the_evaluation_noise_bit_for_bit():
     e[0] = 1.0
     norms = compute_orbit(op, e, 1024).biorthogonal_norms
     laws = [apply_picard_shift(coefficients_from_norms(norms, 5, degree=40)),
-            CoefficientSequence.from_coefficients(
-                npoly.polyfromroots([0.5, -0.3j, 0.9 + 0.1j, 2.0, -30.0 + 1.0j]))]
-    for cs in laws:
-        zs = find_zeros(cs, cs.degree)
-        for z, noise in zip(zs.lambdas, zs.noise):
-            assert float(noise).hex() == evaluation_noise(cs.coefficients, z).hex()
-    assert np.min(np.abs(zs.lambdas)) < 1.0 < np.max(np.abs(zs.lambdas))
+            npoly.polyfromroots([0.5, -0.3j, 0.9 + 0.1j, 2.0, -30.0 + 1.0j])]
+    for c in laws:
+        zs, noises = find_zeros(c)
+        for z, noise in zip(zs, noises):
+            assert float(noise).hex() == evaluation_noise(c, z).hex()
+    assert np.min(np.abs(zs)) < 1.0 < np.max(np.abs(zs))
 
 
 def test_evaluation_noise_matches_the_direct_sum_and_saturates():

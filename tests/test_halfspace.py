@@ -327,7 +327,7 @@ def test_a_conjugate_pair_cut_at_m_keeps_the_upper_member(larger, reverse):
     if reverse:
         pair.reverse()
     op = build_operator(Family.FORWARD, 8, weights=np.ones(7))
-    kept, excluded = _select_lambdas(op, np.array(pair), 1, Tolerances(), noise_floor=None)
+    kept, excluded = _select_lambdas(op, np.array(pair), 1, Tolerances())
     assert kept.tolist() == [pair[reverse]] and not excluded
     assert kept[0].imag > 0
 
@@ -335,7 +335,7 @@ def test_a_conjugate_pair_cut_at_m_keeps_the_upper_member(larger, reverse):
 def test_moduli_apart_by_more_than_tol_zero_still_rank_by_modulus():
     op = build_operator(Family.FORWARD, 8, weights=np.ones(7))
     lower = (1.276 - 5.218j) * (1.0 + 10 * Tolerances.tol_zero)
-    kept, _ = _select_lambdas(op, np.array([1.276 + 5.218j, lower]), 1, Tolerances(), None)
+    kept, _ = _select_lambdas(op, np.array([1.276 + 5.218j, lower]), 1, Tolerances())
     assert kept.tolist() == [lower]
 
 
@@ -363,11 +363,9 @@ def test_selection_makes_one_gap_call_and_keeps_the_exclusion_order(monkeypatch)
     op = build_operator(Family.DENSE, 2, matrix=np.diag([2.0, 4.0]).astype(complex))
     # 1/0.5 and 1/0.25 are eigenvalues; the noise floor drops 0.2 and 0.15
     candidates = np.array([0.5, 0.2, 0.25, 0.1, 0.15, 0.3], dtype=complex)
+    noisy = [lam in (0.2, 0.15) for lam in candidates]
 
-    def noise_floor(lam):
-        return (1.0, 0.0) if lam in (0.2, 0.15) else (0.0, 1.0)
-
-    kept, excluded = _select_lambdas(op, candidates, 2, Tolerances(), noise_floor)
+    kept, excluded = _select_lambdas(op, candidates, 2, Tolerances(), noisy)
     assert len(calls) == 1 and np.array_equal(calls[0], candidates)
     assert excluded == [(0.5, "eigenvalue-gap"), (0.2, "noise-floor"),
                         (0.25, "eigenvalue-gap"), (0.15, "noise-floor")]

@@ -30,7 +30,7 @@ _SHIFT = {"family": "forward-weighted-shift", "dim": 24,
 RUN = {
     "schema": "aihs-run/1", "operator": _SHIFT, "construction": "blaschke", "m": 3, "k_max": 2,
     "seed_vector": {"kind": "explicit", "values": [1.0, [0.0, 1.0]]},
-    "blaschke": {"sequence": {"kind": "explicit", "count": 3, "values": [0.5, [0.1, 0.2], 0.3]},
+    "blaschke": {"sequence": {"kind": "explicit", "values": [0.5, [0.1, 0.2], 0.3]},
                  "order": 4, "defect_cap": 1e3},
     "tolerances": {"tol_ai": 1e-8, "tol_audit": 1e-10}, "seed": 3, "label": "run",
 }

@@ -9,6 +9,7 @@ benchmark's modules are imported, never changed.
 
 import importlib
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -34,8 +35,13 @@ def _tracer_targets():
 
 
 def test_top_level_names_resolve():
-    for name in aihs.__all__:
-        assert getattr(aihs, name) is not None, name
+    # and every module's __all__, so that a deleted name cannot linger there
+    modules = [aihs] + [importlib.import_module(f"aihs.{info.name}")
+                        for info in pkgutil.iter_modules(aihs.__path__)]
+    assert len(modules) > 10
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(module, name, None) is not None, f"{module.__name__}.{name}"
 
 
 TARGETS = _tracer_targets()
