@@ -34,6 +34,7 @@ from . import serialize as ser
 from .blaschke import blaschke_sequence
 from .chains import build_chain, build_non_ai_halfspace_witness, codim_n_subspace
 from .config import (
+    _complex_entries,
     load_config,
     seed_vector_from_config,
     tolerances_from_config,
@@ -41,7 +42,7 @@ from .config import (
 )
 from .errors import AihsError, ArgumentError, ChainTerminated, StageError
 from .halfspace import build_blaschke, build_entire, verify_certificate
-from .operators import _complex_entries, operator_digest, operator_from_config
+from .operators import operator_digest, operator_from_config
 from .resolvent import dense_subsequence_probe, probe_tail_oracle
 
 __all__ = ["main"]
@@ -61,12 +62,16 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+def _file_name(label: str, suffix: str) -> str:
+    """``label``, each character but a letter, digit, ``-`` or ``_`` made ``-``, then ``suffix``."""
+    return "".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in label) + suffix
+
+
 def _out_path(args, cfg: dict, suffix: str) -> Path:
     """``--out``/<label><suffix>, the label falling back to the config file's stem."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    label = cfg.get("label") or Path(args.config).stem
-    return out / ("".join(ch if ch.isalnum() or ch in "-_" else "-" for ch in label) + suffix)
+    return out / _file_name(cfg.get("label") or Path(args.config).stem, suffix)
 
 
 def _tolerances(args, cfg: dict):
@@ -150,27 +155,25 @@ def cmd_build(args) -> int:
 
 
 def _operator_for_certificate(cert, args):
-    """Rebuild the audited operator from --config, else from the config echo, with
-    --seed or the source's own seed; it must have the stored dim, family and digest."""
+    """Rebuild the audited operator from --config, else from the config echo, each
+    checked as a config, with --seed or the source's own seed; it must have the
+    stored dim, family and digest."""
+    echo = cert.config_echo
     if args.config:
-        cfg = validate_config(load_config(args.config), "verify")
-        source, seed = args.config, cfg.get("seed", 0)
-    elif cert.config_echo.get("config"):  # not schema-checked: the digest audits it
-        cfg, seed = cert.config_echo["config"], cert.config_echo.get("seed", 0)
-        source = "the config echo"
+        source, cfg = args.config, load_config(args.config)
+    elif echo.get("config"):
+        source, cfg = "the config echo", echo["config"]
+        if isinstance(cfg, dict) and "seed" in echo:  # the seed the build ran with
+            cfg = {**cfg, "seed": echo["seed"]}
     else:
         raise ArgumentError("the certificate has no config echo; "
                             "pass --config to rebuild the operator")
-    stored = cert.operator_config
-    try:
-        if cfg["operator"]["dim"] != stored["dim"]:  # checked before building anything
-            raise ArgumentError(f"operator dim {cfg['operator']['dim']!r} from {source} "
-                                f"does not match the certificate's {stored['dim']}")
-        seed = seed if args.seed is None else args.seed
-        op = operator_from_config(cfg["operator"], np.random.default_rng(seed))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ArgumentError(f"cannot rebuild the operator from {source}: "
-                            f"{type(exc).__name__}: {exc}") from exc
+    cfg, stored = validate_config(cfg, "verify"), cert.operator_config
+    if cfg["operator"]["dim"] != stored["dim"]:  # checked before building anything
+        raise ArgumentError(f"operator dim {cfg['operator']['dim']!r} from {source} "
+                            f"does not match the certificate's {stored['dim']}")
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    op = operator_from_config(cfg["operator"], np.random.default_rng(seed))
     if op.family.value != stored["family"] or operator_digest(op) != stored["sha256"]:
         raise ArgumentError(f"the operator rebuilt from {source} does not match "
                             "the stored family and digest")
@@ -257,11 +260,17 @@ def cmd_sweep(args) -> int:
     cfg = validate_config(load_config(args.config), "sweep")
     _tolerances(args, {})  # a bad --tol-* flag stops the sweep before its first run
     runs = [validate_config(run, "build") for run in cfg["runs"]]  # all before the first write
+    names = [run.get("label") or f"run-{idx:03d}" for idx, run in enumerate(runs)]
+    first = {}
+    for idx, name in enumerate(names):
+        file_name = _file_name(name, ".cert.json")
+        if first.setdefault(file_name, idx) != idx:
+            raise ArgumentError(f"sweep runs {first[file_name]} and {idx} "
+                                f"would both write {file_name}")
     rows = []
     any_fail = False
     any_flag = False
-    for idx, run in enumerate(runs):
-        name = run.get("label") or f"run-{idx:03d}"
+    for idx, (run, name) in enumerate(zip(runs, names)):
         try:
             op, cert = _run_certificate(run, args)
         except AihsError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .operators import _complex_entries, _is_pair_list
 
 __all__ = [
     "Tolerances",
@@ -51,6 +51,31 @@ class Tolerances:
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _as_complex(value) -> complex:
+    if isinstance(value, (list, tuple)):
+        if len(value) != 2:
+            raise ArgumentError(f"complex entries must be [re, im], got {value!r}")
+        return complex(float(value[0]), float(value[1]))
+    return complex(value)
+
+
+def _is_pair_list(values) -> bool:
+    """Whether every entry is a list ``[re, im]`` of two ints or floats (bools excluded)."""
+    return (set(map(type, values)) == {list} and set(map(len, values)) == {2}
+            and set(map(type, itertools.chain.from_iterable(values))) <= {int, float})
+
+
+def _complex_entries(values) -> np.ndarray:
+    """Config entries, numbers or ``[re, im]`` pairs, as a complex array.
+
+    A list of pairs converts in one pass; the entries keep the bits that
+    :func:`_as_complex` gives each one, which handles every other list.
+    """
+    if _is_pair_list(values):
+        return np.array(values, dtype=np.float64).view(np.complex128).reshape(-1)
+    return np.array([_as_complex(v) for v in values], dtype=np.complex128)
 
 
 # a number or an [re, im] pair; the item keywords apply to arrays only
@@ -217,8 +242,7 @@ def load_config(path) -> dict:
 
 # every JSON Schema (draft 7) keyword the checker implements
 KEYWORDS = frozenset({"type", "const", "enum", "minimum", "exclusiveMinimum", "pattern", "items",
-                      "minItems", "maxItems", "required", "properties", "additionalProperties",
-                      "oneOf"})
+                      "minItems", "maxItems", "required", "properties", "additionalProperties"})
 
 
 def _is(doc, kind: str) -> bool:
@@ -229,7 +253,7 @@ def _is(doc, kind: str) -> bool:
 
 
 def _errors(schema: dict, doc, path: tuple) -> list:
-    """Each violation as (path, message, context), in schema order.
+    """Each violation as (path, message), in schema order.
 
     Every keyword applies, as in draft 7: a failed ``type`` does not end the
     node, so 1.5 against ``{"type": "integer", "minimum": 2}`` fails twice.
@@ -237,7 +261,7 @@ def _errors(schema: dict, doc, path: tuple) -> list:
     found = []
     is_dict, is_list = isinstance(doc, dict), isinstance(doc, list)
     for key, value in schema.items():
-        message, context = None, ()
+        message = None
         if key == "type":
             kinds = [value] if isinstance(value, str) else value
             if not any(_is(doc, kind) for kind in kinds):
@@ -252,7 +276,7 @@ def _errors(schema: dict, doc, path: tuple) -> list:
             for index, item in enumerate(doc):
                 found += _errors(value, item, path + (index,))
         elif key == "required" and is_dict:
-            found += [(path, f"{name!r} is a required property", ()) for name in value
+            found += [(path, f"{name!r} is a required property") for name in value
                       if name not in doc]
         elif key == "additionalProperties" and is_dict and value is False:
             extras = [repr(name) for name in sorted(doc, key=str)
@@ -274,16 +298,8 @@ def _errors(schema: dict, doc, path: tuple) -> list:
             message = f"{doc!r} {'should be non-empty' if value == 1 else 'is too short'}"
         elif key == "maxItems" and is_list and len(doc) > value:
             message = f"{doc!r} {'is expected to be empty' if value == 0 else 'is too long'}"
-        elif key == "oneOf":
-            branches = [_errors(sub, doc, path) for sub in value]
-            valid = [repr(sub) for sub, errors in zip(value, branches) if not errors]
-            if len(valid) > 1:
-                message = f"{doc!r} is valid under each of {', '.join(valid[1:] + valid[:1])}"
-            elif not valid:
-                message = f"{doc!r} is not valid under any of the given schemas"
-                context = [error for errors in branches for error in errors]
         if message:
-            found.append((path, message, context))
+            found.append((path, message))
     return found
 
 
@@ -292,25 +308,14 @@ def check_document(schema: dict, doc, what: str) -> None:
 
     That is the shallowest. Among equally shallow ones at different nodes,
     the path that sorts last wins (a later list index, a key later in the
-    alphabet); at one node, the first in schema order. A ``oneOf`` that no
-    branch matches names the deepest error of its branches, unless two tie.
-    Rule and messages are those of the draft-7 reference validator, which
+    alphabet); at one node, the first in schema order. Rule and messages are
+    those of the draft-7 reference validator, which
     tests/test_schema_checker.py holds this checker to.
     """
     found = _errors(schema, doc, ())
-    if not found:
-        return
-
-    def relevance(error):
-        return -len(error[0]), error[0]
-
-    best = max(found, key=relevance)
-    while best[2]:
-        ranked = sorted(best[2], key=relevance)
-        if len(ranked) > 1 and relevance(ranked[0]) == relevance(ranked[1]):
-            break
-        best = ranked[0]
-    raise ArgumentError(f"{what} invalid at {'/'.join(map(str, best[0])) or '<root>'}: {best[1]}")
+    if found:
+        path, message = max(found, key=lambda error: (-len(error[0]), error[0]))
+        raise ArgumentError(f"{what} invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
 
 
 def _reads(block: dict, keys: tuple, path: str, what: str) -> None:
@@ -376,6 +381,8 @@ def validate_config(cfg: dict, command: str) -> dict:
             raise ArgumentError("seed_vector basis index out of range")
         if kind == "explicit" and "values" not in seed_vec:
             raise ArgumentError("explicit seed_vector requires 'values'")
+    if cfg.get("construction") == "entire" and "blaschke" in cfg:
+        raise ArgumentError("config key blaschke has no effect on entire construction")
     if cfg.get("construction") == "blaschke":
         if cfg.get("k_max", 0) < 1:
             raise ArgumentError("blaschke construction needs k_max >= 1 functionals")

@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import _as_complex, _complex_entries
 from .errors import ArgumentError, MinimalityError
+from ._linalg import min_norm_dual
 
 __all__ = [
     "Family",
@@ -365,31 +367,6 @@ def factorial_decay_weights(dim: int) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def _as_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ArgumentError(f"complex entries must be [re, im], got {value!r}")
-        return complex(float(value[0]), float(value[1]))
-    return complex(value)
-
-
-def _is_pair_list(values) -> bool:
-    """Whether every entry is a list ``[re, im]`` of two ints or floats (bools excluded)."""
-    return (set(map(type, values)) == {list} and set(map(len, values)) == {2}
-            and set(map(type, itertools.chain.from_iterable(values))) <= {int, float})
-
-
-def _complex_entries(values) -> np.ndarray:
-    """Config entries, numbers or ``[re, im]`` pairs, as a complex array.
-
-    A list of pairs converts in one pass; the entries keep the bits that
-    :func:`_as_complex` gives each one, which handles every other list.
-    """
-    if _is_pair_list(values):
-        return np.array(values, dtype=np.float64).view(np.complex128).reshape(-1)
-    return np.array([_as_complex(v) for v in values], dtype=np.complex128)
-
-
 def weights_from_config(cfg: dict, dim: int) -> np.ndarray | tuple[complex, ...]:
     """Materialize a ``{"kind": ..., "params": {...}}`` weight description."""
     kind = cfg.get("kind")
@@ -487,8 +464,6 @@ class DenseOrbit(OrbitData):
         return self.factor[0]
 
     def min_norm_duals(self, values) -> np.ndarray:
-        from ._linalg import min_norm_dual  # _linalg imports config, which imports this module
-
         return min_norm_dual(*self.factor[1:], values)
 
     def replay(self, duals: np.ndarray) -> np.ndarray:

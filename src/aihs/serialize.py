@@ -212,7 +212,7 @@ CERT_SCHEMA = _record(
     **dict.fromkeys(_SHAPED, _OBJECT),
     excluded_lambdas=_LIST,
     functionals={"type": "array", "minItems": 1},
-    law={"oneOf": [_record(coefficients=_OBJECT), _record(zeros=_OBJECT, order=_INT)]},
+    law=_OBJECT,
     **dict.fromkeys(_COUNTS, _INT),
     metrics=_record(**_METRICS),
     checks=_record(**{name: _record(value=_METRICS[name], threshold=_METRICS[name],
@@ -222,6 +222,9 @@ CERT_SCHEMA = _record(
                 "properties": {"unverified": {"type": "boolean"}, "flags": _LIST}},
     config_echo=_OBJECT,
 )
+# the law as its construction writes it, checked once CERT_SCHEMA has passed
+LAW_SCHEMAS = {"Entire": _record(law=_record(coefficients=_OBJECT)),
+               "Blaschke": _record(law=_record(zeros=_OBJECT, order=_INT))}
 
 
 def certificate_to_document(cert: HalfSpaceCertificate) -> dict:
@@ -260,6 +263,7 @@ def certificate_from_document(doc: dict) -> HalfSpaceCertificate:
     if found != CERT_SCHEMA_ID:
         raise ArgumentError(f"expected schema {CERT_SCHEMA_ID!r}, found {found!r}")
     check_document(CERT_SCHEMA, doc, "certificate")
+    check_document(LAW_SCHEMAS[doc["construction"]], {"law": doc["law"]}, "certificate")
     law_cls = _LAWS[doc["construction"]]
     indices = [f["k"] for f in doc["functionals"]]
     if indices != list(range(law_cls.first_index, doc["k_max"] + 1)):

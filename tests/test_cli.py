@@ -190,14 +190,15 @@ def test_config_errors_are_one_line(command, cfg, message):
 def _keywords(schema):
     """Every keyword a schema and its subschemas use."""
     assert schema.get("additionalProperties", False) is False  # the only form checked
-    subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]
+    subs = list(schema.get("properties", {}).values())
     subs += [schema["items"]] if "items" in schema else []
     return set(schema).union(*map(_keywords, subs))
 
 
 @pytest.mark.parametrize("schema", [config.RUN_SCHEMA, config.CHAIN_SCHEMA, config.SWEEP_SCHEMA,
-                                    config.PROBE_SCHEMA, ser.CERT_SCHEMA],
-                         ids=["run", "chain", "sweep", "probe", "cert"])
+                                    config.PROBE_SCHEMA, ser.CERT_SCHEMA,
+                                    *ser.LAW_SCHEMAS.values()],
+                         ids=["run", "chain", "sweep", "probe", "cert", *ser.LAW_SCHEMAS])
 def test_schemas_use_only_the_checkers_keywords(schema):
     assert _keywords(schema) <= config.KEYWORDS
 
@@ -300,16 +301,19 @@ def _verify_error(capsys, path, doc, *flags) -> str:
 _OVERFLOW = "geometric weights overflow: |ratio|**63 with |ratio| = 1e+300 leaves the float range"
 
 
+_RATIO = "config invalid at operator/weights/params/ratio: "
+
+
 @pytest.mark.parametrize("weight, message", [
-    ("oops", "cannot rebuild the operator from the config echo: ValueError"),
-    ([0.5, 0.0, 0.0], "complex entries must be [re, im], got [0.5, 0.0, 0.0]"),
+    ("oops", _RATIO + "'oops' is not of type 'number', 'array'"),
+    ([0.5, 0.0, 0.0], _RATIO + "[0.5, 0.0, 0.0] is too long"),
     (1e300, _OVERFLOW),
 ], ids=["string", "three-element-pair", "overflowing-ratio"])
 def test_verify_bad_stored_weight_is_a_one_line_error(tmp_path, capsys, weight, message):
-    # the config echo stores the weights, and verify does not schema-check it
+    # the config echo stores the weights, and verify checks it as it does a --config file
     path, doc = _built_certificate(tmp_path, _entire_cfg())
     doc["config_echo"]["config"]["operator"]["weights"]["params"]["ratio"] = weight
-    assert _verify_error(capsys, path, doc).startswith(f"error: {message}")
+    assert _verify_error(capsys, path, doc) == f"error: {message}\n"
 
 
 def _explicit_cfg():
@@ -323,17 +327,19 @@ def _explicit_cfg():
 
 @pytest.mark.parametrize("index", [0, 7, 14], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("weight, message", [
-    ([0.5, 0.0, 0.0], "complex entries must be [re, im], got [0.5, 0.0, 0.0]"),
-    ("oops", "cannot rebuild the operator from the config echo: ValueError"),
-    (True, "the operator rebuilt from the config echo does not match the stored family"),
+    ([0.5, 0.0, 0.0], "[0.5, 0.0, 0.0] is too long"),
+    ("oops", "'oops' is not of type 'number', 'array'"),
+    (True, "True is not of type 'number', 'array'"),
 ], ids=["three-element-pair", "string", "bool"])
 def test_verify_bad_explicit_weight_in_the_echo_is_a_one_line_error(tmp_path, capsys, index,
                                                                      weight, message):
-    # a list of pairs converts in one pass; any other entry takes the per-entry parse
+    # the checker passes a list of pairs unwalked; any other entry sends it
+    # down the list, which names that entry
     path, doc = _built_certificate(tmp_path, _explicit_cfg())
     assert main(["verify", str(path)]) == 0
     doc["config_echo"]["config"]["operator"]["weights"]["params"]["values"][index] = weight
-    assert _verify_error(capsys, path, doc).startswith(f"error: {message}")
+    assert _verify_error(capsys, path, doc) == (
+        f"error: config invalid at operator/weights/params/values/{index}: {message}\n")
 
 
 def _overflowing(cfg: dict) -> dict:
@@ -375,10 +381,9 @@ def _drop_last_weight(operator):
 @pytest.mark.parametrize("tamper, message", [
     (_drop_last_weight, "forward-weighted-shift at dim 64 needs 63 weights, got 62"),
     (lambda operator: operator.pop("weights"),
-     "cannot rebuild the operator from the config echo: KeyError: 'weights'"),
+     "forward-weighted-shift requires a 'weights' entry"),
     (lambda operator: operator.update(weights="oops"),
-     "cannot rebuild the operator from the config echo: AttributeError: "
-     "'str' object has no attribute 'get'"),
+     "config invalid at operator/weights: 'oops' is not of type 'object'"),
 ], ids=["wrong-length", "missing", "not-an-object"])
 def test_verify_stored_weights_of_the_wrong_shape_are_a_one_line_error(tmp_path, capsys, tamper,
                                                                        message):
@@ -406,12 +411,17 @@ def _string_echo(doc):
     doc["config_echo"] = {"config": "oops"}
 
 
+def _negative_echo_seed(doc):
+    doc["config_echo"]["seed"] = -1
+
+
 @pytest.mark.parametrize("tamper, message", [
-    (_del_echo_dim, "cannot rebuild the operator from the config echo: KeyError: 'dim'"),
-    (_string_echo, "cannot rebuild the operator from the config echo: TypeError: "),
+    (_del_echo_dim, "config invalid at operator: 'dim' is a required property"),
+    (_string_echo, "config invalid at <root>: 'oops' is not of type 'object'"),
+    (_negative_echo_seed, "config invalid at seed: -1 is less than the minimum of 0"),
     (lambda doc: doc.update(config_echo={}),
      "the certificate has no config echo; pass --config to rebuild the operator"),
-], ids=["no-dim", "string-config", "no-echo"])
+], ids=["no-dim", "string-config", "negative-seed", "no-echo"])
 @pytest.mark.parametrize("family", ["shift", "dense"])
 def test_verify_malformed_config_echo_is_a_one_line_error(tmp_path, capsys, family, tamper,
                                                           message):
@@ -419,7 +429,29 @@ def test_verify_malformed_config_echo_is_a_one_line_error(tmp_path, capsys, fami
     path, doc = _built_certificate(tmp_path, cfg)
     assert main(["verify", str(path)]) == 0
     tamper(doc)
-    assert _verify_error(capsys, path, doc).startswith(f"error: {message}")
+    assert _verify_error(capsys, path, doc) == f"error: {message}\n"
+
+
+def test_verify_takes_the_config_of_a_certificate_whose_echo_no_longer_checks(tmp_path, capsys):
+    # a certificate written while blaschke.sequence.count was a config key
+    cfg = dict(_halved_blaschke_cfg(), blaschke={"sequence": {"kind": "inverse-square"}})
+    path, doc = _built_certificate(tmp_path, cfg)
+    doc["config_echo"]["config"]["blaschke"]["sequence"]["count"] = cfg["m"]
+    assert "('count' was unexpected)" in _verify_error(capsys, path, doc)
+    assert main(["verify", str(path), "--config", _write(tmp_path / "now.json", cfg)]) == 2
+
+
+@pytest.mark.parametrize("construction", ["entire", "blaschke"])
+def test_verify_a_certificate_with_the_other_constructions_law(tmp_path, capsys, construction):
+    entire, _ = _built_certificate(tmp_path, _entire_cfg(label="entire"))
+    blaschke, _ = _built_certificate(tmp_path, _halved_blaschke_cfg())
+    path, other = (entire, blaschke) if construction == "entire" else (blaschke, entire)
+    doc = json.loads(path.read_text())
+    doc["law"] = json.loads(other.read_text())["law"]
+    err = _verify_error(capsys, path, doc)
+    missing = "coefficients" if construction == "entire" else "zeros"
+    assert err == (f"error: cannot parse certificate {path}: certificate invalid at law: "
+                   f"{missing!r} is a required property\n")
 
 
 def _mismatch(source) -> str:
@@ -730,6 +762,40 @@ def test_sweep_with_a_malformed_operator_block_writes_nothing(tmp_path, capsys, 
     assert not out.exists()
 
 
+def _entire_with_blaschke() -> dict:
+    return dict(_entire_cfg(label="bad"), blaschke={"sequence": {"kind": "geometric", "ratio": 2}})
+
+
+@pytest.mark.parametrize("command", ["build", "sweep"])
+def test_blaschke_block_on_an_entire_run_is_a_one_line_error(tmp_path, capsys, command):
+    cfg = _entire_with_blaschke()
+    if command == "sweep":
+        cfg = {"runs": [_entire_cfg(label="fine"), cfg]}
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: config key blaschke has no effect on "
+                                       "entire construction\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("labels, message", [
+    (["x/y", "fine", "x-y"], "sweep runs 0 and 2 would both write x-y.cert.json"),
+    (["fine", "run-002", None], "sweep runs 1 and 2 would both write run-002.cert.json"),
+    ([None, "", "run.000"], "sweep runs 0 and 2 would both write run-000.cert.json"),
+], ids=["sanitised-labels", "label-and-fallback", "fallbacks"])
+def test_sweep_runs_that_would_write_one_certificate_are_an_error(tmp_path, capsys, labels,
+                                                                  message):
+    runs = [_entire_cfg(label=label) for label in labels]
+    for run in runs:
+        if run["label"] is None:
+            del run["label"]
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write(tmp_path / "sweep.json", {"runs": runs}),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def _blaschke_sequence_cfg(sequence: dict) -> dict:
     return dict(_halved_blaschke_cfg(), m=2, blaschke={"sequence": sequence})
 
@@ -767,6 +833,7 @@ _UNREAD_KEYS = [
      "blaschke/sequence/values", "geometric sequence"),
     (_blaschke_sequence_cfg({"kind": "explicit", "ratio": 0.5, "values": [0.5, 0.25]}),
      "blaschke/sequence/ratio", "explicit sequence"),
+    (_entire_with_blaschke(), "blaschke", "entire construction"),
 ]
 
 

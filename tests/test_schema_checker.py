@@ -1,11 +1,12 @@
 """The config and certificate schema checker against jsonschema.
 
-``config.check_document`` implements the draft-7 keywords the five schemas
-use.  jsonschema serves here only as a reference, the way scipy does for
-the linear algebra: on valid documents of every command and on real
-certificates, mutated at random, the checker must accept exactly what
-``Draft7Validator`` accepts and report the path and message of the error
-``jsonschema.exceptions.best_match`` picks.
+``config.check_document`` implements the draft-7 keywords the config,
+certificate and law schemas use.  jsonschema serves here only as a
+reference, the way scipy does for the linear algebra: on valid documents of
+every command and on real certificates of both constructions, mutated at
+random, the checker must accept exactly what ``Draft7Validator`` accepts and
+report the path and message of the error ``jsonschema.exceptions.best_match``
+picks.
 """
 
 import contextlib
@@ -151,11 +152,21 @@ def test_mutated_configs_match_jsonschema(data, name):
     assert _got(schema, doc) == _expected(schema, doc)
 
 
+def _certificate_lines(doc):
+    """(checker, jsonschema) lines for a certificate, read as ``aihs verify`` reads it:
+    against CERT_SCHEMA, then its law against its construction's law schema."""
+    got, expected = _got(ser.CERT_SCHEMA, doc), _expected(ser.CERT_SCHEMA, doc)
+    if got is None and expected is None:
+        law = ser.LAW_SCHEMAS[doc["construction"]]
+        got, expected = _got(law, {"law": doc["law"]}), _expected(law, {"law": doc["law"]})
+    return got, expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), which=st.integers(0, 1))
 def test_mutated_certificates_match_jsonschema(certificates, data, which):
-    doc = _mutate(data.draw, certificates[which])
-    assert _got(ser.CERT_SCHEMA, doc) == _expected(ser.CERT_SCHEMA, doc)
+    got, expected = _certificate_lines(_mutate(data.draw, certificates[which]))
+    assert got == expected
 
 
 _DROP = object()
@@ -230,8 +241,8 @@ def test_bad_hex_float_matches_jsonschema(certificates):
 
 
 @pytest.mark.parametrize("schema, doc", [
-    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1),  # valid under each branch
-    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1.5),
+    ({"enum": [2, 3], "minimum": 2}, 0),  # two keywords at one node, neither a type
+    ({"type": "object", "required": ["a", "b"], "additionalProperties": False}, {"c": 1}),
     ({"minimum": 0, "type": "integer"}, -1.5),  # a keyword before a failed type
     ({"type": "array", "minItems": 2, "maxItems": 0}, [1]),
     ({"type": "integer", "minimum": 0}, -1.5),  # and one after it
@@ -240,16 +251,34 @@ def test_small_schemas_match_jsonschema(schema, doc):
     assert _got(schema, doc) == _expected(schema, doc)
 
 
+def _law_line(certificate, law) -> str:
+    """The line for ``certificate`` carrying ``law``, which only its law schema rejects."""
+    doc = {**certificate, "law": law}
+    assert _got(ser.CERT_SCHEMA, doc) is None
+    got, expected = _certificate_lines(doc)
+    assert got == expected and got.startswith("doc invalid at law")
+    return got
+
+
 @pytest.mark.parametrize("law, message", [
-    ({"coefficients": {}, "order": 2}, "is not valid under any of the given schemas"),
-    ({"zeros": {}}, "is not valid under any of the given schemas"),
+    ({"coefficients": {}, "order": 2}, "law: 'zeros' is a required property"),
+    ({"zeros": {}}, "law: 'order' is a required property"),
     ({"zeros": {}, "order": -1}, "order: -1 is less than the minimum of 0"),
     ({"zeros": {}, "order": 2.5}, "order: 2.5 is not of type 'integer'"),
-    # two errors at order, its type and its minimum, tie: the oneOf is named
-    ({"zeros": {}, "order": -0.5}, "is not valid under any of the given schemas"),
+    # two errors at order, its type and its minimum: the first in schema order
+    ({"zeros": {}, "order": -0.5}, "order: -0.5 is not of type 'integer'"),
+    ({"zeros": {}, "order": 2, "coefficients": {}},
+     "law: Additional properties are not allowed ('coefficients' was unexpected)"),
 ])
 def test_law_of_neither_shape(certificates, law, message):
-    doc = {**certificates[1], "law": law}
-    got = _got(ser.CERT_SCHEMA, doc)
-    assert got == _expected(ser.CERT_SCHEMA, doc) and got.startswith("doc invalid at law")
-    assert got.endswith(message)
+    assert _law_line(certificates[1], law).endswith(message)
+
+
+@pytest.mark.parametrize("law, message", [
+    ({"zeros": {}, "order": 1}, "law: 'coefficients' is a required property"),
+    ({"coefficients": []}, "law/coefficients: [] is not of type 'object'"),
+    ({"coefficients": {}, "order": 2},
+     "law: Additional properties are not allowed ('order' was unexpected)"),
+])
+def test_entire_law_of_another_shape(certificates, law, message):
+    assert _law_line(certificates[0], law).endswith(message)
