@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .errors import ArgumentError
 __all__ = [
     "Tolerances",
     "load_config",
+    "parse_int",
     "validate_config",
     "seed_vector_from_config",
     "tolerances_from_config",
@@ -229,13 +231,28 @@ _SCHEMAS = {
 }
 
 
+def parse_int(literal: str) -> int:
+    """A JSON integer literal as an int, rejected past the float range.
+
+    Every number field is read as a float, so a larger integer could only
+    end in an ``OverflowError`` there.  The digits are counted first, since
+    ``int`` refuses literals of more than a few thousand of them.
+    """
+    if len(literal) > 308:  # a shorter literal stays below 1e308
+        digits = len(literal.lstrip("-"))
+        if digits > 309 or abs(int(literal)) > sys.float_info.max:
+            raise ArgumentError(f"integer literal {literal[:12]}... of {digits} digits "
+                                "lies beyond the float range")
+    return int(literal)
+
+
 def load_config(path) -> dict:
     def reject(literal):
         raise ArgumentError(f"config {path} holds {literal}, which is not a JSON number")
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_constant=reject)
+            return json.load(fh, parse_constant=reject, parse_int=parse_int)
         except json.JSONDecodeError as exc:
             raise ArgumentError(f"config {path} is not valid JSON: {exc}") from exc
 

@@ -113,30 +113,40 @@ def shifted_coefficients(c, k: int) -> np.ndarray:
 # overflow-safe polynomial evaluation
 
 
-def _horner(c: list, z: complex) -> tuple[complex, complex, bool, float]:
+def _tables(c: list) -> tuple[list, list, list]:
+    """The lists :func:`_horner` reads: c_i, |c_i| and i*c_i, lowest first.
+
+    Built once per polynomial, in the type of ``c``'s entries (Python floats
+    for a real law, complexes otherwise), so no evaluation recomputes them.
+    """
+    return c, [abs(ci) for ci in c], [i * ci for i, ci in enumerate(c)]
+
+
+def _horner(law: tuple[list, list, list], z) -> tuple[complex, complex, bool, float]:
     """(F(z)/s_d, F'(z)/s_{d-1}, rescaled, a(z)/|s_d|) with s_k = z^k when |z| > 1.
 
-    ``c`` is a list of Python complexes, lowest first, and a(z) = sum
-    |c_i| |z|^i is the round-off scale of the evaluation.  Inside the closed
-    unit disk this is plain Horner (s_k = 1); outside it is Horner in u = 1/z
-    on reversed coefficients, so no intermediate ever exceeds sum|c_i| and
-    huge z cannot overflow.
+    ``law`` is :func:`_tables` of the coefficients, and a(z) = sum |c_i|
+    |z|^i is the round-off scale of the evaluation.  Inside the closed unit
+    disk this is plain Horner (s_k = 1); outside it is Horner in u = 1/z on
+    reversed coefficients, so no intermediate ever exceeds sum|c_i| and huge
+    z cannot overflow.  A float ``z`` on a float law stays in float.
     """
+    c, abs_c, ic = law
     r = abs(z)
-    f = fp = 0j
+    f = fp = 0j if isinstance(z, complex) else 0.0
     a = 0.0
     if r <= 1.0:
-        for ci in reversed(c):
+        for ci, ai in zip(reversed(c), reversed(abs_c)):
             fp = fp * z + f
             f = f * z + ci
-            a = a * r + abs(ci)
+            a = a * r + ai
         return f, fp, False, a
     u, ru = 1.0 / z, 1.0 / r
     # f = sum c_i u^(d-i) = F(z)/z^d and fp = sum i c_i u^(d-i) = F'(z)/z^(d-1)
-    for i, ci in enumerate(c):
+    for ci, ai, ici in zip(c, abs_c, ic):
         f = f * u + ci
-        fp = fp * u + i * ci
-        a = a * ru + abs(ci)
+        fp = fp * u + ici
+        a = a * ru + ai
     return f, fp, True, a
 
 
@@ -144,7 +154,7 @@ def poly_eval_normalized(c, z: complex) -> complex:
     """F(z) / max(1, |z|)^d without overflow, lowest-first coefficients."""
     c = np.asarray(c, dtype=np.complex128).reshape(-1).tolist()
     z = complex(z)
-    f, _, rescaled, _ = _horner(c, z)
+    f, _, rescaled, _ = _horner(_tables(c), z)
     if rescaled:
         f = f * (z / abs(z)) ** (len(c) - 1)
     return f
@@ -157,7 +167,7 @@ def evaluation_noise(c, z: complex) -> float:
     """
     c = np.asarray(c, dtype=np.complex128).reshape(-1).tolist()
     z = complex(z)
-    _, _, rescaled, a = _horner(c, z)
+    _, _, rescaled, a = _horner(_tables(c), z)
     return _noise(a, rescaled, z, len(c) - 1)
 
 
@@ -169,7 +179,7 @@ def _noise(a: float, rescaled: bool, z: complex, d: int) -> float:
     return _EPS * a
 
 
-def _newton_polish(c: list, z: complex) -> tuple[complex, float, float]:
+def _newton_polish(law: tuple[list, list, list], z) -> tuple[complex, float, float]:
     """Newton from ``z`` on the normalised pair; the best iterate, its residual and noise.
 
     Takes at least one step, then stops once |F| is within the evaluation
@@ -177,33 +187,38 @@ def _newton_polish(c: list, z: complex) -> tuple[complex, float, float]:
     ``NEWTON_CAP`` steps.  The noise is :func:`evaluation_noise` at the best
     iterate, from the evaluation made there.
     """
-    f, fp, rescaled, a = _horner(c, z)
+    f, fp, rescaled, a = _horner(law, z)
     best_z, best_r, best_a = z, abs(f), (a, rescaled)
     for _ in range(NEWTON_CAP):
         if fp == 0:
             break
         # F/F' = (f/fp) * (s_d / s_{d-1}); the scale ratio is z when |z| > 1
         z = z - (f / fp) * (z if rescaled else 1.0)
-        f, fp, rescaled, a = _horner(c, z)
+        f, fp, rescaled, a = _horner(law, z)
         r = abs(f)
         if r < best_r:
             best_z, best_r, best_a = z, r, (a, rescaled)
         if r <= _EPS * a:
             break
-    return best_z, best_r, _noise(*best_a, best_z, len(c) - 1)
+    return best_z, best_r, _noise(*best_a, best_z, len(law[0]) - 1)
 
 
 def find_zeros(c, rtol: float = Tolerances.tol_zero) -> tuple[np.ndarray, np.ndarray]:
-    """Every zero of the polynomial with coefficients ``c``, and the noise floor at each.
+    """Every zero of the real polynomial with coefficients ``c``, and the noise floor at each.
 
-    Companion-matrix seeds on geometrically balanced coefficients, then
-    Newton polishing through the normalized Horner pair, in Python complex
-    arithmetic.  Each seed stops at the evaluation noise floor
-    |F(z)| <= eps * sum |c_i| |z|^i, normally after one step.  Returns the d
-    zeros ascending by Python ``abs`` (read-only) and :func:`evaluation_noise`
-    at each, kept from the polish.  Raises when some zero misses the residual
-    tolerance ``rtol`` (|F| relative to the largest coefficient) or two of
-    them collide.
+    Seeds from the companion matrix of the geometrically balanced real
+    coefficients, then Newton polishing through the normalized Horner pair,
+    in Python arithmetic.  The seeds are real or exact conjugate pairs: a
+    real seed is polished in Python floats and returns with imaginary part
+    +0.0, and of each pair only the member with Im > 0 is polished; the
+    other is its exact conjugate, with the same residual and noise, which is
+    what polishing the conjugate seed gives bit for bit.  Each seed stops at
+    the evaluation noise floor |F(z)| <= eps * sum |c_i| |z|^i, normally
+    after one step.  Returns the d zeros ascending by Python ``abs``
+    (read-only) and :func:`evaluation_noise` at each, kept from the polish.
+    Raises when a coefficient has an imaginary part (every build's law is
+    real), when some zero misses the residual tolerance ``rtol`` (|F|
+    relative to the largest coefficient) or when two of them collide.
     """
     c = np.asarray(c, dtype=np.complex128).reshape(-1)
     d = c.size - 1
@@ -211,17 +226,25 @@ def find_zeros(c, rtol: float = Tolerances.tol_zero) -> tuple[np.ndarray, np.nda
         raise ArgumentError("need at least degree 1")
     if c[d] == 0:
         raise ArgumentError("leading coefficient vanishes; lower the degree")
+    if c.imag.any():
+        raise ArgumentError("the coefficients must be real")
 
     # balance: z = s*y with s matching the overall coefficient span
     s = (abs(c[0]) / abs(c[d])) ** (1.0 / d) if c[0] != 0 else 1.0
-    b = c * s ** np.arange(d + 1)
+    b = c.real * s ** np.arange(d + 1)
     b /= np.max(np.abs(b))
-    seeds = npoly.polyroots(b) * s
+    law, real_law = _tables(c.tolist()), _tables(c.real.tolist())
+    polished = []
+    for z0 in (npoly.polyroots(b) * s).tolist():
+        if z0.imag == 0:
+            z, r, noise = _newton_polish(real_law, z0.real)
+            polished.append((complex(z), r, noise))
+        elif z0.imag > 0:
+            z, r, noise = _newton_polish(law, z0)
+            polished += [(z, r, noise), (z.conjugate(), r, noise)]
+    polished.sort(key=lambda t: abs(t[0]))
 
     max_c = float(np.max(np.abs(c)))
-    c_list = c.tolist()
-    polished = sorted((_newton_polish(c_list, complex(z0)) for z0 in seeds),
-                      key=lambda t: abs(t[0]))
     bad = [(z, r / max_c) for z, r, _ in polished if not (r / max_c < rtol)]
     if bad:
         worst = max(bad, key=lambda t: t[1])
@@ -233,13 +256,16 @@ def find_zeros(c, rtol: float = Tolerances.tol_zero) -> tuple[np.ndarray, np.nda
     lambdas = np.array([z for z, _, _ in polished], dtype=np.complex128)
     # distinctness is judged at each pair's own scale: zero sets here span
     # many orders of magnitude, and a global scale would flag every small
-    # pair as coincident with the largest ring
-    for i in range(d):
-        for j in range(i + 1, d):
-            pair_scale = max(abs(lambdas[i]), abs(lambdas[j]))
-            if abs(lambdas[i] - lambdas[j]) <= DISTINCT_RTOL * pair_scale:
-                raise AssumptionError(
-                    f"zeros {i} and {j} coincide within {DISTINCT_RTOL:.1e} "
-                    f"of their modulus {pair_scale:.6g}; raise the degree"
-                )
+    # pair as coincident with the largest ring.  np.hypot is the scalar abs
+    # bit for bit (np.abs on a complex array can differ in the last bit)
+    moduli = np.hypot(lambdas.real, lambdas.imag)
+    pair_scale = np.maximum.outer(moduli, moduli)
+    gaps = lambdas[:, None] - lambdas
+    coincide = np.triu(np.hypot(gaps.real, gaps.imag) <= DISTINCT_RTOL * pair_scale, 1)
+    if coincide.any():
+        i, j = np.argwhere(coincide)[0]
+        raise AssumptionError(
+            f"zeros {i} and {j} coincide within {DISTINCT_RTOL:.1e} "
+            f"of their modulus {pair_scale[i, j]:.6g}; raise the degree"
+        )
     return _readonly(lambdas), np.array([noise for _, _, noise in polished])

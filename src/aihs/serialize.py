@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check_document
+from .config import check_document, parse_int
 from .errors import ArgumentError
 from .halfspace import _CHECKS, BlaschkeLaw, EntireLaw, FunctionalRep, HalfSpaceCertificate
 from .operators import Family, _readonly
@@ -171,8 +171,12 @@ def write_json(path, doc: dict) -> Path:
     return path
 
 
+# one decoder for every read: ``json.loads`` with a keyword builds a new one per call
+_DECODER = json.JSONDecoder(parse_int=parse_int)
+
+
 def read_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return _DECODER.decode(Path(path).read_text(encoding="utf-8"))
 
 
 # ----------------------------------------------------------------------------

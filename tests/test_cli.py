@@ -220,6 +220,28 @@ def test_non_json_number_in_config_is_a_one_line_error(tmp_path, capsys, literal
     assert not out.exists()
 
 
+@pytest.mark.parametrize("digits", [401, 5001])  # 5001 is past int()'s default digit limit
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_integer_beyond_the_float_range_is_a_one_line_error(tmp_path, capsys, command, digits):
+    # a ratio that JSON reads as an int no float holds, in a config or in a certificate's echo
+    cfg = _entire_cfg()
+    if command == "build":
+        cfg["operator"]["weights"]["params"]["ratio"] = "@"
+        path, doc = tmp_path / "run.json", cfg
+        argv = ["build", "--config", str(path), "--out", str(tmp_path / "out")]
+    else:
+        path, doc = _built_certificate(tmp_path, cfg)
+        doc["config_echo"]["config"]["operator"]["weights"]["params"]["ratio"] = "@"
+        argv = ["verify", str(path)]
+    path.write_text(json.dumps(doc).replace('"@"', "1" + "0" * (digits - 1)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and f"of {digits} digits lies beyond the float range" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, flags, in_config", [
     ("build", ["--tol-ai", "-1"], None),
     ("build", ["--tol-ai", "nan"], None),
