@@ -33,7 +33,7 @@ from .config import Tolerances
 from .duality import containment_residual
 from .entire import DEGREE_CAP, apply_picard_shift, coefficients_from_norms, find_zeros
 from .errors import AihsError, ArgumentError, AssumptionError, SingularResolventError, StageError
-from ._linalg import numerical_rank, qr_basis, smallest_singular_value, unit_columns
+from ._linalg import numerical_rank, qr_basis, smallest_singular_value, unit_columns, used_rows
 from .operators import OperatorModel, OrbitData, compute_orbit, operator_digest, orbit_form, _readonly
 from .resolvent import ResolventSolver, filter_lambda_gap
 
@@ -282,8 +282,7 @@ def compute_metrics(
 
     e = e.reshape(-1, 1)
     if op.is_nilpotent:
-        live = np.flatnonzero(np.hstack([raw_vectors, duals, e]).any(axis=1))
-        k = min(int(np.max(live, initial=0)) + 2, op.dim)
+        k = min(max(used_rows(raw_vectors), used_rows(duals), used_rows(e), 1) + 1, op.dim)
         op, e, raw_vectors, duals = op.leading(k), e[:k], raw_vectors[:k], duals[:k]
     basis = qr_basis(raw_vectors)
     with_e = np.hstack([basis, e])

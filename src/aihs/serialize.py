@@ -1,14 +1,17 @@
 """Deterministic JSON/CSV persistence for certificates and reports.
 
-Every real number inside a JSON document is a hex float (``float.hex``
-round-trips bit-exactly); complex scalars are ``{"re": hex, "im": hex}``
-and arrays are ``{"dtype", "shape", "data"}`` with flat row-major data.
-An array whose trailing rows (along its first axis) are all zero stores
-only the rows up to its last nonzero one and says how many in ``rows``.
-Documents render compact with sorted keys and no timestamps, so the same
-in-memory object always produces the same bytes; certificates are
-schema-checked on read.  CSV summaries are the human-readable side:
-decimals at ``%.17g``, columns frozen per schema version.
+Every real number inside a JSON document is a hex float, spelled as
+``float.hex`` spells it (it round-trips bit-exactly); complex scalars are
+``{"re": hex, "im": hex}`` and arrays are ``{"dtype", "shape", "data"}``
+with flat row-major data, complex entries as ``[re, im]`` pairs.  An array
+whose trailing rows (along its first axis) are all zero stores only the rows
+up to its last nonzero one and says how many in ``rows``.  Documents render
+compact with sorted keys and no timestamps, so the same in-memory object
+always produces the same bytes; certificates are schema-checked on read.
+Array data is rendered straight from the IEEE-754 bits: every array of a
+certificate goes through one numpy pass that writes the same text as
+``float.hex`` and ``json`` would.  CSV summaries are the human-readable
+side: decimals at ``%.17g``, columns frozen per schema version.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from .config import check_document, parse_int
 from .errors import ArgumentError
 from .halfspace import _CHECKS, BlaschkeLaw, EntireLaw, FunctionalRep, HalfSpaceCertificate
+from ._linalg import used_rows
 from .operators import Family, _readonly
 
 __all__ = [
@@ -61,28 +65,114 @@ def _complex_doc(z: complex) -> dict:
     return {"re": _fhex(z.real), "im": _fhex(z.imag)}
 
 
+def _bytes(text: bytes) -> np.ndarray:
+    return np.frombuffer(text, np.uint8)
+
+
+def _render_tables() -> tuple:
+    """Word tables of the hex-float text, with byte 0 as padding (dropped from the text).
+
+    Each word is 8 bytes, read as a little-endian uint64.  The head, indexed
+    by (punctuation, top 12 bits), is the punctuation before the entry,
+    ``"``, the sign and ``0x1`` (``0x0`` for exponent field 0, ``inf`` for
+    2047).  The suffix, indexed by the top 12 bits, is ``p±E"`` (only ``"``
+    for 2047).  The digits are a byte's two hex digits.
+    """
+    top = np.arange(4096, dtype=np.int16)
+    sign, field = top >> 11, top & 0x7FF
+    # the punctuation: "," (a real entry or an imaginary part), "],[" (a real part),
+    # and "|[" or "|[[" before an array's first entry ("|" marks where each array starts)
+    head = np.zeros((4, 4096, 8), np.uint8)
+    head[..., :3] = _bytes(b",\0\0],[|[\0|[[").reshape(4, 1, 3)
+    head[..., 3], head[..., 4] = ord('"'), sign * ord("-")
+    head[..., 5:] = _bytes(b"0x10x0inf").reshape(3, 3)[(field == 0) + 2 * (field == 0x7FF)]
+    nan_head = head[:, 0].copy()
+    nan_head[:, 4:] = _bytes(b"nan\0")  # every nan is "nan", whatever its sign
+    power = np.where(field == 0, -1022, field - 1023)  # a subnormal's exponent is -1022
+    magnitude = np.abs(power)[:, None]
+    digits = magnitude // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")
+    suffix = np.zeros((4096, 8), np.uint8)
+    suffix[:, 0] = ord("p")
+    suffix[:, 1] = np.where(power < 0, ord("-"), ord("+"))
+    suffix[:, 2:6] = np.where(magnitude >= np.array([1000, 100, 10, 0], np.int16), digits, 0)
+    suffix[:, 6] = ord('"')
+    suffix[field == 0x7FF, :6] = 0
+    hexdigits = _bytes(b"0123456789abcdef")
+    pairs = np.stack([hexdigits[top[:256] >> 4], hexdigits[top[:256] & 15]], axis=1)
+    return (head.view("<u8").reshape(-1), nan_head.view("<u8")[:, 0], suffix.view("<u8")[:, 0],
+            pairs.view("<u2")[:, 0])
+
+
+_HEAD, _NAN_HEAD, _SUFFIX, _DIGITS = _render_tables()
+# A normal entry's two middle words: two bytes of padding, "." and the 13 mantissa
+# digits.  The digit pairs of the big-endian bits put the exponent's in the first three.
+_DOT = np.uint64(ord(".") << 16)
+_MANTISSA_BYTES = np.uint64(0xFFFF_FFFF_FF00_0000)
+_ZERO_MIDDLE = np.uint64(ord(".") << 16 | ord("0") << 24)  # "0x0.0p+0"
+_ZERO_SUFFIX = np.frombuffer(b'p+0"\0\0\0\0', "<u8")[0]
+_SIGNLESS = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
+_INF_BITS = np.uint64(0x7FF0_0000_0000_0000)
+
+
+def _array_texts(arrays) -> list:
+    """Each array's document text, in sorted-key compact JSON, from one pass over their bits.
+
+    Every float entry is four words: the head, the mantissa digits in two
+    and the suffix.  A zero, an inf and a nan are patched to ``float.hex``'s
+    spelling, the padding is dropped, and the text is cut into arrays at
+    their start marks.
+    """
+    tails, chunks, complex_, firsts = [], [], [], []
+    start = 0
+    for a in arrays:
+        a = np.asarray(a)
+        a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+        tail = f',"dtype":"{a.dtype.name}"'
+        if a.ndim and a.size and (rows := used_rows(a)) < len(a):
+            tail += f',"rows":{rows}'
+        else:
+            rows = len(a) if a.ndim else 1
+        tails.append(tail + f',"shape":[{",".join(map(str, a.shape))}]}}')
+        chunks.append(np.ascontiguousarray(a[:rows] if a.ndim else a).reshape(-1).view(np.float64))
+        complex_.append(a.dtype == np.complex128)
+        firsts.append(start)
+        start += chunks[-1].size
+    bits = np.concatenate(chunks).view(np.uint64)
+    n = bits.size
+    lead = np.zeros(n, np.intp)
+    for first, chunk, is_complex in zip(firsts, chunks, complex_):
+        if chunk.size:
+            if is_complex:
+                lead[first:first + chunk.size:2] = 1
+            lead[first] = 2 + is_complex
+    top = (bits >> np.uint64(52)).astype(np.intp)
+    words = np.empty((n, 4), "<u8")
+    words[:, 0] = _HEAD.take(lead * 4096 + top)
+    digits = _DIGITS.take(bits.astype(">u8").view(np.uint8).reshape(n, 8)).view("<u8")
+    words[:, 1] = digits[:, 0] & _MANTISSA_BYTES | _DOT
+    words[:, 2] = digits[:, 1]
+    words[:, 3] = _SUFFIX.take(top)
+    signless = bits & _SIGNLESS
+    zero = signless == 0
+    words[zero, 1:] = [_ZERO_MIDDLE, 0, _ZERO_SUFFIX]
+    words[signless >= _INF_BITS, 1:3] = 0  # "inf" or "nan", no digits
+    nan = signless > _INF_BITS
+    words[nan, 0] = _NAN_HEAD.take(lead[nan])
+    pieces = iter(words.tobytes().translate(None, b"\0").decode("ascii").split("|")[1:])
+    return [f'{{"data":{next(pieces) + ("]]" if is_complex else "]") if chunk.size else "[]"}{tail}'
+            for chunk, is_complex, tail in zip(chunks, complex_, tails)]
+
+
 def encode_array(a: np.ndarray) -> dict:
     """Tagged, shape-carrying, bit-exact array document.
 
     Rows along the first axis after the last row holding a nonzero value are
     not stored; ``rows`` then counts the stored ones.  A row is zero when
     every entry compares ``== 0``, so a trimmed ``-0.0`` reads back as
-    ``+0.0``; every stored entry but a nan round-trips bit for bit.
+    ``+0.0``; every stored entry but a nan round-trips bit for bit.  The
+    document is the one the certificate writer renders.
     """
-    a = np.asarray(a)
-    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
-    doc = {"dtype": a.dtype.name, "shape": list(a.shape)}
-    if a.ndim and a.size:
-        nonzero = np.flatnonzero(a.any(axis=tuple(range(1, a.ndim))))
-        rows = int(nonzero[-1]) + 1 if nonzero.size else 0
-        if rows < len(a):
-            doc["rows"], a = rows, a[:rows]
-    if np.iscomplexobj(a):
-        doc["data"] = list(map(list, zip(map(float.hex, a.real.ravel().tolist()),
-                                         map(float.hex, a.imag.ravel().tolist()))))
-    else:
-        doc["data"] = list(map(float.hex, a.ravel().tolist()))
-    return doc
+    return json.loads(_array_texts([a])[0])
 
 
 # an array document's keys, without and with the trimmed-row count
@@ -99,9 +189,13 @@ def decode_array(doc: dict) -> np.ndarray:
     if len(doc["data"]) != rows * math.prod(shape[1:]):
         raise ArgumentError(f"array data has {len(doc['data'])} entries for {rows} rows of {shape}")
     if doc["dtype"] == "complex128":
-        parts = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(doc["data"])), float)
-        if parts.size != 2 * len(doc["data"]):
+        try:  # list.__len__ takes nothing but a list, so this checks each entry's type and length
+            pairs = set(map(list.__len__, doc["data"])) <= {2}
+        except TypeError:
+            pairs = False
+        if not pairs:
             raise ArgumentError("complex array data must be [re, im] pairs")
+        parts = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(doc["data"])), float)
         flat = parts.view(np.complex128)
     elif doc["dtype"] == "float64":
         flat = np.array([float.fromhex(x) for x in doc["data"]], dtype=np.float64)
@@ -161,14 +255,21 @@ def decode_value(value):
     return value
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(doc) + "\n"
+
+
+def _write_text(path, text: str) -> Path:
+    path = Path(path)
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 def write_json(path, doc: dict) -> Path:
-    path = Path(path)
-    path.write_text(dumps_canonical(doc), encoding="utf-8")
-    return path
+    return _write_text(path, dumps_canonical(doc))
 
 
 # one decoder for every read: ``json.loads`` with a keyword builds a new one per call
@@ -231,24 +332,60 @@ LAW_SCHEMAS = {"Entire": _record(law=_record(coefficients=_OBJECT)),
                "Blaschke": _record(law=_record(zeros=_OBJECT, order=_INT))}
 
 
-def certificate_to_document(cert: HalfSpaceCertificate) -> dict:
-    return {
+class _Rendered(str):
+    """JSON text already rendered, spliced into an object as it is."""
+
+
+def _object(fields: dict) -> _Rendered:
+    """Compact JSON text of an object with sorted keys.
+
+    Each run of keys without a rendered value goes through one encoder call.
+    The keys are the document's own field names, which need no escaping.
+    """
+    parts, plain = [], {}
+    for key in sorted(fields):
+        if isinstance(fields[key], _Rendered):
+            if plain:
+                parts.append(_ENCODER.encode(plain)[1:-1])
+                plain = {}
+            parts.append(f'"{key}":{fields[key]}')
+        else:
+            plain[key] = fields[key]
+    if plain:
+        parts.append(_ENCODER.encode(plain)[1:-1])
+    return _Rendered("{" + ",".join(parts) + "}")
+
+
+def _certificate_text(cert: HalfSpaceCertificate) -> str:
+    """The certificate's compact sorted-key JSON text, its arrays rendered in one pass."""
+    law = {f.name: getattr(cert.law, f.name) for f in dataclasses.fields(cert.law)}
+    arrays = [getattr(cert, name) for name in _SHAPED]
+    arrays += [value for value in law.values() if isinstance(value, np.ndarray)]
+    arrays += [f.dual_vector for f in cert.functionals]
+    texts = map(_Rendered, _array_texts(arrays))  # taken below in the order listed
+    return _object({
         "schema": CERT_SCHEMA_ID,
         "construction": cert.construction,
         "operator": encode_value(cert.operator_config),
-        **{name: encode_value(getattr(cert, name)) for name in _ENCODED},
+        **{name: next(texts) for name in _SHAPED},
+        "law": _object({key: next(texts) if isinstance(value, np.ndarray) else encode_value(value)
+                        for key, value in law.items()}),
+        "functionals": _Rendered("[" + ",".join(
+            _object({"dual_vector": next(texts), "k": f.k}) for f in cert.functionals) + "]"),
+        **{name: encode_value(getattr(cert, name)) for name in _ENCODED if name not in _SHAPED},
         "excluded_lambdas": [
             {"lam": _complex_doc(complex(lam)), "reason": reason}
             for lam, reason in cert.excluded_lambdas
         ],
-        "functionals": [
-            {"k": f.k, "dual_vector": encode_array(f.dual_vector)} for f in cert.functionals
-        ],
-        "law": encode_value(dataclasses.asdict(cert.law)),
         **{name: getattr(cert, name) for name in _COUNTS},
         # config echo is the user's own JSON, kept verbatim (decimals and all)
         "config_echo": cert.config_echo,
-    }
+    })
+
+
+def certificate_to_document(cert: HalfSpaceCertificate) -> dict:
+    """The document of the certificate's written text (so the two cannot differ)."""
+    return json.loads(_certificate_text(cert))
 
 
 def _shaped(doc: dict, name: str, shape: tuple) -> np.ndarray:
@@ -294,7 +431,7 @@ def certificate_from_document(doc: dict) -> HalfSpaceCertificate:
 
 
 def write_certificate(path, cert: HalfSpaceCertificate) -> Path:
-    return write_json(path, certificate_to_document(cert))
+    return _write_text(path, _certificate_text(cert) + "\n")
 
 
 def read_certificate(path) -> HalfSpaceCertificate:

@@ -431,6 +431,17 @@ def operator_without_digest(doc):
     del doc["operator"]["sha256"]
 
 
+def uneven_complex_pairs(doc):
+    """A three-entry and a one-entry list in place of two pairs: the count of entries still fits."""
+    data = doc["raw_vectors"]["data"]
+    data[:2] = [data[0] + data[1][:1], data[1][1:]]
+
+
+def string_complex_pairs(doc):
+    """Two-character strings in place of [re, im] pairs."""
+    doc["lambdas"]["data"] = ["11"] * len(doc["lambdas"]["data"])
+
+
 def _trimmed_raw_vectors(doc) -> dict:
     raw = doc["raw_vectors"]
     assert raw["rows"] < raw["shape"][0]  # the fixture stores a zero tail trimmed
@@ -463,7 +474,8 @@ def full_length_trimmed_data(doc):
 ROWS_MALFORMED = [rows_above_shape, negative_rows, boolean_rows, full_length_trimmed_data]
 MALFORMED = [transposed_raw_vectors, empty_functionals, string_in_metrics, bad_hex, short_data,
              stored_basis, old_schema, string_rank, array_without_shape, functional_without_dual,
-             malformed_exclusion, operator_without_digest, *ROWS_MALFORMED]
+             malformed_exclusion, operator_without_digest, uneven_complex_pairs,
+             string_complex_pairs, *ROWS_MALFORMED]
 
 
 @pytest.mark.parametrize("mutate", MALFORMED, ids=[m.__name__ for m in MALFORMED])

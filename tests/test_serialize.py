@@ -131,6 +131,153 @@ def test_bad_rows_is_rejected(rows, data, shape, message):
         ser.decode_array(doc)
 
 
+@pytest.mark.parametrize("data", [
+    [["0x1p0", "0x2p0", "0x3p0"], ["0x4p0"]],  # uneven lists, four entries in all
+    ["11", "22"],  # strings of two characters
+    [["0x1p0", "0x2p0"], ("0x3p0", "0x4p0")],
+    [["0x1p0", "0x2p0"], None],
+], ids=["uneven", "strings", "tuple", "none"])
+def test_complex_data_must_be_pairs(data):
+    with pytest.raises(ArgumentError, match=r"complex array data must be \[re, im\] pairs"):
+        ser.decode_array({"dtype": "complex128", "shape": [2], "data": data})
+
+
+# --- the writer against one float.hex per entry --------------------------------
+
+
+def _reference_array(a) -> dict:
+    """The array document spelled entry by entry with float.hex, trimmed row by row."""
+    a = np.asarray(a)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
+    doc = {"dtype": a.dtype.name, "shape": list(a.shape)}
+    if a.ndim and a.size:
+        with np.errstate(invalid="ignore"):  # a complex nan compares != 0, with a warning
+            rows = max((i + 1 for i in range(len(a)) if np.any(a[i] != 0)), default=0)
+        if rows < len(a):
+            doc["rows"], a = rows, a[:rows]
+    if a.dtype == np.complex128:
+        doc["data"] = [[z.real.hex(), z.imag.hex()] for z in a.ravel().tolist()]
+    else:
+        doc["data"] = [x.hex() for x in a.ravel().tolist()]
+    return doc
+
+
+def _reference_value(value):
+    if isinstance(value, np.ndarray):
+        return _reference_array(value)
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, (complex, np.complexfloating)):
+        return {"re": value.real.hex(), "im": value.imag.hex()}
+    if isinstance(value, dict):
+        return {key: _reference_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_value(v) for v in value]
+    return value
+
+
+def _reference_document(cert) -> dict:
+    names = ("defect_vector", "raw_vectors", "lambdas", "metrics", "checks", "tolerances",
+             "hypothesis")
+    return {
+        "schema": ser.CERT_SCHEMA_ID, "construction": cert.construction,
+        "operator": _reference_value(cert.operator_config),
+        **{name: _reference_value(getattr(cert, name)) for name in names},
+        "excluded_lambdas": [{"lam": _reference_value(complex(lam)), "reason": reason}
+                             for lam, reason in cert.excluded_lambdas],
+        "functionals": [{"k": f.k, "dual_vector": _reference_array(f.dual_vector)}
+                        for f in cert.functionals],
+        "law": _reference_value(dataclasses.asdict(cert.law)),
+        **{name: getattr(cert, name) for name in ("m_requested", "m_achieved", "k_max",
+                                                   "orbit_length")},
+        "config_echo": cert.config_echo,
+    }
+
+
+_SPECIAL_BITS = [0, 1 << 63, 1, (1 << 63) | 1, 0x000F_FFFF_FFFF_FFFF, 0x0010_0000_0000_0000,
+                 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000, 0x7FF8_0000_0000_0000,
+                 0xFFF0_0000_0000_0001, 0x7FEF_FFFF_FFFF_FFFF, 0x3FF0_0000_0000_0000]
+
+
+@st.composite
+def _bit_arrays(draw):
+    """float64 or complex128 arrays of any bit patterns, with zero rows of either sign."""
+    complex_ = draw(st.booleans())
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    shape = draw(st.sampled_from([(), (0,), (n,), (n, k), (0, k), (k, 0)]))
+    parts = (*shape, 2) if complex_ else shape
+    words = draw(st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_SPECIAL_BITS)),
+                          min_size=math.prod(parts), max_size=math.prod(parts)))
+    real = np.array(words, dtype=np.uint64).view(np.float64).reshape(parts)
+    if shape and shape[0] and real.size:
+        tail = draw(st.integers(0, shape[0]))  # shape[0] makes the whole array zero
+        for row in range(shape[0] - tail, shape[0]):  # each zero keeps its value's sign
+            real[row] = np.copysign(0.0, real[row])
+    return real.view(np.complex128)[..., 0] if complex_ else real
+
+
+@given(st.lists(_bit_arrays(), min_size=1, max_size=6))
+def test_one_pass_renders_each_array_as_float_hex_does(arrays):
+    texts = ser._array_texts(arrays)
+    assert texts == [json.dumps(_reference_array(a), sort_keys=True, separators=(",", ":"))
+                     for a in arrays]
+    assert ser.encode_array(arrays[0]) == _reference_array(arrays[0])
+
+
+def _explicit_blaschke_cfg(dim: int = 48) -> dict:
+    phases = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, dim - 1)
+    return {"schema": "aihs-run/1", "construction": "blaschke", "m": 8, "k_max": 5, "seed": 0,
+            "label": "blaschke", "blaschke": {"sequence": {"kind": "inverse-square"}},
+            "operator": {"family": "forward-weighted-shift", "dim": dim, "weights": {
+                "kind": "explicit", "params": {"values": [[math.cos(p), math.sin(p)]
+                                                          for p in phases]}}}}
+
+
+def _geometric_cfg(dim: int, ratio: float, m: int = 4, k_max: int = 3) -> dict:
+    return {"schema": "aihs-run/1", "construction": "entire", "m": m, "k_max": k_max, "seed": 0,
+            "label": f"n{dim}-r{round(ratio * 100)}", "operator": {
+                "family": "forward-weighted-shift", "dim": dim,
+                "weights": {"kind": "geometric", "params": {"ratio": ratio}}}}
+
+
+def _assert_written_as_reference(path: Path) -> None:
+    """The file is the reference rendering, and reading and writing it again gives its bytes."""
+    cert = ser.read_certificate(path)
+    text = path.read_text(encoding="utf-8")
+    assert text == ser.dumps_canonical(_reference_document(cert))
+    assert ser.certificate_to_document(cert) == json.loads(text)
+    again = ser.write_certificate(path.with_suffix(".again"), cert)
+    assert again.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("build", _geometric_cfg(256, 0.9, m=8, k_max=5)),
+    ("build", _explicit_blaschke_cfg()),
+    ("sweep", {"schema": "aihs-sweep/1", "label": "sweep", "runs": [
+        _geometric_cfg(dim, ratio) for dim, ratio in ((64, 0.7), (192, 0.5), (96, 0.9))]}),
+], ids=["entire", "blaschke", "sweep"])
+def test_written_certificates_match_the_float_hex_reference(tmp_path, command, cfg):
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    assert main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("*.cert.json"))
+    assert len(paths) == (3 if command == "sweep" else 1)
+    for path in paths:
+        _assert_written_as_reference(path)
+
+
+def test_certificate_with_non_finite_metrics_matches_the_reference(small_cert, tmp_path):
+    _, cert = small_cert
+    metrics = {**cert.metrics, "ai_residual": math.nan, "annihilation_scale": math.inf,
+               "extension_residual_max": -math.inf, "independence_sigma_min": -0.0}
+    cert = dataclasses.replace(cert, metrics=metrics,
+                               excluded_lambdas=((complex(math.inf, math.nan), "noise-floor"),))
+    _assert_written_as_reference(ser.write_certificate(tmp_path / "odd.cert.json", cert))
+
+
 def _entire_certificate(tmp_path, dim: int, ratio: float) -> Path:
     """The certificate ``aihs build`` writes for a forward geometric shift, m = 8, k_max = 5."""
     label = f"n{dim}-r{round(ratio * 1e4)}"
