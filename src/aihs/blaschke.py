@@ -170,10 +170,7 @@ def fm_coefficient_table(bd: BlaschkeData, m_max: int, n_max: int) -> np.ndarray
         raise ArgumentError("m_max and n_max must be >= 0")
     order = bd.taylor.size - 1
     if n_max > order:
-        raise ArgumentError(
-            f"table needs Taylor order {n_max}, data has {order}; rebuild with "
-            f"order >= {n_max}"
-        )
+        raise ArgumentError(f"table needs Taylor order {n_max}, data has {order}")
     a = np.zeros((m_max + 1, n_max + 1), dtype=np.complex128)
     for m in range(m_max + 1):
         take = n_max + 1 - m

@@ -81,9 +81,9 @@ def _tolerances(args, cfg: dict):
 
 
 def _blaschke_options(block: dict | None, m: int):
-    """(lambdas-or-None, order, defect_cap) from the config's blaschke block."""
+    """(lambdas-or-None, defect_cap) from the config's blaschke block."""
     if block is None:
-        return None, None, None
+        return None, None
     lambdas = None
     seq = block.get("sequence")
     if seq is not None:
@@ -91,7 +91,7 @@ def _blaschke_options(block: dict | None, m: int):
         if "values" in seq:
             params["values"] = _complex_entries(seq["values"])
         lambdas = blaschke_sequence(seq["kind"], m, **params)
-    return lambdas, block.get("order"), block.get("defect_cap")
+    return lambdas, block.get("defect_cap")
 
 
 def _run_certificate(run_cfg: dict, args):
@@ -104,17 +104,9 @@ def _run_certificate(run_cfg: dict, args):
     if run_cfg["construction"] == "entire":
         cert = build_entire(op, e, run_cfg["m"], run_cfg["k_max"], tolerances=tol)
     else:
-        lambdas, order, defect_cap = _blaschke_options(run_cfg.get("blaschke"), run_cfg["m"])
-        cert = build_blaschke(
-            op,
-            e,
-            run_cfg["m"],
-            run_cfg["k_max"],
-            lambdas=lambdas,
-            order=order,
-            tolerances=tol,
-            defect_cap=defect_cap,
-        )
+        lambdas, defect_cap = _blaschke_options(run_cfg.get("blaschke"), run_cfg["m"])
+        cert = build_blaschke(op, e, run_cfg["m"], run_cfg["k_max"], lambdas=lambdas,
+                              tolerances=tol, defect_cap=defect_cap)
     echo = {"config": run_cfg, "seed": seed, "label": run_cfg.get("label", "")}
     return op, dataclasses.replace(cert, config_echo=echo)
 
@@ -201,7 +193,7 @@ def cmd_verify(args) -> int:
         print("audit FAIL: " + "; ".join(report["failures"]))
         return EXIT_FAIL
     print(f"audit PASS (raw vector drift {report['raw_vector_drift']:.3e})")
-    return EXIT_UNVERIFIED if cert.hypothesis_unverified else EXIT_PASS
+    return EXIT_UNVERIFIED if report["hypothesis_unverified"] else EXIT_PASS
 
 
 def cmd_chain(args) -> int:

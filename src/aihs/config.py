@@ -157,7 +157,6 @@ _BLASCHKE = {
             },
             "additionalProperties": False,
         },
-        "order": {"type": "integer", "minimum": 1},
         "defect_cap": {"type": "number", "exclusiveMinimum": 0},
     },
     "additionalProperties": False,
@@ -441,4 +440,5 @@ def tolerances_from_config(cfg: dict | None, **overrides) -> Tolerances:
     for name, value in merged.items():
         if not 0 < value < math.inf:
             raise ArgumentError(f"tolerance {name} must be a finite number > 0, got {value!r}")
-    return Tolerances(**merged)
+    # as floats: certificates write thresholds and the norm-sum cap as hex floats
+    return Tolerances(**{name: float(value) for name, value in merged.items()})

@@ -233,11 +233,11 @@ def find_zeros(c, rtol: float = Tolerances.tol_zero) -> tuple[np.ndarray, np.nda
     s = (abs(c[0]) / abs(c[d])) ** (1.0 / d) if c[0] != 0 else 1.0
     b = c.real * s ** np.arange(d + 1)
     b /= np.max(np.abs(b))
-    law, real_law = _tables(c.tolist()), _tables(c.real.tolist())
+    law = _tables(c.real.tolist())
     polished = []
     for z0 in (npoly.polyroots(b) * s).tolist():
         if z0.imag == 0:
-            z, r, noise = _newton_polish(real_law, z0.real)
+            z, r, noise = _newton_polish(law, z0.real)
             polished.append((complex(z), r, noise))
         elif z0.imag > 0:
             z, r, noise = _newton_polish(law, z0)

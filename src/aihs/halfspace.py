@@ -86,7 +86,8 @@ class EntireLaw:
 
 @dataclass(frozen=True, eq=False)
 class BlaschkeLaw:
-    """The zeros of B and its Taylor order; functional j = 1..m_max takes z^j B's coefficients."""
+    """The zeros of B and its Taylor order, L - 1 on an orbit of L vectors (no later b_n is
+    paired with one); functional j = 1..m_max takes z^j B's coefficients."""
 
     zeros: np.ndarray
     order: int
@@ -308,6 +309,15 @@ def compute_metrics(
     return metrics, _judge(metrics, thresholds)
 
 
+def _norm_hypothesis(orbit: OrbitData, cap: float) -> dict:
+    """The Blaschke norm-sum hypothesis: sum(r_n / n) over the orbit's biorthogonal norms,
+    with the flag it earns against ``cap``."""
+    partial = float(np.sum(orbit.biorthogonal_norms[1:] / np.arange(1, orbit.length, dtype=float)))
+    exceeds = not partial <= cap
+    return {"norm_sum_partial": partial, "norm_sum_cap": cap, "unverified": exceeds,
+            "flags": ["functional-norm-sum-exceeds-cap"] if exceeds else []}
+
+
 def _certify(op, e, orbit: OrbitData, candidates, m, law, k_max, tol, noisy=None, **fields):
     """The builders' tail: selection, resolvent vectors, dual vectors, metrics.
 
@@ -415,7 +425,6 @@ def build_blaschke(
     m: int,
     m_max: int,
     lambdas: np.ndarray | None = None,
-    order: int | None = None,
     tolerances: Tolerances | None = None,
     defect_cap: float | None = None,
 ) -> HalfSpaceCertificate:
@@ -434,10 +443,8 @@ def build_blaschke(
         raise ArgumentError("need at least one functional (m_max >= 1)")
     e = np.asarray(e, dtype=np.complex128).reshape(-1)
 
-    hypothesis: dict = {"unverified": False, "flags": []}
     with _stage("hypothesis"):
         radius = op.spectral_radius()
-        hypothesis["spectral_radius_estimate"] = float(radius)
         if radius > 1.0 + tol.spectral_radius_slack:
             raise AssumptionError(
                 f"spectral radius estimate {radius:.6g} exceeds 1 + slack"
@@ -451,22 +458,11 @@ def build_blaschke(
 
     with _stage("orbit"):
         orbit = compute_orbit(op, e, op.dim)
-        length, norms = orbit.length, orbit.biorthogonal_norms
-        partial = float(np.sum(norms[1:] / np.arange(1, length, dtype=float)))
-        hypothesis["norm_sum_partial"] = partial
-        hypothesis["norm_sum_cap"] = tol.blaschke_norm_cap
-        if not partial <= tol.blaschke_norm_cap:
-            hypothesis["unverified"] = True
-            hypothesis["flags"].append("functional-norm-sum-exceeds-cap")
+        hypothesis = {"spectral_radius_estimate": float(radius),
+                      **_norm_hypothesis(orbit, tol.blaschke_norm_cap)}
 
     with _stage("taylor"):
-        if order is None:
-            order = length - 1
-        if order < length - 1:
-            raise ArgumentError(
-                f"Taylor order {order} cannot cover orbit length {length}"
-            )
-        law = BlaschkeLaw(_readonly(lambdas), order)
+        law = BlaschkeLaw(_readonly(lambdas), orbit.length - 1)
         # the summability guard, on the series the law derives
         if defect_cap is not None and law.series.defect_sum > defect_cap:
             raise AssumptionError(f"sum of (1 - |lam|) = {law.series.defect_sum:.6g} "
@@ -480,13 +476,19 @@ def verify_certificate(
 ) -> dict:
     """From-scratch audit: derive everything from the stored inputs and diff against stored.
 
-    Re-solves the resolvent vectors and walks the orbit in its form (no norm
-    stage), whose length must be the stored one, then derives the rest with
+    Re-solves the resolvent vectors and walks the orbit in its form, whose
+    length must be the stored one, then derives the rest with
     :func:`compute_metrics`.
     Each stored metric must agree within ``tol_audit``, each stored check
     must carry the verdict its derived value earns against its stored
     threshold, and each derived value must pass the audit's own thresholds.
-    Returns per-metric stored/recomputed/diff entries and ``passed``.
+    On the Blaschke route the norm-sum hypothesis is derived from the
+    orbit's biorthogonal norms (free on a coordinate orbit, one factor on a
+    dense one): the stored partial sum must agree within ``tol_audit`` and
+    the stored flags must be those it earns against the stored cap.
+    Returns per-metric stored/recomputed/diff entries, ``passed`` and
+    ``hypothesis_unverified``: the derived sum against the stored cap or the
+    audit's own, whichever flags.
     """
     tol = tolerances or Tolerances()
     with _stage("audit"):
@@ -503,6 +505,9 @@ def verify_certificate(
         metrics, checks = compute_metrics(
             op, cert.defect_vector, orbit, raw, cert.lambdas, duals, cert.law, cert.k_max, tol
         )
+        # the entire route's hypothesis is fixed by the certificate schema
+        earned = (_norm_hypothesis(orbit, cert.hypothesis["norm_sum_cap"])
+                  if isinstance(cert.law, BlaschkeLaw) else None)
 
     def drift(stored, recomputed) -> float:
         return abs(stored - recomputed) / max(abs(stored), abs(recomputed), 1.0)
@@ -534,5 +539,13 @@ def verify_certificate(
         if (stored["passed"] != check["passed"]
                 or not drift(stored["value"], check["value"]) <= tol.tol_audit):
             failures.append(f"checks.{name}")
+    if earned is not None:
+        stored = cert.hypothesis
+        if any(stored[key] != earned[key] for key in ("unverified", "flags")):
+            failures.append("hypothesis.flags")
+        if not drift(stored["norm_sum_partial"], earned["norm_sum_partial"]) <= tol.tol_audit:
+            failures.append("hypothesis.norm_sum_partial")
+    report["hypothesis_unverified"] = earned is not None and (
+        earned["unverified"] or not earned["norm_sum_partial"] <= tol.blaschke_norm_cap)
     report["passed"] = not failures
     return report

@@ -58,10 +58,6 @@ ORBIT_NORM_FLOOR = 1e-150
 #: makes the orbit non-minimal.
 MINIMALITY_RTOL = 1e-13
 
-#: Blocks of at most this many rows are inverted whole by
-#: :func:`upper_triangular_inverse`.
-INVERSE_LEAF = 32
-
 
 class Family(str, enum.Enum):
     """Operator family tags; the values double as config/CSV identifiers."""
@@ -611,7 +607,7 @@ def compute_orbit(op: OperatorModel, seed: np.ndarray, cap: int) -> OrbitData:
 
     :func:`orbit_form` picks the form from structure.  A coordinate orbit
     costs O(L) and is always minimal.  A dense orbit is walked once and
-    factored once, in O(L^3): one QR and one triangular inverse (see
+    factored once, in O(L^3): one QR and one inverse of its R (see
     :class:`DenseOrbit`).  It is minimal when every ``dist(x_n, others) =
     s_n / ||row n of R^-1||``, to the exact span of the others with no rank
     truncation, is at least ``MINIMALITY_RTOL * s_n``.
@@ -647,15 +643,17 @@ def _biorthogonal_norms(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     with np.errstate(over="ignore"):
         scales = np.linalg.norm(vectors, axis=1)
-    for n in np.flatnonzero(~np.isfinite(scales)):  # ||x_n||^2 overflows past 1.34e154
-        top = np.max(np.abs(vectors[n]))
-        scales[n] = top * np.linalg.norm(vectors[n] / top)
+        for n in np.flatnonzero(~np.isfinite(scales)):  # ||x_n||^2 overflows past 1.34e154
+            top = np.max(np.abs(vectors[n]))
+            scales[n] = top * np.linalg.norm(vectors[n] / top)
+            if not math.isfinite(scales[n]):
+                raise ArgumentError(f"orbit vector {n} has a norm beyond the float range")
     q, r = np.linalg.qr((vectors / scales[:, None]).T)
     zero = np.flatnonzero(np.diagonal(r) == 0)
     if zero.size:  # an exactly zero pivot: x_n is in the span
         n = int(zero[0])
         raise MinimalityError(n, 0.0, float(scales[n]))
-    r_inverse = upper_triangular_inverse(r)
+    r_inverse = np.linalg.inv(r)
     norms = np.linalg.norm(r_inverse, axis=1) / scales
     dist = 1.0 / norms
     bad = np.flatnonzero(~(dist >= MINIMALITY_RTOL * scales))  # nan counts as bad
@@ -666,23 +664,3 @@ def _biorthogonal_norms(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
         a.setflags(write=False)
     return norms, q, r_inverse, scales
 
-
-def upper_triangular_inverse(r: np.ndarray) -> np.ndarray:
-    """Inverse of an upper triangular ``r`` with a nonzero diagonal.
-
-    Recursive 2 x 2 blocks, ``[[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1],
-    [0, D^-1]]``, with ``numpy.linalg.inv`` on blocks of at most
-    ``INVERSE_LEAF`` rows.  It matches ``numpy.linalg.solve(r, I)`` to
-    round-off at about a quarter of its cost, since the products run in BLAS.
-    """
-    n = r.shape[0]
-    if n <= INVERSE_LEAF:
-        return np.linalg.inv(r)
-    h = n // 2
-    a_inv = upper_triangular_inverse(r[:h, :h])
-    d_inv = upper_triangular_inverse(r[h:, h:])
-    out = np.zeros(r.shape, dtype=a_inv.dtype)
-    out[:h, :h] = a_inv
-    out[h:, h:] = d_inv
-    out[:h, h:] = -(a_inv @ r[:h, h:]) @ d_inv
-    return out

@@ -254,23 +254,22 @@ def dense_subsequence_probe(
 
         err[k-1, n-1] = || (n+k-1)! * P_{>=k} B^n x  -  e_k ||_p
 
-    Row ``k-1`` holds ``err_k(n)`` for ``n = 1 .. n_max``.  The orbit is
-    computed by genuine operator application; the rescaling uses exact
-    integer factorials, so no intermediate overflow occurs for the sizes
-    this probe targets.
+    Row ``k-1`` holds ``err_k(n)`` for ``n = 1 .. n_max``.  ``B`` moves each
+    entry one place up, so it is applied by slicing; the rescaling uses
+    exact integer factorials.  ``dim <= 171`` keeps 1/(dim-1)! and every
+    rescale (n+k-1)! inside the float range.
     """
     if k_max < 1 or n_max < 1:
         raise ArgumentError("k_max and n_max must be >= 1")
     if n_max + k_max >= dim:
         raise ArgumentError("dim too small for requested probe range")
-    b = np.zeros((dim, dim))
-    for j in range(1, dim):
-        b[j - 1, j] = 1.0
-    x = np.array([1.0 / math.factorial(j) for j in range(dim)])
+    if dim > 171:
+        raise ArgumentError(f"factorial orbit entry 1/{dim - 1}! leaves the float range; "
+                            "dim must be <= 171")
+    xn = np.array([1.0 / math.factorial(j) for j in range(dim)])
     err = np.empty((k_max, n_max))
-    xn = x.copy()
     for n in range(1, n_max + 1):
-        xn = b @ xn  # (B^n x)_j = 1/(n+j)!  (0-based j)
+        xn = np.append(xn[1:], 0.0)  # (B^n x)_j = 1/(n+j)!  (0-based j)
         for k in range(1, k_max + 1):
             z = xn.copy()
             z[: k - 1] = 0.0

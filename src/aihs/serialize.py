@@ -298,7 +298,7 @@ def _record(**properties) -> dict:
 # parses it.
 _HEX = {"type": "string", "pattern": r"^-?(0x[0-9a-f]+(\.[0-9a-f]*)?p[-+]?[0-9]+|inf|nan)$"}
 _INT = {"type": "integer", "minimum": 0}
-_OBJECT, _LIST = {"type": "object"}, {"type": "array"}
+_OBJECT, _LIST, _BOOLEAN = {"type": "object"}, {"type": "array"}, {"type": "boolean"}
 _METRICS = dict.fromkeys(_CHECKS, _HEX) | {
     "construction": {"enum": list(_LAWS)}, "lambda_set": _LIST,
     "ai_defect_rank": {"type": "integer"}, "annihilation_scale": _HEX,
@@ -321,15 +321,22 @@ CERT_SCHEMA = _record(
     **dict.fromkeys(_COUNTS, _INT),
     metrics=_record(**_METRICS),
     checks=_record(**{name: _record(value=_METRICS[name], threshold=_METRICS[name],
-                                    passed={"type": "boolean"}) for name in _CHECKS}),
+                                    passed=_BOOLEAN) for name in _CHECKS}),
     tolerances=_OBJECT,
-    hypothesis={"type": "object", "required": ["unverified", "flags"],
-                "properties": {"unverified": {"type": "boolean"}, "flags": _LIST}},
+    hypothesis=_OBJECT,
     config_echo=_OBJECT,
 )
-# the law as its construction writes it, checked once CERT_SCHEMA has passed
-LAW_SCHEMAS = {"Entire": _record(law=_record(coefficients=_OBJECT)),
-               "Blaschke": _record(law=_record(zeros=_OBJECT, order=_INT))}
+# the law and hypothesis as their construction writes them, checked once CERT_SCHEMA has
+# passed: the entire route has no hypothesis to flag
+CONSTRUCTION_SCHEMAS = {
+    "Entire": _record(law=_record(coefficients=_OBJECT),
+                      hypothesis=_record(unverified={**_BOOLEAN, "const": False},
+                                         flags={"type": "array", "maxItems": 0})),
+    "Blaschke": _record(law=_record(zeros=_OBJECT, order=_INT),
+                        hypothesis=_record(unverified=_BOOLEAN, flags=_LIST,
+                                           spectral_radius_estimate=_HEX,
+                                           norm_sum_partial=_HEX, norm_sum_cap=_HEX)),
+}
 
 
 class _Rendered(str):
@@ -404,8 +411,12 @@ def certificate_from_document(doc: dict) -> HalfSpaceCertificate:
     if found != CERT_SCHEMA_ID:
         raise ArgumentError(f"expected schema {CERT_SCHEMA_ID!r}, found {found!r}")
     check_document(CERT_SCHEMA, doc, "certificate")
-    check_document(LAW_SCHEMAS[doc["construction"]], {"law": doc["law"]}, "certificate")
+    check_document(CONSTRUCTION_SCHEMAS[doc["construction"]],
+                   {key: doc[key] for key in ("law", "hypothesis")}, "certificate")
     law_cls = _LAWS[doc["construction"]]
+    if law_cls is BlaschkeLaw and doc["law"]["order"] != doc["orbit_length"] - 1:
+        raise ArgumentError(f"law order {doc['law']['order']} is not orbit_length - 1 "
+                            f"= {doc['orbit_length'] - 1}")
     indices = [f["k"] for f in doc["functionals"]]
     if indices != list(range(law_cls.first_index, doc["k_max"] + 1)):
         raise ArgumentError(f"functional indices {indices} do not run "

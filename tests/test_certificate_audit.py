@@ -63,19 +63,28 @@ def _blaschke_cfg():
     }
 
 
+def _unverified_cfg():
+    # halved weights: the norm sum is about 2^47 / 47, over the cap, so the build flags it
+    cfg = _blaschke_cfg()
+    cfg["operator"]["weights"]["params"]["values"] = [0.5] * 47
+    return dict(cfg, label="unverified")
+
+
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
     """route -> (clean document, a path to write mutated copies to).
 
     At N = 256 the entire route's orbit saturates at L = 81, so that
     certificate ("trimmed") stores its raw vectors without their zero tail.
+    The "unverified" Blaschke certificate carries a raised hypothesis flag.
     """
     out = {}
     for route, cfg in (("entire", _entire_cfg()), ("blaschke", _blaschke_cfg()),
-                       ("trimmed", _entire_cfg(256, "trimmed"))):
+                       ("trimmed", _entire_cfg(256, "trimmed")), ("unverified", _unverified_cfg())):
         work = tmp_path_factory.mktemp(route)
         (work / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
-        assert main(["build", "--config", str(work / "cfg.json"), "--out", str(work)]) == 0
+        code = 2 if route == "unverified" else 0
+        assert main(["build", "--config", str(work / "cfg.json"), "--out", str(work)]) == code
         path = work / f"{route}.cert.json"
         out[route] = (json.loads(path.read_text(encoding="utf-8")), work / "mutated.cert.json")
     return out
@@ -151,6 +160,17 @@ def changed_zero(doc):
 
 def short_order(doc):
     doc["law"]["order"] = doc["orbit_length"] - 2
+
+
+def flipped_hypothesis_flag(doc):
+    """The hypothesis flag raised where it was clear, or cleared where it was raised."""
+    hypothesis = doc["hypothesis"]
+    hypothesis["unverified"] = not hypothesis["unverified"]
+    hypothesis["flags"] = ["functional-norm-sum-exceeds-cap"] if hypothesis["unverified"] else []
+
+
+def scaled_norm_sum(doc):
+    doc["hypothesis"]["norm_sum_partial"] = _scaled(doc["hypothesis"]["norm_sum_partial"], 1.001)
 
 
 def _largest_raw_entry(doc) -> list:
@@ -289,6 +309,8 @@ MUTATIONS = [
     ("coefficient", changed_coefficient, ("entire",)),
     ("zero-sequence", changed_zero, ("blaschke",)),
     ("taylor-order", short_order, ("blaschke",)),
+    ("hypothesis-flag", flipped_hypothesis_flag, ("blaschke", "unverified")),
+    ("hypothesis-norm-sum", scaled_norm_sum, ("blaschke", "unverified")),
     ("raw-vector-entry", raw_vector_entry, _BOTH),
     ("raw-vector-small-column", small_column_entry, _BOTH),
     ("defect-vector-entry", defect_vector_entry, _BOTH),
@@ -322,6 +344,10 @@ CASES = [(route, name, mutate) for name, mutate, routes in MUTATIONS for route i
 def test_clean_certificate_passes(docs, route):
     doc, path = docs[route]
     assert _verify(doc, path) == 0
+
+
+def test_clean_unverified_certificate_exits_two(docs):
+    assert _verify(*docs["unverified"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -419,6 +445,11 @@ def array_without_shape(doc):
     del doc["lambdas"]["shape"]
 
 
+def flagged_entire_hypothesis(doc):
+    """The entire route has no hypothesis to flag."""
+    doc["hypothesis"] = {"unverified": True, "flags": ["functional-norm-sum-exceeds-cap"]}
+
+
 def functional_without_dual(doc):
     del doc["functionals"][0]["dual_vector"]
 
@@ -475,7 +506,7 @@ ROWS_MALFORMED = [rows_above_shape, negative_rows, boolean_rows, full_length_tri
 MALFORMED = [transposed_raw_vectors, empty_functionals, string_in_metrics, bad_hex, short_data,
              stored_basis, old_schema, string_rank, array_without_shape, functional_without_dual,
              malformed_exclusion, operator_without_digest, uneven_complex_pairs,
-             string_complex_pairs, *ROWS_MALFORMED]
+             string_complex_pairs, flagged_entire_hypothesis, *ROWS_MALFORMED]
 
 
 @pytest.mark.parametrize("mutate", MALFORMED, ids=[m.__name__ for m in MALFORMED])
@@ -488,6 +519,20 @@ def test_malformed_certificate_is_a_one_line_error(docs, capsys, mutate):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot parse certificate {path}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("order", [lambda length: length, lambda length: length + 999,
+                                   lambda length: 2**41], ids=["L", "L+999", "2^41"])
+def test_law_order_past_the_orbit_is_a_one_line_error(docs, capsys, order):
+    # b_0..b_{L-1} are all an orbit of L vectors reads; the order is checked
+    # before any series is allocated
+    doc, path = docs["blaschke"]
+    doc = copy.deepcopy(doc)
+    doc["law"]["order"] = order(doc["orbit_length"])
+    capsys.readouterr()
+    assert _verify(doc, path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse certificate {path}") and err.count("\n") == 1
 
 
 def test_old_schema_is_rejected_by_name(docs, capsys):

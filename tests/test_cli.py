@@ -1,6 +1,8 @@
 import argparse
 import csv
+import importlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from aihs.blaschke import blaschke_sequence
 from aihs.chains import extend_chain, init_chain, verify_chain
 from aihs.cli import main
 from aihs.operators import geometric_weights, operator_from_config
+from aihs.resolvent import probe_tail_oracle
 from aihs.errors import ArgumentError
 from aihs.serialize import (
     CERT_CSV_COLUMNS,
@@ -197,8 +200,8 @@ def _keywords(schema):
 
 @pytest.mark.parametrize("schema", [config.RUN_SCHEMA, config.CHAIN_SCHEMA, config.SWEEP_SCHEMA,
                                     config.PROBE_SCHEMA, ser.CERT_SCHEMA,
-                                    *ser.LAW_SCHEMAS.values()],
-                         ids=["run", "chain", "sweep", "probe", "cert", *ser.LAW_SCHEMAS])
+                                    *ser.CONSTRUCTION_SCHEMAS.values()],
+                         ids=["run", "chain", "sweep", "probe", "cert", *ser.CONSTRUCTION_SCHEMAS])
 def test_schemas_use_only_the_checkers_keywords(schema):
     assert _keywords(schema) <= config.KEYWORDS
 
@@ -286,6 +289,118 @@ def test_verify_round_trip(tmp_path):
     cfg = _write(tmp_path / "run.json", _entire_cfg())
     main(["build", "--config", cfg, "--out", str(tmp_path)])
     assert main(["verify", str(tmp_path / "run.cert.json")]) == 0
+
+
+def test_integer_tolerances_round_trip(tmp_path):
+    # thresholds are written as hex floats, so integer tolerances are stored as floats
+    cfg = dict(_entire_cfg(), tolerances={"tol_ai": 1, "tol_extension": 1})
+    main(["build", "--config", _write(tmp_path / "run.json", cfg), "--out", str(tmp_path)])
+    assert read_certificate(tmp_path / "run.cert.json").checks["ai_residual"]["threshold"] == 1.0
+    assert main(["verify", str(tmp_path / "run.cert.json")]) == 0
+
+
+def test_blaschke_order_is_no_config_key(tmp_path, capsys):
+    # the order is the orbit length less one: no other coefficient is read
+    cfg = dict(_halved_blaschke_cfg(), blaschke={"order": 512})
+    out = tmp_path / "out"
+    assert main(["build", "--config", _write(tmp_path / "b.json", cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: config invalid at blaschke: Additional properties "
+                                       "are not allowed ('order' was unexpected)\n")
+    assert not out.exists()
+
+
+def _blaschke_on(values, **cfg):
+    """The halved Blaschke run on a forward shift with these explicit weights."""
+    operator = {"family": "forward-weighted-shift", "dim": len(values) + 1,
+                "weights": {"kind": "explicit", "params": {"values": values}}}
+    return dict(_halved_blaschke_cfg(), operator=operator, m=3, k_max=2, **cfg)
+
+
+_HALVED, _GEOMETRIC = [0.5] * 31, [0.9] * 31
+
+
+@pytest.mark.parametrize("cfg, built, verified", [
+    (_halved_blaschke_cfg(), 2, 2),
+    # an integer cap is stored as the hex float the schema requires
+    (_blaschke_on(_HALVED, tolerances={"blaschke_norm_cap": 1000000}), 2, 2),
+    # a raised cap clears the build's flag, not the audit's own cap
+    (_blaschke_on(_HALVED, tolerances={"blaschke_norm_cap": 1e300}), 0, 2),
+    # the geometric norm sum passes the default cap, not a lowered one
+    (_blaschke_on(_GEOMETRIC), 0, 0),
+    (_blaschke_on(_GEOMETRIC, tolerances={"blaschke_norm_cap": 1.0}), 2, 2),
+], ids=["default", "integer-cap", "raised-cap", "geometric", "lowered-cap"])
+def test_verify_exit_two_comes_from_the_derived_norm_sum(tmp_path, cfg, built, verified):
+    # the build flags the derived sum against its config's cap; verify exits 2 if it
+    # passes over either that recorded cap or the audit's own
+    assert main(["build", "--config", _write(tmp_path / "h.json", cfg), "--out", str(tmp_path)]) == built
+    path = tmp_path / "halved.cert.json"
+    assert read_certificate(path).hypothesis_unverified == (built == 2)
+    assert main(["verify", str(path)]) == verified
+
+
+@pytest.mark.parametrize("cfg, code", [
+    (_entire_cfg(dim=24), 0),
+    # halved weights: the norm sum is about 2^31 / 31, over the cap
+    (dict(_halved_blaschke_cfg(), operator={
+        "family": "forward-weighted-shift", "dim": 32,
+        "weights": {"kind": "explicit", "params": {"values": [0.5] * 31}}}, m=3, k_max=2), 2),
+], ids=["entire", "blaschke"])
+def test_explicit_seed_builds_and_verifies(tmp_path, cfg, code):
+    # two nonzero entries make the orbit dense: build and audit each factor it
+    dim = cfg["operator"]["dim"]
+    cfg = dict(cfg, seed_vector={"kind": "explicit", "values": [1.0, [0.0, 0.5]] + [0] * (dim - 2)},
+               label="seeded")
+    assert main(["build", "--config", _write(tmp_path / "s.json", cfg), "--out", str(tmp_path)]) == code
+    assert main(["verify", str(tmp_path / "seeded.cert.json")]) == code
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("chain", {"operator": _entire_cfg(dim=8)["operator"], "depth": 2, "codim": 8},
+     "codim must be below the operator dimension"),
+    ("build", dict(_entire_cfg(dim=24), seed_vector={"kind": "basis", "index": 24}),
+     "seed_vector basis index out of range"),
+    ("build", dict(_entire_cfg(dim=24), seed_vector={"kind": "explicit"}),
+     "explicit seed_vector requires 'values'"),
+    ("build", dict(_entire_cfg(dim=24), seed_vector={"kind": "explicit", "values": [1, 0]}),
+     "explicit seed vector needs 24 entries, got 2"),
+    ("build", dict(_halved_blaschke_cfg(), k_max=0),
+     "blaschke construction needs k_max >= 1 functionals"),
+    ("build", dict(_halved_blaschke_cfg(), blaschke={"sequence": {"kind": "geometric", "ratio": 1.5}}),
+     "geometric blaschke sequence needs ratio in (0, 1)"),
+    ("build", dict(_halved_blaschke_cfg(), blaschke={"sequence": {"kind": "explicit", "values": [0.5]}}),
+     "explicit blaschke sequence needs exactly m values"),
+], ids=["codim", "basis-index", "explicit-no-values", "explicit-length", "blaschke-k_max",
+        "geometric-ratio", "explicit-count"])
+def test_config_rules_past_the_schema_are_one_line_errors(tmp_path, capsys, command, cfg, message):
+    out = tmp_path / "out"
+    assert main([command, "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_config_that_is_not_json_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text("{", encoding="utf-8")
+    assert main(["build", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path} is not valid JSON") and err.count("\n") == 1
+
+
+def test_non_integer_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--config", "c.json", "--seed", "abc"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "aihs build: error: argument --seed: invalid int value: 'abc'\n")
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+def test_orbit_vector_beyond_the_float_range_is_one_line(tmp_path, capsys):
+    # ||e|| = sqrt(24) * 1e308: finite entries, a norm past the float range
+    cfg = dict(_entire_cfg(dim=24), seed_vector={"kind": "explicit", "values": [1e308] * 24})
+    assert main(["build", "--config", _write(tmp_path / "c.json", cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error at stage 'orbit': orbit vector 0 has a norm beyond the float range\n")
 
 
 @pytest.mark.parametrize("field, value", [("functionals", 5), ("lambdas", "x")])
@@ -922,6 +1037,39 @@ def test_probe_dense_table(tmp_path):
         assert max(diffs) < 1e-12
 
 
+# acceptance criterion 8's table, and the largest dim allowed
+@pytest.mark.parametrize("dim, k_max, n_max", [(64, 1, 12), (171, 3, 20)])
+def test_probe_dense_table_keeps_the_shift_matrix_bytes(tmp_path, dim, k_max, n_max):
+    # the shift by slicing against B as a dense matrix
+    shift = np.eye(dim, k=1)
+    x = np.array([1.0 / math.factorial(j) for j in range(dim)])
+    errors = np.empty((k_max, n_max))
+    for n in range(1, n_max + 1):
+        x = shift @ x
+        for k in range(1, k_max + 1):
+            z = x.copy()
+            z[:k - 1] = 0.0
+            z *= float(math.factorial(n + k - 1))
+            z[k - 1] -= 1.0
+            errors[k - 1, n - 1] = float(np.sum(np.abs(z)))
+    ser.write_csv(tmp_path / "want.csv", PROBE_CSV_COLUMNS,
+                  ser.probe_rows(errors, lambda k, n: probe_tail_oracle(k, n)))
+    cfg = {"schema": "aihs-probe/1", "dim": dim, "k_max": k_max, "n_max": n_max, "label": "p"}
+    assert main(["probe-dense", "--config", _write(tmp_path / "p.json", cfg),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "p.probe.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_probe_dense_past_dim_171_is_a_one_line_error(tmp_path, capsys):
+    # 1/171! is past the float range
+    cfg = {"schema": "aihs-probe/1", "dim": 172, "k_max": 1, "n_max": 3, "label": "p"}
+    out = tmp_path / "out"
+    assert main(["probe-dense", "--config", _write(tmp_path / "p.json", cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: factorial orbit entry 1/171! leaves the float range; dim must be <= 171\n")
+    assert not out.exists()
+
+
 def test_seed_flag_reproduces_dense_chain(tmp_path):
     cfg = _write(
         tmp_path / "chain.json",
@@ -972,6 +1120,28 @@ def test_each_subcommand_takes_the_flags_of_its_readme_synopsis():
     }
     assert accepted == _readme_synopsis_flags()
     assert accepted["chain"] == {"--config", "--out", "--seed"}
+
+
+def _numeric_constants(module) -> dict:
+    """A module's public module-level int and float constants, by name."""
+    return {name: value for name, value in vars(module).items()
+            if name.isupper() and not name.startswith("_") and type(value) in (int, float)}
+
+
+def test_readme_fixed_constants_match_the_modules():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("### Fixed constants", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| `(\w+)` \|", table, re.MULTILINE)
+    listed = {}
+    for name, value, module in rows:
+        listed.setdefault(module, {})[name] = float(value)
+    chain_list = text.split("fixed constants of `aihs.chains`", 1)[1].split("###", 1)[0]
+    listed["chains"] = {name: float(value)
+                        for name, value in re.findall(r"^- `(\w+) = ([^`]+)`", chain_list,
+                                                      re.MULTILINE)}
+    assert sorted(listed) == ["blaschke", "chains", "duality", "entire", "operators", "resolvent"]
+    for module, constants in listed.items():
+        assert _numeric_constants(importlib.import_module(f"aihs.{module}")) == constants, module
 
 
 @pytest.mark.parametrize(

@@ -340,11 +340,12 @@ def _bits(z):
 def _assert_real_law_zeros(c):
     """A real law's zeros: closed under conjugation bit for bit, real ones at Im +0.0.
 
-    Also pins the two identities the finder rests on, from the seeds it
+    Also pins the three identities the finder rests on, from the seeds it
     takes (the balanced real companion matrix): the float polish of a real
-    seed is the complex polish of that seed, and the polish of a seed with
-    Im < 0 is the conjugate of its partner's.  Returns how many real seeds
-    and conjugate pairs it saw.
+    seed is the complex polish of that seed, the polish of a complex seed on
+    the table of the real coefficients is its polish on the complex table,
+    and the polish of a seed with Im < 0 is the conjugate of its partner's.
+    Returns how many real seeds and conjugate pairs it saw.
     """
     zs, noises = find_zeros(c)
     zeros = list(zip(zs.tolist(), noises.tolist()))
@@ -357,17 +358,19 @@ def _assert_real_law_zeros(c):
     s = (abs(c[0]) / abs(c[d])) ** (1.0 / d)
     b = c.real * s ** np.arange(d + 1)
     b /= np.max(np.abs(b))
-    law, real_law = entire_mod._tables(c.tolist()), entire_mod._tables(c.real.tolist())
+    law, real = entire_mod._tables(c.tolist()), entire_mod._tables(c.real.tolist())
     polished = Counter()
     reals = pairs = 0
     for z0 in (npoly.polyroots(b) * s).tolist():
         z, r, noise = entire_mod._newton_polish(law, complex(z0))
         if z0.imag == 0:
-            x, rx, noise_x = entire_mod._newton_polish(real_law, z0.real)
+            x, rx, noise_x = entire_mod._newton_polish(real, z0.real)
             assert isinstance(x, float) and z.imag == 0
             assert (x.hex(), rx.hex(), noise_x.hex()) == (z.real.hex(), r.hex(), noise.hex())
             z, reals = complex(x), reals + 1
         else:
+            on_real = entire_mod._newton_polish(real, complex(z0))
+            assert _bits(on_real[0]) == _bits(z) and on_real[1:] == (r, noise)
             partner = entire_mod._newton_polish(law, z0.conjugate())
             assert _bits(partner[0]) == _bits(z.conjugate()) and partner[1:] == (r, noise)
             pairs += z0.imag > 0

@@ -32,7 +32,7 @@ RUN = {
     "schema": "aihs-run/1", "operator": _SHIFT, "construction": "blaschke", "m": 3, "k_max": 2,
     "seed_vector": {"kind": "explicit", "values": [1.0, [0.0, 1.0]]},
     "blaschke": {"sequence": {"kind": "explicit", "values": [0.5, [0.1, 0.2], 0.3]},
-                 "order": 4, "defect_cap": 1e3},
+                 "defect_cap": 1e3},
     "tolerances": {"tol_ai": 1e-8, "tol_audit": 1e-10}, "seed": 3, "label": "run",
 }
 # the blaschke-orbit256 shape: 300 [re, im] weights, so most mutations land
@@ -154,11 +154,12 @@ def test_mutated_configs_match_jsonschema(data, name):
 
 def _certificate_lines(doc):
     """(checker, jsonschema) lines for a certificate, read as ``aihs verify`` reads it:
-    against CERT_SCHEMA, then its law against its construction's law schema."""
+    against CERT_SCHEMA, then its law and hypothesis against its construction's schema."""
     got, expected = _got(ser.CERT_SCHEMA, doc), _expected(ser.CERT_SCHEMA, doc)
     if got is None and expected is None:
-        law = ser.LAW_SCHEMAS[doc["construction"]]
-        got, expected = _got(law, {"law": doc["law"]}), _expected(law, {"law": doc["law"]})
+        schema = ser.CONSTRUCTION_SCHEMAS[doc["construction"]]
+        part = {key: doc[key] for key in ("law", "hypothesis")}
+        got, expected = _got(schema, part), _expected(schema, part)
     return got, expected
 
 
