@@ -97,8 +97,8 @@ def init_chain(op: OperatorModel, z1: np.ndarray | None = None) -> ChainState:
         z1[0] = 1.0
     else:
         z1 = np.asarray(z1, dtype=np.complex128).reshape(-1)
-        if z1.shape[0] != n or not np.linalg.norm(z1) > 0:
-            raise ArgumentError("z1 must be a nonzero vector of the operator dimension")
+        if z1.shape[0] != n or not (np.all(np.isfinite(z1)) and np.linalg.norm(z1) > 0):
+            raise ArgumentError("z1 must be a finite nonzero vector of the operator dimension")
     zs = (_readonly(z1),)
     q, report = _derive_level(op, zs, zs, None)
     return ChainState(zs=zs, phis=zs, q=q, reports=(report,))

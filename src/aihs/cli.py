@@ -251,7 +251,7 @@ def cmd_chain(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = validate_config(load_config(args.config), "sweep")
     _tolerances(args, {})  # a bad --tol-* flag stops the sweep before its first run
-    runs = [validate_config(run, "build") for run in cfg["runs"]]  # all before the first write
+    runs = cfg["runs"]
     names = [run.get("label") or f"run-{idx:03d}" for idx, run in enumerate(runs)]
     first = {}
     for idx, name in enumerate(names):

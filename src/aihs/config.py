@@ -80,146 +80,80 @@ def _complex_entries(values) -> np.ndarray:
     return np.array([_as_complex(v) for v in values], dtype=np.complex128)
 
 
+def _record(required=None, /, **properties) -> dict:
+    """A closed object schema: these properties and no others, ``required`` (default: all)
+    among them."""
+    required = list(properties if required is None else required)
+    return {"type": "object", **({"required": required} if required else {}),
+            "properties": properties, "additionalProperties": False}
+
+
 # a number or an [re, im] pair; the item keywords apply to arrays only
 _COMPLEX = {"type": ["number", "array"], "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+_COMPLEX_LIST = {"type": "array", "items": _COMPLEX}
+_VALUES = {**_COMPLEX_LIST, "minItems": 1}
+_COUNT = {"type": "integer", "minimum": 0}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_LABEL = {"type": "string"}
 
-_WEIGHTS = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["explicit", "geometric", "factorial-decay"]},
-        "params": {
-            "type": "object",
-            "properties": {
-                "values": {"type": "array", "items": _COMPLEX, "minItems": 1},
-                "ratio": _COMPLEX,
-            },
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
-}
+# each kind of a block, with the keys past "kind" that it reads: the schema's enum lists
+# the kinds, and a key that the chosen kind does not read is rejected as having no effect
+# (a weight kind's keys sit in the weights' "params")
+_WEIGHT_KINDS = {"explicit": ("values",), "geometric": ("ratio",), "factorial-decay": ()}
+_MATRIX_KINDS = {"explicit": ("entries",), "random-gaussian": ("scale",)}
+_SEED_VECTOR_KINDS = {"basis": ("index",), "explicit": ("values",)}
+_SEQUENCE_KINDS = {"inverse-square": (), "geometric": ("ratio",), "explicit": ("values",)}
 
-_MATRIX = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["explicit", "random-gaussian"]},
-        "entries": {"type": "array", "items": {"type": "array", "items": _COMPLEX}},
-        "scale": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "additionalProperties": False,
-}
+_OPERATOR = _record(
+    ("family", "dim"),
+    family={"enum": ["forward-weighted-shift", "donoghue-backward-shift", "dense"]},
+    dim={"type": "integer", "minimum": 2},
+    weights=_record(("kind",), kind={"enum": list(_WEIGHT_KINDS)},
+                    params=_record((), values=_VALUES, ratio=_COMPLEX)),
+    matrix=_record((), kind={"enum": list(_MATRIX_KINDS)},
+                   entries={"type": "array", "items": _COMPLEX_LIST}, scale=_POSITIVE),
+)
+_SEED_VECTOR = _record(("kind",), kind={"enum": list(_SEED_VECTOR_KINDS)}, index=_COUNT,
+                       values=_VALUES)
 
-_OPERATOR = {
-    "type": "object",
-    "required": ["family", "dim"],
-    "properties": {
-        "family": {
-            "enum": ["forward-weighted-shift", "donoghue-backward-shift", "dense"]
-        },
-        "dim": {"type": "integer", "minimum": 2},
-        "weights": _WEIGHTS,
-        "matrix": _MATRIX,
-    },
-    "additionalProperties": False,
-}
-
-_SEED_VECTOR = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["basis", "explicit"]},
-        "index": {"type": "integer", "minimum": 0},
-        "values": {"type": "array", "items": _COMPLEX, "minItems": 1},
-    },
-    "additionalProperties": False,
-}
-
-_TOLERANCES = {
-    "type": "object",
-    "properties": {
-        field.name: {"type": "number", "exclusiveMinimum": 0}
-        for field in dataclasses.fields(Tolerances)
-    },
-    "additionalProperties": False,
-}
-
-_BLASCHKE = {
-    "type": "object",
-    "properties": {
-        "sequence": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["inverse-square", "geometric", "explicit"]},
-                "ratio": {"type": "number"},
-                "values": {"type": "array", "items": _COMPLEX},
-            },
-            "additionalProperties": False,
-        },
-        "defect_cap": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "additionalProperties": False,
-}
-
-RUN_SCHEMA = {
-    "type": "object",
-    "required": ["operator", "construction", "m", "k_max"],
-    "properties": {
-        "schema": {"const": "aihs-run/1"},
-        "operator": _OPERATOR,
-        "construction": {"enum": ["entire", "blaschke"]},
-        "m": {"type": "integer", "minimum": 1},
-        "k_max": {"type": "integer", "minimum": 0},
-        "seed_vector": _SEED_VECTOR,
-        "blaschke": _BLASCHKE,
-        "tolerances": _TOLERANCES,
-        "seed": {"type": "integer", "minimum": 0},
-        "label": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-CHAIN_SCHEMA = {
-    "type": "object",
-    "required": ["operator", "depth"],
-    "properties": {
-        "schema": {"const": "aihs-chain/1"},
-        "operator": _OPERATOR,
-        "depth": {"type": "integer", "minimum": 1},
-        "seed_vector": _SEED_VECTOR,
-        "witness": {"type": "boolean"},
-        "codim": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "label": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-SWEEP_SCHEMA = {
-    "type": "object",
-    "required": ["runs"],
-    "properties": {
-        "schema": {"const": "aihs-sweep/1"},
-        "runs": {"type": "array", "items": RUN_SCHEMA, "minItems": 1},
-        "label": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-PROBE_SCHEMA = {
-    "type": "object",
-    "required": ["dim", "k_max"],
-    "properties": {
-        "schema": {"const": "aihs-probe/1"},
-        "dim": {"type": "integer", "minimum": 2},
-        "k_max": {"type": "integer", "minimum": 1},
-        "n_max": {"type": "integer", "minimum": 1},
-        "p": {"type": "number", "minimum": 1},
-        "label": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
+RUN_SCHEMA = _record(
+    ("operator", "construction", "m", "k_max"),
+    schema={"const": "aihs-run/1"},
+    operator=_OPERATOR,
+    construction={"enum": ["entire", "blaschke"]},
+    m={"type": "integer", "minimum": 1},
+    k_max=_COUNT,
+    seed_vector=_SEED_VECTOR,
+    blaschke=_record((), sequence=_record(("kind",), kind={"enum": list(_SEQUENCE_KINDS)},
+                                          ratio={"type": "number"}, values=_COMPLEX_LIST),
+                     defect_cap=_POSITIVE),
+    tolerances=_record((), **dict.fromkeys((f.name for f in dataclasses.fields(Tolerances)),
+                                           _POSITIVE)),
+    seed=_COUNT,
+    label=_LABEL,
+)
+CHAIN_SCHEMA = _record(
+    ("operator", "depth"),
+    schema={"const": "aihs-chain/1"},
+    operator=_OPERATOR,
+    depth={"type": "integer", "minimum": 1},
+    seed_vector=_SEED_VECTOR,
+    witness={"type": "boolean"},
+    codim={"type": "integer", "minimum": 1},
+    seed=_COUNT,
+    label=_LABEL,
+)
+SWEEP_SCHEMA = _record(("runs",), schema={"const": "aihs-sweep/1"},
+                       runs={"type": "array", "items": RUN_SCHEMA, "minItems": 1}, label=_LABEL)
+PROBE_SCHEMA = _record(
+    ("dim", "k_max"),
+    schema={"const": "aihs-probe/1"},
+    dim={"type": "integer", "minimum": 2},
+    k_max={"type": "integer", "minimum": 1},
+    n_max={"type": "integer", "minimum": 1},
+    p={"type": "number", "minimum": 1},
+    label=_LABEL,
+)
 
 _SCHEMAS = {
     "build": RUN_SCHEMA,
@@ -349,40 +283,30 @@ def _check_operator(op: dict) -> None:
             raise ArgumentError("dense operator config requires a 'matrix' entry")
         _reads(op, ("family", "dim", "matrix"), "operator", "dense operator")
         matrix = op["matrix"]
-        if matrix.get("kind", "explicit") == "random-gaussian":
-            _reads(matrix, ("kind", "scale"), "operator/matrix", "random-gaussian matrix")
-            return
-        _reads(matrix, ("kind", "entries"), "operator/matrix", "explicit matrix")
-        if "entries" not in matrix:
-            raise ArgumentError("an explicit matrix requires 'entries'")
-        if len(set(map(len, matrix["entries"]))) > 1:
-            raise ArgumentError("the rows of operator/matrix/entries differ in length")
+        kind = matrix.get("kind", next(iter(_MATRIX_KINDS)))  # the first kind is the default
+        _reads(matrix, ("kind", *_MATRIX_KINDS[kind]), "operator/matrix", f"{kind} matrix")
+        if "entries" in _MATRIX_KINDS[kind]:
+            if "entries" not in matrix:
+                raise ArgumentError(f"an {kind} matrix requires 'entries'")
+            if len(set(map(len, matrix["entries"]))) > 1:
+                raise ArgumentError("the rows of operator/matrix/entries differ in length")
         return
     if "weights" not in op:
         raise ArgumentError(f"{family} requires a 'weights' entry")
     _reads(op, ("family", "dim", "weights"), "operator", f"{family} operator")
     weights = op["weights"]
     kind = weights["kind"]
-    param = {"explicit": "values", "geometric": "ratio"}.get(kind)
-    if param is None:
-        _reads(weights, ("kind",), "operator/weights", f"{kind} weights")
-        return
+    keys = _WEIGHT_KINDS[kind]
+    _reads(weights, ("kind", "params") if keys else ("kind",), "operator/weights", f"{kind} weights")
     params = weights.get("params", {})
-    _reads(params, (param,), "operator/weights/params", f"{kind} weights")
-    if param not in params:
-        raise ArgumentError(f"{kind} weights require params.{param}")
+    _reads(params, keys, "operator/weights/params", f"{kind} weights")
+    for key in keys:
+        if key not in params:
+            raise ArgumentError(f"{kind} weights require params.{key}")
 
 
-def validate_config(cfg: dict, command: str) -> dict:
-    """Schema- and semantics-check a config for the given subcommand.
-
-    Beyond the schema: a key that the chosen family or kind never reads is
-    rejected, since it would have no effect.
-    """
-    if command not in _SCHEMAS:
-        raise ArgumentError(f"no config schema for command {command!r}")
-    check_document(_SCHEMAS[command], cfg, "config")
-
+def _check_rules(cfg: dict) -> None:
+    """The rules of one command's config past its schema."""
     op = cfg.get("operator", {})
     if op:
         _check_operator(op)
@@ -391,12 +315,12 @@ def validate_config(cfg: dict, command: str) -> dict:
     seed_vec = cfg.get("seed_vector")
     if seed_vec is not None:
         kind = seed_vec["kind"]
-        _reads(seed_vec, ("kind", "index" if kind == "basis" else "values"), "seed_vector",
-               f"{kind} seed_vector")
-        if kind == "basis" and seed_vec.get("index", 0) >= op.get("dim", 0):
-            raise ArgumentError("seed_vector basis index out of range")
-        if kind == "explicit" and "values" not in seed_vec:
-            raise ArgumentError("explicit seed_vector requires 'values'")
+        keys = _SEED_VECTOR_KINDS[kind]
+        _reads(seed_vec, ("kind", *keys), "seed_vector", f"{kind} seed_vector")
+        if "index" in keys and seed_vec.get("index", 0) >= op.get("dim", 0):
+            raise ArgumentError(f"seed_vector {kind} index out of range")
+        if "values" in keys and "values" not in seed_vec:
+            raise ArgumentError(f"{kind} seed_vector requires 'values'")
     if cfg.get("construction") == "entire" and "blaschke" in cfg:
         raise ArgumentError("config key blaschke has no effect on entire construction")
     if cfg.get("construction") == "blaschke":
@@ -405,28 +329,38 @@ def validate_config(cfg: dict, command: str) -> dict:
         seq = (cfg.get("blaschke") or {}).get("sequence")
         if seq is not None:
             kind = seq["kind"]
-            param = {"geometric": ("ratio",), "explicit": ("values",)}.get(kind, ())
-            _reads(seq, ("kind",) + param, "blaschke/sequence", f"{kind} sequence")
-            if kind == "geometric" and not 0.0 < seq.get("ratio", 0.0) < 1.0:
-                raise ArgumentError("geometric blaschke sequence needs ratio in (0, 1)")
-            if kind == "explicit" and len(seq.get("values", [])) != cfg["m"]:
-                raise ArgumentError("explicit blaschke sequence needs exactly m values")
+            keys = _SEQUENCE_KINDS[kind]
+            _reads(seq, ("kind", *keys), "blaschke/sequence", f"{kind} sequence")
+            if "ratio" in keys and not 0.0 < seq.get("ratio", 0.0) < 1.0:
+                raise ArgumentError(f"{kind} blaschke sequence needs ratio in (0, 1)")
+            if "values" in keys and len(seq.get("values", [])) != cfg["m"]:
+                raise ArgumentError(f"{kind} blaschke sequence needs exactly m values")
+
+
+def validate_config(cfg: dict, command: str) -> dict:
+    """Schema- and semantics-check a config for the given subcommand.
+
+    Beyond the schema: a key that the chosen family or kind never reads is
+    rejected, since it would have no effect.  A sweep's schema checks each
+    of its runs, and the rules past it apply to each run.
+    """
+    if command not in _SCHEMAS:
+        raise ArgumentError(f"no config schema for command {command!r}")
+    check_document(_SCHEMAS[command], cfg, "config")
+    for run in cfg["runs"] if command == "sweep" else (cfg,):
+        _check_rules(run)
     return cfg
 
 
 def seed_vector_from_config(cfg: dict | None, dim: int) -> np.ndarray:
-    """Materialize the seed vector e (default: first basis vector)."""
+    """Materialize the seed vector e (default: first basis vector) of a checked block."""
+    if cfg is not None and "values" in cfg:  # only the explicit kind reads values
+        if len(cfg["values"]) != dim:
+            raise ArgumentError(f"explicit seed vector needs {dim} entries, got {len(cfg['values'])}")
+        return _complex_entries(cfg["values"])
     e = np.zeros(dim, dtype=np.complex128)
-    if cfg is None:
-        e[0] = 1.0
-        return e
-    if cfg["kind"] == "basis":
-        e[cfg.get("index", 0)] = 1.0
-        return e
-    values = cfg["values"]
-    if len(values) != dim:
-        raise ArgumentError(f"explicit seed vector needs {dim} entries, got {len(values)}")
-    return _complex_entries(values)
+    e[(cfg or {}).get("index", 0)] = 1.0
+    return e
 
 
 def tolerances_from_config(cfg: dict | None, **overrides) -> Tolerances:

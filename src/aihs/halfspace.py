@@ -309,12 +309,13 @@ def compute_metrics(
     return metrics, _judge(metrics, thresholds)
 
 
-def _norm_hypothesis(orbit: OrbitData, cap: float) -> dict:
-    """The Blaschke norm-sum hypothesis: sum(r_n / n) over the orbit's biorthogonal norms,
-    with the flag it earns against ``cap``."""
+def _blaschke_hypothesis(op: OperatorModel, orbit: OrbitData, cap: float) -> dict:
+    """The Blaschke route's hypothesis block: the spectral-radius estimate and the norm sum
+    sum(r_n / n) over the orbit's biorthogonal norms, with the flag it earns against ``cap``."""
     partial = float(np.sum(orbit.biorthogonal_norms[1:] / np.arange(1, orbit.length, dtype=float)))
     exceeds = not partial <= cap
-    return {"norm_sum_partial": partial, "norm_sum_cap": cap, "unverified": exceeds,
+    return {"spectral_radius_estimate": op.spectral_radius(), "norm_sum_partial": partial,
+            "norm_sum_cap": cap, "unverified": exceeds,
             "flags": ["functional-norm-sum-exceeds-cap"] if exceeds else []}
 
 
@@ -458,8 +459,7 @@ def build_blaschke(
 
     with _stage("orbit"):
         orbit = compute_orbit(op, e, op.dim)
-        hypothesis = {"spectral_radius_estimate": float(radius),
-                      **_norm_hypothesis(orbit, tol.blaschke_norm_cap)}
+        hypothesis = _blaschke_hypothesis(op, orbit, tol.blaschke_norm_cap)
 
     with _stage("taylor"):
         law = BlaschkeLaw(_readonly(lambdas), orbit.length - 1)
@@ -482,10 +482,12 @@ def verify_certificate(
     Each stored metric must agree within ``tol_audit``, each stored check
     must carry the verdict its derived value earns against its stored
     threshold, and each derived value must pass the audit's own thresholds.
-    On the Blaschke route the norm-sum hypothesis is derived from the
+    On the Blaschke route the hypothesis block is derived as the build
+    derives it: the spectral-radius estimate, and the norm sum over the
     orbit's biorthogonal norms (free on a coordinate orbit, one factor on a
-    dense one): the stored partial sum must agree within ``tol_audit`` and
-    the stored flags must be those it earns against the stored cap.
+    dense one) with the flags it earns against the stored cap.  Each stored
+    float must agree within ``tol_audit`` and every other value exactly, and
+    the derived radius must pass the audit's own ``spectral_radius_slack``.
     Returns per-metric stored/recomputed/diff entries, ``passed`` and
     ``hypothesis_unverified``: the derived sum against the stored cap or the
     audit's own, whichever flags.
@@ -506,7 +508,7 @@ def verify_certificate(
             op, cert.defect_vector, orbit, raw, cert.lambdas, duals, cert.law, cert.k_max, tol
         )
         # the entire route's hypothesis is fixed by the certificate schema
-        earned = (_norm_hypothesis(orbit, cert.hypothesis["norm_sum_cap"])
+        earned = (_blaschke_hypothesis(op, orbit, cert.hypothesis["norm_sum_cap"])
                   if isinstance(cert.law, BlaschkeLaw) else None)
 
     def drift(stored, recomputed) -> float:
@@ -540,11 +542,13 @@ def verify_certificate(
                 or not drift(stored["value"], check["value"]) <= tol.tol_audit):
             failures.append(f"checks.{name}")
     if earned is not None:
-        stored = cert.hypothesis
-        if any(stored[key] != earned[key] for key in ("unverified", "flags")):
-            failures.append("hypothesis.flags")
-        if not drift(stored["norm_sum_partial"], earned["norm_sum_partial"]) <= tol.tol_audit:
-            failures.append("hypothesis.norm_sum_partial")
+        for key, value in earned.items():
+            stored = cert.hypothesis[key]
+            if not (drift(stored, value) <= tol.tol_audit if isinstance(value, float)
+                    else stored == value):
+                failures.append(f"hypothesis.{key}")
+        if earned["spectral_radius_estimate"] > 1.0 + tol.spectral_radius_slack:
+            failures.append("hypothesis.spectral_radius_estimate:threshold")
     report["hypothesis_unverified"] = earned is not None and (
         earned["unverified"] or not earned["norm_sum_partial"] <= tol.blaschke_norm_cap)
     report["passed"] = not failures

@@ -307,8 +307,8 @@ def build_operator(
         Length ``dim - 1`` nonzero weights; required for the shift families
         and rejected for dense operators.
     matrix : array_like, optional
-        The ``(dim, dim)`` matrix for the dense family; passed through
-        unchanged (up to complex casting).
+        The ``(dim, dim)`` matrix for the dense family, every entry finite;
+        passed through unchanged (up to complex casting).
     """
     family = Family(family)
     if int(dim) != dim or dim < 2:
@@ -323,6 +323,10 @@ def build_operator(
         m = np.asarray(matrix, dtype=np.complex128)
         if m.shape != (dim, dim):
             raise ArgumentError(f"matrix shape {m.shape} != ({dim}, {dim})")
+        bad = np.flatnonzero(~np.isfinite(m))
+        if bad.size:
+            i, j = divmod(int(bad[0]), dim)
+            raise ArgumentError(f"matrix entry [{i}, {j}] is {m[i, j]}; all entries must be finite")
         return OperatorModel(family, dim, _readonly(m))
 
     if matrix is not None:

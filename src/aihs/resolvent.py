@@ -40,10 +40,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Trailing Neumann term (relative to the sum) must fall below this for
-#: non-nilpotent operators.
-NEUMANN_TAIL_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class ResolventVector:
@@ -112,45 +108,28 @@ class ResolventSolver:
         return hi * inv_hi if math.isfinite(inv_hi) else math.inf
 
 
-def neumann_resolvent(
-    op: OperatorModel,
-    lam: complex,
-    e: np.ndarray,
-    terms: int | None = None,
-) -> ResolventVector:
-    """Partial Neumann sum ``lam * sum_{n<terms} lam^n T^n e``.
+def neumann_resolvent(op: OperatorModel, lam: complex, e: np.ndarray) -> ResolventVector:
+    """The Neumann sum ``lam * sum_{n<dim} lam^n T^n e`` of a nilpotent truncation.
 
-    Exact for nilpotent truncations once ``terms`` reaches the nilpotency
-    index (the default).  Non-nilpotent operators must pass ``terms``
-    explicitly and the trailing term has to be negligible against the sum,
-    otherwise :class:`NeumannDivergenceError` is raised.
+    It is exact there: every later term vanishes.  A term whose norm leaves
+    the float range raises :class:`NeumannDivergenceError`.
     """
     if lam == 0:
         raise ArgumentError("lam must be nonzero")
+    if not op.is_nilpotent:
+        raise ArgumentError("the Neumann sum needs a nilpotent operator")
     lam = complex(lam)
     e = np.asarray(e, dtype=np.complex128).reshape(-1)
-    if terms is None:
-        if not op.is_nilpotent:
-            raise ArgumentError("non-nilpotent Neumann sum requires explicit terms")
-        terms = op.dim
-    if terms < 1:
-        raise ArgumentError("terms must be >= 1")
-
     acc = np.zeros(op.dim, dtype=np.complex128)
     term = lam * e  # n = 0 contribution
-    last_norm = float(np.linalg.norm(term))
-    for n in range(terms):
-        acc += term
-        if n + 1 < terms:
+    with np.errstate(over="ignore"):  # an overflow shows as a norm beyond the float range
+        for _ in range(op.dim - 1):
+            acc += term
             term = lam * op.apply(term)
-            last_norm = float(np.linalg.norm(term))
-            if not math.isfinite(last_norm):
-                raise NeumannDivergenceError(lam, last_norm)
-    if not op.is_nilpotent:
-        sum_norm = float(np.linalg.norm(acc))
-        if last_norm > NEUMANN_TAIL_TOL * max(sum_norm, 1e-300):
-            raise NeumannDivergenceError(lam, last_norm)
-
+            norm = float(np.linalg.norm(term))
+            if not math.isfinite(norm):
+                raise NeumannDivergenceError(lam, norm)
+    acc += term
     return ResolventVector(lam=lam, vector=_readonly(acc), defect=_relative_defect(op, lam, acc, e))
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check_document, parse_int
+from .config import _COUNT, _record, check_document, parse_int
 from .errors import ArgumentError
 from .halfspace import _CHECKS, BlaschkeLaw, EntireLaw, FunctionalRep, HalfSpaceCertificate
 from ._linalg import used_rows
@@ -287,17 +287,10 @@ def read_json(path) -> dict:
 _LAWS = {law.construction: law for law in (EntireLaw, BlaschkeLaw)}
 
 
-def _record(**properties) -> dict:
-    """An object schema that requires exactly these properties."""
-    return {"type": "object", "required": list(properties), "properties": properties,
-            "additionalProperties": False}
-
-
 # Structure only, and cheap: check_document spends about 2 us a node, so the
 # schema stops at arrays and lists, and decode_array checks each array as it
 # parses it.
 _HEX = {"type": "string", "pattern": r"^-?(0x[0-9a-f]+(\.[0-9a-f]*)?p[-+]?[0-9]+|inf|nan)$"}
-_INT = {"type": "integer", "minimum": 0}
 _OBJECT, _LIST, _BOOLEAN = {"type": "object"}, {"type": "array"}, {"type": "boolean"}
 _METRICS = dict.fromkeys(_CHECKS, _HEX) | {
     "construction": {"enum": list(_LAWS)}, "lambda_set": _LIST,
@@ -318,7 +311,7 @@ CERT_SCHEMA = _record(
     excluded_lambdas=_LIST,
     functionals={"type": "array", "minItems": 1},
     law=_OBJECT,
-    **dict.fromkeys(_COUNTS, _INT),
+    **dict.fromkeys(_COUNTS, _COUNT),
     metrics=_record(**_METRICS),
     checks=_record(**{name: _record(value=_METRICS[name], threshold=_METRICS[name],
                                     passed=_BOOLEAN) for name in _CHECKS}),
@@ -332,7 +325,7 @@ CONSTRUCTION_SCHEMAS = {
     "Entire": _record(law=_record(coefficients=_OBJECT),
                       hypothesis=_record(unverified={**_BOOLEAN, "const": False},
                                          flags={"type": "array", "maxItems": 0})),
-    "Blaschke": _record(law=_record(zeros=_OBJECT, order=_INT),
+    "Blaschke": _record(law=_record(zeros=_OBJECT, order=_COUNT),
                         hypothesis=_record(unverified=_BOOLEAN, flags=_LIST,
                                            spectral_radius_estimate=_HEX,
                                            norm_sum_partial=_HEX, norm_sum_cap=_HEX)),

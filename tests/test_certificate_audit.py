@@ -173,6 +173,13 @@ def scaled_norm_sum(doc):
     doc["hypothesis"]["norm_sum_partial"] = _scaled(doc["hypothesis"]["norm_sum_partial"], 1.001)
 
 
+def _radius(value: float):
+    """The stored spectral-radius estimate set to ``value`` (the derived one is 0 on a shift)."""
+    def mutate(doc):
+        doc["hypothesis"]["spectral_radius_estimate"] = value.hex()
+    return mutate
+
+
 def _largest_raw_entry(doc) -> list:
     """The [re, im] pair of the stored resolvent vector entry of largest modulus.
 
@@ -311,6 +318,9 @@ MUTATIONS = [
     ("taylor-order", short_order, ("blaschke",)),
     ("hypothesis-flag", flipped_hypothesis_flag, ("blaschke", "unverified")),
     ("hypothesis-norm-sum", scaled_norm_sum, ("blaschke", "unverified")),
+    # 7.5 the build's precondition would have refused; 1e-6 is a small forgery
+    ("hypothesis-radius-7.5", _radius(7.5), ("blaschke", "unverified")),
+    ("hypothesis-radius-1e-6", _radius(1e-6), ("blaschke", "unverified")),
     ("raw-vector-entry", raw_vector_entry, _BOTH),
     ("raw-vector-small-column", small_column_entry, _BOTH),
     ("defect-vector-entry", defect_vector_entry, _BOTH),

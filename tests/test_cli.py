@@ -540,6 +540,67 @@ def _shift_matrix(dim: int, ratio: float) -> dict:
                                              for j in range(dim)] for i in range(dim)]}
 
 
+def _write_inf(path, cfg) -> str:
+    """``cfg`` written with each "@" as the JSON literal 1e400, which parses to inf."""
+    path.write_text(json.dumps(cfg).replace('"@"', "1e400"), encoding="utf-8")
+    return str(path)
+
+
+def _inf_matrix(dim: int) -> dict:
+    return {"entries": [["@" if i == j == 0 else float(i == j) for j in range(dim)]
+                        for i in range(dim)]}
+
+
+_INF_ENTRY = "matrix entry [0, 0] is (inf+0j); all entries must be finite"
+# (command, config, the one error line); each input parses with an inf in it
+_NON_FINITE = {
+    "build-dense-entry": ("build", _dense_cfg(_inf_matrix(4), dim=4), _INF_ENTRY),
+    "build-gaussian-scale": ("build", _dense_cfg({"kind": "random-gaussian", "scale": "@"}, dim=8),
+                             "matrix entry [0, 0] is (inf-infj); all entries must be finite"),
+    "chain-dense-entry": ("chain", {"schema": "aihs-chain/1", "depth": 2, "label": "t",
+                                    "operator": _dense_cfg(_inf_matrix(4), dim=4)["operator"]},
+                          _INF_ENTRY),
+    "chain-seed-vector": ("chain", {"operator": _entire_cfg(dim=8)["operator"], "depth": 2,
+                                    "seed_vector": {"kind": "explicit", "values": ["@"] + [0] * 7},
+                                    "label": "s"},
+                          "z1 must be a finite nonzero vector of the operator dimension"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE))
+def test_non_finite_input_is_a_one_line_error(tmp_path, capsys, name):
+    command, cfg, message = _NON_FINITE[name]
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_inf(tmp_path / "c.json", cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_sweep_run_with_a_non_finite_matrix_entry_is_an_error_row(tmp_path):
+    runs = [_dense_cfg(_inf_matrix(4), dim=4), _entire_cfg(label="fine")]
+    cfg = _write_inf(tmp_path / "sweep.json", {"runs": runs, "label": "inf"})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
+    with (tmp_path / "inf.sweep.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == [f"error: {_INF_ENTRY}", "pass"]
+
+
+def test_verify_config_with_a_non_finite_matrix_entry_is_a_one_line_error(tmp_path, capsys):
+    path, doc = _built_certificate(tmp_path, _dense_cfg({"kind": "random-gaussian"}, dim=8))
+    other = _write_inf(tmp_path / "other.json", _dense_cfg(_inf_matrix(8), dim=8))
+    assert _verify_error(capsys, path, doc, "--config", other) == f"error: {_INF_ENTRY}\n"
+
+
+def test_verify_holds_the_derived_spectral_radius_to_its_own_slack(tmp_path, capsys):
+    # a build under a slack of 5 admits this radius above 1; the audit's default slack does not
+    cfg = dict(_dense_cfg({"kind": "random-gaussian", "scale": 2.0}, dim=8),
+               construction="blaschke", tolerances={"spectral_radius_slack": 5.0})
+    path, _ = _built_certificate(tmp_path, cfg)
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert "hypothesis.spectral_radius_estimate:threshold" in capsys.readouterr().out
+
+
 def _del_echo_dim(doc):
     del doc["config_echo"]["config"]["operator"]["dim"]
 
@@ -988,6 +1049,41 @@ def test_a_key_the_config_never_reads_is_rejected(cfg, key, what):
     config.validate_config(cfg, "build")
 
 
+def _run_block(*path) -> dict:
+    schema = config.RUN_SCHEMA
+    for key in path:
+        schema = schema["properties"][key]
+    return schema
+
+
+@pytest.mark.parametrize("kinds, path", [
+    (config._WEIGHT_KINDS, ("operator", "weights")),
+    (config._MATRIX_KINDS, ("operator", "matrix")),
+    (config._SEED_VECTOR_KINDS, ("seed_vector",)),
+    (config._SEQUENCE_KINDS, ("blaschke", "sequence")),
+], ids=["weights", "matrix", "seed_vector", "sequence"])
+def test_each_kind_table_matches_its_schema_block(kinds, path):
+    # no schema key goes unread by every kind, and no kind reads a key the schema rejects
+    block = _run_block(*path)
+    assert block["properties"]["kind"] == {"enum": list(kinds)}
+    keys = {"kind"}.union(*kinds.values())
+    if "params" in block["properties"]:  # a weight kind's keys sit in the weights' params
+        assert set(block["properties"]) == {"kind", "params"}
+        block, keys = block["properties"]["params"], keys - {"kind"}
+    assert set(block["properties"]) == keys
+
+
+def test_sweep_walks_each_run_schema_once(tmp_path, monkeypatch):
+    checked = []
+    check_document = config.check_document
+    monkeypatch.setattr(config, "check_document",
+                        lambda *args: checked.append(args[0]) or check_document(*args))
+    runs = [_entire_cfg(label=f"run-{i}") for i in range(3)]
+    sweep = _write(tmp_path / "sweep.json", {"runs": runs})
+    assert main(["sweep", "--config", sweep, "--out", str(tmp_path)]) == 0
+    assert checked == [config.SWEEP_SCHEMA]
+
+
 def test_blaschke_sequence_count_is_no_config_key():
     cfg = _blaschke_sequence_cfg({"kind": "inverse-square", "count": 2})
     with pytest.raises(ArgumentError) as got:
@@ -1139,9 +1235,10 @@ def test_readme_fixed_constants_match_the_modules():
     listed["chains"] = {name: float(value)
                         for name, value in re.findall(r"^- `(\w+) = ([^`]+)`", chain_list,
                                                       re.MULTILINE)}
-    assert sorted(listed) == ["blaschke", "chains", "duality", "entire", "operators", "resolvent"]
-    for module, constants in listed.items():
-        assert _numeric_constants(importlib.import_module(f"aihs.{module}")) == constants, module
+    assert sorted(listed) == ["blaschke", "chains", "duality", "entire", "operators"]
+    for module in (*listed, "resolvent"):  # resolvent has no fixed constant
+        assert (_numeric_constants(importlib.import_module(f"aihs.{module}"))
+                == listed.get(module, {})), module
 
 
 @pytest.mark.parametrize(
