@@ -57,28 +57,20 @@ def svd_rank(s: np.ndarray, rtol: float = Tolerances.tol_rank, reference: float 
 
 def orthonormal_columns(a: np.ndarray, rtol: float = Tolerances.tol_rank) -> np.ndarray:
     """Orthonormal basis of the column span, robust to column scaling."""
-    a = unit_columns(a)
-    if a.shape[1] == 0:
-        return a
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    u, s, _ = np.linalg.svd(unit_columns(a), full_matrices=False)
     return u[:, : svd_rank(s, rtol)]
 
 
 def distance_to_span(v: np.ndarray, a: np.ndarray, rtol: float = Tolerances.tol_rank) -> float:
     """Euclidean distance from ``v`` to the column span of ``a``."""
     v = np.asarray(v, dtype=np.complex128)
-    if a.size == 0 or a.shape[1] == 0:
-        return float(np.linalg.norm(v))
     q = orthonormal_columns(a, rtol)
     return float(np.linalg.norm(v - q @ (q.conj().T @ v)))
 
 
 def numerical_rank(a: np.ndarray, rtol: float = Tolerances.tol_rank) -> int:
     """Rank of the column span with columns normalized to unit scale."""
-    a = unit_columns(a)
-    if a.shape[1] == 0:
-        return 0
-    return svd_rank(np.linalg.svd(a, compute_uv=False), rtol)
+    return svd_rank(np.linalg.svd(unit_columns(a), compute_uv=False), rtol)
 
 
 def smallest_singular_value(a: np.ndarray) -> float:

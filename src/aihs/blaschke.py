@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import ArgumentError, AssumptionError
 from .operators import _readonly
@@ -153,11 +154,7 @@ def evaluate_product(lambdas, z):
 def evaluate_taylor(coeffs, z):
     """Plain Horner; intended for |z| < 1 where the series lives."""
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.full_like(z, c[-1])
-    for i in range(c.size - 2, -1, -1):
-        out = out * z + c[i]
-    return out
+    return npoly.polyval(np.asarray(z, dtype=np.complex128), c)
 
 
 def fm_coefficient_table(bd: BlaschkeData, m_max: int, n_max: int) -> np.ndarray:

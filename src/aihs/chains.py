@@ -25,6 +25,7 @@ the acceptance suite exercises.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,21 +66,22 @@ _MIN_KEYS = ("biorthogonality_diag_min", "functional_sigma_min", "codim_exact")
 class ChainState:
     """Immutable snapshot: the vectors z_k and the dual vectors phi_k.
 
-    Y_n is the joint kernel of phi_1..phi_n; no basis of it is stored.  ``q``
-    is Q_n, the orthonormal basis of span{phi_1..phi_n}, and ``reports[k-1]``
-    is the property report of levels 1..k (see :func:`verify_chain`).  Both
-    are derived once, as :func:`init_chain` and :func:`extend_chain` make
-    each level; :func:`verify_chain` reads neither.
+    ``zs`` and ``phis`` are read-only (N, n) arrays, column k - 1 holding z_k
+    and phi_k.  Y_n is the joint kernel of phi_1..phi_n; no basis of it is
+    stored.  ``q`` is Q_n, the orthonormal basis of span{phi_1..phi_n}, and
+    ``reports[k-1]`` is the property report of levels 1..k (see
+    :func:`verify_chain`).  Both are derived once, as :func:`init_chain` and
+    :func:`extend_chain` make each level; :func:`verify_chain` reads neither.
     """
 
-    zs: tuple
-    phis: tuple
+    zs: np.ndarray
+    phis: np.ndarray
     q: np.ndarray = field(repr=False)
     reports: tuple = field(repr=False)
 
     @property
     def depth(self) -> int:
-        return len(self.zs)
+        return self.zs.shape[1]
 
 
 def _project_off(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -95,12 +97,12 @@ def init_chain(op: OperatorModel, z1: np.ndarray | None = None) -> ChainState:
     if z1 is None:
         z1 = np.zeros(n, dtype=np.complex128)
         z1[0] = 1.0
-    else:
+    with _step(1):  # the norm of a huge finite z1 overflows
         z1 = np.asarray(z1, dtype=np.complex128).reshape(-1)
         if z1.shape[0] != n or not (np.all(np.isfinite(z1)) and np.linalg.norm(z1) > 0):
             raise ArgumentError("z1 must be a finite nonzero vector of the operator dimension")
-    zs = (_readonly(z1),)
-    q, report = _derive_level(op, zs, zs, None)
+        zs = _readonly(z1[:, None])
+        q, report = _derive_level(op, zs, zs, None)
     return ChainState(zs=zs, phis=zs, q=q, reports=(report,))
 
 
@@ -119,23 +121,22 @@ def extend_chain(op: OperatorModel, state: ChainState) -> ChainState:
     depth = state.depth
     if depth >= op.dim:
         raise ArgumentError("chain is exhausted: Y_n is already trivial")
-    phis = np.stack(state.phis, axis=1)
-    zs = np.stack(state.zs, axis=1)
-    q = state.q
+    zs, phis, q = state.zs, state.phis, state.q
 
-    v = op.adjoint_apply(state.phis[-1])
-    phi_next = v - phis @ ((zs.conj().T @ v) / np.sum(zs.conj() * phis, axis=0))
-    on_y = _project_off(q, phi_next)  # f_{n+1} restricted to Y_n
+    with _step(depth + 1):
+        v = op.adjoint_apply(np.ascontiguousarray(phis[:, -1]))  # as in _derive_level
+        phi_next = v - phis @ ((zs.conj().T @ v) / np.sum(zs.conj() * phis, axis=0))
+        on_y = _project_off(q, phi_next)  # f_{n+1} restricted to Y_n
 
-    norm_on_y = float(np.linalg.norm(on_y))
-    scale = float(np.linalg.norm(state.phis[-1])) * max(op.norm_estimate(), 1e-300)
-    if norm_on_y < TOL_CHAIN * scale:
-        resid = containment_residual(op.adjoint_apply(q), q)
-        raise ChainTerminated(state, invariance_residual=resid, verified=resid < INVARIANCE_TOL)
+        norm_on_y = float(np.linalg.norm(on_y))
+        scale = float(np.linalg.norm(phis[:, -1])) * max(op.norm_estimate, 1e-300)
+        if norm_on_y < TOL_CHAIN * scale:
+            resid = containment_residual(op.adjoint_apply(q), q)
+            raise ChainTerminated(state, invariance_residual=resid, verified=resid < INVARIANCE_TOL)
 
-    new_zs = state.zs + (_readonly(on_y / norm_on_y),)
-    new_phis = state.phis + (_readonly(phi_next),)
-    q_next, level = _derive_level(op, new_zs, new_phis, q)
+        new_zs = _readonly(np.column_stack((zs, on_y / norm_on_y)))
+        new_phis = _readonly(np.column_stack((phis, phi_next)))
+        q_next, level = _derive_level(op, new_zs, new_phis, q)
     bad = {key: level[key] for key in RESIDUAL_KEYS if level[key] >= PROPERTY_TOL}
     if bad or level["biorthogonality_diag_min"] < PROPERTY_TOL:
         raise AssumptionError(f"chain properties degraded at depth {depth + 1}: {bad}")
@@ -152,17 +153,28 @@ def build_chain(op: OperatorModel, depth: int, z1: np.ndarray | None = None) -> 
     return state
 
 
-def _derive_level(
-    op: OperatorModel, zs: tuple, phis: tuple, q_prev: np.ndarray | None
-) -> tuple[np.ndarray, dict]:
-    """(Q_k, the properties level k = ``len(zs)`` adds to levels 1..k-1); keys as in verify_chain.
+@contextlib.contextmanager
+def _step(depth: int):
+    """Run a chain step with overflow and invalid values raising, as AssumptionError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise AssumptionError(f"chain step to depth {depth} left the float range ({exc})") from None
 
-    ``zs`` and ``phis`` hold z_1..z_k and phi_1..phi_k; ``q_prev`` is
-    Q_{k-1}, ``None`` at k = 1.
+
+def _derive_level(
+    op: OperatorModel, zs: np.ndarray, phis: np.ndarray, q_prev: np.ndarray | None
+) -> tuple[np.ndarray, dict]:
+    """(Q_k, the properties level k adds to levels 1..k-1); keys as in verify_chain.
+
+    ``zs`` and ``phis`` are (N, k), columns z_1..z_k and phi_1..phi_k;
+    ``q_prev`` is Q_{k-1}, ``None`` at k = 1.
     """
-    k = len(zs)
-    phis = np.stack(phis, axis=1)
-    zs = np.stack(zs, axis=1)
+    k = zs.shape[1]
+    # a prefix view of the state is strided, and BLAS rounds strided operands
+    # differently: copies keep verify_chain's levels equal to the walk's
+    zs, phis = np.ascontiguousarray(zs), np.ascontiguousarray(phis)
     q = qr_basis(phis)
     s = np.linalg.svd(unit_columns(phis), compute_uv=False)
     # bio[i, j] = |f_i(z_j)| / (||phi_i|| ||z_j||); level k adds the last row and column
@@ -182,7 +194,7 @@ def _derive_level(
         z_next, phi_next, phi_prev = unit_columns(zs[:, -1:]), phis[:, -1], phis[:, -2]
         out["z_in_previous"] = float(np.linalg.norm(q_prev.conj().T @ z_next))
         mismatch = _project_off(q_prev, phi_next - op.adjoint_apply(phi_prev))
-        scale = np.linalg.norm(phi_next) + np.linalg.norm(phi_prev) * op.norm_estimate()
+        scale = np.linalg.norm(phi_next) + np.linalg.norm(phi_prev) * op.norm_estimate
         out["recurrence_norm"] = float(np.linalg.norm(mismatch) / scale)
         out["adjoint_map"] = containment_residual(op.adjoint_apply(q_prev), q)
     return q, out
@@ -219,9 +231,9 @@ def verify_chain(op: OperatorModel, state: ChainState) -> dict:
     the derivation the walk itself ran, so the result equals
     ``state.reports[-1]`` for a chain that init_chain and extend_chain made.
     """
-    q, report = _derive_level(op, state.zs[:1], state.phis[:1], None)
+    q, report = _derive_level(op, state.zs[:, :1], state.phis[:, :1], None)
     for k in range(2, state.depth + 1):
-        q, level = _derive_level(op, state.zs[:k], state.phis[:k], q)
+        q, level = _derive_level(op, state.zs[:, :k], state.phis[:, :k], q)
         report = _fold(report, level)
     return report
 
@@ -248,14 +260,14 @@ def build_non_ai_halfspace_witness(op: OperatorModel, state: ChainState) -> Witn
     if state.depth < 2:
         raise ArgumentError("need depth >= 2 for at least one even vector")
     pairs = state.depth // 2
-    evens = np.stack(state.zs[1 : 2 * pairs : 2], axis=1)  # z_2, z_4, ..., z_{2 pairs}
+    evens = np.ascontiguousarray(state.zs[:, 1 : 2 * pairs : 2])  # z_2, z_4, ..., z_{2 pairs}
     z_basis = qr_basis(evens)
 
     images = op.apply(evens)  # T z_{2k}
     projected = images - z_basis @ (z_basis.conj().T @ images)
     ranks = tuple(numerical_rank(projected[:, : k + 1]) for k in range(pairs))
 
-    odd = np.stack(state.phis[0 : 2 * pairs : 2], axis=1)  # f_1, f_3, ..., f_{2 pairs - 1}
+    odd = state.phis[:, 0 : 2 * pairs : 2]  # f_1, f_3, ..., f_{2 pairs - 1}
     image_norms = np.maximum(np.linalg.norm(images, axis=0), 1e-300)
     norms = np.outer(np.linalg.norm(odd, axis=0), image_norms)
     evals = np.triu(np.abs(odd.conj().T @ images) / norms)
@@ -293,13 +305,13 @@ def codim_n_subspace(
                 state = extend_chain(op, state)
         except ChainTerminated as term:
             state = term.state  # depth strictly below n
-    phis, zs = state.phis[:n], state.zs[:n]
-    y_basis = null_space(np.stack(phis).conj())
-    e_y = np.asarray(zs[-1])
-    if len(zs) < n:
+    depth = min(state.depth, n)
+    y_basis = null_space(state.phis[:, :depth].conj().T)
+    e_y = state.zs[:, depth - 1]
+    if depth < n:
         q = y_basis
         restricted = build_operator(Family.DENSE, q.shape[1], matrix=q.conj().T @ op.apply(q))
-        y_sub, e_sub, _ = codim_n_subspace(restricted, n - len(zs))
+        y_sub, e_sub, _ = codim_n_subspace(restricted, n - depth)
         y_basis, e_y = q @ y_sub, q @ e_sub
 
     if np.linalg.norm(e_y) > 0:

@@ -86,11 +86,8 @@ def minimal_defect_space(op: OperatorModel, basis_y: np.ndarray) -> tuple[np.nda
     q = _check_orthonormal(basis_y, "basis_y")
     image = op.matrix @ q
     projected = image - q @ (q.conj().T @ image)
-    scale = float(np.linalg.norm(image, 2)) if image.size else 0.0
-    if scale == 0.0:
-        return np.zeros((op.dim, 0), dtype=np.complex128), 0
     u, s, _ = np.linalg.svd(projected, full_matrices=False)
-    keep = svd_rank(s, reference=scale)
+    keep = svd_rank(s, reference=float(np.linalg.norm(image, 2)))
     return _readonly(u[:, :keep]), keep
 
 
@@ -107,14 +104,8 @@ def build_perturbation(
     f = np.asarray(f_basis, dtype=np.complex128)
     if f.ndim != 2:
         raise ArgumentError("f_basis must be a matrix of columns")
-    n, dim_f = op.dim, f.shape[1]
-
-    if dim_f == 0:
-        k = np.zeros((n, n), dtype=np.complex128)
-        resid = containment_residual(op.matrix @ q, q)
-        return PerturbationWitness(K=_readonly(k), rank_K=0, invariance_residual=resid)
-
-    f = _check_orthonormal(f, "f_basis")
+    if f.shape[1]:
+        f = _check_orthonormal(f, "f_basis")
     stacked = np.hstack([q, f])
     smin = np.linalg.svd(stacked, compute_uv=False)[-1]
     if smin < ANGLE_FLOOR:
@@ -145,14 +136,6 @@ def adjoint_halfspace(
     f = np.asarray(f_basis, dtype=np.complex128)
     combined = np.hstack([q, f]) if f.size else q
     z = null_space(combined.conj().T)
-    if z.shape[1] == 0:
-        return AdjointReport(
-            z_basis=_readonly(z),
-            residual=0.0,
-            dim_z=0,
-            dim_y_perp=op.dim - q.shape[1],
-            dim_f=orthonormal_columns(f).shape[1] if f.size else 0,
-        )
     image = op.adjoint_apply(z)
     return AdjointReport(
         z_basis=_readonly(z),

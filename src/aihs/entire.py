@@ -18,8 +18,6 @@ reversed coefficients, which keeps every intermediate quantity representable.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -77,17 +75,11 @@ def coefficients_from_norms(r, k_max: int, degree: int | None = None) -> np.ndar
             f"got {r.size} norms, need {needed} for degree {degree}, k_max {k_max}"
         )
 
+    i = np.arange(1, degree + 1)
+    running_max = np.maximum.accumulate(r[1:])  # entry j - 1 is max(r_1..r_j)
     c = np.empty(degree + 1, dtype=np.complex128)
     c[0] = 1.0
-    running_max = 0.0
-    hi = 0
-    for i in range(1, degree + 1):
-        # extend the running max of r_1..r_min(2i, available)
-        top = min(2 * i, r.size - 1)
-        while hi < top:
-            hi += 1
-            running_max = max(running_max, r[hi])
-        c[i] = math.ldexp(1.0, -i) / running_max
+    c[1:] = np.ldexp(1.0, -i) / running_max[np.minimum(2 * i, r.size - 1) - 1]
     return _readonly(c)
 
 

@@ -248,6 +248,12 @@ def _solve_resolvents(
     return np.stack(vectors, axis=1), np.array(kept, dtype=np.complex128), excluded
 
 
+def _independence(vectors: np.ndarray) -> float:
+    """sigma_min of the unit columns; 0 when a column is zero, which ``unit_columns`` drops."""
+    unit = unit_columns(vectors)
+    return smallest_singular_value(unit) if unit.shape[1] == vectors.shape[1] else 0.0
+
+
 def compute_metrics(
     op: OperatorModel,
     e: np.ndarray,
@@ -296,13 +302,13 @@ def compute_metrics(
     metrics = {
         "construction": law.construction,
         "lambda_set": [complex(z) for z in lambdas],
-        "independence_sigma_min": smallest_singular_value(unit_columns(raw_vectors)),
+        "independence_sigma_min": _independence(raw_vectors),
         "ai_defect_rank": (numerical_rank(np.hstack([moved, with_e]), rtol=tol.tol_rank)
                            - numerical_rank(with_e, rtol=tol.tol_rank)),
         "ai_residual": float(containment_residual(moved, qr_basis(with_e))),
         "max_annihilation_residual": float(np.max(np.abs(inner))) / scale,
         "annihilation_scale": float(scale),
-        "functional_independence_sigma_min": smallest_singular_value(unit_columns(duals)),
+        "functional_independence_sigma_min": _independence(duals),
         "extension_residual_max": extension,
     }
     thresholds = {name: getattr(tol, key) if key else 1 for name, (key, _) in _CHECKS.items()}
@@ -459,6 +465,9 @@ def build_blaschke(
 
     with _stage("orbit"):
         orbit = compute_orbit(op, e, op.dim)
+        if orbit.length < m_max + 1:  # f_j reads b_{n-j} for n < L: zero for j >= L
+            raise AssumptionError(f"orbit supports only {orbit.length} vectors; "
+                                  f"need m_max + 1 = {m_max + 1}")
         hypothesis = _blaschke_hypothesis(op, orbit, tol.blaschke_norm_cap)
 
     with _stage("taylor"):

@@ -221,24 +221,20 @@ class OperatorModel:
             return 0.0
         return float(np.max(np.abs(self.eigenvalues())))
 
+    @functools.cached_property
     def norm_estimate(self) -> float:
-        """Estimate of the operator 2-norm (exact for shift families)."""
+        """Estimate of the operator 2-norm (exact for shift families), derived once."""
         if self.weights is not None:
             return float(np.max(np.abs(self.weights)))
         m = self.matrix
-        (start,) = _random_starts(self.dim, 1)
+        rng = np.random.default_rng(0)  # a fixed complex Gaussian start for power iteration
+        start = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         return _power_root(lambda v: m.conj().T @ (m @ v), start)
 
 
 def operator_digest(op: OperatorModel) -> str:
     """sha256 of the operator's one array: a shift's weights, a dense matrix (row-major)."""
     return hashlib.sha256(op._array.tobytes()).hexdigest()
-
-
-def _random_starts(dim: int, count: int) -> list[np.ndarray]:
-    """``count`` complex Gaussian start vectors for power iteration, from a fixed seed."""
-    rng = np.random.default_rng(0)
-    return [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(count)]
 
 
 def _power_root(gram, start: np.ndarray, iters: int = 12) -> float:
@@ -277,15 +273,16 @@ def _check_weights(family: Family, weights, dim: int) -> np.ndarray:
         i = int(bad[0])
         raise ArgumentError(f"weight {i + 1} is {array[i]}; all weights must be finite and nonzero")
     if family is Family.DONOGHUE:
-        # Python's abs, not numpy's: the two differ in the last bit on some
-        # inputs, and a near-tie must get the verdict it always had
-        mods = [abs(x) for x in array.tolist()]
-        for i in range(len(mods) - 1):
-            if not mods[i + 1] < mods[i]:
-                raise ArgumentError(
-                    "Donoghue weights must be strictly decreasing in modulus; "
-                    f"|w_{i + 1}| = {mods[i]:.6g} vs |w_{i + 2}| = {mods[i + 1]:.6g}"
-                )
+        # C hypot, as Python's complex abs takes it, not numpy's abs: the two differ
+        # in the last bit on some inputs, and a near-tie must keep its verdict
+        mods = np.hypot(array.real, array.imag)
+        rising = np.flatnonzero(~(mods[1:] < mods[:-1]))
+        if rising.size:
+            i = int(rising[0])
+            raise ArgumentError(
+                "Donoghue weights must be strictly decreasing in modulus; "
+                f"|w_{i + 1}| = {mods[i]:.6g} vs |w_{i + 2}| = {mods[i + 1]:.6g}"
+            )
     return array
 
 
@@ -353,18 +350,9 @@ def geometric_weights(dim: int, ratio: complex) -> tuple[complex, ...]:
 
 def factorial_decay_weights(dim: int) -> tuple[complex, ...]:
     """``w_i = 1 / i!`` for ``i = 1 .. dim - 1`` (dies past 170 in doubles)."""
-    out = []
-    for i in range(1, dim):
-        try:
-            v = 1.0 / math.factorial(i)
-        except OverflowError:
-            v = 0.0
-        if v == 0.0:
-            raise ArgumentError(
-                f"factorial-decay weight {i} underflows to zero; reduce dim"
-            )
-        out.append(complex(v))
-    return tuple(out)
+    if dim > 171:  # 171! leaves the float range
+        raise ArgumentError("factorial-decay weight 171 underflows to zero; reduce dim")
+    return tuple(complex(1.0 / math.factorial(i)) for i in range(1, dim))
 
 
 def weights_from_config(cfg: dict, dim: int) -> np.ndarray | tuple[complex, ...]:
@@ -549,9 +537,10 @@ def orbit_walk(op: OperatorModel, seed: np.ndarray, cap: int) -> np.ndarray:
     """
     x = np.asarray(seed, dtype=np.complex128)
     rows = []
-    while len(rows) < cap and _alive(x):
-        rows.append(x)
-        x = op.apply(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # _alive ends the orbit there
+        while len(rows) < cap and _alive(x):
+            rows.append(x)
+            x = op.apply(x)
     return np.array(rows, dtype=np.complex128).reshape(-1, x.size)
 
 
@@ -570,14 +559,15 @@ def _coordinate_walk(op: OperatorModel, seed: np.ndarray, j: int, cap: int) -> C
     amplitudes = np.empty(count, dtype=np.complex128)
     amplitudes[0] = seed[j]
     length = int(_alive(seed))
-    while 0 < length < count:
-        position = j + step * length
-        k = position - 1 if forward else position  # the weight into e_position
-        np.multiply(op._array[k:k + 1], amplitudes[length - 1:length],
-                    out=amplitudes[length:length + 1])
-        if not _entry_alive(complex(amplitudes[length]), position, op.dim):
-            break
-        length += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # _entry_alive ends the orbit there
+        while 0 < length < count:
+            position = j + step * length
+            k = position - 1 if forward else position  # the weight into e_position
+            np.multiply(op._array[k:k + 1], amplitudes[length - 1:length],
+                        out=amplitudes[length:length + 1])
+            if not _entry_alive(complex(amplitudes[length]), position, op.dim):
+                break
+            length += 1
     positions = np.arange(j, j + step * length, step)
     amplitudes = amplitudes[:length]
     for a in (positions, amplitudes):

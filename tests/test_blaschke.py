@@ -204,6 +204,29 @@ def test_a_capped_build_derives_its_series_once(monkeypatch):
     assert capped.metrics == plain.metrics
 
 
+def _horner_by_loop(coeffs, z):
+    """The Horner loop ``evaluate_taylor`` once ran: the reference."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    z = np.asarray(z, dtype=np.complex128)
+    out = np.full_like(z, c[-1])
+    for i in range(c.size - 2, -1, -1):
+        out = out * z + c[i]
+    return out
+
+
+def test_evaluate_taylor_matches_the_horner_loop_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for trial in range(100):
+        size = int(rng.integers(1, 80))
+        if trial % 2:  # Taylor coefficients of a Blaschke product, as the route makes them
+            zeros = 0.95 * rng.uniform(0.1, 1.0, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
+            c = blaschke_taylor(zeros, order=size - 1).taylor
+        else:
+            c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        z = np.sqrt(rng.uniform(size=50)) * np.exp(2j * np.pi * rng.uniform(size=50))
+        assert evaluate_taylor(c, z).tobytes() == _horner_by_loop(c, z).tobytes()
+
+
 def test_taylor_agrees_with_product_inside_disk():
     lams = [0.3, -0.4j, 0.2]
     bd = blaschke_taylor(lams, order=200)

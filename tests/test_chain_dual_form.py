@@ -42,12 +42,12 @@ def test_dual_chain_satisfies_the_primal_properties(depth, extra, seed):
     assume(verify_chain(op, state)["functional_sigma_min"] > 1e-10)
 
     norm_t = np.linalg.norm(t, 2)
-    ys = [null_space(np.stack(state.phis[:n]).conj()) for n in range(1, depth + 1)]
+    ys = [null_space(state.phis[:, :n].conj().T) for n in range(1, depth + 1)]
     for n, y in enumerate(ys, start=1):
         assert y.shape == (dim, dim - n)  # dim Y_n = N - n
     for n in range(1, depth):  # the pair (n, n+1), 1-indexed
         y_prev, y_next = ys[n - 1], ys[n]
-        z_next, phi_next, phi_prev = state.zs[n], state.phis[n], state.phis[n - 1]
+        z_next, phi_next, phi_prev = state.zs[:, n], state.phis[:, n], state.phis[:, n - 1]
         # z_{n+1} lies in Y_n
         assert containment_residual(z_next[:, None], y_prev) < PROPERTY_TOL
         # f_{n+1}(y) = f_n(Ty) on a basis of Y_n

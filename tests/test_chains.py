@@ -45,14 +45,14 @@ def test_two_by_two_hand_oracle():
     state = init_chain(op)
     assert state.depth == 1
     # Y_1 = ker f_1 = span{e2}
-    y1 = null_space(state.phis[0].conj()[None, :])
+    y1 = null_space(state.phis[:, 0].conj()[None, :])
     assert y1.shape == (2, 1) and abs(abs(y1[1, 0]) - 1.0) < 1e-14
     extended = extend_chain(op, state)
     assert extended.depth == 2
     # hand simulation: f_2 = e_2 dual, z_2 = e_2, Y_2 = {0}
-    assert abs(np.vdot(extended.phis[1], basis_vec(2, 1)) - 1.0) < 1e-14
-    np.testing.assert_allclose(np.abs(extended.zs[1]), [0.0, 1.0], atol=1e-14)
-    assert null_space(np.stack(extended.phis).conj()).shape == (2, 0)
+    assert abs(np.vdot(extended.phis[:, 1], basis_vec(2, 1)) - 1.0) < 1e-14
+    np.testing.assert_allclose(np.abs(extended.zs[:, 1]), [0.0, 1.0], atol=1e-14)
+    assert null_space(extended.phis.conj().T).shape == (2, 0)
     with pytest.raises(ArgumentError):
         extend_chain(op, extended)  # exhausted
 
@@ -84,7 +84,7 @@ def test_forward_shift_seeded_at_top_runs_deep():
     assert report["codim_exact"]
     # the walk descends the basis: z_k = e_{N+1-k} up to phase
     for k in range(10):
-        assert abs(abs(state.zs[k][n - 1 - k]) - 1.0) < 1e-12
+        assert abs(abs(state.zs[n - 1 - k, k]) - 1.0) < 1e-12
 
 
 def test_donoghue_shift_runs_deep_from_default_seed():
@@ -113,7 +113,9 @@ def test_verify_chain_detects_tampering():
     a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     op = dense_op(a)
     state = build_chain(op, 4)
-    tampered = dataclasses.replace(state, zs=state.zs[:-1] + (rng.standard_normal(12) + 0j,))
+    tampered = dataclasses.replace(
+        state, zs=np.column_stack((state.zs[:, :-1], rng.standard_normal(12) + 0j))
+    )
     report = verify_chain(op, tampered)
     assert max(report[k] for k in RESIDUAL_KEYS) > 1e-4
 

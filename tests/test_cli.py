@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -9,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aihs import chains, cli, config
+from aihs import chains, cli, config, halfspace
 from aihs import serialize as ser
 from aihs.blaschke import blaschke_sequence
 from aihs.chains import extend_chain, init_chain, verify_chain
 from aihs.cli import main
-from aihs.operators import geometric_weights, operator_from_config
+from aihs.operators import compute_orbit, geometric_weights, operator_from_config
 from aihs.resolvent import probe_tail_oracle
 from aihs.errors import ArgumentError
 from aihs.serialize import (
@@ -508,6 +509,85 @@ def test_sweep_run_with_overflowing_weights_is_an_error_row(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["status"] == f"error: {_OVERFLOW}"
     assert rows[1]["status"] == "pass"
+
+
+_HUGE_DENSE = {"family": "dense", "dim": 4, "matrix": {
+    "entries": [[1e300 if i == j == 0 else float(i == j) for j in range(4)] for i in range(4)]}}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+@pytest.mark.parametrize("command, cfg, message", [
+    ("chain", {"operator": _HUGE_DENSE, "depth": 3},
+     "error: chain step to depth 2 left the float range"),
+    ("chain", {"operator": {"family": "forward-weighted-shift", "dim": 8,
+                            "weights": {"kind": "geometric", "params": {"ratio": 0.5}}},
+               "depth": 3, "seed_vector": {"kind": "explicit", "values": [1e160] + [0.0] * 7}},
+     "error: chain step to depth 1 left the float range"),
+    ("build", dict(_entire_cfg(), operator=_HUGE_DENSE, m=1, k_max=0,
+                   seed_vector={"kind": "explicit", "values": [1.0] * 4}),
+     "error at stage 'orbit': orbit supports only 2 vectors"),
+    ("build", dict(_entire_cfg(), m=1, k_max=0, operator={
+        "family": "forward-weighted-shift", "dim": 6,
+        "weights": {"kind": "explicit", "params": {"values": [1e200] * 5}}}),
+     "error at stage 'orbit': orbit supports only 2 vectors"),
+], ids=["chain-dense-entry", "chain-seed", "build-dense-entry", "build-weights"])
+def test_huge_finite_input_is_one_line_without_a_warning(tmp_path, capsys, command, cfg,
+                                                          message):
+    path = _write(tmp_path / "huge.json", dict(cfg, label="huge"))
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _short_orbit_blaschke_cfg():
+    # the orbit of e_6 at dim 8 is e_6, e_7: L = 2, and f_j reads b_{n-j} for n < L
+    return {
+        "schema": "aihs-run/1",
+        "operator": {"family": "forward-weighted-shift", "dim": 8,
+                     "weights": {"kind": "geometric", "params": {"ratio": 1.0}}},
+        "construction": "blaschke",
+        "m": 2,
+        "k_max": 5,
+        "seed_vector": {"kind": "basis", "index": 6},
+        "label": "zc",
+    }
+
+
+def test_blaschke_build_needs_an_orbit_vector_per_functional(tmp_path, capsys):
+    cfg = _write(tmp_path / "zc.json", _short_orbit_blaschke_cfg())
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error at stage 'orbit': orbit supports only 2 vectors; need m_max + 1 = 6\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_fails_a_certificate_with_a_zero_dual_vector(tmp_path, capsys):
+    # the certificate the build wrote before it needed L >= m_max + 1: f_2..f_5
+    # read only zero orbit values, so their dual vectors are zero, and the
+    # stored functional independence read 1.0 with those columns dropped
+    cfg = _short_orbit_blaschke_cfg()
+    op = operator_from_config(cfg["operator"])
+    e = config.seed_vector_from_config(cfg["seed_vector"], op.dim)
+    orbit = compute_orbit(op, e, op.dim)
+    tol = config.Tolerances()
+    lambdas = blaschke_sequence("inverse-square", cfg["m"])
+    hypothesis = halfspace._blaschke_hypothesis(op, orbit, tol.blaschke_norm_cap)
+    law = halfspace.BlaschkeLaw(lambdas, orbit.length - 1)
+    cert = halfspace._certify(op, e, orbit, lambdas, cfg["m"], law, cfg["k_max"], tol,
+                              hypothesis=hypothesis)
+    name = "functional_independence_sigma_min"
+    assert sum(not np.any(f.dual_vector) for f in cert.functionals) == 4
+    assert cert.metrics[name] == 0.0 and not cert.checks[name]["passed"]
+    stored = dataclasses.replace(
+        cert, metrics={**cert.metrics, name: 1.0},
+        checks={**cert.checks, name: {**cert.checks[name], "value": 1.0, "passed": True}},
+        config_echo={"config": cfg, "seed": 0, "label": cfg["label"]})
+    path = tmp_path / "zc.cert.json"
+    ser.write_certificate(path, stored)
+    assert main(["verify", str(path)]) == 1
+    assert f"audit FAIL: {name}; {name}:threshold" in capsys.readouterr().out
 
 
 def _drop_last_weight(operator):

@@ -11,6 +11,7 @@ from aihs.duality import (
 )
 from aihs.errors import ArgumentError, AssumptionError
 from aihs.operators import Family, build_operator
+from aihs._linalg import distance_to_span, numerical_rank, orthonormal_columns
 
 
 def dense_op(matrix):
@@ -36,6 +37,23 @@ def test_invariant_subspace_has_no_defect():
     f, dim_f = minimal_defect_space(op, y)
     assert dim_f == 0
     assert f.shape == (4, 0)
+
+
+def test_y_in_the_kernel_has_no_defect():
+    # T e_N = 0 for the forward shift: T Y is zero, so F is empty
+    op = build_operator(Family.FORWARD, 6, weights=np.ones(5))
+    f, dim_f = minimal_defect_space(op, basis_span([5], 6))
+    assert dim_f == 0
+    assert f.shape == (6, 0) and f.dtype == np.complex128
+
+
+@pytest.mark.parametrize("columns", [np.zeros((5, 0)), np.zeros((5, 3))],
+                         ids=["no-columns", "zero-columns"])
+def test_an_empty_span_has_no_basis_and_rank_zero(columns):
+    v = np.arange(5.0) + 1j
+    assert orthonormal_columns(columns).shape == (5, 0)
+    assert numerical_rank(columns) == 0
+    assert distance_to_span(v, columns) == float(np.linalg.norm(v))
 
 
 def test_shift_hyperplane_defect_is_one_dimensional():
@@ -170,6 +188,17 @@ def test_adjoint_halfspace_diagonal():
     assert rep.residual < 1e-12
     # Z is exactly span{e3, e4, e5}
     assert np.linalg.norm(rep.z_basis[:2, :]) < 1e-12
+
+
+def test_adjoint_halfspace_of_the_whole_space_is_empty():
+    # Y + F is the whole space, so Z = {0} and nothing is left to map
+    op = build_operator(Family.FORWARD, 8, weights=np.full(7, 0.5))
+    y = basis_span(range(7), 8)
+    f, dim_f = minimal_defect_space(op, y)
+    rep = adjoint_halfspace(op, y, f)
+    assert (dim_f, rep.dim_z, rep.dim_f, rep.dim_y_perp) == (1, 0, 1, 1)
+    assert rep.z_basis.shape == (8, 0)
+    assert rep.residual == 0.0
 
 
 def test_adjoint_dimension_split_dense():

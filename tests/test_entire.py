@@ -97,6 +97,46 @@ def test_degree_is_capped_at_64():
     assert coefficients_from_norms(np.ones(200), k_max=0).size == 65
 
 
+def _coefficients_by_loop(r, degree):
+    """The running-max loop ``coefficients_from_norms`` once ran: the reference."""
+    c = np.empty(degree + 1, dtype=np.complex128)
+    c[0] = 1.0
+    running_max, hi = 0.0, 0
+    for i in range(1, degree + 1):
+        top = min(2 * i, r.size - 1)
+        while hi < top:
+            hi += 1
+            running_max = max(running_max, r[hi])
+        c[i] = math.ldexp(1.0, -i) / running_max
+    return c
+
+
+def _norm_sequences(count):
+    rng = np.random.default_rng(2025)
+    for _ in range(count):
+        size = int(rng.integers(2, 140))
+        yield 10.0 ** rng.uniform(-300.0, 300.0, size)
+        # exact ties and one-ulp neighbours, where max and the order of the scan could differ
+        base = 10.0 ** rng.uniform(-5.0, 5.0)
+        yield base * (1.0 + np.finfo(float).eps * rng.integers(-2, 3, size))
+
+
+def test_coefficients_match_the_running_max_loop_bit_for_bit():
+    checked = 0
+    for r in _norm_sequences(150):
+        for k_max in range(4):
+            room = r.size - k_max - 1  # the largest admissible degree
+            if room < 1:
+                continue
+            c = coefficients_from_norms(r, k_max)  # the default degree
+            assert c.tobytes() == _coefficients_by_loop(r, c.size - 1).tobytes()
+            for degree in {1, (room + 1) // 2, room}:
+                c = coefficients_from_norms(r, k_max, degree=degree)
+                assert c.tobytes() == _coefficients_by_loop(r, degree).tobytes()
+            checked += 1
+    assert checked > 1000
+
+
 # ----------------------------------------------------------------------------
 # Picard shift
 

@@ -1,5 +1,7 @@
 """Operator families, weight generators, and orbit computation."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -85,6 +87,37 @@ def test_invalid_construction_is_rejected(family, kwargs):
         build_operator(family, 4, **kwargs)
 
 
+def _donoghue_error_by_loop(weights):
+    """The Python-abs loop the Donoghue rule once ran: its message, or None."""
+    mods = [abs(x) for x in weights]
+    for i in range(len(mods) - 1):
+        if not mods[i + 1] < mods[i]:
+            return ("Donoghue weights must be strictly decreasing in modulus; "
+                    f"|w_{i + 1}| = {mods[i]:.6g} vs |w_{i + 2}| = {mods[i + 1]:.6g}")
+    return None
+
+
+def test_donoghue_rule_matches_python_abs_at_near_ties():
+    rng = np.random.default_rng(3)
+    rejected = 0
+    for _ in range(300):
+        count = int(rng.integers(1, 24))
+        mods = np.sort(rng.uniform(0.1, 2.0, count))[::-1]
+        # a neighbour of equal modulus and another phase: the rounding of |w| decides
+        ties = rng.uniform(size=count) < 0.1
+        mods[1:][ties[1:]] = mods[:-1][ties[1:]]
+        weights = mods * np.exp(2j * np.pi * rng.uniform(size=count))
+        expected = _donoghue_error_by_loop(weights.tolist())
+        try:
+            build_operator(Family.DONOGHUE, count + 1, weights=weights)
+            message = None
+        except ArgumentError as exc:
+            message = str(exc)
+        assert message == expected
+        rejected += expected is not None
+    assert 0 < rejected < 300
+
+
 @pytest.mark.parametrize("weights", [[[0.5, 0.25], [0.125, 0.0625]], 0.5],
                          ids=["two-dimensional", "scalar"])
 def test_weights_that_are_not_one_dimensional_are_rejected(weights):
@@ -122,7 +155,7 @@ def test_dense_spectral_radius_matches_eigvals():
 
 def test_shift_norm_estimate_is_max_weight():
     op = build_operator(Family.FORWARD, 5, weights=[0.5, 2.0, 0.25, 1.0])
-    assert op.norm_estimate() == 2.0
+    assert op.norm_estimate == 2.0
 
 
 def test_dense_norm_estimate_tracks_sigma_max():
@@ -130,7 +163,7 @@ def test_dense_norm_estimate_tracks_sigma_max():
     m = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
     op = build_operator(Family.DENSE, 20, matrix=m)
     sigma = np.linalg.svd(m, compute_uv=False)[0]
-    assert op.norm_estimate() == pytest.approx(sigma, rel=0.05)
+    assert op.norm_estimate == pytest.approx(sigma, rel=0.05)
 
 
 def test_dense_norm_estimate_finds_a_top_vector_orthogonal_to_ones():
@@ -138,7 +171,7 @@ def test_dense_norm_estimate_finds_a_top_vector_orthogonal_to_ones():
     # vector, so power iteration from it would stall at 0.5
     m = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
     op = build_operator(Family.DENSE, 3, matrix=m)
-    assert op.norm_estimate() == pytest.approx(2.0, rel=1e-12)
+    assert op.norm_estimate == pytest.approx(2.0, rel=1e-12)
 
 
 # ----------------------------------------------------------------------------
@@ -157,6 +190,12 @@ def test_factorial_decay_weights_values():
 def test_factorial_decay_underflow_is_rejected():
     with pytest.raises(ArgumentError):
         factorial_decay_weights(200)
+
+
+def test_factorial_decay_weights_end_at_170():
+    assert factorial_decay_weights(171)[-1] == 1.0 / math.factorial(170) > 0.0
+    with pytest.raises(ArgumentError, match="factorial-decay weight 171 underflows to zero"):
+        factorial_decay_weights(172)
 
 
 def test_operator_from_config_explicit_complex_weights():

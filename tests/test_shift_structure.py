@@ -63,7 +63,7 @@ def _shift_point(seed, op):
     """A point z with |z| at least max|w|: cond(z - T) stays below about 2N,
     so two backward-stable solvers agree to a few ulps times N."""
     rng = np.random.default_rng(seed)
-    radius = op.norm_estimate() * rng.uniform(1.0, 3.0)
+    radius = op.norm_estimate * rng.uniform(1.0, 3.0)
     return radius * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import aihs
+from aihs import serialize as ser
 from aihs.cli import main
 from aihs.operators import operator_digest, operator_from_config
 
@@ -74,6 +75,22 @@ def test_certificate_workloads_pass_the_benchmark_gate(tmp_path, capsys, name):
     for cert, tol_audit in zip(wls.certificates(paths), tolerances):
         code = main(["verify", str(cert)])
         wls.check_audit(code, capsys.readouterr().out, tol_audit, wl.expect)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chain_workload_passes_the_benchmark_gate(tmp_path, capsys, seed):
+    # the benchmark audits a transcript by reading it back through aihs.serialize
+    wls = _perfbench("workloads")
+    wl = wls.WORKLOADS["chain-depth10"]
+    cfg = wls.make_config(wl, seed, smoke=True)
+    cfg_path = tmp_path / "chain.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([wl.command, "--config", str(cfg_path), "--out", str(out)])
+    paths = wls.artifact_paths(wl, cfg, out)
+    assert wls.check_produce(wl, code, capsys.readouterr().out, paths) == []
+    wls.check_transcript(ser.decode_value(ser.read_json(paths[0])), wl.expect)
 
 
 # operator.sha256 of each seed-0 certificate the benchmark writes; a
