@@ -124,7 +124,8 @@ def extend_chain(op: OperatorModel, state: ChainState) -> ChainState:
     zs, phis, q = state.zs, state.phis, state.q
 
     with _step(depth + 1):
-        v = op.adjoint_apply(np.ascontiguousarray(phis[:, -1]))  # as in _derive_level
+        # contiguous, as phi_n was when stored alone: BLAS rounds a strided column differently
+        v = op.adjoint_apply(np.ascontiguousarray(phis[:, -1]))
         phi_next = v - phis @ ((zs.conj().T @ v) / np.sum(zs.conj() * phis, axis=0))
         on_y = _project_off(q, phi_next)  # f_{n+1} restricted to Y_n
 

@@ -134,13 +134,12 @@ def adjoint_halfspace(
     """
     q = _check_orthonormal(basis_y, "basis_y")
     f = np.asarray(f_basis, dtype=np.complex128)
-    combined = np.hstack([q, f]) if f.size else q
-    z = null_space(combined.conj().T)
+    z = null_space(np.hstack([q, f]).conj().T)
     image = op.adjoint_apply(z)
     return AdjointReport(
         z_basis=_readonly(z),
         residual=_worst_ratio(q.conj().T @ image, image),
         dim_z=z.shape[1],
         dim_y_perp=op.dim - q.shape[1],
-        dim_f=orthonormal_columns(f).shape[1] if f.size else 0,
+        dim_f=orthonormal_columns(f).shape[1],
     )

@@ -93,7 +93,7 @@ class ResolventSolver:
         return ResolventVector(lam=self.lam, vector=_readonly(h), defect=defect)
 
     def condition_estimate(self) -> float:
-        """cond_2 of the dense ``1/lam - T`` by SVD, for every family; inf when sigma_min is 0."""
+        """sigma_max / sigma_min of the dense ``1/lam - T`` by SVD; inf if that sigma_min is 0."""
         a = np.diag(np.full(self.op.dim, 1.0 / self.lam)) - self.op.matrix
         return float(np.linalg.cond(a))
 

@@ -132,6 +132,14 @@ def test_condition_estimate_matches_svd_on_diagonal_case():
     assert solver.condition_estimate() == pytest.approx(9.0, rel=1e-3)
 
 
+def test_condition_estimate_is_inf_on_an_exactly_singular_dense_matrix():
+    # 1/lam = 0.5 is an exact eigenvalue of this non-diagonal T, and the SVD of
+    # 1/lam - T returns sigma_min exactly 0
+    m = np.array([[0.5, 0.25, 1.0], [0.0, 0.3, 2.0], [0.0, 0.0, 0.7]], dtype=complex)
+    solver = ResolventSolver(build_operator(Family.DENSE, 3, matrix=m), 2.0)
+    assert solver.condition_estimate() == math.inf
+
+
 def test_condition_estimate_close_for_random_matrix():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """One sha256 over everything the benchmark workloads make the CLI write and print.
 
-    python3 tools/output_digest.py [--seeds N]
+    python3 tools/output_digest.py
 
 Run from the root of a source checkout.  For every workload of
-``perfbench/workloads.py``, seeds 0..N-1 (default 6), full and smoke size, it
+``perfbench/workloads.py``, seeds 0..5, full and smoke size, it
 runs the workload's command through ``aihs.cli.main`` in this process, with
 one BLAS thread, then ``aihs verify`` on each certificate it wrote.  One line
 per run gives the exit codes and that run's digest; the last line is ``ALL``
@@ -17,7 +17,6 @@ checked by running this at the parent commit and after it.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -72,13 +71,10 @@ def run_digest(wl: wls.Workload, seed: int, smoke: bool) -> tuple[str, str]:
     return line, h.hexdigest()
 
 
-def main_digest(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=int, default=6, help="seeds 0..N-1 (default 6)")
-    args = parser.parse_args(argv)
+def main_digest() -> int:
     total = hashlib.sha256()
     for wl in wls.WORKLOADS.values():
-        for seed in range(args.seeds):
+        for seed in range(6):
             for smoke in (False, True):
                 line, digest = run_digest(wl, seed, smoke)
                 print(line, flush=True)
