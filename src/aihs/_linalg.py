@@ -8,6 +8,8 @@ span but keeps the SVD/QR honest.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import Tolerances
@@ -123,23 +125,23 @@ def greedy_column_order(a: np.ndarray) -> np.ndarray:
     n = gram.shape[0]
     rows = np.zeros((n, n), dtype=gram.dtype)  # rows of R in pivot order
     residual = np.real(np.diagonal(gram)).copy()  # squared norms off the chosen span
-    order = []
+    order = np.empty(n, dtype=int)
     for k in range(n):
-        j = int(np.argmax(residual))
-        order.append(j)
-        if residual[j] > 0.0:
-            rows[k] = (gram[j] - rows[:k, j].conj() @ rows[:k]) / np.sqrt(residual[j])
+        j = order[k] = residual.argmax()
+        if residual[j] > 0.0:  # math.sqrt rounds as np.sqrt does, at less cost per call
+            rows[k] = (gram[j] - rows[:k, j].conj() @ rows[:k]) / math.sqrt(residual[j])
             residual -= np.abs(rows[k]) ** 2
-        residual[order] = -np.inf  # also after a nan update: the order stays a permutation
-    return np.array(order, dtype=int)
+        residual[order[:k + 1]] = -np.inf  # also after a nan update: the order stays a permutation
+    return order
 
 
-def qr_basis(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis by column-pivoted QR of the column-normalized matrix.
+def qr_basis(unit: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span by column-pivoted QR.
 
-    Columns are ordered as :func:`greedy_column_order` gives and then
-    factored by Householder QR, so a nearly dependent column comes last.
+    Callers pass unit columns (:func:`unit_columns`), so a caller that needs
+    them for more than the basis normalizes once.  Columns are ordered as
+    :func:`greedy_column_order` gives and then factored by Householder QR,
+    so a nearly dependent column comes last.
     """
-    a = unit_columns(a)
-    q, _ = np.linalg.qr(a[:, greedy_column_order(a)])
+    q, _ = np.linalg.qr(unit[:, greedy_column_order(unit)])
     return q

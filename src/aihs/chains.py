@@ -7,7 +7,11 @@ span{phi_1..phi_n}, and every subspace and every chain property comes from
 those n vectors.  Q_n below is an orthonormal basis of span{phi_1..phi_n},
 derived once per level, and P_{Y_n} = I - Q_n Q_n^H is the orthogonal
 projection onto Y_n.  The operator acts only through ``op.apply`` and
-``op.adjoint_apply``, so a step costs O(N n^2) with no N x N matrix.
+``op.adjoint_apply``, with no N x N matrix, and each level runs on the rows
+its vectors reach (``OperatorModel.on_support``): k rows, one past the last
+nonzero row of the z's and phi's plus the row T* moves into, so a step costs
+O(k n^2).  A chain on a weighted shift from e_1 reaches one row per level, so
+k = n + 1 whatever N is; a dense operator keeps k = N.
 
 Each extension pushes the previous functional through the operator and
 projects off the finished directions, f_{n+1} = f_n o T o P_n with P_n the
@@ -26,14 +30,15 @@ the acceptance suite exercises.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .duality import containment_residual
 from .errors import ArgumentError, AssumptionError, ChainTerminated
-from ._linalg import null_space, numerical_rank, qr_basis, svd_rank, unit_columns
-from .operators import Family, OperatorModel, build_operator, _readonly
+from ._linalg import null_space, numerical_rank, qr_basis, svd_rank, unit_columns, used_rows
+from .operators import Family, OperatorModel, build_operator, _readonly, _zero_rows
 
 __all__ = [
     "ChainState",
@@ -72,16 +77,33 @@ class ChainState:
     ``reports[k-1]`` is the property report of levels 1..k (see
     :func:`verify_chain`).  Both are derived once, as :func:`init_chain` and
     :func:`extend_chain` make each level; :func:`verify_chain` reads neither.
+
+    The state holds only the k leading rows of the three arrays that its last
+    level ran on (``_zs``, ``_phis`` and ``_q``; every later row is zero), and
+    ``zs``, ``phis`` and ``q`` pad them to ``dim`` rows on first read.
     """
 
-    zs: np.ndarray
-    phis: np.ndarray
-    q: np.ndarray = field(repr=False)
+    dim: int
+    _zs: np.ndarray = field(repr=False)
+    _phis: np.ndarray = field(repr=False)
+    _q: np.ndarray = field(repr=False)
     reports: tuple = field(repr=False)
 
     @property
     def depth(self) -> int:
-        return self.zs.shape[1]
+        return self._zs.shape[1]
+
+    @functools.cached_property
+    def zs(self) -> np.ndarray:
+        return _zero_rows(self._zs, self.dim)
+
+    @functools.cached_property
+    def phis(self) -> np.ndarray:
+        return _zero_rows(self._phis, self.dim)
+
+    @functools.cached_property
+    def q(self) -> np.ndarray:
+        return _zero_rows(self._q, self.dim)
 
 
 def _project_off(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -99,11 +121,12 @@ def init_chain(op: OperatorModel, z1: np.ndarray | None = None) -> ChainState:
         z1[0] = 1.0
     with _step(1):  # the norm of a huge finite z1 overflows
         z1 = np.asarray(z1, dtype=np.complex128).reshape(-1)
-        if z1.shape[0] != n or not (np.all(np.isfinite(z1)) and np.linalg.norm(z1) > 0):
+        head = z1[:used_rows(z1)]  # every nonzero entry, nan and inf too, lies in these rows
+        if z1.shape[0] != n or not (np.all(np.isfinite(head)) and np.linalg.norm(head) > 0):
             raise ArgumentError("z1 must be a finite nonzero vector of the operator dimension")
-        zs = _readonly(z1[:, None])
-        q, report = _derive_level(op, zs, zs, None)
-    return ChainState(zs=zs, phis=zs, q=q, reports=(report,))
+        # Q_0 has no columns
+        zs, phis, q, report = _derive_level(op, head[:, None], head[:, None], np.zeros((0, 0)))
+    return ChainState(n, zs, phis, q, (report,))
 
 
 def extend_chain(op: OperatorModel, state: ChainState) -> ChainState:
@@ -121,27 +144,28 @@ def extend_chain(op: OperatorModel, state: ChainState) -> ChainState:
     depth = state.depth
     if depth >= op.dim:
         raise ArgumentError("chain is exhausted: Y_n is already trivial")
-    zs, phis, q = state.zs, state.phis, state.q
+    zs, phis, q = state._zs, state._phis, state._q
+    lead = op.leading(len(zs))  # the state's rows hold T* of its vectors
 
     with _step(depth + 1):
         # contiguous, as phi_n was when stored alone: BLAS rounds a strided column differently
-        v = op.adjoint_apply(np.ascontiguousarray(phis[:, -1]))
+        v = lead.adjoint_apply(np.ascontiguousarray(phis[:, -1]))
         phi_next = v - phis @ ((zs.conj().T @ v) / np.sum(zs.conj() * phis, axis=0))
         on_y = _project_off(q, phi_next)  # f_{n+1} restricted to Y_n
 
         norm_on_y = float(np.linalg.norm(on_y))
+        # ||T|| is the whole operator's, not the truncation's
         scale = float(np.linalg.norm(phis[:, -1])) * max(op.norm_estimate, 1e-300)
         if norm_on_y < TOL_CHAIN * scale:
-            resid = containment_residual(op.adjoint_apply(q), q)
+            resid = containment_residual(lead.adjoint_apply(q), q)
             raise ChainTerminated(state, invariance_residual=resid, verified=resid < INVARIANCE_TOL)
 
-        new_zs = _readonly(np.column_stack((zs, on_y / norm_on_y)))
-        new_phis = _readonly(np.column_stack((phis, phi_next)))
-        q_next, level = _derive_level(op, new_zs, new_phis, q)
+        zs, phis, q_next, level = _derive_level(
+            op, np.column_stack((zs, on_y / norm_on_y)), np.column_stack((phis, phi_next)), q)
     bad = {key: level[key] for key in RESIDUAL_KEYS if level[key] >= PROPERTY_TOL}
     if bad or level["biorthogonality_diag_min"] < PROPERTY_TOL:
         raise AssumptionError(f"chain properties degraded at depth {depth + 1}: {bad}")
-    return ChainState(new_zs, new_phis, q_next, state.reports + (_fold(state.reports[-1], level),))
+    return ChainState(op.dim, zs, phis, q_next, state.reports + (_fold(state.reports[-1], level),))
 
 
 def build_chain(op: OperatorModel, depth: int, z1: np.ndarray | None = None) -> ChainState:
@@ -165,19 +189,24 @@ def _step(depth: int):
 
 
 def _derive_level(
-    op: OperatorModel, zs: np.ndarray, phis: np.ndarray, q_prev: np.ndarray | None
-) -> tuple[np.ndarray, dict]:
-    """(Q_k, the properties level k adds to levels 1..k-1); keys as in verify_chain.
+    op: OperatorModel, zs: np.ndarray, phis: np.ndarray, q_prev: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """(z's, phi's, Q_k, the properties level k adds to levels 1..k-1); keys as in verify_chain.
 
-    ``zs`` and ``phis`` are (N, k), columns z_1..z_k and phi_1..phi_k;
-    ``q_prev`` is Q_{k-1}, ``None`` at k = 1.
+    ``zs`` and ``phis`` hold columns z_1..z_k and phi_1..phi_k, and
+    ``q_prev`` is Q_{k-1} (no columns at k = 1), each with at least the rows
+    that hold their nonzero entries.  The level runs on the rows
+    ``op.on_support`` reads off them, and the three arrays it returns hold
+    those rows; ||T|| stays the whole operator's.
     """
     k = zs.shape[1]
+    lead, (zs, phis, q_prev) = op.on_support(zs, phis, q_prev)
     # a prefix view of the state is strided, and BLAS rounds strided operands
     # differently: copies keep verify_chain's levels equal to the walk's
     zs, phis = np.ascontiguousarray(zs), np.ascontiguousarray(phis)
-    q = qr_basis(phis)
-    s = np.linalg.svd(unit_columns(phis), compute_uv=False)
+    unit = unit_columns(phis)
+    q = qr_basis(unit)
+    s = np.linalg.svd(unit, compute_uv=False)
     # bio[i, j] = |f_i(z_j)| / (||phi_i|| ||z_j||); level k adds the last row and column
     norms = np.outer(np.linalg.norm(phis, axis=0), np.linalg.norm(zs, axis=0))
     bio = np.abs(phis.conj().T @ zs) / norms
@@ -194,11 +223,11 @@ def _derive_level(
     if k > 1:
         z_next, phi_next, phi_prev = unit_columns(zs[:, -1:]), phis[:, -1], phis[:, -2]
         out["z_in_previous"] = float(np.linalg.norm(q_prev.conj().T @ z_next))
-        mismatch = _project_off(q_prev, phi_next - op.adjoint_apply(phi_prev))
+        mismatch = _project_off(q_prev, phi_next - lead.adjoint_apply(phi_prev))
         scale = np.linalg.norm(phi_next) + np.linalg.norm(phi_prev) * op.norm_estimate
         out["recurrence_norm"] = float(np.linalg.norm(mismatch) / scale)
-        out["adjoint_map"] = containment_residual(op.adjoint_apply(q_prev), q)
-    return q, out
+        out["adjoint_map"] = containment_residual(lead.adjoint_apply(q_prev), q)
+    return _readonly(zs), _readonly(phis), q, out
 
 
 def _fold(report: dict, level: dict) -> dict:
@@ -228,13 +257,15 @@ def verify_chain(op: OperatorModel, state: ChainState) -> dict:
     smallest singular value of the stacked unit phi's) and codim_exact
     (phi_1..phi_n have numerical rank n at every level, so dim Y_n = N - n).
 
-    Every level is re-derived from ``state.zs`` and ``state.phis`` alone, by
-    the derivation the walk itself ran, so the result equals
-    ``state.reports[-1]`` for a chain that init_chain and extend_chain made.
+    Every level is re-derived from the z's and phi's alone, by the
+    derivation the walk itself ran, on the rows it reads off them, so the
+    result equals ``state.reports[-1]`` for a chain that init_chain and
+    extend_chain made.
     """
-    q, report = _derive_level(op, state.zs[:, :1], state.phis[:, :1], None)
+    zs, phis = state._zs, state._phis
+    *_, q, report = _derive_level(op, zs[:, :1], phis[:, :1], np.zeros((0, 0)))
     for k in range(2, state.depth + 1):
-        q, level = _derive_level(op, state.zs[:, :k], state.phis[:, :k], q)
+        *_, q, level = _derive_level(op, zs[:, :k], phis[:, :k], q)
         report = _fold(report, level)
     return report
 
@@ -262,7 +293,7 @@ def build_non_ai_halfspace_witness(op: OperatorModel, state: ChainState) -> Witn
         raise ArgumentError("need depth >= 2 for at least one even vector")
     pairs = state.depth // 2
     evens = np.ascontiguousarray(state.zs[:, 1 : 2 * pairs : 2])  # z_2, z_4, ..., z_{2 pairs}
-    z_basis = qr_basis(evens)
+    z_basis = qr_basis(unit_columns(evens))
 
     images = op.apply(evens)  # T z_{2k}
     projected = images - z_basis @ (z_basis.conj().T @ images)
@@ -316,7 +347,7 @@ def codim_n_subspace(
         y_basis, e_y = q @ y_sub, q @ e_sub
 
     if np.linalg.norm(e_y) > 0:
-        enlarged = qr_basis(np.hstack([y_basis, e_y[:, None]]))
+        enlarged = qr_basis(unit_columns(np.hstack([y_basis, e_y[:, None]])))
     else:
         enlarged = y_basis
     return y_basis, e_y, containment_residual(op.apply(y_basis), enlarged)

@@ -33,7 +33,7 @@ from .config import Tolerances
 from .duality import containment_residual
 from .entire import DEGREE_CAP, apply_picard_shift, coefficients_from_norms, find_zeros
 from .errors import AihsError, ArgumentError, AssumptionError, SingularResolventError, StageError
-from ._linalg import numerical_rank, qr_basis, smallest_singular_value, unit_columns, used_rows
+from ._linalg import numerical_rank, qr_basis, smallest_singular_value, unit_columns
 from .operators import OperatorModel, OrbitData, compute_orbit, operator_digest, orbit_form, _readonly
 from .resolvent import ResolventSolver, filter_lambda_gap
 
@@ -144,7 +144,7 @@ class HalfSpaceCertificate:
     @functools.cached_property
     def basis(self) -> np.ndarray:
         """Orthonormal basis of Y, ``qr_basis`` of the resolvent vectors."""
-        return _readonly(qr_basis(self.raw_vectors))
+        return _readonly(qr_basis(unit_columns(self.raw_vectors)))
 
     @property
     def construction(self) -> str:
@@ -248,9 +248,9 @@ def _solve_resolvents(
     return np.stack(vectors, axis=1), np.array(kept, dtype=np.complex128), excluded
 
 
-def _independence(vectors: np.ndarray) -> float:
-    """sigma_min of the unit columns; 0 when a column is zero, which ``unit_columns`` drops."""
-    unit = unit_columns(vectors)
+def _independence(unit: np.ndarray, vectors: np.ndarray) -> float:
+    """sigma_min of ``unit``, the unit columns of ``vectors``; 0 when a column of
+    ``vectors`` is zero, which ``unit_columns`` drops."""
     return smallest_singular_value(unit) if unit.shape[1] == vectors.shape[1] else 0.0
 
 
@@ -278,7 +278,8 @@ def compute_metrics(
     A shift moves a row by one, so for the shift families every metric but
     the orbit replay is derived on the k rows up to one past the last nonzero
     row of the raw vectors, the duals and e (read off the arrays, not a stored
-    count), through the k x k truncation of T: the work stops at the zero tail.
+    count), through the k x k truncation of T (``OperatorModel.on_support``):
+    the work stops at the zero tail.  A dense operator keeps all N rows.
     """
     rows = law.orbit_values(k_max, orbit.length)
     # the entire route's references vanish at its zeros, so only the Blaschke route subtracts any
@@ -287,11 +288,9 @@ def compute_metrics(
     replayed = orbit.replay(duals)  # replayed[j, i] = f_j(x_i)
     extension = float(np.max(np.abs(replayed - rows))) / max(float(np.max(np.abs(rows))), 1e-300)
 
-    e = e.reshape(-1, 1)
-    if op.is_nilpotent:
-        k = min(max(used_rows(raw_vectors), used_rows(duals), used_rows(e), 1) + 1, op.dim)
-        op, e, raw_vectors, duals = op.leading(k), e[:k], raw_vectors[:k], duals[:k]
-    basis = qr_basis(raw_vectors)
+    op, (e, raw_vectors, duals) = op.on_support(e.reshape(-1, 1), raw_vectors, duals)
+    unit = unit_columns(raw_vectors)
+    basis = qr_basis(unit)
     with_e = np.hstack([basis, e])
     moved = op.apply(basis)
 
@@ -302,13 +301,13 @@ def compute_metrics(
     metrics = {
         "construction": law.construction,
         "lambda_set": [complex(z) for z in lambdas],
-        "independence_sigma_min": _independence(raw_vectors),
+        "independence_sigma_min": _independence(unit, raw_vectors),
         "ai_defect_rank": (numerical_rank(np.hstack([moved, with_e]), rtol=tol.tol_rank)
                            - numerical_rank(with_e, rtol=tol.tol_rank)),
-        "ai_residual": float(containment_residual(moved, qr_basis(with_e))),
+        "ai_residual": float(containment_residual(moved, qr_basis(unit_columns(with_e)))),
         "max_annihilation_residual": float(np.max(np.abs(inner))) / scale,
         "annihilation_scale": float(scale),
-        "functional_independence_sigma_min": _independence(duals),
+        "functional_independence_sigma_min": _independence(unit_columns(duals), duals),
         "extension_residual_max": extension,
     }
     thresholds = {name: getattr(tol, key) if key else 1 for name, (key, _) in _CHECKS.items()}

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import _as_complex, _complex_entries
 from .errors import ArgumentError, MinimalityError
-from ._linalg import min_norm_dual
+from ._linalg import min_norm_dual, used_rows
 
 __all__ = [
     "Family",
@@ -69,6 +69,14 @@ class Family(str, enum.Enum):
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.complex128, copy=True)
+    out.setflags(write=False)
+    return out
+
+
+def _zero_rows(a: np.ndarray, rows: int) -> np.ndarray:
+    """``a`` with zero rows appended up to ``rows`` rows, as a read-only complex copy."""
+    out = np.zeros((rows,) + a.shape[1:], dtype=np.complex128)
+    out[:len(a)] = a
     out.setflags(write=False)
     return out
 
@@ -198,8 +206,24 @@ class OperatorModel:
 
     def leading(self, k: int) -> OperatorModel:
         """The ``k x k`` principal truncation of a shift family (``2 <= k <= dim``);
-        on vectors that vanish past row ``k - 2`` it acts as ``T`` on their leading rows."""
-        return OperatorModel(self.family, k, self._array[:k - 1])
+        on vectors that vanish past row ``k - 2`` it acts as ``T`` on their leading rows.
+        ``k = dim`` gives the operator itself, the one truncation a dense operator has."""
+        return self if k == self.dim else OperatorModel(self.family, k, self._array[:k - 1])
+
+    def on_support(self, *arrays: np.ndarray) -> tuple[OperatorModel, list[np.ndarray]]:
+        """``leading(k)``, and each array cut to its first ``k`` rows or zero-padded to them.
+
+        k is read off the arrays: one past the last row in which any of them
+        holds a nonzero entry (:func:`~aihs._linalg.used_rows`), plus one for
+        the row a shift moves that entry into, capped at ``dim``.  ``T`` and
+        ``T*`` then map the columns into the first k rows, and ``leading(k)``
+        gives those rows.  A dense operator reaches every row, so there
+        k = dim and the operator is itself.
+        """
+        k = self.dim
+        if self.family is not Family.DENSE:
+            k = min(max(1, *map(used_rows, arrays)) + 1, self.dim)
+        return self.leading(k), [a[:k] if len(a) >= k else _zero_rows(a, k) for a in arrays]
 
     @property
     def is_nilpotent(self) -> bool:

@@ -114,7 +114,7 @@ def test_verify_chain_detects_tampering():
     op = dense_op(a)
     state = build_chain(op, 4)
     tampered = dataclasses.replace(
-        state, zs=np.column_stack((state.zs[:, :-1], rng.standard_normal(12) + 0j))
+        state, _zs=np.column_stack((state.zs[:, :-1], rng.standard_normal(12) + 0j))
     )
     report = verify_chain(op, tampered)
     assert max(report[k] for k in RESIDUAL_KEYS) > 1e-4
@@ -127,7 +127,7 @@ def test_verify_chain_reads_only_the_vectors():
     op = dense_op(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
     state = build_chain(op, 5)
     garbage = dataclasses.replace(
-        state, q=np.full_like(state.q, np.nan), reports=({"bogus": -1.0},) * state.depth
+        state, _q=np.full_like(state._q, np.nan), reports=({"bogus": -1.0},) * state.depth
     )
     assert verify_chain(op, garbage) == verify_chain(op, state) == state.reports[-1]
 
