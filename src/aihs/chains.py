@@ -5,13 +5,18 @@ dual vectors (f(x) = phi^H x).  The nested subspaces are never stored: Y_n is
 the joint kernel of f_1..f_n, so its annihilator Y_n^perp is
 span{phi_1..phi_n}, and every subspace and every chain property comes from
 those n vectors.  Q_n below is an orthonormal basis of span{phi_1..phi_n},
-derived once per level, and P_{Y_n} = I - Q_n Q_n^H is the orthogonal
-projection onto Y_n.  The operator acts only through ``op.apply`` and
-``op.adjoint_apply``, with no N x N matrix, and each level runs on the rows
-its vectors reach (``OperatorModel.on_support``): k rows, one past the last
-nonzero row of the z's and phi's plus the row T* moves into, so a step costs
-O(k n^2).  A chain on a weighted shift from e_1 reaches one row per level, so
-k = n + 1 whatever N is; a dense operator keeps k = N.
+and P_{Y_n} = I - Q_n Q_n^H is the orthogonal projection onto Y_n.  Each
+level grows it by one column, Q_n = [Q_{n-1}, u / ||u||] with u the unit
+phi_n projected off Q_{n-1} twice (Gram-Schmidt; twice is enough, Giraud,
+Langou and Rozloznik 2005), so no level re-factors phi_1..phi_n.  The
+operator acts only through ``op.apply`` and ``op.adjoint_apply``, with no
+N x N matrix, and each level runs on the rows its vectors reach
+(``OperatorModel.on_support``): k rows, one past the last nonzero row of the
+z's and phi's plus the row T* moves into.  The basis then costs O(k n) per
+level; the level's SVD of the n unit phi's and its adjoint_map check of
+T* Q_{n-1} against Q_n cost O(k n^2).  A chain on a weighted shift from e_1
+reaches one row per level, so k = n + 1 whatever N is; a dense operator
+keeps k = N.
 
 Each extension pushes the previous functional through the operator and
 projects off the finished directions, f_{n+1} = f_n o T o P_n with P_n the
@@ -76,7 +81,8 @@ class ChainState:
     stored.  ``q`` is Q_n, the orthonormal basis of span{phi_1..phi_n}, and
     ``reports[k-1]`` is the property report of levels 1..k (see
     :func:`verify_chain`).  Both are derived once, as :func:`init_chain` and
-    :func:`extend_chain` make each level; :func:`verify_chain` reads neither.
+    :func:`extend_chain` make each level, Q_n as Q_{n-1} and one column;
+    :func:`verify_chain` reads neither.
 
     The state holds only the k leading rows of the three arrays that its last
     level ran on (``_zs``, ``_phis`` and ``_q``; every later row is zero), and
@@ -108,9 +114,20 @@ class ChainState:
 
 def _project_off(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(I - Q Q^H) v, applied twice so the result is orthogonal to Q to working precision."""
+    q_h = q.conj().T
     for _ in range(2):
-        v = v - q @ (q.conj().T @ v)
+        v = v - q @ (q_h @ v)
     return v
+
+
+def _extend_basis(q: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """[Q, u / ||u||] with u the unit vector ``unit`` projected off Q (Gram-Schmidt, twice).
+
+    A ``unit`` inside span Q leaves u = 0 and adds a zero column, so the span
+    stays as it is and nothing is divided by zero.
+    """
+    u = _project_off(q, unit)
+    return np.column_stack((q, u / (np.linalg.norm(u) or 1.0)))
 
 
 def init_chain(op: OperatorModel, z1: np.ndarray | None = None) -> ChainState:
@@ -148,8 +165,7 @@ def extend_chain(op: OperatorModel, state: ChainState) -> ChainState:
     lead = op.leading(len(zs))  # the state's rows hold T* of its vectors
 
     with _step(depth + 1):
-        # contiguous, as phi_n was when stored alone: BLAS rounds a strided column differently
-        v = lead.adjoint_apply(np.ascontiguousarray(phis[:, -1]))
+        v = lead.adjoint_apply(phis[:, -1])
         phi_next = v - phis @ ((zs.conj().T @ v) / np.sum(zs.conj() * phis, axis=0))
         on_y = _project_off(q, phi_next)  # f_{n+1} restricted to Y_n
 
@@ -201,30 +217,30 @@ def _derive_level(
     """
     k = zs.shape[1]
     lead, (zs, phis, q_prev) = op.on_support(zs, phis, q_prev)
-    # a prefix view of the state is strided, and BLAS rounds strided operands
-    # differently: copies keep verify_chain's levels equal to the walk's
+    # a prefix view of verify_chain's state is strided, and BLAS rounds strided
+    # operands differently: copies keep its levels equal to the walk's in every
+    # product here, not only in the operator applications
     zs, phis = np.ascontiguousarray(zs), np.ascontiguousarray(phis)
-    unit = unit_columns(phis)
-    q = qr_basis(unit)
+    phi_norms, z_norms = np.linalg.norm(phis, axis=0), np.linalg.norm(zs, axis=0)
+    unit = phis / phi_norms
+    q = _extend_basis(q_prev, unit[:, -1])
     s = np.linalg.svd(unit, compute_uv=False)
-    # bio[i, j] = |f_i(z_j)| / (||phi_i|| ||z_j||); level k adds the last row and column
-    norms = np.outer(np.linalg.norm(phis, axis=0), np.linalg.norm(zs, axis=0))
-    bio = np.abs(phis.conj().T @ zs) / norms
-    off = np.concatenate([bio[-1, :-1], bio[:-1, -1]])
+    # |f_i(z_j)| / (||phi_i|| ||z_j||): level k adds row i = k and column j = k
+    row = np.abs(phis[:, -1].conj() @ zs) / (phi_norms[-1] * z_norms)
+    col = np.abs(phis[:, :-1].conj().T @ zs[:, -1]) / (phi_norms[:-1] * z_norms[-1])
     out = {
         "z_in_previous": 0.0,
         "recurrence_norm": 0.0,
         "adjoint_map": 0.0,
-        "biorthogonality_off": float(np.max(off, initial=0.0)),
-        "biorthogonality_diag_min": float(bio[-1, -1]),
+        "biorthogonality_off": float(np.max(np.concatenate([row[:-1], col]), initial=0.0)),
+        "biorthogonality_diag_min": float(row[-1]),
         "functional_sigma_min": float(s[-1]),
         "codim_exact": svd_rank(s) == k,
     }
     if k > 1:
-        z_next, phi_next, phi_prev = unit_columns(zs[:, -1:]), phis[:, -1], phis[:, -2]
-        out["z_in_previous"] = float(np.linalg.norm(q_prev.conj().T @ z_next))
-        mismatch = _project_off(q_prev, phi_next - lead.adjoint_apply(phi_prev))
-        scale = np.linalg.norm(phi_next) + np.linalg.norm(phi_prev) * op.norm_estimate
+        out["z_in_previous"] = float(np.linalg.norm(q_prev.conj().T @ zs[:, -1]) / z_norms[-1])
+        mismatch = _project_off(q_prev, phis[:, -1] - lead.adjoint_apply(phis[:, -2]))
+        scale = phi_norms[-1] + phi_norms[-2] * op.norm_estimate
         out["recurrence_norm"] = float(np.linalg.norm(mismatch) / scale)
         out["adjoint_map"] = containment_residual(lead.adjoint_apply(q_prev), q)
     return _readonly(zs), _readonly(phis), q, out
@@ -292,7 +308,7 @@ def build_non_ai_halfspace_witness(op: OperatorModel, state: ChainState) -> Witn
     if state.depth < 2:
         raise ArgumentError("need depth >= 2 for at least one even vector")
     pairs = state.depth // 2
-    evens = np.ascontiguousarray(state.zs[:, 1 : 2 * pairs : 2])  # z_2, z_4, ..., z_{2 pairs}
+    evens = state.zs[:, 1 : 2 * pairs : 2]  # z_2, z_4, ..., z_{2 pairs}
     z_basis = qr_basis(unit_columns(evens))
 
     images = op.apply(evens)  # T z_{2k}

@@ -122,9 +122,8 @@ class OperatorModel:
         m.setflags(write=False)
         return m
 
-    def _shift(self, vec: np.ndarray, down: bool, conj: bool) -> np.ndarray:
-        """Weighted one-step move of the entries, down or up the index."""
-        x = np.asarray(vec, dtype=np.complex128)
+    def _shift(self, x: np.ndarray, down: bool, conj: bool) -> np.ndarray:
+        """Weighted one-step move of the entries of the complex ``x``, down or up the index."""
         w = self._array.reshape((-1,) + (1,) * (x.ndim - 1))
         if conj:
             w = w.conj()
@@ -138,15 +137,22 @@ class OperatorModel:
         return out
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """``T vec`` for one vector or a ``(dim, k)`` block of columns."""
+        """``T vec`` for one vector or a ``(dim, k)`` block of columns.
+
+        The operand is taken C-contiguous: BLAS rounds a strided column or a
+        Fortran-ordered block differently, and the result must not depend on
+        the layout of the same numbers.
+        """
+        vec = np.ascontiguousarray(vec, dtype=np.complex128)
         if self.family is Family.DENSE:
-            return self._array @ np.asarray(vec, dtype=np.complex128)
+            return self._array @ vec
         return self._shift(vec, down=self.family is Family.FORWARD, conj=False)
 
     def adjoint_apply(self, vec: np.ndarray) -> np.ndarray:
-        """``T* vec`` for one vector or a ``(dim, k)`` block of columns."""
+        """``T* vec`` for one vector or a ``(dim, k)`` block, taken C-contiguous as in ``apply``."""
+        vec = np.ascontiguousarray(vec, dtype=np.complex128)
         if self.family is Family.DENSE:
-            return self._array.conj().T @ np.asarray(vec, dtype=np.complex128)
+            return self._array.conj().T @ vec
         return self._shift(vec, down=self.family is Family.DONOGHUE, conj=True)
 
     def shifted_solver(self, z: complex):

@@ -44,7 +44,6 @@ __all__ = [
     "dumps_canonical",
     "write_json",
     "read_json",
-    "certificate_to_document",
     "certificate_from_document",
     "write_certificate",
     "read_certificate",
@@ -381,11 +380,6 @@ def _certificate_text(cert: HalfSpaceCertificate) -> str:
         # config echo is the user's own JSON, kept verbatim (decimals and all)
         "config_echo": cert.config_echo,
     })
-
-
-def certificate_to_document(cert: HalfSpaceCertificate) -> dict:
-    """The document of the certificate's written text (so the two cannot differ)."""
-    return json.loads(_certificate_text(cert))
 
 
 def _shaped(doc: dict, name: str, shape: tuple) -> np.ndarray:

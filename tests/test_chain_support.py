@@ -6,15 +6,16 @@ phi_n of a chain from e_1 vanish past row n.  ``extend_chain``,
 ``OperatorModel.on_support`` reads off the arrays, through the k x k
 truncation of T; only ||T|| stays the whole operator's.  These tests hold the
 reports to their bits at every N, bound the rows every operator product,
-QR, SVD and norm sees, and check that ||T|| is not the truncation's.
+QR, SVD and norm sees, check that no level runs a pivoted QR, and check
+that ||T|| is not the truncation's.
 """
 
 import numpy as np
 import pytest
 
-from aihs import chains
+from aihs import _linalg, chains
 from aihs._linalg import used_rows
-from aihs.chains import build_chain, verify_chain
+from aihs.chains import build_chain, build_non_ai_halfspace_witness, verify_chain
 from aihs.errors import ChainTerminated
 from aihs.operators import Family, OperatorModel, build_operator, geometric_weights
 
@@ -66,6 +67,28 @@ def test_work_is_bounded_by_the_support(monkeypatch, dim):
     assert report == state.reports[-1] and state.depth == DEPTH
     assert len(spy.rows) > 10 * DEPTH
     assert max(spy.rows) == DEPTH + 1  # depth 10 reaches row 10, and T* moves into row 11
+
+
+def test_levels_grow_q_without_a_qr(monkeypatch):
+    # each level appends one Gram-Schmidt column to Q_{n-1}: neither the walk
+    # nor the audit orders or factors the phi's by a pivoted QR
+    op = _donoghue(256)
+    calls = []
+    with monkeypatch.context() as patch:
+        for module, name in ((_linalg, "greedy_column_order"), (np.linalg, "qr")):
+            original = getattr(module, name)
+
+            def counted(*args, name=name, original=original, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            patch.setattr(module, name, counted)
+        state = build_chain(op, 30)
+        report = verify_chain(op, state)
+        assert state.depth == 30 and report == state.reports[-1]
+        assert calls == []
+        build_non_ai_halfspace_witness(op, state)  # the witness's basis still takes one
+        assert calls == ["greedy_column_order", "qr"]
 
 
 def _forward_pair(big: float) -> tuple[OperatorModel, OperatorModel]:

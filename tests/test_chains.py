@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from aihs.chains import (
 from aihs.duality import containment_residual
 from aihs.errors import ArgumentError, ChainTerminated
 from aihs.operators import Family, build_operator
-from aihs._linalg import null_space, qr_basis
+from aihs._linalg import null_space, qr_basis, unit_columns
 
 RESIDUAL_KEYS = ("z_in_previous", "recurrence_norm", "adjoint_map", "biorthogonality_off")
 
@@ -130,6 +132,62 @@ def test_verify_chain_reads_only_the_vectors():
         state, _q=np.full_like(state._q, np.nan), reports=({"bogus": -1.0},) * state.depth
     )
     assert verify_chain(op, garbage) == verify_chain(op, state) == state.reports[-1]
+
+
+def _random_walk(seed: int) -> tuple:
+    """(operator, the states of depth 1..d) of a seeded random chain from a random complex seed.
+
+    Dense, Donoghue and forward operators in turn, N = 12..80; the shifts
+    take weights of falling modulus (as Donoghue needs) and random phases.
+    The walk stops at depth 10 or where it terminates.
+    """
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(12, 81))
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    family = (Family.DENSE, Family.DONOGHUE, Family.FORWARD)[seed % 3]
+    if family is Family.DENSE:
+        op = dense_op(cplx(dim, dim))
+    else:
+        moduli = np.sort(rng.uniform(0.5, 2.0, dim - 1))[::-1]
+        op = build_operator(family, dim, weights=moduli * np.exp(2j * np.pi * rng.random(dim - 1)))
+    states = [init_chain(op, z1=cplx(dim))]
+    with contextlib.suppress(ChainTerminated):
+        while states[-1].depth < 10:
+            states.append(extend_chain(op, states[-1]))
+    return op, states
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_grown_basis_spans_the_functionals(seed):
+    # Q_k grows by one Gram-Schmidt column per level; it must span what a
+    # pivoted QR of the unit phi_1..phi_k spans, and keep Q_{k-1} as its prefix
+    op, states = _random_walk(seed)
+    assert len(states) >= 2
+    for state in states:
+        k = state.depth
+        q = state.q
+        assert np.allclose(q.conj().T @ q, np.eye(k), rtol=0.0, atol=1e-12)
+        reference = qr_basis(unit_columns(state.phis))
+        cosines = np.linalg.svd(q.conj().T @ reference, compute_uv=False)
+        assert cosines.min() >= 1.0 - 1e-12
+        assert verify_chain(op, state) == state.reports[-1]
+    for shorter, longer in zip(states, states[1:]):
+        assert np.array_equal(longer.q[:, :-1], shorter.q)
+
+
+def test_functional_inside_the_span_gives_a_finite_report():
+    # phi_3 := phi_2 leaves nothing of phi_3 off Q_2: the grown column is zero,
+    # divided by nothing, and the report flags the lost rank
+    op = build_operator(Family.DONOGHUE, 64, weights=0.995 ** np.arange(1, 64))
+    state = build_chain(op, 5)
+    phis = state._phis.copy()
+    phis[:, 2] = phis[:, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_chain(op, dataclasses.replace(state, _phis=phis))
+    assert all(np.isfinite(report[key]) for key in report)
+    assert report["codim_exact"] is False
+    assert report["functional_sigma_min"] == 0.0
 
 
 def test_witness_forward_shift_oracle():

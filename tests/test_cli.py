@@ -845,14 +845,14 @@ def test_chain_transcript_records_properties(tmp_path):
 )
 def test_chain_transcript_folds_each_level_once(tmp_path, monkeypatch, operator, seed_index, branch):
     # the transcript at depth n is the worst value over levels 1..n; the
-    # walk derives each level's report and Q_n once, and the transcript
-    # writes the walk's own reports
+    # walk derives each level's report once and grows Q_n by one column per
+    # level, and the transcript writes the walk's own reports
     depth = 10
     cfg = _write(tmp_path / "chain.json", {
         "schema": "aihs-chain/1", "operator": operator, "depth": depth,
         "seed_vector": {"kind": "basis", "index": seed_index}, "label": "chain",
     })
-    calls = {"_derive_level": 0, "qr_basis": 0}
+    calls = {"_derive_level": 0, "_extend_basis": 0}
 
     def counted(name, original):
         def wrapper(*args):
@@ -867,7 +867,7 @@ def test_chain_transcript_folds_each_level_once(tmp_path, monkeypatch, operator,
     doc = ser.decode_value(ser.read_json(tmp_path / "chain.transcript.json"))
     assert doc["outcome"]["branch"] == branch
     reached = doc["outcome"]["depth_reached"]
-    assert calls == {"_derive_level": reached, "qr_basis": reached}
+    assert calls == {"_derive_level": reached, "_extend_basis": reached}
     assert reached <= depth
 
     op = operator_from_config(operator)

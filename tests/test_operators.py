@@ -317,3 +317,23 @@ def test_max_orbit_length_counts_live_vectors():
     op = build_operator(Family.FORWARD, 8, weights=geometric_weights(8, 0.5))
     assert max_orbit_length(op, basis(8, 0), cap=20) == 8
     assert max_orbit_length(op, basis(8, 0), cap=3) == 3
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_products_do_not_depend_on_the_operand_layout(family):
+    # BLAS rounds a strided column or a Fortran-ordered block differently from
+    # a contiguous one; apply and adjoint_apply take the same numbers the same way
+    rng = np.random.default_rng(3)
+    dim = 30
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if family is Family.DENSE:
+        op = build_operator(family, dim, matrix=cplx(dim, dim))
+    else:
+        op = build_operator(family, dim, weights=np.linspace(2.0, 1.0, dim - 1)
+                             * np.exp(2j * np.pi * rng.random(dim - 1)))
+    block = cplx(dim, 7)
+    for product in (op.apply, op.adjoint_apply):
+        for j in range(block.shape[1]):
+            assert np.array_equal(product(block[:, j]), product(block[:, j].copy()))
+        fortran = np.asfortranarray(block)
+        assert np.array_equal(product(fortran), product(block))
