@@ -362,8 +362,5 @@ def codim_n_subspace(
         y_sub, e_sub, _ = codim_n_subspace(restricted, n - depth)
         y_basis, e_y = q @ y_sub, q @ e_sub
 
-    if np.linalg.norm(e_y) > 0:
-        enlarged = qr_basis(unit_columns(np.hstack([y_basis, e_y[:, None]])))
-    else:
-        enlarged = y_basis
+    enlarged = _extend_basis(y_basis, e_y / (np.linalg.norm(e_y) or 1.0))
     return y_basis, e_y, containment_residual(op.apply(y_basis), enlarged)

@@ -184,6 +184,21 @@ def _judge(metrics: dict, thresholds: dict) -> dict:
     }
 
 
+def _drift(stored, derived) -> float:
+    """|stored - derived| / max(|stored|, |derived|, 1): relative, or absolute below 1."""
+    return abs(stored - derived) / max(abs(stored), abs(derived), 1.0)
+
+
+def _agrees(stored, derived, tol: float) -> bool:
+    """The audit's one agreement rule: a derived float within ``tol`` by :func:`_drift`
+    (so a nan never agrees), a dict on the derived dict's keys, anything else exactly."""
+    if isinstance(derived, dict):
+        return all(_agrees(stored[key], value, tol) for key, value in derived.items())
+    if isinstance(derived, float):
+        return _drift(stored, derived) <= tol
+    return stored == derived
+
+
 @contextlib.contextmanager
 def _stage(name: str):
     try:
@@ -484,21 +499,15 @@ def verify_certificate(
 ) -> dict:
     """From-scratch audit: derive everything from the stored inputs and diff against stored.
 
-    Re-solves the resolvent vectors and walks the orbit in its form, whose
-    length must be the stored one, then derives the rest with
-    :func:`compute_metrics`.
-    Each stored metric must agree within ``tol_audit``, each stored check
-    must carry the verdict its derived value earns against its stored
-    threshold, and each derived value must pass the audit's own thresholds.
-    On the Blaschke route the hypothesis block is derived as the build
-    derives it: the spectral-radius estimate, and the norm sum over the
-    orbit's biorthogonal norms (free on a coordinate orbit, one factor on a
-    dense one) with the flags it earns against the stored cap.  Each stored
-    float must agree within ``tol_audit`` and every other value exactly, and
-    the derived radius must pass the audit's own ``spectral_radius_slack``.
-    Returns per-metric stored/recomputed/diff entries, ``passed`` and
-    ``hypothesis_unverified``: the derived sum against the stored cap or the
-    audit's own, whichever flags.
+    Re-solves the resolvent vectors, walks the orbit in its form (its length
+    must be the stored one) and derives the rest with :func:`compute_metrics`
+    and, on the Blaschke route, :func:`_blaschke_hypothesis`.  The stored
+    metrics, check values and verdicts, and hypothesis must agree with the
+    derived ones by :func:`_agrees`, the raw vectors column by column at each
+    column's own scale, and every derived value must pass the audit's own
+    thresholds.  Returns per-metric stored/recomputed/diff entries,
+    ``failures``, ``passed`` and ``hypothesis_unverified``: the derived sum
+    against the stored cap or the audit's own, whichever flags.
     """
     tol = tolerances or Tolerances()
     with _stage("audit"):
@@ -519,45 +528,34 @@ def verify_certificate(
         earned = (_blaschke_hypothesis(op, orbit, cert.hypothesis["norm_sum_cap"])
                   if isinstance(cert.law, BlaschkeLaw) else None)
 
-    def drift(stored, recomputed) -> float:
-        return abs(stored - recomputed) / max(abs(stored), abs(recomputed), 1.0)
-
     # the stored raw vectors must reproduce from the operator and stored lambdas,
     # each at its own scale: the columns span many orders of magnitude
     scale = np.maximum(np.max(np.abs(cert.raw_vectors), axis=0), 1e-300)
     raw_drift = float(np.max(np.max(np.abs(raw - cert.raw_vectors), axis=0) / scale))
     failures = [] if raw_drift <= tol.tol_audit else ["raw_vectors"]
-    report: dict = {"metrics": {}, "raw_vector_drift": raw_drift, "failures": failures}
-    for name, recomputed in metrics.items():
-        stored = cert.metrics[name]
-        if isinstance(recomputed, (str, list)):  # construction, lambda_set
-            if stored != recomputed:
-                failures.append(name)
-            continue
-        diff = drift(stored, recomputed)
-        agrees, passed = diff <= tol.tol_audit, checks.get(name, {"passed": True})["passed"]
-        report["metrics"][name] = {"stored": stored, "recomputed": recomputed,
-                                   "relative_diff": diff, "agrees": agrees,
-                                   "threshold_passed": passed}
-        if not agrees:
-            failures.append(name)
-        if not passed:
-            failures.append(f"{name}:threshold")
-    claimed = _judge(metrics, {name: cert.checks[name]["threshold"] for name in _CHECKS})
-    for name, check in claimed.items():
-        stored = cert.checks[name]
-        if (stored["passed"] != check["passed"]
-                or not drift(stored["value"], check["value"]) <= tol.tol_audit):
-            failures.append(f"checks.{name}")
+    # a stored threshold is an input of its check: only its value and verdict are derived
+    thresholds = {name: cert.checks[name]["threshold"] for name in _CHECKS}
+    claimed = {name: {"value": check["value"], "passed": check["passed"]}
+               for name, check in _judge(metrics, thresholds).items()}
+    own_failed = {name for name, check in checks.items() if not check["passed"]}
+    sections = [("", cert.metrics, metrics, own_failed), ("checks.", cert.checks, claimed, ())]
     if earned is not None:
-        for key, value in earned.items():
-            stored = cert.hypothesis[key]
-            if not (drift(stored, value) <= tol.tol_audit if isinstance(value, float)
-                    else stored == value):
-                failures.append(f"hypothesis.{key}")
-        if earned["spectral_radius_estimate"] > 1.0 + tol.spectral_radius_slack:
-            failures.append("hypothesis.spectral_radius_estimate:threshold")
-    report["hypothesis_unverified"] = earned is not None and (
-        earned["unverified"] or not earned["norm_sum_partial"] <= tol.blaschke_norm_cap)
-    report["passed"] = not failures
-    return report
+        sections.append(("hypothesis.", cert.hypothesis, earned, ()))
+    for prefix, stored, derived, unmet in sections:
+        for name, value in derived.items():
+            if not _agrees(stored[name], value, tol.tol_audit):
+                failures.append(prefix + name)
+            if name in unmet:
+                failures.append(f"{prefix}{name}:threshold")
+    # the radius bound is named after every hypothesis entry, not next to its own
+    if earned is not None and earned["spectral_radius_estimate"] > 1.0 + tol.spectral_radius_slack:
+        failures.append("hypothesis.spectral_radius_estimate:threshold")
+    entries = {name: {"stored": cert.metrics[name], "recomputed": value,
+                      "relative_diff": _drift(cert.metrics[name], value),
+                      "agrees": name not in failures,
+                      "threshold_passed": f"{name}:threshold" not in failures}
+               for name, value in metrics.items() if name not in ("construction", "lambda_set")}
+    return {"metrics": entries, "raw_vector_drift": raw_drift, "failures": failures,
+            "hypothesis_unverified": earned is not None and (
+                earned["unverified"] or not earned["norm_sum_partial"] <= tol.blaschke_norm_cap),
+            "passed": not failures}

@@ -5,6 +5,7 @@ rest.  Every mutation of a field the audit reads or re-derives must make it
 exit 1, and every malformed document must exit 1 with one line on stderr.
 """
 
+import argparse
 import copy
 import json
 import math
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aihs import halfspace, operators
+from aihs import cli, halfspace, operators
 from aihs import serialize as ser
 from aihs.cli import main
-from aihs.halfspace import _CHECKS
+from aihs.config import Tolerances
+from aihs.halfspace import _CHECKS, _agrees
 from aihs.operators import (
     ORBIT_NORM_FLOOR,
     Family,
@@ -370,6 +372,132 @@ def test_verify_rejects_tampered_field(docs, capsys, route, name, mutate):
     capsys.readouterr()
     assert _verify(doc, path) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+# --- the agreement rule: a float within tol_audit, anything else exactly ----------
+
+TOL = Tolerances().tol_audit  # 1e-10
+
+
+@pytest.mark.parametrize("stored, derived, agrees", [
+    (0.5 + 1e-11, 0.5, True),  # below 1 the difference is absolute
+    (0.5 + 2e-10, 0.5, False),
+    (1e-30, 0.0, True),
+    (1e6 + 1e-5, 1e6, True),  # above 1 it is relative
+    (1e6 * (1 + 2e-10), 1e6, False),
+    (math.nan, 0.5, False),
+    (0.5, math.nan, False),
+    (math.nan, math.nan, False),
+    (-0.0, 0.0, True),
+    (math.inf, math.inf, False),
+], ids=["below-1-agrees", "below-1-differs", "tiny-absolute", "above-1-relative",
+        "above-1-differs", "nan-stored", "nan-derived", "nan-both", "signed-zero", "inf"])
+def test_a_float_agrees_within_the_drift_rule(stored, derived, agrees):
+    assert _agrees(stored, derived, TOL) is agrees
+
+
+@pytest.mark.parametrize("stored, derived, agrees", [
+    (3, 3, True),
+    (10**10 + 1, 10**10, False),  # the drift rule would let this pass
+    (1e-12, 0, False),
+    (True, True, True),
+    (False, True, False),
+    ("Entire", "Entire", True),
+    ("Blaschke", "Entire", False),
+    ([1 + 2j], [1 + 2j], True),
+    ([1.0 + 1e-12], [1.0], False),
+    (["functional-norm-sum-exceeds-cap"], [], False),
+], ids=["int", "large-int", "float-against-int", "bool", "bool-differs", "str", "str-differs",
+        "list", "list-differs-by-round-off", "list-differs"])
+def test_every_other_value_agrees_exactly(stored, derived, agrees):
+    assert _agrees(stored, derived, TOL) is agrees
+
+
+def test_a_dict_agrees_on_the_derived_keys():
+    stored = {"value": 0.5 + 1e-11, "threshold": math.nan, "passed": True}
+    assert _agrees(stored, {"value": 0.5, "passed": True}, TOL)
+    assert not _agrees(stored, {"value": 0.5, "passed": False}, TOL)
+    assert not _agrees(stored, {"value": 0.6, "passed": True}, TOL)
+
+
+# --- the audit's failure list: which names, in which order ---------------------
+
+
+def _failures(doc, path) -> list:
+    """``report["failures"]`` of the audit of ``doc``, with the operator ``verify`` rebuilds."""
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cert = ser.read_certificate(path)
+    op = cli._operator_for_certificate(cert, argparse.Namespace(config=None, seed=None))
+    return halfspace.verify_certificate(op, cert)["failures"]
+
+
+def metric_with_its_check(doc):
+    """ai_residual claimed as 1.0 in the metrics and in its check, with the verdict it earns."""
+    doc["metrics"]["ai_residual"] = (1.0).hex()
+    doc["checks"]["ai_residual"].update(value=(1.0).hex(), passed=False)
+
+
+def _hypothesis(key, value):
+    def mutate(doc):
+        doc["hypothesis"][key] = value
+    return mutate
+
+
+def tiny_norm_sum_cap(doc):
+    """A cap the stored sum exceeds: the derived flag is raised, the stored one is not."""
+    doc["hypothesis"]["norm_sum_cap"] = (1e-30).hex()
+
+
+def every_section(doc):
+    raw_vector_entry(doc)
+    _metric("ai_residual")(doc)
+    _flip("extension_residual_max")(doc)
+    scaled_norm_sum(doc)
+
+
+def _unmet_threshold(threshold):
+    """ai_residual's check failed against a stored threshold no residual meets."""
+    def mutate(doc):
+        doc["checks"]["ai_residual"].update(threshold=threshold, passed=False)
+    return mutate
+
+
+FAILURE_LISTS = [
+    ("metric", _metric("ai_residual"), _BOTH, ["ai_residual"]),
+    ("metric-ai_defect_rank", defect_rank, _BOTH, ["ai_defect_rank"]),
+    ("metric-with-its-check", metric_with_its_check, _BOTH,
+     ["ai_residual", "checks.ai_residual"]),
+    ("check-passed", _flip("ai_residual"), _BOTH, ["checks.ai_residual"]),
+    ("hypothesis-spectral_radius_estimate", _radius(1e-6), ("blaschke",),
+     ["hypothesis.spectral_radius_estimate"]),
+    ("hypothesis-norm_sum_partial", scaled_norm_sum, ("blaschke",),
+     ["hypothesis.norm_sum_partial"]),
+    ("hypothesis-unverified", _hypothesis("unverified", True), ("blaschke",),
+     ["hypothesis.unverified"]),
+    ("hypothesis-flags", _hypothesis("flags", ["functional-norm-sum-exceeds-cap"]),
+     ("blaschke",), ["hypothesis.flags"]),
+    ("hypothesis-norm_sum_cap", tiny_norm_sum_cap, ("blaschke",),
+     ["hypothesis.unverified", "hypothesis.flags"]),
+    ("raw-vector-entry", raw_vector_entry, _BOTH, ["raw_vectors"]),
+    ("every-section", every_section, ("blaschke",),
+     ["raw_vectors", "ai_residual", "checks.extension_residual_max",
+      "hypothesis.norm_sum_partial"]),
+    # a stored threshold only re-derives its check's verdict (see the README), so a
+    # certificate that claims a check failed against an unmeetable one still passes
+    ("threshold-nan", _unmet_threshold("nan"), _BOTH, []),
+    ("threshold-1e-30", _unmet_threshold((1e-30).hex()), _BOTH, []),
+]
+FAILURE_CASES = [(route, name, mutate, failures)
+                 for name, mutate, routes, failures in FAILURE_LISTS for route in routes]
+
+
+@pytest.mark.parametrize("route, name, mutate, failures", FAILURE_CASES,
+                         ids=[f"{route}-{name}" for route, name, _, _ in FAILURE_CASES])
+def test_audit_failure_list(docs, route, name, mutate, failures):
+    doc, path = docs[route]
+    doc = copy.deepcopy(doc)
+    mutate(doc)
+    assert _failures(doc, path) == failures
 
 
 def _material_mutation(doc, field, index, eps):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from aihs import _linalg, chains
 from aihs.chains import (
     build_chain,
     build_non_ai_halfspace_witness,
@@ -15,7 +16,7 @@ from aihs.chains import (
 )
 from aihs.duality import containment_residual
 from aihs.errors import ArgumentError, ChainTerminated
-from aihs.operators import Family, build_operator
+from aihs.operators import Family, build_operator, geometric_weights
 from aihs._linalg import null_space, qr_basis, unit_columns
 
 RESIDUAL_KEYS = ("z_in_previous", "recurrence_norm", "adjoint_map", "biorthogonality_off")
@@ -260,6 +261,43 @@ def test_codim_validates_range():
         codim_n_subspace(op, 0)
     with pytest.raises(ArgumentError):
         codim_n_subspace(op, 4)
+
+
+def _codim_operators():
+    rng = np.random.default_rng(7)
+    dense = [dense_op(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+             for dim in (16, 40)]
+    return [*dense, build_operator(Family.FORWARD, 48, weights=geometric_weights(48, 0.9)),
+            build_operator(Family.DONOGHUE, 64, weights=geometric_weights(64, 0.995)),
+            dense_op(np.eye(12, dtype=complex))]  # the chain ends at once: the invariant branch
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("index", range(5))
+def test_codim_residual_matches_a_pivoted_qr_enlargement(index, n):
+    # Y + span e_Y grows Y's orthonormal basis by one Gram-Schmidt column; a
+    # pivoted QR of [Y, e_Y] spans the same space
+    op = _codim_operators()[index]
+    y, e_y, resid = codim_n_subspace(op, n)
+    enlarged = qr_basis(unit_columns(np.hstack([y, e_y[:, None]]))) if np.any(e_y) else y
+    assert abs(resid - containment_residual(op.apply(y), enlarged)) <= 1e-14
+
+
+def test_codim_enlarges_y_without_a_qr(monkeypatch):
+    op = build_operator(Family.DONOGHUE, 256, weights=geometric_weights(256, 0.995))
+    walk = build_chain(op, 10)
+    calls = []
+    for module, name in ((_linalg, "greedy_column_order"), (np.linalg, "qr"), (chains, "qr_basis")):
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    y, _, resid = codim_n_subspace(op, 3, walk)
+    assert y.shape == (256, 253) and resid < 1e-12
+    assert calls == []
 
 
 def test_dichotomy_sweep_small():

@@ -79,6 +79,13 @@ def test_module_level_imports_form_no_cycle():
     assert _cycle(graph) is None
 
 
+def test_chains_can_import_the_audit_rule():
+    # a chain transcript audit is to compare stored with derived values by
+    # halfspace._agrees, so chains must be able to import halfspace
+    graph = _graph()
+    assert _cycle({**graph, "chains": graph["chains"] | {"halfspace"}}) is None
+
+
 def test_a_cycle_is_found():
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}) == ["a", "b", "c", "a"]
     assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
