@@ -592,6 +592,12 @@ def functional_without_dual(doc):
     del doc["functionals"][0]["dual_vector"]
 
 
+def short_dual_vector(doc):
+    """One functional's dual vector with dim - 1 entries."""
+    f = doc["functionals"][0]
+    f["dual_vector"] = ser.encode_array(_array(f["dual_vector"])[:-1])
+
+
 def malformed_exclusion(doc):
     doc["excluded_lambdas"] = [{"reason": "noise-floor"}]
 
@@ -643,7 +649,7 @@ def full_length_trimmed_data(doc):
 ROWS_MALFORMED = [rows_above_shape, negative_rows, boolean_rows, full_length_trimmed_data]
 MALFORMED = [transposed_raw_vectors, empty_functionals, string_in_metrics, bad_hex, short_data,
              stored_basis, old_schema, string_rank, array_without_shape, functional_without_dual,
-             malformed_exclusion, operator_without_digest, uneven_complex_pairs,
+             short_dual_vector, malformed_exclusion, operator_without_digest, uneven_complex_pairs,
              string_complex_pairs, flagged_entire_hypothesis, *ROWS_MALFORMED]
 
 
