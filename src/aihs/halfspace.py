@@ -38,7 +38,6 @@ from .operators import OperatorModel, OrbitData, compute_orbit, operator_digest,
 from .resolvent import ResolventSolver, filter_lambda_gap
 
 __all__ = [
-    "FunctionalRep",
     "EntireLaw",
     "BlaschkeLaw",
     "HalfSpaceCertificate",
@@ -47,18 +46,6 @@ __all__ = [
     "verify_certificate",
     "compute_metrics",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class FunctionalRep:
-    """One annihilating functional, f(x) = <dual_vector, x> = dual^H x.
-
-    ``k`` picks its orbit values f(T^i e) from the certificate's law;
-    ``dual_vector`` is the minimum-norm (pseudo-inverse) vector matching them.
-    """
-
-    k: int
-    dual_vector: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +106,12 @@ class HalfSpaceCertificate:
     """Machine-checkable record of one half-space construction.
 
     The inputs and witnesses, with the ``metrics`` they determine; ``checks``
-    pairs each metric with its threshold and verdict.  ``basis`` is derived
-    from the stored fields on first access, so a fresh build and a read-back
-    certificate give the same array.
+    pairs each metric with its threshold and verdict.  ``duals`` is the
+    read-only (N, k) array of the annihilating functionals' dual vectors:
+    column j is phi_{first_index + j} of the law, f(x) = phi^H x, the
+    minimum-norm vector with the orbit values the law prescribes.  ``basis``
+    is derived from the stored fields on first access, so a fresh build and
+    a read-back certificate give the same array.
     """
 
     law: EntireLaw | BlaschkeLaw
@@ -130,7 +120,7 @@ class HalfSpaceCertificate:
     raw_vectors: np.ndarray
     lambdas: np.ndarray
     excluded_lambdas: tuple
-    functionals: tuple
+    duals: np.ndarray
     metrics: dict
     checks: dict
     tolerances: dict
@@ -362,9 +352,7 @@ def _certify(op, e, orbit: OrbitData, candidates, m, law, k_max, tol, noisy=None
         raw_vectors=_readonly(raw),
         lambdas=_readonly(lambdas),
         excluded_lambdas=tuple(excluded),
-        functionals=tuple(
-            FunctionalRep(k, _readonly(phi)) for k, phi in enumerate(duals.T, law.first_index)
-        ),
+        duals=_readonly(duals),
         metrics=metrics,
         checks=checks,
         tolerances=tol.as_dict(),
@@ -520,9 +508,8 @@ def verify_certificate(
         if orbit.length != cert.orbit_length:
             raise AssumptionError(f"the orbit has {orbit.length} vectors above the floor, "
                                   f"not the stored {cert.orbit_length}")
-        duals = np.stack([f.dual_vector for f in cert.functionals], axis=1)
         metrics, checks = compute_metrics(
-            op, cert.defect_vector, orbit, raw, cert.lambdas, duals, cert.law, cert.k_max, tol
+            op, cert.defect_vector, orbit, raw, cert.lambdas, cert.duals, cert.law, cert.k_max, tol
         )
         # the entire route's hypothesis is fixed by the certificate schema
         earned = (_blaschke_hypothesis(op, orbit, cert.hypothesis["norm_sum_cap"])

@@ -156,12 +156,11 @@ class OperatorModel:
         return self._shift(vec, down=self.family is Family.DONOGHUE, conj=True)
 
     def shifted_solver(self, z: complex):
-        """``rhs -> h`` solving ``(z - T) h = rhs`` for a fixed ``z``.
+        """``rhs -> h`` solving ``(z - T) h = rhs`` for a fixed ``z`` and one vector ``rhs``.
 
-        ``rhs`` is one vector or a ``(dim, k)`` block of columns.  Shift
-        families run a substitution down the bidiagonal, forward for the
-        forward shift and backward for Donoghue, and stop at the exact zero
-        tail: once ``h`` is zero past the column's last nonzero entry, so is
+        Shift families run a substitution down the bidiagonal, forward for
+        the forward shift and backward for Donoghue, and stop at the exact
+        zero tail: once ``h`` is zero past ``rhs``'s last nonzero entry, so is
         every later entry, and those rows are ``+0.0``, never computed.
         ``z = 0`` makes the solve raise ``numpy.linalg.LinAlgError``, and
         overflow leaves non-finite entries.  Dense operators take
@@ -181,26 +180,23 @@ class OperatorModel:
         def solve(rhs):
             if z == 0:
                 raise np.linalg.LinAlgError("z - T is singular at z = 0")
-            rhs = np.asarray(rhs, dtype=np.complex128)
-            cols = rhs.reshape(self.dim, -1)
+            col = np.asarray(rhs, dtype=np.complex128)
             if backward:
-                cols = cols[::-1]
-            out = np.zeros(cols.shape[::-1], dtype=np.complex128)
-            for j, col in enumerate(cols.T):
-                support = np.flatnonzero(col)
-                head = int(support[-1]) + 1 if support.size else 0
-                h, row = 0j, []
-                for bi, wi in zip(col[:head].tolist(), weights):
-                    h = (bi + wi * h) / z
-                    row.append(h)
-                for wi in itertools.islice(weights, head, None):
-                    if not h:  # h and the rest of rhs are zero: so is every later h
-                        break
-                    h = (0j + wi * h) / z  # (rhs_i + w h) / z with rhs_i = +0, to the bit
-                    row.append(h)
-                out[j, :len(row)] = row
-            out = out.T[::-1] if backward else out.T
-            return out.reshape(rhs.shape)
+                col = col[::-1]
+            support = np.flatnonzero(col)
+            head = int(support[-1]) + 1 if support.size else 0
+            h, row = 0j, []
+            for bi, wi in zip(col[:head].tolist(), weights):
+                h = (bi + wi * h) / z
+                row.append(h)
+            for wi in itertools.islice(weights, head, None):
+                if not h:  # h and the rest of rhs are zero: so is every later h
+                    break
+                h = (0j + wi * h) / z  # (rhs_i + w h) / z with rhs_i = +0, to the bit
+                row.append(h)
+            out = np.zeros(self.dim, dtype=np.complex128)
+            out[:len(row)] = row
+            return out[::-1] if backward else out
 
         return solve
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import _COUNT, _record, check_document, parse_int
 from .errors import ArgumentError
-from .halfspace import _CHECKS, BlaschkeLaw, EntireLaw, FunctionalRep, HalfSpaceCertificate
+from .halfspace import _CHECKS, BlaschkeLaw, EntireLaw, HalfSpaceCertificate
 from ._linalg import used_rows
 from .operators import Family, _readonly
 
@@ -360,7 +360,7 @@ def _certificate_text(cert: HalfSpaceCertificate) -> str:
     law = {f.name: getattr(cert.law, f.name) for f in dataclasses.fields(cert.law)}
     arrays = [getattr(cert, name) for name in _SHAPED]
     arrays += [value for value in law.values() if isinstance(value, np.ndarray)]
-    arrays += [f.dual_vector for f in cert.functionals]
+    arrays += list(cert.duals.T)
     texts = map(_Rendered, _array_texts(arrays))  # taken below in the order listed
     return _object({
         "schema": CERT_SCHEMA_ID,
@@ -370,7 +370,8 @@ def _certificate_text(cert: HalfSpaceCertificate) -> str:
         "law": _object({key: next(texts) if isinstance(value, np.ndarray) else encode_value(value)
                         for key, value in law.items()}),
         "functionals": _Rendered("[" + ",".join(
-            _object({"dual_vector": next(texts), "k": f.k}) for f in cert.functionals) + "]"),
+            _object({"dual_vector": next(texts), "k": k})
+            for k in range(cert.law.first_index, cert.k_max + 1)) + "]"),
         **{name: encode_value(getattr(cert, name)) for name in _ENCODED if name not in _SHAPED},
         "excluded_lambdas": [
             {"lam": _complex_doc(complex(lam)), "reason": reason}
@@ -419,10 +420,8 @@ def certificate_from_document(doc: dict) -> HalfSpaceCertificate:
         excluded_lambdas=tuple(
             (decode_value(entry["lam"]), entry["reason"]) for entry in doc["excluded_lambdas"]
         ),
-        functionals=tuple(
-            FunctionalRep(k=f["k"], dual_vector=_shaped(f["dual_vector"], "dual_vector", (dim,)))
-            for f in doc["functionals"]
-        ),
+        duals=_readonly(np.stack([_shaped(f["dual_vector"], "dual_vector", (dim,))
+                                  for f in doc["functionals"]], axis=1)),
         **{name: decode_value(doc[name]) for name in _ENCODED if name not in _SHAPED},
         **{name: doc[name] for name in (*_COUNTS, "config_echo")},
     )

@@ -162,7 +162,7 @@ def test_criterion_2_certificate_end_to_end(gate, geometric_op, end_to_end_cert)
         h = ResolventSolver(geometric_op, lam).solve(basis_vec(N)).vector
         for k in range(cert.k_max + 1):
             ck = np.concatenate([np.zeros(k), c])
-            lhs = np.vdot(cert.functionals[k].dual_vector, h)
+            lhs = np.vdot(cert.duals[:, k], h)
             rhs = lam * poly_eval_normalized(ck, lam) * max(1.0, abs(lam)) ** (
                 cert.degree + k
             )
