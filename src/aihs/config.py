@@ -18,6 +18,8 @@ __all__ = [
     "Tolerances",
     "load_config",
     "parse_int",
+    "parse_float",
+    "JSON_DECODER",
     "validate_config",
     "seed_vector_from_config",
     "tolerances_from_config",
@@ -179,15 +181,35 @@ def parse_int(literal: str) -> int:
     return int(literal)
 
 
-def load_config(path) -> dict:
-    def reject(literal):
-        raise ArgumentError(f"config {path} holds {literal}, which is not a JSON number")
+def parse_float(literal: str) -> float:
+    """A JSON number literal with a fraction or an exponent as a float, rejected past
+    the float range, which ``float`` reads as an infinity."""
+    value = float(literal)
+    if math.isinf(value):
+        shown = literal if len(literal) <= 24 else literal[:12] + "..."
+        raise ArgumentError(f"number literal {shown} lies beyond the float range")
+    return value
 
+
+def _reject_constant(literal: str):
+    raise ArgumentError(f"{literal} is not a JSON number")
+
+
+#: The one reader of configs and certificates.  It rejects number literals
+#: past the float range and the NaN and Infinity constants, which RFC 8259
+#: has no number for; built once, since ``json.loads`` with a keyword builds
+#: a decoder per call.
+JSON_DECODER = json.JSONDecoder(parse_int=parse_int, parse_float=parse_float,
+                                parse_constant=_reject_constant)
+
+
+def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, parse_constant=reject, parse_int=parse_int)
-        except json.JSONDecodeError as exc:
-            raise ArgumentError(f"config {path} is not valid JSON: {exc}") from exc
+        text = fh.read()
+    try:
+        return JSON_DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ArgumentError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 # every JSON Schema (draft 7) keyword the checker implements

@@ -244,10 +244,7 @@ def dense_subsequence_probe(
             z[: k - 1] = 0.0
             z *= float(math.factorial(n + k - 1))
             z[k - 1] -= 1.0
-            if p == 1.0:
-                err[k - 1, n - 1] = float(np.sum(np.abs(z)))
-            else:
-                err[k - 1, n - 1] = float(np.sum(np.abs(z) ** p) ** (1.0 / p))
+            err[k - 1, n - 1] = float(np.sum(np.abs(z) ** p) ** (1.0 / p))
     return err
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _COUNT, _record, check_document, parse_int
+from .config import _COUNT, JSON_DECODER, _record, check_document
 from .errors import ArgumentError
 from .halfspace import _CHECKS, BlaschkeLaw, EntireLaw, HalfSpaceCertificate
 from ._linalg import used_rows
@@ -254,7 +254,8 @@ def decode_value(value):
     return value
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# no NaN or Infinity token, which RFC 8259 has no number for, can reach a written file
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def dumps_canonical(doc: dict) -> str:
@@ -271,12 +272,8 @@ def write_json(path, doc: dict) -> Path:
     return _write_text(path, dumps_canonical(doc))
 
 
-# one decoder for every read: ``json.loads`` with a keyword builds a new one per call
-_DECODER = json.JSONDecoder(parse_int=parse_int)
-
-
 def read_json(path) -> dict:
-    return _DECODER.decode(Path(path).read_text(encoding="utf-8"))
+    return JSON_DECODER.decode(Path(path).read_text(encoding="utf-8"))
 
 
 # ----------------------------------------------------------------------------

@@ -246,16 +246,58 @@ def test_integer_beyond_the_float_range_is_a_one_line_error(tmp_path, capsys, co
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("literal", ["1e309", "-1e309", "Infinity"])
+@pytest.mark.parametrize("command", ["probe-dense", "build", "verify"])
+def test_number_beyond_the_float_range_is_a_one_line_error(tmp_path, capsys, command, literal):
+    # JSON reads 1e309 as inf: a probe with p = inf printed a table of ones, and a
+    # Blaschke build with defect_cap = inf ran with no cap and wrote the token
+    # Infinity into its certificate's echo, which verify accepted
+    if command == "probe-dense":
+        doc = {"schema": "aihs-probe/1", "dim": 64, "k_max": 2, "p": "@", "label": "probe"}
+    else:
+        doc = {**_halved_blaschke_cfg(), "blaschke": {"defect_cap": "@"}}
+    path = tmp_path / "run.json"
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if command == "verify":
+        doc["blaschke"]["defect_cap"] = 5.0
+        path, doc = _built_certificate(tmp_path, doc)
+        doc["config_echo"]["config"]["blaschke"]["defect_cap"] = "@"
+        argv = ["verify", str(path)]
+    path.write_text(json.dumps(doc).replace('"@"', literal), encoding="utf-8")
+    files = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    reason = (f"{literal} is not a JSON number" if literal == "Infinity"
+              else f"number literal {literal} lies beyond the float range")
+    where = f"cannot parse certificate {path}: " if command == "verify" else ""
+    assert out == "" and err == f"error: {where}{reason}\n"
+    assert sorted(tmp_path.iterdir()) == files  # nothing written
+
+
+def _read_configs_as_python_json(monkeypatch):
+    """Let the CLI read a config as Python's ``json`` does, a literal such as 1e400 as inf.
+
+    ``load_config`` rejects such a literal (see
+    ``test_number_beyond_the_float_range_is_a_one_line_error``), so only a
+    Python caller's dict holds an inf; this hands the CLI one, to reach the
+    checks behind the parser.
+    """
+    monkeypatch.setattr(cli, "load_config", lambda path: json.loads(Path(path).read_text()))
+
+
 @pytest.mark.parametrize("command, flags, in_config", [
     ("build", ["--tol-ai", "-1"], None),
     ("build", ["--tol-ai", "nan"], None),
     ("sweep", ["--tol-ai", "0"], None),
-    ("build", [], "1e999"),  # a JSON number that reads as inf
+    ("build", [], "1e999"),  # an inf in the config
 ])
-def test_bad_build_tolerance_is_a_one_line_error(tmp_path, capsys, command, flags, in_config):
+def test_bad_build_tolerance_is_a_one_line_error(tmp_path, capsys, monkeypatch, command, flags,
+                                                 in_config):
     cfg = _entire_cfg()
     if in_config:
         cfg["tolerances"] = {"tol_ai": "@"}
+        _read_configs_as_python_json(monkeypatch)
     path = tmp_path / "run.json"
     text = json.dumps({"runs": [cfg]} if command == "sweep" else cfg)
     path.write_text(text.replace('"@"', str(in_config)), encoding="utf-8")
@@ -620,9 +662,10 @@ def _shift_matrix(dim: int, ratio: float) -> dict:
                                              for j in range(dim)] for i in range(dim)]}
 
 
-def _write_inf(path, cfg) -> str:
-    """``cfg`` written with each "@" as the JSON literal 1e400, which parses to inf."""
+def _write_inf(monkeypatch, path, cfg) -> str:
+    """``cfg`` written with each "@" as the JSON literal 1e400, which the CLI then reads as inf."""
     path.write_text(json.dumps(cfg).replace('"@"', "1e400"), encoding="utf-8")
+    _read_configs_as_python_json(monkeypatch)
     return str(path)
 
 
@@ -648,26 +691,28 @@ _NON_FINITE = {
 
 
 @pytest.mark.parametrize("name", sorted(_NON_FINITE))
-def test_non_finite_input_is_a_one_line_error(tmp_path, capsys, name):
+def test_non_finite_input_is_a_one_line_error(tmp_path, capsys, monkeypatch, name):
     command, cfg, message = _NON_FINITE[name]
     out = tmp_path / "out"
-    assert main([command, "--config", _write_inf(tmp_path / "c.json", cfg), "--out", str(out)]) == 1
+    path = _write_inf(monkeypatch, tmp_path / "c.json", cfg)
+    assert main([command, "--config", path, "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 
 
-def test_sweep_run_with_a_non_finite_matrix_entry_is_an_error_row(tmp_path):
+def test_sweep_run_with_a_non_finite_matrix_entry_is_an_error_row(tmp_path, monkeypatch):
     runs = [_dense_cfg(_inf_matrix(4), dim=4), _entire_cfg(label="fine")]
-    cfg = _write_inf(tmp_path / "sweep.json", {"runs": runs, "label": "inf"})
+    cfg = _write_inf(monkeypatch, tmp_path / "sweep.json", {"runs": runs, "label": "inf"})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 1
     with (tmp_path / "inf.sweep.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["status"] for row in rows] == [f"error: {_INF_ENTRY}", "pass"]
 
 
-def test_verify_config_with_a_non_finite_matrix_entry_is_a_one_line_error(tmp_path, capsys):
+def test_verify_config_with_a_non_finite_matrix_entry_is_a_one_line_error(tmp_path, capsys,
+                                                                          monkeypatch):
     path, doc = _built_certificate(tmp_path, _dense_cfg({"kind": "random-gaussian"}, dim=8))
-    other = _write_inf(tmp_path / "other.json", _dense_cfg(_inf_matrix(8), dim=8))
+    other = _write_inf(monkeypatch, tmp_path / "other.json", _dense_cfg(_inf_matrix(8), dim=8))
     assert _verify_error(capsys, path, doc, "--config", other) == f"error: {_INF_ENTRY}\n"
 
 
@@ -1183,7 +1228,8 @@ def test_negative_seed_is_a_usage_error(capsys, command):
     assert err.endswith(f"aihs {command}: error: argument --seed: must be >= 0, got -1\n")
 
 
-def test_sweep_run_with_an_infinite_tolerance_is_an_error_row(tmp_path):
+def test_sweep_run_with_an_infinite_tolerance_is_an_error_row(tmp_path, monkeypatch):
+    _read_configs_as_python_json(monkeypatch)
     bad = _entire_cfg(label="inf-tol")
     bad["tolerances"] = {"tol_ai": "@"}
     path = tmp_path / "sweep.json"

@@ -79,6 +79,14 @@ def test_module_level_imports_form_no_cycle():
     assert _cycle(graph) is None
 
 
+def test_linalg_is_a_bottom_module():
+    # the shared basis and rank helpers: every numeric module may import them
+    graph = _graph()
+    assert graph["_linalg"] <= {"config"}  # its default rank tolerance
+    assert {"chains", "halfspace", "operators"} <= {name for name, named in graph.items()
+                                                    if "_linalg" in named}
+
+
 def test_chains_can_import_the_audit_rule():
     # a chain transcript audit is to compare stored with derived values by
     # halfspace._agrees, so chains must be able to import halfspace

@@ -233,6 +233,14 @@ def test_probe_l2_norm_variant():
     assert err[0, 3] == pytest.approx(oracle, rel=1e-12)
 
 
+@pytest.mark.parametrize("dim, k_max, n_max", [(20, 1, 4), (64, 5, 12), (171, 5, 12)])
+def test_probe_at_p_one_is_the_same_for_an_int_and_a_float(dim, k_max, n_max):
+    # x ** 1 and x ** 1.0 are exact, so the p-norm form is the sum of moduli for either
+    as_int = dense_subsequence_probe(dim, k_max=k_max, n_max=n_max, p=1)
+    assert as_int.tobytes() == dense_subsequence_probe(dim, k_max=k_max, n_max=n_max,
+                                                        p=1.0).tobytes()
+
+
 def test_probe_dim_guard():
     with pytest.raises(ArgumentError):
         dense_subsequence_probe(10, k_max=5, n_max=8)

@@ -327,6 +327,14 @@ def test_dumps_canonical_sorted_and_stable():
     assert text.endswith("\n")
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_no_written_document_holds_a_non_json_constant(tmp_path, value):
+    # a float outside a hex string would be written as Infinity or NaN, not JSON numbers
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        ser.write_json(tmp_path / "doc.json", {"echo": {"defect_cap": value}})
+    assert not (tmp_path / "doc.json").exists()
+
+
 def test_certificate_document_round_trip(small_cert, tmp_path):
     op, cert = small_cert
     text = ser.write_certificate(tmp_path / "cert.json", cert).read_text(encoding="utf-8")
