@@ -25,6 +25,8 @@ __all__ = [
     "min_norm_dual",
     "null_space",
     "used_rows",
+    "project_off",
+    "extend_basis",
 ]
 
 
@@ -145,3 +147,22 @@ def qr_basis(unit: np.ndarray) -> np.ndarray:
     """
     q, _ = np.linalg.qr(unit[:, greedy_column_order(unit)])
     return q
+
+
+def project_off(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(I - Q Q^H) v, applied twice so the result is orthogonal to Q to working precision."""
+    q_h = q.conj().T
+    for _ in range(2):
+        v = v - q @ (q_h @ v)
+    return v
+
+
+def extend_basis(q: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """[Q, u / ||u||] with u the unit vector ``unit`` projected off the orthonormal Q.
+
+    Gram-Schmidt, twice (enough: Giraud, Langou and Rozloznik 2005), so Q
+    grows by one column without re-factoring its others.  A ``unit`` inside
+    span Q leaves u = 0 and adds a zero column: nothing is divided by zero.
+    """
+    u = project_off(q, unit)
+    return np.column_stack((q, u / (np.linalg.norm(u) or 1.0)))

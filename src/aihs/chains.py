@@ -7,10 +7,10 @@ span{phi_1..phi_n}, and every subspace and every chain property comes from
 those n vectors.  Q_n below is an orthonormal basis of span{phi_1..phi_n},
 and P_{Y_n} = I - Q_n Q_n^H is the orthogonal projection onto Y_n.  Each
 level grows it by one column, Q_n = [Q_{n-1}, u / ||u||] with u the unit
-phi_n projected off Q_{n-1} twice (Gram-Schmidt; twice is enough, Giraud,
-Langou and Rozloznik 2005), so no level re-factors phi_1..phi_n.  The
-operator acts only through ``op.apply`` and ``op.adjoint_apply``, with no
-N x N matrix, and each level runs on the rows its vectors reach
+phi_n projected off Q_{n-1} twice (Gram-Schmidt, ``_linalg.extend_basis``),
+so no level re-factors phi_1..phi_n.  The operator acts only through
+``op.apply`` and ``op.adjoint_apply``, with no N x N matrix, and each
+level runs on the rows its vectors reach
 (``OperatorModel.on_support``): k rows, one past the last nonzero row of the
 z's and phi's plus the row T* moves into.  The basis then costs O(k n) per
 level; the level's SVD of the n unit phi's and its adjoint_map check of
@@ -42,7 +42,8 @@ import numpy as np
 
 from .duality import containment_residual
 from .errors import ArgumentError, AssumptionError, ChainTerminated
-from ._linalg import null_space, numerical_rank, qr_basis, svd_rank, unit_columns, used_rows
+from ._linalg import (extend_basis, null_space, numerical_rank, project_off, qr_basis, svd_rank,
+                      unit_columns, used_rows)
 from .operators import Family, OperatorModel, build_operator, _readonly, _zero_rows
 
 __all__ = [
@@ -112,24 +113,6 @@ class ChainState:
         return _zero_rows(self._q, self.dim)
 
 
-def _project_off(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(I - Q Q^H) v, applied twice so the result is orthogonal to Q to working precision."""
-    q_h = q.conj().T
-    for _ in range(2):
-        v = v - q @ (q_h @ v)
-    return v
-
-
-def _extend_basis(q: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """[Q, u / ||u||] with u the unit vector ``unit`` projected off Q (Gram-Schmidt, twice).
-
-    A ``unit`` inside span Q leaves u = 0 and adds a zero column, so the span
-    stays as it is and nothing is divided by zero.
-    """
-    u = _project_off(q, unit)
-    return np.column_stack((q, u / (np.linalg.norm(u) or 1.0)))
-
-
 def init_chain(op: OperatorModel, z1: np.ndarray | None = None) -> ChainState:
     """Depth-1 chain: z_1 = e_1 unless given, and phi_1 = z_1, so f_1(z_1) = ||z_1||^2 > 0."""
     n = op.dim
@@ -167,7 +150,7 @@ def extend_chain(op: OperatorModel, state: ChainState) -> ChainState:
     with _step(depth + 1):
         v = lead.adjoint_apply(phis[:, -1])
         phi_next = v - phis @ ((zs.conj().T @ v) / np.sum(zs.conj() * phis, axis=0))
-        on_y = _project_off(q, phi_next)  # f_{n+1} restricted to Y_n
+        on_y = project_off(q, phi_next)  # f_{n+1} restricted to Y_n
 
         norm_on_y = float(np.linalg.norm(on_y))
         # ||T|| is the whole operator's, not the truncation's
@@ -223,7 +206,7 @@ def _derive_level(
     zs, phis = np.ascontiguousarray(zs), np.ascontiguousarray(phis)
     phi_norms, z_norms = np.linalg.norm(phis, axis=0), np.linalg.norm(zs, axis=0)
     unit = phis / phi_norms
-    q = _extend_basis(q_prev, unit[:, -1])
+    q = extend_basis(q_prev, unit[:, -1])
     s = np.linalg.svd(unit, compute_uv=False)
     # |f_i(z_j)| / (||phi_i|| ||z_j||): level k adds row i = k and column j = k
     row = np.abs(phis[:, -1].conj() @ zs) / (phi_norms[-1] * z_norms)
@@ -239,7 +222,7 @@ def _derive_level(
     }
     if k > 1:
         out["z_in_previous"] = float(np.linalg.norm(q_prev.conj().T @ zs[:, -1]) / z_norms[-1])
-        mismatch = _project_off(q_prev, phis[:, -1] - lead.adjoint_apply(phis[:, -2]))
+        mismatch = project_off(q_prev, phis[:, -1] - lead.adjoint_apply(phis[:, -2]))
         scale = phi_norms[-1] + phi_norms[-2] * op.norm_estimate
         out["recurrence_norm"] = float(np.linalg.norm(mismatch) / scale)
         out["adjoint_map"] = containment_residual(lead.adjoint_apply(q_prev), q)
@@ -362,5 +345,5 @@ def codim_n_subspace(
         y_sub, e_sub, _ = codim_n_subspace(restricted, n - depth)
         y_basis, e_y = q @ y_sub, q @ e_sub
 
-    enlarged = _extend_basis(y_basis, e_y / (np.linalg.norm(e_y) or 1.0))
+    enlarged = extend_basis(y_basis, e_y / (np.linalg.norm(e_y) or 1.0))
     return y_basis, e_y, containment_residual(op.apply(y_basis), enlarged)

@@ -182,8 +182,7 @@ def parse_int(literal: str) -> int:
 
 
 def parse_float(literal: str) -> float:
-    """A JSON number literal with a fraction or an exponent as a float, rejected past
-    the float range, which ``float`` reads as an infinity."""
+    """A JSON fraction or exponent literal as a float, rejected past the float range."""
     value = float(literal)
     if math.isinf(value):
         shown = literal if len(literal) <= 24 else literal[:12] + "..."
@@ -195,21 +194,18 @@ def _reject_constant(literal: str):
     raise ArgumentError(f"{literal} is not a JSON number")
 
 
-#: The one reader of configs and certificates.  It rejects number literals
-#: past the float range and the NaN and Infinity constants, which RFC 8259
-#: has no number for; built once, since ``json.loads`` with a keyword builds
-#: a decoder per call.
+#: The one reader of configs and certificates; ``json.loads`` with a keyword would build a
+#: decoder per call.  RFC 8259 has no number for NaN or Infinity.
 JSON_DECODER = json.JSONDecoder(parse_int=parse_int, parse_float=parse_float,
                                 parse_constant=_reject_constant)
 
 
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return JSON_DECODER.decode(text)
-    except json.JSONDecodeError as exc:
-        raise ArgumentError(f"config {path} is not valid JSON: {exc}") from exc
+        try:
+            return JSON_DECODER.decode(fh.read())
+        except json.JSONDecodeError as exc:
+            raise ArgumentError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 # every JSON Schema (draft 7) keyword the checker implements

@@ -33,7 +33,7 @@ from .config import Tolerances
 from .duality import containment_residual
 from .entire import DEGREE_CAP, apply_picard_shift, coefficients_from_norms, find_zeros
 from .errors import AihsError, ArgumentError, AssumptionError, SingularResolventError, StageError
-from ._linalg import numerical_rank, qr_basis, smallest_singular_value, unit_columns
+from ._linalg import extend_basis, numerical_rank, qr_basis, smallest_singular_value, unit_columns
 from .operators import OperatorModel, OrbitData, compute_orbit, operator_digest, orbit_form, _readonly
 from .resolvent import ResolventSolver, filter_lambda_gap
 
@@ -106,12 +106,11 @@ class HalfSpaceCertificate:
     """Machine-checkable record of one half-space construction.
 
     The inputs and witnesses, with the ``metrics`` they determine; ``checks``
-    pairs each metric with its threshold and verdict.  ``duals`` is the
-    read-only (N, k) array of the annihilating functionals' dual vectors:
-    column j is phi_{first_index + j} of the law, f(x) = phi^H x, the
-    minimum-norm vector with the orbit values the law prescribes.  ``basis``
-    is derived from the stored fields on first access, so a fresh build and
-    a read-back certificate give the same array.
+    pairs each metric with its threshold and verdict.  ``duals`` is the read-only
+    (N, k) array of the functionals' minimum-norm dual vectors, column j holding
+    phi_{first_index + j}, f(x) = phi^H x.  ``basis`` is derived from the stored
+    fields on first access, so a fresh build and a read-back certificate give
+    the same array.
     """
 
     law: EntireLaw | BlaschkeLaw
@@ -275,7 +274,8 @@ def compute_metrics(
     The one derivation behind the builders and the audit.  Inputs: the orbit
     x_0..x_{L-1} in its form, the resolvent vectors and the dual vectors
     (columns), and the law, which prescribes the orbit values and references.  Y's
-    basis is ``qr_basis`` of the resolvent vectors.  ``ai_defect_rank`` is
+    basis is ``qr_basis`` of the resolvent vectors, and Y + span{e} has that
+    basis grown by the unit e (``extend_basis``).  ``ai_defect_rank`` is
     the rank excess of [T*basis | basis | e] over [basis | e].  The
     annihilation residual is divided by (1+max|lambda|)^(k_max+1)*max|c_i|,
     the round-off growth of lambda^(k+1)*F(lambda).
@@ -297,6 +297,7 @@ def compute_metrics(
     unit = unit_columns(raw_vectors)
     basis = qr_basis(unit)
     with_e = np.hstack([basis, e])
+    enlarged = extend_basis(basis, e[:, 0] / np.linalg.norm(e))  # Y + span{e}
     moved = op.apply(basis)
 
     inner = duals.conj().T @ raw_vectors  # inner[j, n] = f_j(h(lambda_n))
@@ -309,7 +310,7 @@ def compute_metrics(
         "independence_sigma_min": _independence(unit, raw_vectors),
         "ai_defect_rank": (numerical_rank(np.hstack([moved, with_e]), rtol=tol.tol_rank)
                            - numerical_rank(with_e, rtol=tol.tol_rank)),
-        "ai_residual": float(containment_residual(moved, qr_basis(unit_columns(with_e)))),
+        "ai_residual": float(containment_residual(moved, enlarged)),
         "max_annihilation_residual": float(np.max(np.abs(inner))) / scale,
         "annihilation_scale": float(scale),
         "functional_independence_sigma_min": _independence(unit_columns(duals), duals),

@@ -20,6 +20,8 @@ from aihs import serialize as ser
 from aihs.cli import main
 from aihs.config import Tolerances
 from aihs.halfspace import _CHECKS, _agrees
+from aihs._linalg import qr_basis, unit_columns
+from aihs.duality import containment_residual
 from aihs.operators import (
     ORBIT_NORM_FLOOR,
     Family,
@@ -429,6 +431,29 @@ def _failures(doc, path) -> list:
     cert = ser.read_certificate(path)
     op = cli._operator_for_certificate(cert, argparse.Namespace(config=None, seed=None))
     return halfspace.verify_certificate(op, cert)["failures"]
+
+
+def _pivoted_qr_residual(op, cert) -> float:
+    """ai_residual as it was derived before Y + span{e} grew Y's basis by one
+    Gram-Schmidt column: from a pivoted QR of [basis, e] on the support rows."""
+    lead, (e, raw, _) = op.on_support(cert.defect_vector.reshape(-1, 1), cert.raw_vectors,
+                                      cert.duals)
+    basis = qr_basis(unit_columns(raw))
+    return containment_residual(lead.apply(basis), qr_basis(unit_columns(np.hstack([basis, e]))))
+
+
+@pytest.mark.parametrize("route", _ALL)
+def test_a_certificate_with_the_pivoted_qr_residual_passes_the_audit(docs, route):
+    # the two derivations differ in the last bits, far inside tol_audit
+    doc, path = docs[route]
+    doc = copy.deepcopy(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cert = ser.read_certificate(path)
+    op = cli._operator_for_certificate(cert, argparse.Namespace(config=None, seed=None))
+    value = _pivoted_qr_residual(op, cert).hex()
+    doc["metrics"]["ai_residual"] = doc["checks"]["ai_residual"]["value"] = value
+    assert _failures(doc, path) == []
+    assert _verify(doc, path) == 0
 
 
 def metric_with_its_check(doc):

@@ -47,8 +47,10 @@ class _RowSpy:
                                                                     arg=1))
         for name in ("qr", "svd", "norm"):
             monkeypatch.setattr(np.linalg, name, self._recording(getattr(np.linalg, name)))
-        for name in ("qr_basis", "unit_columns", "containment_residual", "_project_off"):
+        for name in ("qr_basis", "unit_columns", "containment_residual", "project_off"):
             monkeypatch.setattr(chains, name, self._recording(getattr(chains, name)))
+        # extend_basis's own projections
+        monkeypatch.setattr(_linalg, "project_off", self._recording(_linalg.project_off))
 
     def _recording(self, fn, arg=0):
         def wrapper(*args, **kwargs):

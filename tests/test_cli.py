@@ -897,7 +897,7 @@ def test_chain_transcript_folds_each_level_once(tmp_path, monkeypatch, operator,
         "schema": "aihs-chain/1", "operator": operator, "depth": depth,
         "seed_vector": {"kind": "basis", "index": seed_index}, "label": "chain",
     })
-    calls = {"_derive_level": 0, "_extend_basis": 0}
+    calls = {"_derive_level": 0, "extend_basis": 0}
 
     def counted(name, original):
         def wrapper(*args):
@@ -912,7 +912,7 @@ def test_chain_transcript_folds_each_level_once(tmp_path, monkeypatch, operator,
     doc = ser.decode_value(ser.read_json(tmp_path / "chain.transcript.json"))
     assert doc["outcome"]["branch"] == branch
     reached = doc["outcome"]["depth_reached"]
-    assert calls == {"_derive_level": reached, "_extend_basis": reached}
+    assert calls == {"_derive_level": reached, "extend_basis": reached}
     assert reached <= depth
 
     op = operator_from_config(operator)

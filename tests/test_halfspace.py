@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from aihs import halfspace
+from aihs import _linalg, halfspace
 from aihs.config import Tolerances
 from aihs.errors import ArgumentError, StageError
 from aihs.halfspace import (
@@ -136,6 +136,18 @@ def test_functional_extension_residuals(geometric_cert):
     for dual, values in zip(cert.duals.T, rows):
         replayed = vectors @ dual.conj()  # f(x_i) = dual^H x_i
         assert np.max(np.abs(replayed - values)) < 1e-9 * np.max(np.abs(values))
+
+
+def test_metrics_order_the_columns_once(geometric_cert, monkeypatch):
+    # Y's basis takes one pivoted QR, and Y + span{e} grows it by one column
+    op, cert = geometric_cert
+    orbit = compute_orbit(op, cert.defect_vector, cert.orbit_length)
+    calls, original = [], _linalg.greedy_column_order
+    monkeypatch.setattr(_linalg, "greedy_column_order",
+                        lambda a: calls.append(a.shape) or original(a))
+    compute_metrics(op, cert.defect_vector, orbit, cert.raw_vectors, cert.lambdas, cert.duals,
+                    cert.law, cert.k_max, Tolerances())
+    assert len(calls) == 1
 
 
 def test_certificate_invariant_under_basis_rotation(geometric_cert):

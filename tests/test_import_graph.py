@@ -87,6 +87,18 @@ def test_linalg_is_a_bottom_module():
                                                     if "_linalg" in named}
 
 
+def test_the_gram_schmidt_step_has_one_home():
+    # chain levels, codim_n_subspace and compute_metrics grow a basis by the same code
+    names = ("project_off", "extend_basis")
+    defined = {(module, node.name) for module, tree in MODULES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name.lstrip("_") in names}
+    assert defined == {("_linalg", name) for name in names}
+    importers = {module for module, tree in MODULES.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "_linalg"
+                 and "extend_basis" in {alias.name for alias in node.names}}
+    assert importers == {"chains", "halfspace"}
+
+
 def test_chains_can_import_the_audit_rule():
     # a chain transcript audit is to compare stored with derived values by
     # halfspace._agrees, so chains must be able to import halfspace

@@ -123,8 +123,8 @@ class _Spy:
         self.steps: list[int] = []  # substitution steps per solve of one vector
         self.metric_rows: list[int] = []
         self.code, self.lines = _substitution_lines()
-        for name in ("qr_basis", "numerical_rank", "smallest_singular_value", "unit_columns",
-                     "containment_residual"):
+        for name in ("qr_basis", "extend_basis", "numerical_rank", "smallest_singular_value",
+                     "unit_columns", "containment_residual"):
             monkeypatch.setattr(halfspace, name, self._recording(getattr(halfspace, name)))
         leading = OperatorModel.leading
 
