@@ -88,13 +88,13 @@ def min_norm_dual(q: np.ndarray, r_inverse: np.ndarray, scales: np.ndarray,
 
     With ``x_n = s_n Q R e_n`` (:class:`aihs.operators.OrbitData`) the
     constraints read ``S R^H Q^H f = conj(v)``, so ``f = Q R^-H (conj(v) / s)``.
-    ``values`` is one vector of length ``L`` or an ``(L, k)`` block, giving a
-    ``(dim,)`` or ``(dim, k)`` result.  Each column takes its own
-    matrix-vector products, so a block matches ``k`` separate calls bit for bit.
+    ``values`` is an ``(L, k)`` block, giving ``(dim, k)``.  Each column
+    takes its own matrix-vector products, so a block matches ``k`` one-column
+    blocks bit for bit.
     """
     v = np.asarray(values, dtype=np.complex128)
-    if v.ndim not in (1, 2) or v.shape[0] != scales.size:
-        raise ValueError(f"expected {scales.size} values per column, got {v.shape}")
+    if v.ndim != 2 or v.shape[0] != scales.size:
+        raise ValueError(f"expected an ({scales.size}, k) block of values, got {v.shape}")
     w = np.conj(v).T / scales  # one row per column of values
     return (q @ (r_inverse.conj().T @ w[..., None]))[..., 0].T
 

@@ -53,9 +53,6 @@ class Tolerances:
     blaschke_norm_cap: float = 1e6
     spectral_radius_slack: float = 1e-9
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _as_complex(value) -> complex:
     if isinstance(value, (list, tuple)):

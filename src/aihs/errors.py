@@ -2,8 +2,10 @@
 
 The split mirrors how failures are treated downstream: bad caller input
 (`ArgumentError`), a numerical precondition that did not hold at run time
-(`AssumptionError` and its subclasses), and pipeline failures that carry the
-stage at which a half-space construction gave up (`StageError`).
+(`AssumptionError`), and pipeline failures that carry the stage at which a
+half-space construction gave up (`StageError`).  `AssumptionError` has one
+subclass, `SingularResolventError`, which the resolvent stage catches to
+exclude a lambda; every other failed assumption is a plain `AssumptionError`.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ __all__ = [
     "AihsError",
     "ArgumentError",
     "AssumptionError",
-    "MinimalityError",
     "SingularResolventError",
-    "NeumannDivergenceError",
     "ChainTerminated",
     "StageError",
 ]
@@ -32,22 +32,6 @@ class AssumptionError(AihsError):
     """A numerical assumption required by an operation failed to hold."""
 
 
-class MinimalityError(AssumptionError):
-    """An orbit vector lies (numerically) in the span of the others.
-
-    ``index`` is the offending orbit index; ``distance`` the measured gap.
-    """
-
-    def __init__(self, index: int, distance: float, scale: float):
-        self.index = index
-        self.distance = distance
-        self.scale = scale
-        super().__init__(
-            f"orbit is not minimal: vector {index} is within {distance:.3e} "
-            f"of the span of the remaining vectors (norm {scale:.3e})"
-        )
-
-
 class SingularResolventError(AssumptionError):
     """The resolvent system at a given point is singular or unusable."""
 
@@ -57,18 +41,6 @@ class SingularResolventError(AssumptionError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-
-
-class NeumannDivergenceError(AssumptionError):
-    """A Neumann partial sum is diverging; a direct solve should be used."""
-
-    def __init__(self, lam: complex, term_norm: float):
-        self.lam = lam
-        self.term_norm = term_norm
-        super().__init__(
-            f"Neumann series diverges at lambda = {lam!r} (term norm grew to "
-            f"{term_norm:.3e}); use the direct solve instead"
-        )
 
 
 class ChainTerminated(AihsError):

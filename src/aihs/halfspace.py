@@ -22,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -192,8 +192,6 @@ def _agrees(stored, derived, tol: float) -> bool:
 def _stage(name: str):
     try:
         yield
-    except StageError:
-        raise
     except (AihsError, np.linalg.LinAlgError, ValueError) as exc:
         raise StageError(name, exc) from exc
 
@@ -330,11 +328,12 @@ def _blaschke_hypothesis(op: OperatorModel, orbit: OrbitData, cap: float) -> dic
             "flags": ["functional-norm-sum-exceeds-cap"] if exceeds else []}
 
 
-def _certify(op, e, orbit: OrbitData, candidates, m, law, k_max, tol, noisy=None, **fields):
+def _certify(op, e, orbit: OrbitData, candidates, m, law, k_max, tol, hypothesis: dict,
+             noisy=None):
     """The builders' tail: selection, resolvent vectors, dual vectors, metrics.
 
     ``candidates`` are the route's zeros, ``noisy`` its noise-floor mask on
-    them (the entire route's), and ``fields`` the route's certificate fields.
+    them (the entire route's), and ``hypothesis`` the route's hypothesis block.
     """
     with _stage("selection"):
         lambdas, excluded = _select_lambdas(op, candidates, m, tol, noisy)
@@ -356,12 +355,12 @@ def _certify(op, e, orbit: OrbitData, candidates, m, law, k_max, tol, noisy=None
         duals=_readonly(duals),
         metrics=metrics,
         checks=checks,
-        tolerances=tol.as_dict(),
+        tolerances=asdict(tol),
+        hypothesis=hypothesis,
         m_requested=m,
         m_achieved=int(lambdas.size),
         k_max=k_max,
         orbit_length=orbit.length,
-        **fields,
     )
 
 
@@ -397,10 +396,8 @@ def build_entire(
     with _stage("coefficients"):
         # halve the budget so the coefficient law never saturates at the
         # orbit edge (saturated tails breed far-out zero clusters whose
-        # evaluation noise swamps the annihilation budget)
+        # evaluation noise swamps the annihilation budget); length >= k_max + 3 makes it >= 1
         degree = min((length - 1) // 2, length - 1 - k_max, DEGREE_CAP)
-        if degree < 1:
-            raise AssumptionError(f"no admissible polynomial degree at orbit length {length}")
         base = coefficients_from_norms(orbit.biorthogonal_norms, k_max, degree=degree)
 
     with _stage("picard"):

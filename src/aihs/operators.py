@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import _as_complex, _complex_entries
-from .errors import ArgumentError, MinimalityError
+from .errors import ArgumentError, AssumptionError
 from ._linalg import min_norm_dual, used_rows
 
 __all__ = [
@@ -233,19 +233,16 @@ class OperatorModel:
         return self.family is not Family.DENSE
 
     @functools.cached_property
-    def _eigenvalues(self) -> np.ndarray:
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the truncation (exact zeros for shifts), derived once."""
         if self.is_nilpotent:
             return _readonly(np.zeros(self.dim))
         return _readonly(np.linalg.eigvals(self.matrix).reshape(-1))
 
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the truncation (cached; exact zeros for shifts)."""
-        return self._eigenvalues
-
     def spectral_radius(self) -> float:
         if self.is_nilpotent:
             return 0.0
-        return float(np.max(np.abs(self.eigenvalues())))
+        return float(np.max(np.abs(self.eigenvalues)))
 
     @functools.cached_property
     def norm_estimate(self) -> float:
@@ -441,9 +438,9 @@ class OrbitData:
 
     Both forms give ``length``, ``biorthogonal_norms`` (``r_n = 1 /
     dist(x_n, span of the others)``, the norm of the n-th coordinate
-    functional of the minimal orbit), ``min_norm_duals(values)`` (the
-    minimum-norm ``f`` with ``f^H x_n = values[n]``, for one vector of ``L``
-    values or an ``(L, k)`` block, giving ``(dim,)`` or ``(dim, k)``),
+    functional of the minimal orbit), ``min_norm_duals(values)`` (column j
+    the minimum-norm ``f`` with ``f^H x_n = values[n, j]``, from an ``(L, k)``
+    block of values, giving ``(dim, k)``),
     ``replay(duals)`` (``f_j(x_n)`` for dual columns, shape ``(k, L)``) and
     ``vectors``, the ``(L, dim)`` rows ``x_n``.
     """
@@ -470,7 +467,7 @@ class DenseOrbit(OrbitData):
 
     @functools.cached_property
     def factor(self) -> tuple[np.ndarray, ...]:
-        """``(r, Q, R^-1, s)``; raises ``MinimalityError`` as :func:`compute_orbit` says."""
+        """``(r, Q, R^-1, s)``; raises ``AssumptionError`` as :func:`compute_orbit` says."""
         return _biorthogonal_norms(self.vectors)
 
     @property
@@ -509,12 +506,11 @@ class CoordinateOrbit(OrbitData):
 
     def min_norm_duals(self, values) -> np.ndarray:
         v = np.asarray(values, dtype=np.complex128)
-        if v.ndim not in (1, 2) or v.shape[0] != self.length:
-            raise ValueError(f"expected {self.length} values per column, got {v.shape}")
-        out = np.zeros((self.dim,) + v.shape[1:], dtype=np.complex128)
-        a = self.amplitudes.reshape((-1,) + (1,) * (v.ndim - 1))
+        if v.ndim != 2 or v.shape[0] != self.length:
+            raise ValueError(f"expected an ({self.length}, k) block of values, got {v.shape}")
+        out = np.zeros((self.dim, v.shape[1]), dtype=np.complex128)
         # conj(0 / a) has a -0.0 imaginary part; adding +0.0 makes it +0.0
-        out[self.positions] = np.conj(v / a) + 0.0
+        out[self.positions] = np.conj(v / self.amplitudes[:, None]) + 0.0
         return out
 
     def replay(self, duals: np.ndarray) -> np.ndarray:
@@ -637,7 +633,7 @@ def compute_orbit(op: OperatorModel, seed: np.ndarray, cap: int) -> OrbitData:
     ArgumentError
         If the seed is misshapen, below the floor or not finite, or ``cap``
         is outside ``1 .. dim``.
-    MinimalityError
+    AssumptionError
         If some ``x_n`` lies numerically in the span of the other orbit
         vectors (e.g. the identity operator, whose orbit vectors coincide).
         An exactly zero pivot of ``R`` is reported at its index, with
@@ -653,6 +649,11 @@ def compute_orbit(op: OperatorModel, seed: np.ndarray, cap: int) -> OrbitData:
         raise ArgumentError("seed vector must be finite with norm at least ORBIT_NORM_FLOOR")
     orbit.biorthogonal_norms  # factors a dense orbit, which checks its minimality
     return orbit
+
+
+def _not_minimal(n: int, distance: float, scale: float) -> AssumptionError:
+    return AssumptionError(f"orbit is not minimal: vector {n} is within {distance:.3e} "
+                           f"of the span of the remaining vectors (norm {scale:.3e})")
 
 
 def _biorthogonal_norms(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -672,14 +673,14 @@ def _biorthogonal_norms(vectors: np.ndarray) -> tuple[np.ndarray, ...]:
     zero = np.flatnonzero(np.diagonal(r) == 0)
     if zero.size:  # an exactly zero pivot: x_n is in the span
         n = int(zero[0])
-        raise MinimalityError(n, 0.0, float(scales[n]))
+        raise _not_minimal(n, 0.0, float(scales[n]))
     r_inverse = np.linalg.inv(r)
     norms = np.linalg.norm(r_inverse, axis=1) / scales
     dist = 1.0 / norms
     bad = np.flatnonzero(~(dist >= MINIMALITY_RTOL * scales))  # nan counts as bad
     if bad.size:
         n = int(bad[0])
-        raise MinimalityError(n, float(dist[n]), float(scales[n]))
+        raise _not_minimal(n, float(dist[n]), float(scales[n]))
     for a in (norms, q, r_inverse, scales):
         a.setflags(write=False)
     return norms, q, r_inverse, scales

@@ -18,11 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    NeumannDivergenceError,
-    SingularResolventError,
-)
+from .errors import ArgumentError, AssumptionError, SingularResolventError
 from .config import Tolerances
 from .operators import OperatorModel, _readonly
 
@@ -102,7 +98,7 @@ def neumann_resolvent(op: OperatorModel, lam: complex, e: np.ndarray) -> Resolve
     """The Neumann sum ``lam * sum_{n<dim} lam^n T^n e`` of a nilpotent truncation.
 
     It is exact there: every later term vanishes.  A term whose norm leaves
-    the float range raises :class:`NeumannDivergenceError`.
+    the float range raises :class:`~aihs.errors.AssumptionError`.
     """
     if lam == 0:
         raise ArgumentError("lam must be nonzero")
@@ -118,7 +114,8 @@ def neumann_resolvent(op: OperatorModel, lam: complex, e: np.ndarray) -> Resolve
             term = lam * op.apply(term)
             norm = float(np.linalg.norm(term))
             if not math.isfinite(norm):
-                raise NeumannDivergenceError(lam, norm)
+                raise AssumptionError(f"Neumann series diverges at lambda = {lam!r} (term norm "
+                                      f"grew to {norm:.3e}); use the direct solve instead")
     acc += term
     return ResolventVector(lam=lam, vector=_readonly(acc), defect=_relative_defect(op, lam, acc, e))
 
@@ -190,7 +187,7 @@ def filter_lambda_gap(
     truncations (all eigenvalues zero) every nonzero lam survives.  Their
     gap is ``|1/lam|`` itself, so no N-length scan of the eigenvalues runs.
     """
-    eig = op.eigenvalues()
+    eig = op.eigenvalues
     rho = op.spectral_radius()
     keep = []
     for lam in np.asarray(lams, dtype=np.complex128).reshape(-1):

@@ -91,7 +91,7 @@ def _check_against_the_factor(op, e, rows, rng):
     assert np.all(np.abs(replayed - values.T) <= RTOL * np.abs(values.T))
     dense = DenseOrbit(op.dim, rows[:length]).replay(closed)
     assert np.all(np.abs(replayed - dense) <= RTOL * np.abs(dense))
-    assert np.array_equal(orbit.min_norm_duals(values[:, 0]), closed[:, 0])
+    assert np.array_equal(_bits(orbit.min_norm_duals(values[:, :1])), _bits(closed[:, :1]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -152,6 +152,15 @@ def test_a_seed_off_one_basis_vector_is_a_dense_orbit():
     assert isinstance(orbit_form(op, e, 6), DenseOrbit)
     assert isinstance(orbit_form(build_operator(Family.DENSE, 6, matrix=op.matrix), e[::-1], 6),
                       DenseOrbit)
+
+
+def test_closed_form_duals_take_an_l_by_k_block_only():
+    op, e = _case(Family.FORWARD, 12, 0.5, 2, 1.0)
+    orbit = orbit_form(op, e, 12)
+    assert orbit.min_norm_duals(np.ones((orbit.length, 2))).shape == (12, 2)
+    for values in (np.ones(orbit.length), np.ones((orbit.length + 1, 1))):
+        with pytest.raises(ValueError):
+            orbit.min_norm_duals(values)
 
 
 def test_n4096_build_and_audit_stay_under_64_mb():

@@ -2,8 +2,8 @@
 the biorthogonal norms and the annihilating functionals' dual vectors.
 
 The norms are pinned to an independent per-n least-squares distance, the
-dual vectors to a least-squares minimum-norm solve and the block form to
-column-by-column calls.  Guards check that a full-length (L = N) Blaschke
+dual vectors to a least-squares minimum-norm solve and a block of columns to
+one-column blocks.  Guards check that a full-length (L = N) Blaschke
 build stays off the per-n distance helper; that a shift seeded at e_0
 neither walks nor factors its orbit, in the build or the audit; and that a
 dense orbit is walked and factored once by the build and once by the audit,
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from aihs import _linalg, operators
-from aihs.errors import MinimalityError
+from aihs.errors import AssumptionError
 from aihs.halfspace import build_blaschke, verify_certificate
 from aihs.operators import (
     Family,
@@ -77,9 +77,10 @@ def test_biorthogonal_norms_match_per_n_lstsq_distance(x):
 def test_exactly_zero_pivot_is_a_minimality_error_at_its_index():
     # the identity repeats e_1 exactly, so the QR has an exact zero at R[1, 1]
     op = build_operator(Family.DENSE, 4, matrix=np.eye(4))
-    with pytest.raises(MinimalityError) as info:
+    with pytest.raises(AssumptionError) as info:
         compute_orbit(op, np.eye(4)[0], 3)
-    assert (info.value.index, info.value.distance, info.value.scale) == (1, 0.0, 1.0)
+    assert str(info.value) == ("orbit is not minimal: vector 1 is within 0.000e+00 "
+                               "of the span of the remaining vectors (norm 1.000e+00)")
 
 
 def test_zero_pivot_past_the_first_inverse_block_is_a_minimality_error():
@@ -87,9 +88,10 @@ def test_zero_pivot_past_the_first_inverse_block_is_a_minimality_error():
     # unit basis vectors leave Householder QR exact
     vectors = np.eye(41, 64, dtype=np.complex128)
     vectors[40] = vectors[3]
-    with pytest.raises(MinimalityError) as info:
+    with pytest.raises(AssumptionError) as info:
         _biorthogonal_norms(vectors)
-    assert (info.value.index, info.value.distance, info.value.scale) == (40, 0.0, 1.0)
+    assert str(info.value) == ("orbit is not minimal: vector 40 is within 0.000e+00 "
+                               "of the span of the remaining vectors (norm 1.000e+00)")
 
 
 def _lstsq_duals(x: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -110,7 +112,7 @@ def test_duals_from_the_factor_match_the_lstsq_minimum_norm_solution(x, seed):
     assume(np.linalg.cond(unit.T) < 1e6)
     values = _random_complex(np.random.default_rng(seed), x.shape[0])
     _, q, r_inverse, scales = _biorthogonal_norms(x)
-    f = _linalg.min_norm_dual(q, r_inverse, scales, values)
+    f = _linalg.min_norm_dual(q, r_inverse, scales, values[:, None])[:, 0]
     reference = _lstsq_duals(x, values)
     assert np.max(np.abs(f - reference)) <= 1e-9 * np.max(np.abs(reference))
     residual = np.abs(x.conj() @ f - np.conj(values)) / (np.linalg.norm(f) * scales)
@@ -131,15 +133,16 @@ def test_block_min_norm_dual_equals_column_calls(k):
     block = _linalg.min_norm_dual(*factor, values)
     assert block.shape == (40, k)
     for j in range(k):
-        assert np.array_equal(block[:, j], _linalg.min_norm_dual(*factor, values[:, j]))
+        column = _linalg.min_norm_dual(*factor, values[:, j:j + 1])
+        assert column.shape == (40, 1)
+        assert np.array_equal(block[:, j], column[:, 0])
 
 
-def test_min_norm_dual_rejects_a_wrong_value_count():
+def test_min_norm_dual_rejects_a_wrong_value_count_and_a_single_vector():
     factor = _orbit_factor(np.eye(5, 3, dtype=np.complex128))
-    with pytest.raises(ValueError):
-        _linalg.min_norm_dual(*factor, np.ones(4))
-    with pytest.raises(ValueError):
-        _linalg.min_norm_dual(*factor, np.ones((4, 2)))
+    for values in (np.ones((4, 1)), np.ones((4, 2)), np.ones(3), np.ones((3, 1, 1))):
+        with pytest.raises(ValueError):
+            _linalg.min_norm_dual(*factor, values)
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from aihs._linalg import smallest_singular_value, unit_columns
-from aihs.errors import ArgumentError, NeumannDivergenceError, SingularResolventError
+from aihs.errors import ArgumentError, AssumptionError, SingularResolventError
 from aihs.operators import Family, build_operator, geometric_weights
 from aihs.resolvent import (
     ResolventSolver,
@@ -107,8 +107,11 @@ def test_neumann_divergence_is_detected():
     # unimodular weights: the k-th term has norm 1e3^(k+1), past the float range at k = 102
     phases = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 255)
     op = build_operator(Family.FORWARD, 256, weights=np.exp(1j * phases))
-    with pytest.raises(NeumannDivergenceError):  # with no RuntimeWarning on the way
+    message = ("Neumann series diverges at lambda = (1000+0j) (term norm grew to inf); "
+               "use the direct solve instead")
+    with pytest.raises(AssumptionError) as info:  # with no RuntimeWarning on the way
         neumann_resolvent(op, 1e3, basis(256, 0))
+    assert str(info.value) == message
 
 
 def test_neumann_rejects_dense():
