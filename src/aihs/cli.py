@@ -94,11 +94,15 @@ def _blaschke_options(block: dict | None, m: int):
     return lambdas, block.get("defect_cap")
 
 
+def _seeded_operator(cfg: dict, args):
+    """(operator, seed): the config's operator drawn with --seed, else the config's seed, else 0."""
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    return operator_from_config(cfg["operator"], np.random.default_rng(seed)), seed
+
+
 def _run_certificate(run_cfg: dict, args):
     """Execute one validated build config; returns the finished certificate."""
-    seed = args.seed if args.seed is not None else run_cfg.get("seed", 0)
-    rng = np.random.default_rng(seed)
-    op = operator_from_config(run_cfg["operator"], rng)
+    op, seed = _seeded_operator(run_cfg, args)
     e = seed_vector_from_config(run_cfg.get("seed_vector"), op.dim)
     tol = _tolerances(args, run_cfg)
     if run_cfg["construction"] == "entire":
@@ -164,8 +168,7 @@ def _operator_for_certificate(cert, args):
     if cfg["operator"]["dim"] != stored["dim"]:  # checked before building anything
         raise ArgumentError(f"operator dim {cfg['operator']['dim']!r} from {source} "
                             f"does not match the certificate's {stored['dim']}")
-    seed = cfg.get("seed", 0) if args.seed is None else args.seed
-    op = operator_from_config(cfg["operator"], np.random.default_rng(seed))
+    op, _ = _seeded_operator(cfg, args)
     if op.family.value != stored["family"] or operator_digest(op) != stored["sha256"]:
         raise ArgumentError(f"the operator rebuilt from {source} does not match "
                             "the stored family and digest")
@@ -198,8 +201,7 @@ def cmd_verify(args) -> int:
 
 def cmd_chain(args) -> int:
     cfg = validate_config(load_config(args.config), "chain")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    op = operator_from_config(cfg["operator"], np.random.default_rng(seed))
+    op, seed = _seeded_operator(cfg, args)
     z1 = seed_vector_from_config(cfg.get("seed_vector"), op.dim)
     depth = cfg["depth"]
 

@@ -2,10 +2,9 @@
 
 The split mirrors how failures are treated downstream: bad caller input
 (`ArgumentError`), a numerical precondition that did not hold at run time
-(`AssumptionError`), and pipeline failures that carry the stage at which a
-half-space construction gave up (`StageError`).  `AssumptionError` has one
-subclass, `SingularResolventError`, which the resolvent stage catches to
-exclude a lambda; every other failed assumption is a plain `AssumptionError`.
+(`AssumptionError`, whose one subclass, `SingularResolventError`, is the one
+a handler catches), and pipeline failures that carry the stage at which a
+half-space construction gave up (`StageError`).
 """
 
 from __future__ import annotations

@@ -328,8 +328,7 @@ def _blaschke_hypothesis(op: OperatorModel, orbit: OrbitData, cap: float) -> dic
             "flags": ["functional-norm-sum-exceeds-cap"] if exceeds else []}
 
 
-def _certify(op, e, orbit: OrbitData, candidates, m, law, k_max, tol, hypothesis: dict,
-             noisy=None):
+def _certify(op, e, orbit: OrbitData, candidates, m, law, k_max, tol, hypothesis, noisy=None):
     """The builders' tail: selection, resolvent vectors, dual vectors, metrics.
 
     ``candidates`` are the route's zeros, ``noisy`` its noise-floor mask on

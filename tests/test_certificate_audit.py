@@ -623,6 +623,17 @@ def short_dual_vector(doc):
     f["dual_vector"] = ser.encode_array(_array(f["dual_vector"])[:-1])
 
 
+def integer_array(doc):
+    doc["lambdas"]["dtype"] = "int64"
+
+
+def no_certified_lambda(doc):
+    """m_achieved 0 with no raw vector and no lambda: no build writes one."""
+    doc["m_achieved"] = 0
+    doc["raw_vectors"] = ser.encode_array(np.zeros((doc["operator"]["dim"], 0), complex))
+    doc["lambdas"] = ser.encode_array(np.zeros(0, complex))
+
+
 def malformed_exclusion(doc):
     doc["excluded_lambdas"] = [{"reason": "noise-floor"}]
 
@@ -675,7 +686,15 @@ ROWS_MALFORMED = [rows_above_shape, negative_rows, boolean_rows, full_length_tri
 MALFORMED = [transposed_raw_vectors, empty_functionals, string_in_metrics, bad_hex, short_data,
              stored_basis, old_schema, string_rank, array_without_shape, functional_without_dual,
              short_dual_vector, malformed_exclusion, operator_without_digest, uneven_complex_pairs,
-             string_complex_pairs, flagged_entire_hypothesis, *ROWS_MALFORMED]
+             string_complex_pairs, flagged_entire_hypothesis, integer_array, no_certified_lambda,
+             *ROWS_MALFORMED]
+
+
+# the end of the message for the rows that pin it
+_PARSE_ERRORS = {
+    integer_array: ": unknown array dtype 'int64'\n",
+    no_certified_lambda: ": certificate invalid at m_achieved: 0 is less than the minimum of 1\n",
+}
 
 
 @pytest.mark.parametrize("mutate", MALFORMED, ids=[m.__name__ for m in MALFORMED])
@@ -688,6 +707,7 @@ def test_malformed_certificate_is_a_one_line_error(docs, capsys, mutate):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot parse certificate {path}")
     assert err.count("\n") == 1
+    assert err.endswith(_PARSE_ERRORS.get(mutate, "\n"))
 
 
 @pytest.mark.parametrize("order", [lambda length: length, lambda length: length + 999,

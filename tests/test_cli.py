@@ -810,6 +810,30 @@ def test_verify_cross_checks_the_seed_of_a_dense_operator(tmp_path, capsys):
     assert _verify_error(capsys, path, doc, "--seed", "4") == _mismatch("the config echo")
 
 
+@pytest.mark.parametrize("flags, seed", [(["--seed", "7"], 7), ([], 3)], ids=["flag", "config"])
+def test_build_chain_and_verify_draw_the_operator_from_one_seed(tmp_path, capsys, monkeypatch,
+                                                                flags, seed):
+    # --seed, else the config's seed: each command hands the operator a generator seeded so
+    states = []
+
+    def spy(cfg, rng=None):
+        states.append(rng.bit_generator.state)
+        return operator_from_config(cfg, rng)
+
+    monkeypatch.setattr(cli, "operator_from_config", spy)
+    run = dict(_dense_cfg({"kind": "random-gaussian", "scale": 0.5}, dim=8), label="run")
+    chain = {"schema": "aihs-chain/1", "operator": run["operator"], "depth": 2, "seed": 3,
+             "label": "chain"}
+    run_path, chain_path = _write(tmp_path / "run.json", run), _write(tmp_path / "chain.json", chain)
+    out = ["--out", str(tmp_path)]
+    main(["build", "--config", run_path, *out, *flags])  # the random matrix fails a check
+    assert main(["chain", "--config", chain_path, *out, *flags]) == 0
+    capsys.readouterr()
+    main(["verify", str(tmp_path / "run.cert.json"), "--config", run_path, *flags])
+    assert capsys.readouterr().err == ""  # the audit runs: the operator is the certified one
+    assert states == [np.random.default_rng(seed).bit_generator.state] * 3
+
+
 def test_tiny_tol_zero_fails_the_zeros_stage(tmp_path, capsys):
     # polished zero residuals sit far below the 1e-10 default, not below 1e-300
     cfg = _write(tmp_path / "run.json", _entire_cfg())
@@ -817,6 +841,55 @@ def test_tiny_tol_zero_fails_the_zeros_stage(tmp_path, capsys):
     capsys.readouterr()
     assert main(["build", "--config", cfg, "--out", str(tmp_path), "--tol-zero", "1e-300"]) == 1
     assert "error at stage 'zeros'" in capsys.readouterr().err
+
+
+def _geometric_run(ratio, dim, m, k_max, **tolerances):
+    cfg = _entire_cfg(dim=dim, m=m, k_max=k_max)
+    cfg["operator"]["weights"]["params"]["ratio"] = ratio
+    return dict(cfg, tolerances=tolerances) if tolerances else cfg
+
+
+@pytest.mark.parametrize("cfg, message", [
+    # ratio 0.1 ends the orbit at 17 vectors: degree min(16 // 2, 16, 64) = 8 < m
+    (_geometric_run(0.1, 64, 9, 0), "error at stage 'zeros': degree 8 yields fewer than m = 9 zeros"),
+    (_geometric_run(0.9, 256, 8, 5, noise_guard_fraction=1e-300),
+     "error at stage 'selection': no zero survives the conditioning and noise guards; "
+     "raise the truncation or lower k_max"),
+    (_geometric_run(0.9, 256, 8, 5, resolvent_defect_tol=1e-300),
+     "error at stage 'resolvent': every resolvent solve failed the defect check"),
+], ids=["zeros", "selection", "resolvent"])
+def test_a_stage_with_nothing_left_is_a_one_line_error(tmp_path, capsys, cfg, message):
+    path = _write(tmp_path / "run.json", cfg)
+    assert main(["build", "--config", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_verify_of_an_infinite_lambda_is_an_audit_error(tmp_path, capsys):
+    path, doc = _built_certificate(tmp_path, _entire_cfg())
+    doc["lambdas"]["data"][0] = ["inf", "0x0.0p+0"]
+    assert _verify_error(capsys, path, doc) == (
+        "error at stage 'audit': stored lambda (inf+0j) fails its resolvent-defect: "
+        "resolvent solve failed at lambda = (inf+0j): z - T is singular at z = 0\n")
+
+
+def test_out_naming_a_file_is_a_one_line_io_error(tmp_path, capsys):
+    cfg = _write(tmp_path / "run.json", _entire_cfg())
+    (tmp_path / "taken").write_text("kept")
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "taken")]) == 1
+    out = tmp_path / "taken"
+    assert capsys.readouterr().err == f"io error: [Errno 17] File exists: {str(out)!r}\n"
+    assert out.read_text() == "kept" and sorted(p.name for p in tmp_path.iterdir()) == [
+        "run.json", "taken"]
+
+
+def test_factorial_decay_weights_build_and_verify(tmp_path, capsys):
+    cfg = _entire_cfg(dim=64, m=4, k_max=2)
+    cfg["operator"]["weights"] = {"kind": "factorial-decay"}
+    assert main(["build", "--config", _write(tmp_path / "run.json", cfg),
+                 "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith("\nPASS\n")
+    assert main(["verify", str(tmp_path / "run.cert.json")]) == 0
 
 
 def test_verify_missing_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from aihs import _linalg, halfspace
 from aihs.config import Tolerances
-from aihs.errors import ArgumentError, StageError
+from aihs.errors import ArgumentError, SingularResolventError, StageError
 from aihs.halfspace import (
     EntireLaw,
     _select_lambdas,
@@ -148,6 +148,24 @@ def test_metrics_order_the_columns_once(geometric_cert, monkeypatch):
     compute_metrics(op, cert.defect_vector, orbit, cert.raw_vectors, cert.lambdas, cert.duals,
                     cert.law, cert.k_max, Tolerances())
     assert len(calls) == 1
+
+
+def test_a_failed_resolvent_solve_excludes_its_lambda_only(geometric_cert, monkeypatch):
+    op, reference = geometric_cert
+    dropped = complex(reference.lambdas[0])
+
+    class FailsAtOne(halfspace.ResolventSolver):
+        def solve(self, e):
+            if self.lam == dropped:
+                raise SingularResolventError(self.lam, "forced")
+            return super().solve(e)
+
+    monkeypatch.setattr(halfspace, "ResolventSolver", FailsAtOne)
+    cert = build_entire(op, basis_vec(256), m=8, k_max=5)
+    reason = f"resolvent-defect: resolvent solve failed at lambda = {dropped!r}: forced"
+    assert cert.excluded_lambdas == (*reference.excluded_lambdas, (dropped, reason))
+    assert np.array_equal(cert.lambdas, reference.lambdas[1:])
+    assert cert.m_achieved == 7 and cert.passed
 
 
 def test_certificate_invariant_under_basis_rotation(geometric_cert):

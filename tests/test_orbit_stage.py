@@ -138,7 +138,7 @@ def test_block_min_norm_dual_equals_column_calls(k):
         assert np.array_equal(block[:, j], column[:, 0])
 
 
-def test_min_norm_dual_rejects_a_wrong_value_count_and_a_single_vector():
+def test_min_norm_dual_rejects_a_wrong_value_count():
     factor = _orbit_factor(np.eye(5, 3, dtype=np.complex128))
     for values in (np.ones((4, 1)), np.ones((4, 2)), np.ones(3), np.ones((3, 1, 1))):
         with pytest.raises(ValueError):
