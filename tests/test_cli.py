@@ -875,12 +875,12 @@ def test_verify_of_an_infinite_lambda_is_an_audit_error(tmp_path, capsys):
 
 def test_out_naming_a_file_is_a_one_line_io_error(tmp_path, capsys):
     cfg = _write(tmp_path / "run.json", _entire_cfg())
-    (tmp_path / "taken").write_text("kept")
-    assert main(["build", "--config", cfg, "--out", str(tmp_path / "taken")]) == 1
     out = tmp_path / "taken"
+    out.write_text("kept")
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"io error: [Errno 17] File exists: {str(out)!r}\n"
-    assert out.read_text() == "kept" and sorted(p.name for p in tmp_path.iterdir()) == [
-        "run.json", "taken"]
+    assert out.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "taken"]
 
 
 def test_factorial_decay_weights_build_and_verify(tmp_path, capsys):
