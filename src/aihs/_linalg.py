@@ -137,16 +137,16 @@ def greedy_column_order(a: np.ndarray) -> np.ndarray:
     return order
 
 
-def qr_basis(unit: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span by column-pivoted QR.
+def qr_basis(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis Q of the column span by column-pivoted QR, and its factor R.
 
     Callers pass unit columns (:func:`unit_columns`), so a caller that needs
     them for more than the basis normalizes once.  Columns are ordered as
     :func:`greedy_column_order` gives and then factored by Householder QR,
-    so a nearly dependent column comes last.
+    so a nearly dependent column comes last.  ``unit[:, order] = Q R``, so
+    the small R has the singular values of ``unit``.
     """
-    q, _ = np.linalg.qr(unit[:, greedy_column_order(unit)])
-    return q
+    return np.linalg.qr(unit[:, greedy_column_order(unit)])
 
 
 def project_off(q: np.ndarray, v: np.ndarray) -> np.ndarray:

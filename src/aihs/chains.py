@@ -292,7 +292,7 @@ def build_non_ai_halfspace_witness(op: OperatorModel, state: ChainState) -> Witn
         raise ArgumentError("need depth >= 2 for at least one even vector")
     pairs = state.depth // 2
     evens = state.zs[:, 1 : 2 * pairs : 2]  # z_2, z_4, ..., z_{2 pairs}
-    z_basis = qr_basis(unit_columns(evens))
+    z_basis, _ = qr_basis(unit_columns(evens))
 
     images = op.apply(evens)  # T z_{2k}
     projected = images - z_basis @ (z_basis.conj().T @ images)

@@ -210,11 +210,14 @@ KEYWORDS = frozenset({"type", "const", "enum", "minimum", "exclusiveMinimum", "p
                       "minItems", "maxItems", "required", "properties", "additionalProperties"})
 
 
+_TYPES = {"string": str, "boolean": bool, "array": list, "object": dict}
+
+
 def _is(doc, kind: str) -> bool:
     if kind in ("number", "integer"):  # draft 7: True is no number, and 1.0 is an integer
         return (isinstance(doc, (int, float)) and not isinstance(doc, bool)
                 and (kind == "number" or isinstance(doc, int) or doc.is_integer()))
-    return isinstance(doc, {"string": str, "boolean": bool, "array": list, "object": dict}[kind])
+    return isinstance(doc, _TYPES[kind])
 
 
 def _errors(schema: dict, doc, path: tuple) -> list:
@@ -236,8 +239,6 @@ def _errors(schema: dict, doc, path: tuple) -> list:
                 if name in doc:
                     found += _errors(sub, doc[name], path + (name,))
         elif key == "items" and is_list:
-            if value is _COMPLEX and _is_pair_list(doc):
-                continue  # every entry is a valid [re, im] pair
             for index, item in enumerate(doc):
                 found += _errors(value, item, path + (index,))
         elif key == "required" and is_dict:
@@ -268,6 +269,80 @@ def _errors(schema: dict, doc, path: tuple) -> list:
     return found
 
 
+def _compile(schema: dict):
+    """A predicate on documents, true exactly when :func:`_errors` finds nothing.
+
+    Each keyword becomes one test, and the sub-schemas of ``properties`` and
+    ``items`` take their own predicates (:func:`_predicate`), so checking a
+    document walks no schema.
+    A predicate has no order to keep, so the keywords that read an object or
+    a list share one test.
+    """
+    tests = []
+    if "type" in schema:
+        kinds = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if {"number", "integer"}.isdisjoint(kinds):
+            types = tuple(_TYPES[kind] for kind in kinds)
+            tests.append(lambda doc: isinstance(doc, types))
+        else:
+            tests.append(lambda doc: any(_is(doc, kind) for kind in kinds))
+    if "const" in schema:
+        tests.append(lambda doc, const=schema["const"]: not doc != const)
+    if "enum" in schema:
+        tests.append(lambda doc, enum=schema["enum"]: doc in enum)
+    if "minimum" in schema:
+        tests.append(lambda doc, low=schema["minimum"]: not (_is(doc, "number") and doc < low))
+    if "exclusiveMinimum" in schema:
+        tests.append(lambda doc, low=schema["exclusiveMinimum"]:
+                     not (_is(doc, "number") and doc <= low))
+    if "pattern" in schema:
+        search = re.compile(schema["pattern"]).search
+        tests.append(lambda doc: not isinstance(doc, str) or search(doc) is not None)
+    properties = schema.get("properties", {})
+    closed = schema.get("additionalProperties") is False
+    if properties or closed or "required" in schema:
+        checks = [(name, _predicate(sub)) for name, sub in properties.items()]
+        required, known = frozenset(schema.get("required", ())), frozenset(properties)
+
+        def object_test(doc) -> bool:
+            return not isinstance(doc, dict) or (
+                doc.keys() >= required and (not closed or doc.keys() <= known)
+                and all(check(doc[name]) for name, check in checks if name in doc))
+        tests.append(object_test)
+    if {"items", "minItems", "maxItems"} & schema.keys():
+        item = _predicate(schema["items"]) if "items" in schema else None
+        pairs = schema.get("items") is _COMPLEX  # a list of valid pairs, checked in one pass
+        low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+
+        def list_test(doc) -> bool:
+            return not isinstance(doc, list) or (
+                low <= len(doc) <= high
+                and (item is None or (pairs and _is_pair_list(doc)) or all(map(item, doc))))
+        tests.append(list_test)
+    if len(tests) == 1:
+        return tests[0]
+
+    def node(doc) -> bool:
+        for test in tests:
+            if not test(doc):
+                return False
+        return True
+    return node
+
+
+#: Each schema's predicate by the schema's identity, with the schema kept alive beside it.
+_PREDICATES: dict[int, tuple] = {}
+
+
+def _predicate(schema: dict):
+    """The predicate of ``schema``, compiled on its first use; a schema shared by several
+    others (the run schema inside the sweep schema, a number rule) is compiled once."""
+    entry = _PREDICATES.get(id(schema))
+    if entry is None or entry[0] is not schema:
+        entry = _PREDICATES[id(schema)] = (schema, _compile(schema))
+    return entry[1]
+
+
 def check_document(schema: dict, doc, what: str) -> None:
     """Raise ``<what> invalid at <path>: <message>`` for the most relevant violation.
 
@@ -275,8 +350,12 @@ def check_document(schema: dict, doc, what: str) -> None:
     the path that sorts last wins (a later list index, a key later in the
     alphabet); at one node, the first in schema order. Rule and messages are
     those of the draft-7 reference validator, which
-    tests/test_schema_checker.py holds this checker to.
+    tests/test_schema_checker.py holds this checker to.  A document is first
+    tested by the schema's compiled predicate (:func:`_predicate`), so the
+    violations are listed only for one it rejects.
     """
+    if _predicate(schema)(doc):
+        return
     found = _errors(schema, doc, ())
     if found:
         path, message = max(found, key=lambda error: (-len(error[0]), error[0]))

@@ -33,7 +33,7 @@ from .config import Tolerances
 from .duality import containment_residual
 from .entire import DEGREE_CAP, apply_picard_shift, coefficients_from_norms, find_zeros
 from .errors import AihsError, ArgumentError, AssumptionError, SingularResolventError, StageError
-from ._linalg import extend_basis, numerical_rank, qr_basis, smallest_singular_value, unit_columns
+from ._linalg import extend_basis, qr_basis, smallest_singular_value, svd_rank, unit_columns
 from .operators import OperatorModel, OrbitData, compute_orbit, operator_digest, orbit_form, _readonly
 from .resolvent import ResolventSolver, filter_lambda_gap
 
@@ -133,7 +133,7 @@ class HalfSpaceCertificate:
     @functools.cached_property
     def basis(self) -> np.ndarray:
         """Orthonormal basis of Y, ``qr_basis`` of the resolvent vectors."""
-        return _readonly(qr_basis(unit_columns(self.raw_vectors)))
+        return _readonly(qr_basis(unit_columns(self.raw_vectors))[0])
 
     @property
     def construction(self) -> str:
@@ -250,10 +250,15 @@ def _solve_resolvents(
     return np.stack(vectors, axis=1), np.array(kept, dtype=np.complex128), excluded
 
 
-def _independence(unit: np.ndarray, vectors: np.ndarray) -> float:
-    """sigma_min of ``unit``, the unit columns of ``vectors``; 0 when a column of
-    ``vectors`` is zero, which ``unit_columns`` drops."""
-    return smallest_singular_value(unit) if unit.shape[1] == vectors.shape[1] else 0.0
+def _independence(r: np.ndarray, unit: np.ndarray, vectors: np.ndarray) -> float:
+    """sigma_min of ``unit``, the unit columns of ``vectors``, read off its triangular factor
+    ``r``; 0 when a column of ``vectors`` is zero, which ``unit_columns`` drops."""
+    return smallest_singular_value(r) if unit.shape[1] == vectors.shape[1] else 0.0
+
+
+def _rank(r: np.ndarray, tol: Tolerances) -> int:
+    """``numerical_rank`` of the columns whose triangular factor is ``r``."""
+    return svd_rank(np.linalg.svd(r, compute_uv=False), tol.tol_rank)
 
 
 def compute_metrics(
@@ -274,7 +279,11 @@ def compute_metrics(
     (columns), and the law, which prescribes the orbit values and references.  Y's
     basis is ``qr_basis`` of the resolvent vectors, and Y + span{e} has that
     basis grown by the unit e (``extend_basis``).  ``ai_defect_rank`` is
-    the rank excess of [T*basis | basis | e] over [basis | e].  The
+    the rank excess of [basis | e | T*basis] over [basis | e].  No tall block
+    is factored by SVD: each singular value comes from a small triangular
+    factor, the pivoted QR's R for the resolvent vectors, one Householder R of
+    the unit columns of [basis | e | T*basis] for both ranks (its leading
+    block is the R of [basis | e]), and one of the unit duals.  The
     annihilation residual is divided by (1+max|lambda|)^(k_max+1)*max|c_i|,
     the round-off growth of lambda^(k+1)*F(lambda).
 
@@ -293,10 +302,13 @@ def compute_metrics(
 
     op, (e, raw_vectors, duals) = op.on_support(e.reshape(-1, 1), raw_vectors, duals)
     unit = unit_columns(raw_vectors)
-    basis = qr_basis(unit)
-    with_e = np.hstack([basis, e])
+    basis, r = qr_basis(unit)
     enlarged = extend_basis(basis, e[:, 0] / np.linalg.norm(e))  # Y + span{e}
     moved = op.apply(basis)
+    # every column of [basis | e] has a positive norm, so unit_columns keeps them all
+    stacked = np.linalg.qr(unit_columns(np.hstack([basis, e, moved])), mode="r")
+    lead = basis.shape[1] + 1
+    dual_unit = unit_columns(duals)
 
     inner = duals.conj().T @ raw_vectors  # inner[j, n] = f_j(h(lambda_n))
     if refs is not None:
@@ -305,13 +317,13 @@ def compute_metrics(
     metrics = {
         "construction": law.construction,
         "lambda_set": [complex(z) for z in lambdas],
-        "independence_sigma_min": _independence(unit, raw_vectors),
-        "ai_defect_rank": (numerical_rank(np.hstack([moved, with_e]), rtol=tol.tol_rank)
-                           - numerical_rank(with_e, rtol=tol.tol_rank)),
+        "independence_sigma_min": _independence(r, unit, raw_vectors),
+        "ai_defect_rank": _rank(stacked, tol) - _rank(stacked[:lead, :lead], tol),
         "ai_residual": float(containment_residual(moved, enlarged)),
         "max_annihilation_residual": float(np.max(np.abs(inner))) / scale,
         "annihilation_scale": float(scale),
-        "functional_independence_sigma_min": _independence(unit_columns(duals), duals),
+        "functional_independence_sigma_min": _independence(
+            np.linalg.qr(dual_unit, mode="r"), dual_unit, duals),
         "extension_residual_max": extension,
     }
     thresholds = {name: getattr(tol, key) if key else 1 for name, (key, _) in _CHECKS.items()}
@@ -513,9 +525,11 @@ def verify_certificate(
                   if isinstance(cert.law, BlaschkeLaw) else None)
 
     # the stored raw vectors must reproduce from the operator and stored lambdas,
-    # each at its own scale: the columns span many orders of magnitude
-    scale = np.maximum(np.max(np.abs(cert.raw_vectors), axis=0), 1e-300)
-    raw_drift = float(np.max(np.max(np.abs(raw - cert.raw_vectors), axis=0) / scale))
+    # each at its own scale: the columns span many orders of magnitude; on a shift
+    # both are zero past the rows on_support keeps, so those rows move no maximum
+    _, (raw, stored) = op.on_support(raw, cert.raw_vectors)
+    scale = np.maximum(np.max(np.abs(stored), axis=0), 1e-300)
+    raw_drift = float(np.max(np.max(np.abs(raw - stored), axis=0) / scale))
     failures = [] if raw_drift <= tol.tol_audit else ["raw_vectors"]
     # a stored threshold is an input of its check: only its value and verdict are derived
     thresholds = {name: cert.checks[name]["threshold"] for name in _CHECKS}

@@ -156,20 +156,23 @@ class OperatorModel:
         return self._shift(vec, down=self.family is Family.DONOGHUE, conj=True)
 
     def shifted_solver(self, z: complex):
-        """``rhs -> h`` solving ``(z - T) h = rhs`` for a fixed ``z`` and one vector ``rhs``.
+        """``rhs -> (h, rows)`` solving ``(z - T) h = rhs`` for a fixed ``z`` and one vector.
 
         Shift families run a substitution down the bidiagonal, forward for
         the forward shift and backward for Donoghue, and stop at the exact
         zero tail: once ``h`` is zero past ``rhs``'s last nonzero entry, so is
         every later entry, and those rows are ``+0.0``, never computed.
+        ``rows`` counts the rows it wrote, from the end where it starts: the
+        first rows for the forward shift, the last for Donoghue.
         ``z = 0`` makes the solve raise ``numpy.linalg.LinAlgError``, and
         overflow leaves non-finite entries.  Dense operators take
-        ``numpy.linalg.solve`` on each call; an exactly singular ``z - T``
-        raises ``LinAlgError``.
+        ``numpy.linalg.solve`` on each call and write all ``dim`` rows; an
+        exactly singular ``z - T`` raises ``LinAlgError``.
         """
         z = complex(z)
         if self.family is Family.DENSE:
-            return functools.partial(np.linalg.solve, np.diag(np.full(self.dim, z)) - self._array)
+            shifted = np.diag(np.full(self.dim, z)) - self._array
+            return lambda rhs: (np.linalg.solve(shifted, rhs), self.dim)
         backward = self.family is Family.DONOGHUE
         # h_i = (rhs_i + w h_{i-1}) / z in Python complex arithmetic, since
         # per-element numpy calls would cost more.  Dividing at each step is
@@ -196,7 +199,7 @@ class OperatorModel:
                 row.append(h)
             out = np.zeros(self.dim, dtype=np.complex128)
             out[:len(row)] = row
-            return out[::-1] if backward else out
+            return out[::-1] if backward else out, len(row)
 
         return solve
 
@@ -210,7 +213,14 @@ class OperatorModel:
         """The ``k x k`` principal truncation of a shift family (``2 <= k <= dim``);
         on vectors that vanish past row ``k - 2`` it acts as ``T`` on their leading rows.
         ``k = dim`` gives the operator itself, the one truncation a dense operator has."""
-        return self if k == self.dim else OperatorModel(self.family, k, self._array[:k - 1])
+        return self.section(0, k)
+
+    def section(self, start: int, k: int) -> OperatorModel:
+        """The ``k x k`` principal truncation on rows ``start .. start + k - 1``, as
+        :meth:`leading` takes it at ``start = 0``: on vectors that vanish outside those
+        rows and that ``T`` maps inside them, it acts as ``T`` on those rows."""
+        return self if k == self.dim else OperatorModel(self.family, k,
+                                                        self._array[start:start + k - 1])
 
     def on_support(self, *arrays: np.ndarray) -> tuple[OperatorModel, list[np.ndarray]]:
         """``leading(k)``, and each array cut to its first ``k`` rows or zero-padded to them.
@@ -360,12 +370,28 @@ def build_operator(
 # weight generators
 
 
+#: CPython raises a complex z to an integer power i up to this exponent by repeated
+#: squaring, and past it as ``pow(|z|, i)`` at the phase ``i * atan2(Im z, Re z)``.
+_BINARY_POWERS = 100
+
+
 def geometric_weights(dim: int, ratio: complex) -> tuple[complex, ...]:
-    """``w_i = ratio**i`` for ``i = 1 .. dim - 1``."""
+    """``w_i = ratio**i`` for ``i = 1 .. dim - 1``, each with the bits of ``complex(ratio) ** i``.
+
+    Past ``_BINARY_POWERS`` a positive real ratio r has phase 0, so there
+    ``complex(r) ** i`` is ``complex(pow(r, i), 0.0)``, which ``math.pow``
+    gives with no complex power.  Any other ratio takes the complex power at
+    every index.
+    """
     if ratio == 0:
         raise ArgumentError("geometric ratio must be nonzero")
+    z = complex(ratio)
+    stop = min(dim, _BINARY_POWERS + 1) if z.imag == 0.0 and z.real > 0.0 else dim
     try:
-        return tuple(complex(ratio) ** i for i in range(1, dim))
+        weights = [z ** i for i in range(1, stop)]
+        tail = map(math.pow, itertools.repeat(z.real), range(stop, dim))
+        weights += np.fromiter(tail, np.float64, dim - stop).astype(np.complex128).tolist()
+        return tuple(weights)
     except OverflowError:
         raise ArgumentError(f"geometric weights overflow: |ratio|**{dim - 1} with "
                             f"|ratio| = {abs(ratio):.6g} leaves the float range") from None

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArgumentError, AssumptionError, SingularResolventError
 from .config import Tolerances
-from .operators import OperatorModel, _readonly
+from .operators import Family, OperatorModel, _readonly
 
 __all__ = [
     "ResolventVector",
@@ -60,7 +60,10 @@ class ResolventSolver:
     The solve is :meth:`OperatorModel.shifted_solver`: a substitution that
     stops at the exact zero tail of ``h`` for the shift families,
     ``numpy.linalg.solve`` for dense operators.  Every solve is checked
-    against ``op.apply``.  The condition estimate is opt-in.
+    against ``op.apply``, on the rows the solve wrote and the one row ``T``
+    moves them into: ``h``, ``e`` and ``T h`` vanish on every other row.  A
+    dense solve writes, and so checks, all N rows.  The condition estimate
+    is opt-in.
     """
 
     def __init__(
@@ -76,12 +79,17 @@ class ResolventSolver:
     def solve(self, e: np.ndarray) -> ResolventVector:
         e = np.asarray(e, dtype=np.complex128).reshape(-1)
         try:
-            h = self._solve(e)
+            h, written = self._solve(e)
         except np.linalg.LinAlgError as exc:
             raise SingularResolventError(self.lam, str(exc)) from exc
-        if not np.all(np.isfinite(h)):
+        op, part, rhs = self.op, h, e
+        if written + 1 < op.dim:  # the rows written and the one T moves into
+            start = op.dim - written - 1 if op.family is Family.DONOGHUE else 0
+            rows = slice(start, start + written + 1)
+            op, part, rhs = op.section(start, written + 1), h[rows], e[rows]
+        if not np.all(np.isfinite(part)):
             raise SingularResolventError(self.lam, "solve produced non-finite entries")
-        defect = _relative_defect(self.op, self.lam, h, e)
+        defect = _relative_defect(op, self.lam, part, rhs)
         if defect > self.defect_tol:
             raise SingularResolventError(
                 self.lam, f"relative defect {defect:.3e} exceeds {self.defect_tol:.1e}"

@@ -307,8 +307,10 @@ CERT_SCHEMA = _record(
     excluded_lambdas=_LIST,
     functionals={"type": "array", "minItems": 1},
     law=_OBJECT,
-    # a build that certifies no lambda fails at its resolvent stage, so none is stored
-    **(dict.fromkeys(_COUNTS, _COUNT) | {"m_achieved": {**_COUNT, "minimum": 1}}),
+    # every builder rejects m < 1, and a build that certifies no lambda fails at its
+    # resolvent stage, so neither count is stored as 0
+    **(dict.fromkeys(_COUNTS, _COUNT) | dict.fromkeys(("m_requested", "m_achieved"),
+                                                      {**_COUNT, "minimum": 1})),
     metrics=_record(**_METRICS),
     checks=_record(**{name: _record(value=_METRICS[name], threshold=_METRICS[name],
                                     passed=_BOOLEAN) for name in _CHECKS}),

@@ -252,7 +252,7 @@ def test_criterion_5_perturbation_round_trip(gate):
         n = int(rng.integers(6, 65))
         op = build_operator(Family.DENSE, n, matrix=random_matrix(rng, n))
         cols = int(rng.integers(1, max(2, n // 2)))
-        y = qr_basis(rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols)))
+        y, _ = qr_basis(rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols)))
         f, dim_f = minimal_defect_space(op, y)
         witness = build_perturbation(op, y, f)
         if not witness.invariance_residual < 1e-9:

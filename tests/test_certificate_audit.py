@@ -438,8 +438,8 @@ def _pivoted_qr_residual(op, cert) -> float:
     Gram-Schmidt column: from a pivoted QR of [basis, e] on the support rows."""
     lead, (e, raw, _) = op.on_support(cert.defect_vector.reshape(-1, 1), cert.raw_vectors,
                                       cert.duals)
-    basis = qr_basis(unit_columns(raw))
-    return containment_residual(lead.apply(basis), qr_basis(unit_columns(np.hstack([basis, e]))))
+    basis, _ = qr_basis(unit_columns(raw))
+    return containment_residual(lead.apply(basis), qr_basis(unit_columns(np.hstack([basis, e])))[0])
 
 
 @pytest.mark.parametrize("route", _ALL)
@@ -634,6 +634,11 @@ def no_certified_lambda(doc):
     doc["lambdas"] = ser.encode_array(np.zeros(0, complex))
 
 
+def no_requested_lambda(doc):
+    """m_requested 0: every builder rejects m < 1."""
+    doc["m_requested"] = 0
+
+
 def malformed_exclusion(doc):
     doc["excluded_lambdas"] = [{"reason": "noise-floor"}]
 
@@ -687,13 +692,14 @@ MALFORMED = [transposed_raw_vectors, empty_functionals, string_in_metrics, bad_h
              stored_basis, old_schema, string_rank, array_without_shape, functional_without_dual,
              short_dual_vector, malformed_exclusion, operator_without_digest, uneven_complex_pairs,
              string_complex_pairs, flagged_entire_hypothesis, integer_array, no_certified_lambda,
-             *ROWS_MALFORMED]
+             no_requested_lambda, *ROWS_MALFORMED]
 
 
 # the end of the message for the rows that pin it
 _PARSE_ERRORS = {
     integer_array: ": unknown array dtype 'int64'\n",
     no_certified_lambda: ": certificate invalid at m_achieved: 0 is less than the minimum of 1\n",
+    no_requested_lambda: ": certificate invalid at m_requested: 0 is less than the minimum of 1\n",
 }
 
 

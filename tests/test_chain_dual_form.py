@@ -57,7 +57,7 @@ def test_dual_chain_satisfies_the_primal_properties(depth, extra, seed):
         # T(Y_{n+1}) lies in Y_n
         assert containment_residual(t @ y_next, y_prev) < PROPERTY_TOL
         # Y_n = Y_{n+1} + span z_{n+1}
-        union = qr_basis(np.hstack([y_next, z_next[:, None]]))
+        union, _ = qr_basis(np.hstack([y_next, z_next[:, None]]))
         assert containment_residual(y_prev, union) < PROPERTY_TOL
 
 

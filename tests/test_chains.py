@@ -168,7 +168,7 @@ def test_grown_basis_spans_the_functionals(seed):
         k = state.depth
         q = state.q
         assert np.allclose(q.conj().T @ q, np.eye(k), rtol=0.0, atol=1e-12)
-        reference = qr_basis(unit_columns(state.phis))
+        reference, _ = qr_basis(unit_columns(state.phis))
         cosines = np.linalg.svd(q.conj().T @ reference, compute_uv=False)
         assert cosines.min() >= 1.0 - 1e-12
         assert verify_chain(op, state) == state.reports[-1]
@@ -244,7 +244,7 @@ def test_codim_three_forward_shift():
     assert y.shape == (32, 29)
     assert resid < 1e-9
     # external re-check of the defining property
-    enlarged = qr_basis(np.hstack([y, e_y[:, None]]))
+    enlarged, _ = qr_basis(np.hstack([y, e_y[:, None]]))
     assert containment_residual(op.matrix @ y, enlarged) < 1e-9
 
 
@@ -279,7 +279,7 @@ def test_codim_residual_matches_a_pivoted_qr_enlargement(index, n):
     # pivoted QR of [Y, e_Y] spans the same space
     op = _codim_operators()[index]
     y, e_y, resid = codim_n_subspace(op, n)
-    enlarged = qr_basis(unit_columns(np.hstack([y, e_y[:, None]]))) if np.any(e_y) else y
+    enlarged = qr_basis(unit_columns(np.hstack([y, e_y[:, None]])))[0] if np.any(e_y) else y
     assert abs(resid - containment_residual(op.apply(y), enlarged)) <= 1e-14
 
 

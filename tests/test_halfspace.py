@@ -139,15 +139,18 @@ def test_functional_extension_residuals(geometric_cert):
 
 
 def test_metrics_order_the_columns_once(geometric_cert, monkeypatch):
-    # Y's basis takes one pivoted QR, and Y + span{e} grows it by one column
+    # Y's basis takes one pivoted QR, and Y + span{e} grows it by one column; the
+    # ranks and singular values come from unpivoted triangular factors, which take
+    # no column order of their own
     op, cert = geometric_cert
     orbit = compute_orbit(op, cert.defect_vector, cert.orbit_length)
     calls, original = [], _linalg.greedy_column_order
     monkeypatch.setattr(_linalg, "greedy_column_order",
                         lambda a: calls.append(a.shape) or original(a))
-    compute_metrics(op, cert.defect_vector, orbit, cert.raw_vectors, cert.lambdas, cert.duals,
-                    cert.law, cert.k_max, Tolerances())
-    assert len(calls) == 1
+    for _ in range(2):
+        compute_metrics(op, cert.defect_vector, orbit, cert.raw_vectors, cert.lambdas,
+                        cert.duals, cert.law, cert.k_max, Tolerances())
+    assert len(calls) == 2 and {cols for _, cols in calls} == {cert.m_achieved}
 
 
 def test_a_failed_resolvent_solve_excludes_its_lambda_only(geometric_cert, monkeypatch):

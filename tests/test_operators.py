@@ -182,6 +182,36 @@ def test_geometric_weights_values():
     assert geometric_weights(4, 0.5) == (0.5, 0.25, 0.125)
 
 
+def _bits(values) -> list:
+    return np.array(values, dtype=np.complex128).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("dim", [2, 100, 101, 102, 1024])
+@pytest.mark.parametrize("ratio", [0.9, 0.5, 0.995, 1.3, -0.7, 0.6 + 0.2j])
+def test_geometric_weights_keep_the_bits_of_the_complex_power(ratio, dim):
+    # CPython squares up to exponent 100 and takes pow(|z|, i) at z's phase past it
+    got = geometric_weights(dim, ratio)
+    assert type(got) is tuple and {type(w) for w in got} <= {complex}
+    assert _bits(got) == _bits(tuple(complex(ratio) ** i for i in range(1, dim)))
+
+
+def test_geometric_weights_past_the_float_range_are_one_line():
+    with pytest.raises(OverflowError):
+        complex(2) ** 1024
+    with pytest.raises(ArgumentError) as info:
+        geometric_weights(1100, 2)
+    assert str(info.value) == ("geometric weights overflow: |ratio|**1099 with |ratio| = 2 "
+                               "leaves the float range")
+
+
+def test_geometric_weights_that_underflow_are_a_zero_weight():
+    cfg = {"family": "forward-weighted-shift", "dim": 200,
+           "weights": {"kind": "geometric", "params": {"ratio": 1e-3}}}
+    with pytest.raises(ArgumentError) as info:
+        operator_from_config(cfg)
+    assert str(info.value) == "weight 108 is 0j; all weights must be finite and nonzero"
+
+
 def test_factorial_decay_weights_values():
     w = factorial_decay_weights(5)
     assert w == (1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0)

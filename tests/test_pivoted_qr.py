@@ -44,8 +44,9 @@ def test_greedy_column_order_is_the_geqp3_order(seed):
     a *= np.exp(rng.uniform(-2.0, 2.0, cols))
     _, _, pivots = scipy.linalg.qr(a, mode="economic", pivoting=True)
     assert greedy_column_order(a).tolist() == pivots.tolist()
-    q = qr_basis(a)
+    q, r = qr_basis(a)
     assert np.allclose(q.conj().T @ q, np.eye(cols), rtol=0, atol=1e-14)
+    assert np.allclose(q @ r, a[:, pivots], rtol=0, atol=1e-13 * np.abs(a).max())
 
 
 def test_smoke_blaschke_input_passes_on_every_seed(tmp_path):

@@ -247,6 +247,8 @@ def test_bad_hex_float_matches_jsonschema(certificates):
     ({"minimum": 0, "type": "integer"}, -1.5),  # a keyword before a failed type
     ({"type": "array", "minItems": 2, "maxItems": 0}, [1]),
     ({"type": "integer", "minimum": 0}, -1.5),  # and one after it
+    ({"required": ["a"], "additionalProperties": False}, [1]),  # object keywords, no object
+    ({"required": ["a"], "additionalProperties": False}, {"a": 1, "b": 2}),
 ])
 def test_small_schemas_match_jsonschema(schema, doc):
     assert _got(schema, doc) == _expected(schema, doc)
@@ -283,3 +285,49 @@ def test_law_of_neither_shape(certificates, law, message):
 ])
 def test_entire_law_of_another_shape(certificates, law, message):
     assert _law_line(certificates[0], law).endswith(message)
+
+
+# --- the compiled predicate -------------------------------------------------
+
+
+def _agree(schema, doc) -> bool:
+    return config._compile(schema)(doc) == (not config._errors(schema, doc, ()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(DOCUMENTS)))
+def test_compiled_predicate_is_no_errors_on_configs(data, name):
+    schema, doc = DOCUMENTS[name]
+    assert _agree(schema, doc)
+    assert _agree(schema, _mutate(data.draw, doc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), which=st.integers(0, 1))
+def test_compiled_predicate_is_no_errors_on_certificates(certificates, data, which):
+    doc = _mutate(data.draw, certificates[which])
+    assert _agree(ser.CERT_SCHEMA, doc)
+    if isinstance(doc, dict):  # the law and hypothesis under either construction's schema
+        part = {key: doc[key] for key in ("law", "hypothesis") if key in doc}
+        assert all(_agree(schema, part) for schema in ser.CONSTRUCTION_SCHEMAS.values())
+
+
+@pytest.mark.parametrize("value, index", [(True, 0), ([1, 2, 3], 4095), ([[1, 2], 3], 4095)])
+def test_compiled_predicate_walks_a_pair_list_with_a_bad_entry(value, index):
+    doc = copy.deepcopy(PAIRS_RUN)
+    values = [list(pair) for pair in _LONG]
+    assert _agree(config.RUN_SCHEMA, doc)
+    values[index] = value
+    doc["operator"]["weights"]["params"]["values"] = values
+    assert _agree(config.RUN_SCHEMA, doc) and not config._compile(config.RUN_SCHEMA)(doc)
+
+
+def test_errors_are_listed_only_for_a_rejected_document(certificates, monkeypatch):
+    calls, errors = [], config._errors
+    monkeypatch.setattr(config, "_errors", lambda *args: calls.append(args[2]) or errors(*args))
+    for schema, doc in (*DOCUMENTS.values(), (ser.CERT_SCHEMA, certificates[0])):
+        config.check_document(schema, doc, "doc")
+    assert calls == []
+    doc = {**certificates[0], "m_achieved": 1.5}
+    assert _got(ser.CERT_SCHEMA, doc) == _expected(ser.CERT_SCHEMA, doc)
+    assert calls[0] == ()

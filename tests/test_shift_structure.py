@@ -82,7 +82,7 @@ def test_banded_solve_matches_dense_lu(op, cols, seed):
     z = _shift_point(seed, op)
     rhs = _random_block(seed + 1, op.dim, cols)
     solve = op.shifted_solver(z)  # one vector per call
-    h = solve(rhs) if rhs.ndim == 1 else np.column_stack([solve(col) for col in rhs.T])
+    h = solve(rhs)[0] if rhs.ndim == 1 else np.column_stack([solve(col)[0] for col in rhs.T])
     a = np.diag(np.full(op.dim, z)) - op.matrix
     ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), rhs)
     assert np.linalg.norm(h - ref) <= 1e-12 * np.linalg.norm(ref)

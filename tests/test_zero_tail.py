@@ -7,6 +7,7 @@ a full-length substitution, and show that the output and the work of a
 build and its audit follow the vectors' support, not N.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aihs import halfspace
+from aihs import halfspace, resolvent
 from aihs import serialize as ser
 from aihs.errors import SingularResolventError
 from aihs.halfspace import build_entire, verify_certificate
@@ -80,9 +81,14 @@ def test_early_stop_matches_the_full_substitution(case):
     z = 1.0 / complex(lam)  # the z a ResolventSolver at lam solves with
     solve = op.shifted_solver(z)  # one vector per call
     with np.errstate(all="ignore"):
-        got = solve(rhs) if rhs.ndim == 1 else np.column_stack([solve(col) for col in rhs.T])
+        solves = [solve(col) for col in (rhs[:, None] if rhs.ndim == 1 else rhs).T]
+        got = np.column_stack([h for h, _ in solves]).reshape(rhs.shape)
         want = _full_substitution(op, z, rhs)
     assert got.shape == rhs.shape
+    for h, rows in solves:  # every row past the ones the solve reports is +0.0
+        tail = h[:op.dim - rows] if op.family is Family.DONOGHUE else h[rows:]
+        parts = np.concatenate([tail.real, tail.imag])
+        assert not parts.any() and not np.signbit(parts).any()
     # equal values, non-finite where the reference is; a zero's sign may differ
     np.testing.assert_array_equal(got, want)
     assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -96,12 +102,40 @@ def test_early_stop_fills_the_tail_and_keeps_the_singular_point(family):
     op = build_operator(family, 8, weights=geometric_weights(8, 0.5))
     rhs = np.zeros(8, dtype=np.complex128)
     rhs[7 if family is Family.DONOGHUE else 0] = 1.0
-    h = op.shifted_solver(1e300)(rhs)  # 1e-300, then an underflow to zero
+    h, rows = op.shifted_solver(1e300)(rhs)  # 1e-300, then an underflow to zero
+    assert rows == 2  # the first entry, and the zero that stops the substitution
     assert np.array_equal(h, _full_substitution(op, 1e300, rhs))
     assert np.count_nonzero(h) == 1
     assert not np.signbit(h[h == 0].real).any() and not np.signbit(h[h == 0].imag).any()
     with pytest.raises(np.linalg.LinAlgError):
         op.shifted_solver(0)(rhs)
+
+
+@pytest.mark.parametrize("family", (*SHIFTS, Family.DENSE))
+def test_a_solve_checks_only_the_rows_it_wrote(family, monkeypatch):
+    # finiteness and the defect read the rows the substitution wrote and the one
+    # row T moves them into; a dense solve writes, and so checks, all N rows
+    dim = 1024 if family is not Family.DENSE else 64
+    if family is Family.DENSE:
+        op = build_operator(family, dim, matrix=np.diag(np.full(dim - 1, 0.5), -1))
+    else:
+        op = build_operator(family, dim, weights=geometric_weights(dim, 0.9))
+    e = np.zeros(dim, dtype=np.complex128)
+    e[dim - 1 if family is Family.DONOGHUE else 0] = 1.0
+    lam = 2.5 + 1.0j
+    _, written = op.shifted_solver(1.0 / lam)(e)
+    read, defect, isfinite = [], resolvent._relative_defect, np.isfinite
+    monkeypatch.setattr(resolvent, "_relative_defect",
+                        lambda op_, *args: read.append(op_.dim) or defect(op_, *args))
+    monkeypatch.setattr(np, "isfinite", lambda a: read.append(np.size(a)) or isfinite(a))
+    rv = resolvent.ResolventSolver(op, lam).solve(e)
+    monkeypatch.undo()
+    if family is Family.DENSE:
+        assert written == dim and read == [dim, dim]
+    else:
+        assert written < dim // 4 and read == [written + 1, written + 1]
+    # the rows left out hold exact zeros of h, e and T h: the defect keeps its value
+    assert rv.defect == pytest.approx(defect(op, lam, rv.vector, e), rel=1e-12, abs=1e-30)
 
 
 # --- a build and its audit follow the support -----------------------------
@@ -123,7 +157,7 @@ class _Spy:
         self.steps: list[int] = []  # substitution steps per solve of one vector
         self.metric_rows: list[int] = []
         self.code, self.lines = _substitution_lines()
-        for name in ("qr_basis", "extend_basis", "numerical_rank", "smallest_singular_value",
+        for name in ("qr_basis", "extend_basis", "_rank", "smallest_singular_value",
                      "unit_columns", "containment_residual"):
             monkeypatch.setattr(halfspace, name, self._recording(getattr(halfspace, name)))
         leading = OperatorModel.leading
@@ -189,3 +223,21 @@ def test_output_and_work_follow_the_support_not_n(monkeypatch, tmp_path):
     assert small.metrics == large.metrics
     assert small_raw["rows"] == large_raw["rows"] and small_raw["data"] == large_raw["data"]
     assert steps[1024] == steps[4096]
+
+
+@pytest.mark.parametrize("row", [3, 120, 1023])  # inside the support, just past it, the last
+def test_raw_drift_on_the_support_is_the_full_drift(row):
+    # verify takes the raw-vector drift on the rows either array reaches; every
+    # row past them is zero in both, so the drift is the one over all N rows
+    op = build_operator(Family.FORWARD, 1024, weights=geometric_weights(1024, 0.9))
+    e = np.zeros(1024, dtype=np.complex128)
+    e[0] = 1.0
+    cert = build_entire(op, e, 8, 5)
+    stored = np.array(cert.raw_vectors)
+    stored[row, 2] += 1e-3 * np.max(np.abs(stored[:, 2]))
+    fresh = np.array(cert.raw_vectors)
+    scale = np.maximum(np.max(np.abs(stored), axis=0), 1e-300)
+    full = float(np.max(np.max(np.abs(fresh - stored), axis=0) / scale))
+    tampered = dataclasses.replace(cert, raw_vectors=stored)
+    report = verify_certificate(op, tampered)
+    assert report["raw_vector_drift"] == full and report["failures"] == ["raw_vectors"]
