@@ -205,11 +205,6 @@ def load_config(path) -> dict:
             raise ArgumentError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-# every JSON Schema (draft 7) keyword the checker implements
-KEYWORDS = frozenset({"type", "const", "enum", "minimum", "exclusiveMinimum", "pattern", "items",
-                      "minItems", "maxItems", "required", "properties", "additionalProperties"})
-
-
 _TYPES = {"string": str, "boolean": bool, "array": list, "object": dict}
 
 
@@ -220,126 +215,124 @@ def _is(doc, kind: str) -> bool:
     return isinstance(doc, _TYPES[kind])
 
 
-def _errors(schema: dict, doc, path: tuple) -> list:
-    """Each violation as (path, message), in schema order.
-
-    Every keyword applies, as in draft 7: a failed ``type`` does not end the
-    node, so 1.5 against ``{"type": "integer", "minimum": 2}`` fails twice.
-    """
-    found = []
-    is_dict, is_list = isinstance(doc, dict), isinstance(doc, list)
-    for key, value in schema.items():
-        message = None
-        if key == "type":
-            kinds = [value] if isinstance(value, str) else value
-            if not any(_is(doc, kind) for kind in kinds):
-                message = f"{doc!r} is not of type {', '.join(map(repr, kinds))}"
-        elif key == "properties" and is_dict:
-            for name, sub in value.items():
-                if name in doc:
-                    found += _errors(sub, doc[name], path + (name,))
-        elif key == "items" and is_list:
-            for index, item in enumerate(doc):
-                found += _errors(value, item, path + (index,))
-        elif key == "required" and is_dict:
-            found += [(path, f"{name!r} is a required property") for name in value
-                      if name not in doc]
-        elif key == "additionalProperties" and is_dict and value is False:
-            extras = [repr(name) for name in sorted(doc, key=str)
-                      if name not in schema.get("properties", ())]
-            if extras:
-                message = (f"Additional properties are not allowed ({', '.join(extras)} "
-                           f"{'was' if len(extras) == 1 else 'were'} unexpected)")
-        elif key == "const" and doc != value:
-            message = f"{value!r} was expected"
-        elif key == "enum" and doc not in value:
-            message = f"{doc!r} is not one of {value!r}"
-        elif key == "minimum" and _is(doc, "number") and doc < value:
-            message = f"{doc!r} is less than the minimum of {value!r}"
-        elif key == "exclusiveMinimum" and _is(doc, "number") and doc <= value:
-            message = f"{doc!r} is less than or equal to the minimum of {value!r}"
-        elif key == "pattern" and isinstance(doc, str) and not re.search(value, doc):
-            message = f"{doc!r} does not match {value!r}"
-        elif key == "minItems" and is_list and len(doc) < value:
-            message = f"{doc!r} {'should be non-empty' if value == 1 else 'is too short'}"
-        elif key == "maxItems" and is_list and len(doc) > value:
-            message = f"{doc!r} {'is expected to be empty' if value == 0 else 'is too long'}"
-        if message:
-            found.append((path, message))
-    return found
+def _members(values: list) -> tuple:
+    """(the non-bools, the bools) among the scalars ``values``: in draft 7, unlike in
+    Python, ``False`` equals no 0 and ``True`` no 1."""
+    if any(isinstance(value, (list, dict)) for value in values):
+        raise ValueError(f"the schema checker compares scalars only, not {values!r}")
+    return ([value for value in values if type(value) is not bool],
+            [value for value in values if type(value) is bool])
 
 
 def _compile(schema: dict):
-    """A predicate on documents, true exactly when :func:`_errors` finds nothing.
+    """The checker of one schema node: a function of a document that returns the
+    violations as (path, message) pairs in schema order, or a false value when there
+    are none.
 
-    Each keyword becomes one test, and the sub-schemas of ``properties`` and
-    ``items`` take their own predicates (:func:`_predicate`), so checking a
-    document walks no schema.
-    A predicate has no order to keep, so the keywords that read an object or
-    a list share one test.
+    Each keyword becomes one test, and ``properties`` and ``items`` call the
+    checkers of their sub-schemas (:func:`_checker`), so checking a document
+    walks no schema.  Every keyword applies, as in draft 7: a failed ``type``
+    does not end the node, so 1.5 against ``{"type": "integer", "minimum": 2}``
+    fails twice.  A message is written only when its keyword fails.  A keyword
+    the checker does not implement, ``additionalProperties`` other than false,
+    or a ``const`` or ``enum`` that holds a list or an object raises
+    ``ValueError`` here.
     """
     tests = []
-    if "type" in schema:
-        kinds = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
-        if {"number", "integer"}.isdisjoint(kinds):
-            types = tuple(_TYPES[kind] for kind in kinds)
-            tests.append(lambda doc: isinstance(doc, types))
+    for key, value in schema.items():
+        if key == "type":
+            kinds = [value] if isinstance(value, str) else value
+            note = f"is not of type {', '.join(map(repr, kinds))}"
+            if {"number", "integer"}.isdisjoint(kinds):
+                def test(doc, types=tuple(_TYPES[kind] for kind in kinds), note=note):
+                    if not isinstance(doc, types):
+                        return [((), f"{doc!r} {note}")]
+            else:
+                def test(doc, kinds=kinds, note=note):
+                    if not any(_is(doc, kind) for kind in kinds):
+                        return [((), f"{doc!r} {note}")]
+        elif key == "const":
+            def test(doc, const=value, ok=_members([value])):
+                if doc not in ok[type(doc) is bool]:
+                    return [((), f"{const!r} was expected")]
+        elif key == "enum":
+            def test(doc, enum=value, ok=_members(value)):
+                if doc not in ok[type(doc) is bool]:
+                    return [((), f"{doc!r} is not one of {enum!r}")]
+        elif key == "minimum":
+            def test(doc, low=value):
+                if _is(doc, "number") and doc < low:
+                    return [((), f"{doc!r} is less than the minimum of {low!r}")]
+        elif key == "exclusiveMinimum":
+            def test(doc, low=value):
+                if _is(doc, "number") and doc <= low:
+                    return [((), f"{doc!r} is less than or equal to the minimum of {low!r}")]
+        elif key == "pattern":
+            def test(doc, search=re.compile(value).search, pattern=value):
+                if isinstance(doc, str) and search(doc) is None:
+                    return [((), f"{doc!r} does not match {pattern!r}")]
+        elif key == "minItems":
+            def test(doc, low=value, note="should be non-empty" if value == 1 else "is too short"):
+                if isinstance(doc, list) and len(doc) < low:
+                    return [((), f"{doc!r} {note}")]
+        elif key == "maxItems":
+            def test(doc, high=value, note="is too long" if value else "is expected to be empty"):
+                if isinstance(doc, list) and len(doc) > high:
+                    return [((), f"{doc!r} {note}")]
+        elif key == "items":
+            # a list of valid [re, im] pairs is checked in one pass
+            def test(doc, item=_checker(value), pairs=value is _COMPLEX):
+                if isinstance(doc, list) and not (pairs and _is_pair_list(doc)):
+                    found = list(map(item, doc))
+                    if any(found):
+                        return [((index, *path), message) for index, errors in enumerate(found)
+                                if errors for path, message in errors]
+        elif key == "properties":
+            def test(doc, checks=[(name, _checker(sub)) for name, sub in value.items()]):
+                found = None
+                for name, check in checks if isinstance(doc, dict) else ():
+                    errors = name in doc and check(doc[name])
+                    if errors:
+                        found = (found or []) + [((name, *path), message)
+                                                 for path, message in errors]
+                return found
+        elif key == "required":
+            def test(doc, required=value, keys=frozenset(value)):
+                if isinstance(doc, dict) and not doc.keys() >= keys:
+                    return [((), f"{name!r} is a required property")
+                            for name in required if name not in doc]
+        elif key == "additionalProperties" and value is False:
+            def test(doc, known=frozenset(schema.get("properties", ()))):
+                if isinstance(doc, dict) and not doc.keys() <= known:
+                    extras = [repr(name) for name in sorted(doc, key=str) if name not in known]
+                    return [((), f"Additional properties are not allowed ({', '.join(extras)} "
+                                 f"{'was' if len(extras) == 1 else 'were'} unexpected)")]
         else:
-            tests.append(lambda doc: any(_is(doc, kind) for kind in kinds))
-    if "const" in schema:
-        tests.append(lambda doc, const=schema["const"]: not doc != const)
-    if "enum" in schema:
-        tests.append(lambda doc, enum=schema["enum"]: doc in enum)
-    if "minimum" in schema:
-        tests.append(lambda doc, low=schema["minimum"]: not (_is(doc, "number") and doc < low))
-    if "exclusiveMinimum" in schema:
-        tests.append(lambda doc, low=schema["exclusiveMinimum"]:
-                     not (_is(doc, "number") and doc <= low))
-    if "pattern" in schema:
-        search = re.compile(schema["pattern"]).search
-        tests.append(lambda doc: not isinstance(doc, str) or search(doc) is not None)
-    properties = schema.get("properties", {})
-    closed = schema.get("additionalProperties") is False
-    if properties or closed or "required" in schema:
-        checks = [(name, _predicate(sub)) for name, sub in properties.items()]
-        required, known = frozenset(schema.get("required", ())), frozenset(properties)
-
-        def object_test(doc) -> bool:
-            return not isinstance(doc, dict) or (
-                doc.keys() >= required and (not closed or doc.keys() <= known)
-                and all(check(doc[name]) for name, check in checks if name in doc))
-        tests.append(object_test)
-    if {"items", "minItems", "maxItems"} & schema.keys():
-        item = _predicate(schema["items"]) if "items" in schema else None
-        pairs = schema.get("items") is _COMPLEX  # a list of valid pairs, checked in one pass
-        low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
-
-        def list_test(doc) -> bool:
-            return not isinstance(doc, list) or (
-                low <= len(doc) <= high
-                and (item is None or (pairs and _is_pair_list(doc)) or all(map(item, doc))))
-        tests.append(list_test)
+            raise ValueError(f"the schema checker does not implement {key!r}: {value!r}")
+        tests.append(test)
     if len(tests) == 1:
         return tests[0]
 
-    def node(doc) -> bool:
+    def node(doc):
+        found = None
         for test in tests:
-            if not test(doc):
-                return False
-        return True
+            errors = test(doc)
+            if errors:
+                found = errors if found is None else found + errors
+        return found
     return node
 
 
-#: Each schema's predicate by the schema's identity, with the schema kept alive beside it.
-_PREDICATES: dict[int, tuple] = {}
+#: Each schema's checker by the schema's identity, with the schema kept alive beside it.
+_CHECKERS: dict[int, tuple] = {}
 
 
-def _predicate(schema: dict):
-    """The predicate of ``schema``, compiled on its first use; a schema shared by several
+def _checker(schema: dict):
+    """The checker of ``schema``, compiled on its first use; a schema shared by several
     others (the run schema inside the sweep schema, a number rule) is compiled once."""
-    entry = _PREDICATES.get(id(schema))
+    entry = _CHECKERS.get(id(schema))
     if entry is None or entry[0] is not schema:
-        entry = _PREDICATES[id(schema)] = (schema, _compile(schema))
+        entry = _CHECKERS[id(schema)] = (schema, _compile(schema))
     return entry[1]
 
 
@@ -350,13 +343,9 @@ def check_document(schema: dict, doc, what: str) -> None:
     the path that sorts last wins (a later list index, a key later in the
     alphabet); at one node, the first in schema order. Rule and messages are
     those of the draft-7 reference validator, which
-    tests/test_schema_checker.py holds this checker to.  A document is first
-    tested by the schema's compiled predicate (:func:`_predicate`), so the
-    violations are listed only for one it rejects.
+    tests/test_schema_checker.py holds this checker to.
     """
-    if _predicate(schema)(doc):
-        return
-    found = _errors(schema, doc, ())
+    found = _checker(schema)(doc)
     if found:
         path, message = max(found, key=lambda error: (-len(error[0]), error[0]))
         raise ArgumentError(f"{what} invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")

@@ -15,7 +15,8 @@ from aihs import serialize as ser
 from aihs.blaschke import blaschke_sequence
 from aihs.chains import extend_chain, init_chain, verify_chain
 from aihs.cli import main
-from aihs.operators import compute_orbit, geometric_weights, operator_from_config
+from aihs.operators import (compute_orbit, geometric_weights, operator_from_config,
+                            weights_from_config)
 from aihs.resolvent import probe_tail_oracle
 from aihs.errors import ArgumentError
 from aihs.serialize import (
@@ -191,20 +192,38 @@ def test_config_errors_are_one_line(command, cfg, message):
     assert str(got.value) == f"config invalid at {message}"
 
 
-def _keywords(schema):
-    """Every keyword a schema and its subschemas use."""
-    assert schema.get("additionalProperties", False) is False  # the only form checked
-    subs = list(schema.get("properties", {}).values())
-    subs += [schema["items"]] if "items" in schema else []
-    return set(schema).union(*map(_keywords, subs))
-
-
 @pytest.mark.parametrize("schema", [config.RUN_SCHEMA, config.CHAIN_SCHEMA, config.SWEEP_SCHEMA,
                                     config.PROBE_SCHEMA, ser.CERT_SCHEMA,
                                     *ser.CONSTRUCTION_SCHEMAS.values()],
                          ids=["run", "chain", "sweep", "probe", "cert", *ser.CONSTRUCTION_SCHEMAS])
 def test_schemas_use_only_the_checkers_keywords(schema):
-    assert _keywords(schema) <= config.KEYWORDS
+    assert callable(config._compile(schema))  # the compiler raises on any other keyword
+
+
+@pytest.mark.parametrize("schema", [{"maximum": 3}, {"additionalProperties": True},
+                                    {"type": "object", "const": [0]}])
+def test_a_keyword_the_checker_does_not_implement_fails_to_compile(schema):
+    with pytest.raises(ValueError, match="the schema checker"):
+        config._compile(schema)
+
+
+def test_a_command_with_no_config_schema_is_rejected():
+    with pytest.raises(ArgumentError) as got:
+        config.validate_config({}, "bogus")
+    assert str(got.value) == "no config schema for command 'bogus'"
+
+
+def test_an_unknown_tolerance_key_is_rejected():
+    with pytest.raises(ArgumentError) as got:
+        config.tolerances_from_config({"bogus": 1.0})
+    assert str(got.value) == "unknown tolerance keys: ['bogus']"
+
+
+def test_a_complex_entry_of_three_parts_is_rejected():
+    # the schema bounds [re, im] pairs, so only a block built past it reaches this
+    with pytest.raises(ArgumentError) as got:
+        weights_from_config({"kind": "geometric", "params": {"ratio": [0.5, 0, 0]}}, 4)
+    assert str(got.value) == "complex entries must be [re, im], got [0.5, 0, 0]"
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])

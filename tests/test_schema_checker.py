@@ -6,7 +6,8 @@ reference, the way scipy does for the linear algebra: on valid documents of
 every command and on real certificates of both constructions, mutated at
 random, the checker must accept exactly what ``Draft7Validator`` accepts and
 report the path and message of the error ``jsonschema.exceptions.best_match``
-picks.
+picks.  On the same mutations, its whole list of violations must equal the
+reference's ``iter_errors``, as a multiset of (path, message) pairs.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import copy
 import io
 import json
 import math
+from collections import Counter
 
 import jsonschema
 import pytest
@@ -287,47 +289,44 @@ def test_entire_law_of_another_shape(certificates, law, message):
     assert _law_line(certificates[0], law).endswith(message)
 
 
-# --- the compiled predicate -------------------------------------------------
+# --- the whole violation list ----------------------------------------------
 
 
-def _agree(schema, doc) -> bool:
-    return config._compile(schema)(doc) == (not config._errors(schema, doc, ()))
+def _violations(schema, doc):
+    """(checker, jsonschema): each one's violations of ``doc`` as a multiset of (path, message)."""
+    expected = [(tuple(error.absolute_path), error.message)
+                for error in jsonschema.Draft7Validator(schema).iter_errors(doc)]
+    return Counter(config._checker(schema)(doc) or ()), Counter(expected)
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(DOCUMENTS)))
-def test_compiled_predicate_is_no_errors_on_configs(data, name):
+def test_mutated_configs_list_every_violation(data, name):
     schema, doc = DOCUMENTS[name]
-    assert _agree(schema, doc)
-    assert _agree(schema, _mutate(data.draw, doc))
+    got, expected = _violations(schema, _mutate(data.draw, doc))
+    assert got == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), which=st.integers(0, 1))
-def test_compiled_predicate_is_no_errors_on_certificates(certificates, data, which):
+def test_mutated_certificates_list_every_violation(certificates, data, which):
     doc = _mutate(data.draw, certificates[which])
-    assert _agree(ser.CERT_SCHEMA, doc)
-    if isinstance(doc, dict):  # the law and hypothesis under either construction's schema
-        part = {key: doc[key] for key in ("law", "hypothesis") if key in doc}
-        assert all(_agree(schema, part) for schema in ser.CONSTRUCTION_SCHEMAS.values())
+    got, expected = _violations(ser.CERT_SCHEMA, doc)
+    assert got == expected
+    part = {key: doc[key] for key in ("law", "hypothesis") if key in doc}
+    for schema in ser.CONSTRUCTION_SCHEMAS.values():  # under either construction's schema
+        got, expected = _violations(schema, part)
+        assert got == expected
 
 
-@pytest.mark.parametrize("value, index", [(True, 0), ([1, 2, 3], 4095), ([[1, 2], 3], 4095)])
-def test_compiled_predicate_walks_a_pair_list_with_a_bad_entry(value, index):
-    doc = copy.deepcopy(PAIRS_RUN)
-    values = [list(pair) for pair in _LONG]
-    assert _agree(config.RUN_SCHEMA, doc)
-    values[index] = value
-    doc["operator"]["weights"]["params"]["values"] = values
-    assert _agree(config.RUN_SCHEMA, doc) and not config._compile(config.RUN_SCHEMA)(doc)
-
-
-def test_errors_are_listed_only_for_a_rejected_document(certificates, monkeypatch):
-    calls, errors = [], config._errors
-    monkeypatch.setattr(config, "_errors", lambda *args: calls.append(args[2]) or errors(*args))
-    for schema, doc in (*DOCUMENTS.values(), (ser.CERT_SCHEMA, certificates[0])):
-        config.check_document(schema, doc, "doc")
-    assert calls == []
-    doc = {**certificates[0], "m_achieved": 1.5}
-    assert _got(ser.CERT_SCHEMA, doc) == _expected(ser.CERT_SCHEMA, doc)
-    assert calls[0] == ()
+@pytest.mark.parametrize("schema, doc", [
+    ({"type": "boolean", "const": False}, 0),  # in draft 7, False equals no 0
+    ({"const": 1}, True),
+    ({"enum": ["a", 1]}, True),
+    ({"enum": [False, "x"]}, 0.0),
+    ({"enum": [True, 0]}, 0),  # and 0 is 0
+    ({"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 3}, [1.5, True]),
+])
+def test_small_schemas_list_every_violation(schema, doc):
+    got, expected = _violations(schema, doc)
+    assert got == expected

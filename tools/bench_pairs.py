@@ -12,7 +12,12 @@ printed as it ends.  Then, for each end-to-end metric of ``BENCHMARK.json``:
 the median and quartiles of each side, the pairs the change won (ties count
 for neither), and whether the claim rule holds: the change wins at least
 nine tenths of the pairs, and its median is better than the parent's by
-more than the parent's interquartile range.  A failed run (a nonzero exit,
+more than the parent's interquartile range.  Each metric also gets a
+no-regression verdict against its ``bound`` in ``BENCHMARK.json``: ``worse``
+when the change's median is worse than the parent's by more than the bound,
+relative to the parent's median; ``unresolved`` when the parent's
+interquartile range exceeds the bound relative to its median and not every
+change run beats every parent run; ``no regression`` otherwise.  A failed run (a nonzero exit,
 a result that is not correct, or no result line) is reported, and its pair
 is left out.  Standard library only; this writes nothing itself, and
 ``run.py`` writes only its result files under each checkout.
@@ -35,17 +40,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str) -> dict:
+def summarize(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """The two sides of one metric over complete pairs (``parent[i]`` pairs ``change[i]``)."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     p_q1, p_median, p_q3 = quartiles(parent)
     c_q1, c_median, c_q3 = quartiles(change)
     gain = sign * (p_median - c_median)
+    every_run_wins = min(sign * p for p in parent) > max(sign * c for c in change)
+    if -gain > bound * abs(p_median):
+        verdict = "worse"
+    elif p_q3 - p_q1 > bound * abs(p_median) and not every_run_wins:
+        verdict = "unresolved"
+    else:
+        verdict = "no regression"
     return {"pairs": len(parent), "wins": wins,
             "parent": (p_q1, p_median, p_q3), "change": (c_q1, c_median, c_q3),
             "relative": (c_median - p_median) / p_median if p_median else float("nan"),
-            "holds": wins >= 0.9 * len(parent) and gain > p_q3 - p_q1}
+            "holds": wins >= 0.9 * len(parent) and gain > p_q3 - p_q1, "verdict": verdict}
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict | None, str]:
@@ -102,13 +114,15 @@ def main(argv: list[str]) -> int:
     if not complete:
         return 1
     for name, metric in metrics.items():
-        s = summarize(values["parent"][name], values["change"][name], metric["better"])
+        s = summarize(values["parent"][name], values["change"][name], metric["better"],
+                      metric["bound"])
         print(f"{name} ({metric['unit']}, {metric['better']} is better):")
         for side in ("parent", "change"):
             q1, median, q3 = s[side]
             print(f"  {side:6s} median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}")
         print(f"  change {s['relative']:+.1%} in the median, better in {s['wins']} of "
-              f"{s['pairs']} pairs; claim rule {'holds' if s['holds'] else 'does not hold'}")
+              f"{s['pairs']} pairs; claim rule {'holds' if s['holds'] else 'does not hold'}; "
+              f"{s['verdict']} (bound {metric['bound']:.0%})")
     return 0 if not failed else 1
 
 
