@@ -59,22 +59,22 @@ def svd_rank(s: np.ndarray, rtol: float = Tolerances.tol_rank, reference: float 
     return int(np.count_nonzero(s > rtol * reference))
 
 
-def orthonormal_columns(a: np.ndarray, rtol: float = Tolerances.tol_rank) -> np.ndarray:
+def orthonormal_columns(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, robust to column scaling."""
     u, s, _ = np.linalg.svd(unit_columns(a), full_matrices=False)
-    return u[:, : svd_rank(s, rtol)]
+    return u[:, : svd_rank(s)]
 
 
-def distance_to_span(v: np.ndarray, a: np.ndarray, rtol: float = Tolerances.tol_rank) -> float:
+def distance_to_span(v: np.ndarray, a: np.ndarray) -> float:
     """Euclidean distance from ``v`` to the column span of ``a``."""
     v = np.asarray(v, dtype=np.complex128)
-    q = orthonormal_columns(a, rtol)
+    q = orthonormal_columns(a)
     return float(np.linalg.norm(v - q @ (q.conj().T @ v)))
 
 
-def numerical_rank(a: np.ndarray, rtol: float = Tolerances.tol_rank) -> int:
+def numerical_rank(a: np.ndarray) -> int:
     """Rank of the column span with columns normalized to unit scale."""
-    return svd_rank(np.linalg.svd(unit_columns(a), compute_uv=False), rtol)
+    return svd_rank(np.linalg.svd(unit_columns(a), compute_uv=False))
 
 
 def smallest_singular_value(a: np.ndarray) -> float:
@@ -99,10 +99,10 @@ def min_norm_dual(q: np.ndarray, r_inverse: np.ndarray, scales: np.ndarray,
     return (q @ (r_inverse.conj().T @ w[..., None]))[..., 0].T
 
 
-def null_space(a: np.ndarray, rtol: float = Tolerances.tol_rank) -> np.ndarray:
+def null_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the (right) null space of ``a``."""
     _, s, vh = np.linalg.svd(as_complex_matrix(a))
-    return vh[svd_rank(s, rtol):].conj().T
+    return vh[svd_rank(s):].conj().T
 
 
 def used_rows(a: np.ndarray) -> int:

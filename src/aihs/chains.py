@@ -145,7 +145,7 @@ def extend_chain(op: OperatorModel, state: ChainState) -> ChainState:
     if depth >= op.dim:
         raise ArgumentError("chain is exhausted: Y_n is already trivial")
     zs, phis, q = state._zs, state._phis, state._q
-    lead = op.leading(len(zs))  # the state's rows hold T* of its vectors
+    lead = op.section(slice(0, len(zs)))  # the state's rows hold T* of its vectors
 
     with _step(depth + 1):
         v = lead.adjoint_apply(phis[:, -1])

@@ -404,6 +404,9 @@ def _check_rules(cfg: dict) -> None:
             raise ArgumentError(f"seed_vector {kind} index out of range")
         if "values" in keys and "values" not in seed_vec:
             raise ArgumentError(f"{kind} seed_vector requires 'values'")
+        count = len(seed_vec.get("values", ()))
+        if "values" in keys and count != op.get("dim", 0):
+            raise ArgumentError(f"{kind} seed vector needs {op.get('dim', 0)} entries, got {count}")
     if cfg.get("construction") == "entire" and "blaschke" in cfg:
         raise ArgumentError("config key blaschke has no effect on entire construction")
     if cfg.get("construction") == "blaschke":
@@ -438,8 +441,6 @@ def validate_config(cfg: dict, command: str) -> dict:
 def seed_vector_from_config(cfg: dict | None, dim: int) -> np.ndarray:
     """Materialize the seed vector e (default: first basis vector) of a checked block."""
     if cfg is not None and "values" in cfg:  # only the explicit kind reads values
-        if len(cfg["values"]) != dim:
-            raise ArgumentError(f"explicit seed vector needs {dim} entries, got {len(cfg['values'])}")
         return _complex_entries(cfg["values"])
     e = np.zeros(dim, dtype=np.complex128)
     e[(cfg or {}).get("index", 0)] = 1.0

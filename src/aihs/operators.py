@@ -155,53 +155,46 @@ class OperatorModel:
             return self._array.conj().T @ vec
         return self._shift(vec, down=self.family is Family.DONOGHUE, conj=True)
 
-    def shifted_solver(self, z: complex):
-        """``rhs -> (h, rows)`` solving ``(z - T) h = rhs`` for a fixed ``z`` and one vector.
+    def solve_shifted(self, z: complex, rhs: np.ndarray) -> tuple[np.ndarray, slice]:
+        """``(h, rows)`` solving ``(z - T) h = rhs`` for one vector.
 
         Shift families run a substitution down the bidiagonal, forward for
         the forward shift and backward for Donoghue, and stop at the exact
         zero tail: once ``h`` is zero past ``rhs``'s last nonzero entry, so is
         every later entry, and those rows are ``+0.0``, never computed.
-        ``rows`` counts the rows it wrote, from the end where it starts: the
-        first rows for the forward shift, the last for Donoghue.
-        ``z = 0`` makes the solve raise ``numpy.linalg.LinAlgError``, and
-        overflow leaves non-finite entries.  Dense operators take
-        ``numpy.linalg.solve`` on each call and write all ``dim`` rows; an
-        exactly singular ``z - T`` raises ``LinAlgError``.
+        ``rows`` slices the rows written and the one ``T`` moves them into,
+        capped at ``dim``: ``h``, ``rhs`` and ``T h`` vanish on every other
+        row.  A dense solve is ``numpy.linalg.solve`` on all rows.  A singular
+        ``z - T`` (``z = 0`` for a shift) raises ``numpy.linalg.LinAlgError``,
+        and overflow leaves non-finite entries.
         """
         z = complex(z)
         if self.family is Family.DENSE:
             shifted = np.diag(np.full(self.dim, z)) - self._array
-            return lambda rhs: (np.linalg.solve(shifted, rhs), self.dim)
+            return np.linalg.solve(shifted, rhs), slice(0, self.dim)
+        if z == 0:
+            raise np.linalg.LinAlgError("z - T is singular at z = 0")
         backward = self.family is Family.DONOGHUE
         # h_i = (rhs_i + w h_{i-1}) / z in Python complex arithmetic, since
         # per-element numpy calls would cost more.  Dividing at each step is
         # the most accurate form tried: with precomputed ratios w / z, the
         # round-off in ai_residual failed one smoke Blaschke seed in 40.
         weights = self._substitution_weights
-
-        def solve(rhs):
-            if z == 0:
-                raise np.linalg.LinAlgError("z - T is singular at z = 0")
-            col = np.asarray(rhs, dtype=np.complex128)
-            if backward:
-                col = col[::-1]
-            support = np.flatnonzero(col)
-            head = int(support[-1]) + 1 if support.size else 0
-            h, row = 0j, []
-            for bi, wi in zip(col[:head].tolist(), weights):
-                h = (bi + wi * h) / z
-                row.append(h)
-            for wi in itertools.islice(weights, head, None):
-                if not h:  # h and the rest of rhs are zero: so is every later h
-                    break
-                h = (0j + wi * h) / z  # (rhs_i + w h) / z with rhs_i = +0, to the bit
-                row.append(h)
-            out = np.zeros(self.dim, dtype=np.complex128)
-            out[:len(row)] = row
-            return out[::-1] if backward else out, len(row)
-
-        return solve
+        col = np.asarray(rhs, dtype=np.complex128)[::-1 if backward else 1]
+        head = used_rows(col)
+        h, row = 0j, []
+        for bi, wi in zip(col[:head].tolist(), weights):
+            h = (bi + wi * h) / z
+            row.append(h)
+        for wi in itertools.islice(weights, head, None):
+            if not h:  # h and the rest of rhs are zero: so is every later h
+                break
+            h = (0j + wi * h) / z  # (rhs_i + w h) / z with rhs_i = +0, to the bit
+            row.append(h)
+        out = np.zeros(self.dim, dtype=np.complex128)
+        out[:len(row)] = row
+        k = min(len(row) + 1, self.dim)
+        return (out[::-1], slice(self.dim - k, self.dim)) if backward else (out, slice(0, k))
 
     @functools.cached_property
     def _substitution_weights(self) -> list:
@@ -209,33 +202,30 @@ class OperatorModel:
         return [0j] + (self._array[::-1] if self.family is Family.DONOGHUE
                        else self._array).tolist()
 
-    def leading(self, k: int) -> OperatorModel:
-        """The ``k x k`` principal truncation of a shift family (``2 <= k <= dim``);
-        on vectors that vanish past row ``k - 2`` it acts as ``T`` on their leading rows.
-        ``k = dim`` gives the operator itself, the one truncation a dense operator has."""
-        return self.section(0, k)
-
-    def section(self, start: int, k: int) -> OperatorModel:
-        """The ``k x k`` principal truncation on rows ``start .. start + k - 1``, as
-        :meth:`leading` takes it at ``start = 0``: on vectors that vanish outside those
-        rows and that ``T`` maps inside them, it acts as ``T`` on those rows."""
-        return self if k == self.dim else OperatorModel(self.family, k,
-                                                        self._array[start:start + k - 1])
+    def section(self, rows: slice) -> OperatorModel:
+        """The principal truncation on the rows of the unit-step slice ``rows``: on
+        vectors that vanish outside those rows and that ``T`` maps inside them, it
+        acts as ``T`` on those rows.  All rows give the operator itself, the one
+        truncation a dense operator has."""
+        start, stop, _ = rows.indices(self.dim)
+        k = stop - start
+        return self if k == self.dim else OperatorModel(self.family, k, self._array[start:stop - 1])
 
     def on_support(self, *arrays: np.ndarray) -> tuple[OperatorModel, list[np.ndarray]]:
-        """``leading(k)``, and each array cut to its first ``k`` rows or zero-padded to them.
+        """The section on the first ``k`` rows, and each array cut or zero-padded to them.
 
         k is read off the arrays: one past the last row in which any of them
         holds a nonzero entry (:func:`~aihs._linalg.used_rows`), plus one for
         the row a shift moves that entry into, capped at ``dim``.  ``T`` and
-        ``T*`` then map the columns into the first k rows, and ``leading(k)``
+        ``T*`` then map the columns into the first k rows, and the section
         gives those rows.  A dense operator reaches every row, so there
         k = dim and the operator is itself.
         """
         k = self.dim
         if self.family is not Family.DENSE:
             k = min(max(1, *map(used_rows, arrays)) + 1, self.dim)
-        return self.leading(k), [a[:k] if len(a) >= k else _zero_rows(a, k) for a in arrays]
+        rows = slice(0, k)
+        return self.section(rows), [a[rows] if len(a) >= k else _zero_rows(a, k) for a in arrays]
 
     @property
     def is_nilpotent(self) -> bool:
@@ -270,8 +260,8 @@ def operator_digest(op: OperatorModel) -> str:
     return hashlib.sha256(op._array.tobytes()).hexdigest()
 
 
-def _power_root(gram, start: np.ndarray, iters: int = 12) -> float:
-    """sqrt of the top eigenvalue of a positive semidefinite map, by power iteration.
+def _power_root(gram, start: np.ndarray) -> float:
+    """sqrt of the top eigenvalue of a positive semidefinite map, by 12 power-iteration steps.
 
     ``gram`` is ``v -> G v``; with ``G = A^H A`` the result estimates
     sigma_max(A).  The estimate misses an eigenvector orthogonal to
@@ -280,7 +270,7 @@ def _power_root(gram, start: np.ndarray, iters: int = 12) -> float:
     """
     v = start / np.linalg.norm(start)
     root = 0.0
-    for _ in range(iters):
+    for _ in range(12):
         v = gram(v)
         nv = float(np.linalg.norm(v))
         if not math.isfinite(nv):
@@ -375,8 +365,9 @@ def build_operator(
 _BINARY_POWERS = 100
 
 
-def geometric_weights(dim: int, ratio: complex) -> tuple[complex, ...]:
-    """``w_i = ratio**i`` for ``i = 1 .. dim - 1``, each with the bits of ``complex(ratio) ** i``.
+def geometric_weights(dim: int, ratio: complex) -> np.ndarray:
+    """``w_i = ratio**i`` for ``i = 1 .. dim - 1``, read-only, each with the bits of
+    ``complex(ratio) ** i``.
 
     Past ``_BINARY_POWERS`` a positive real ratio r has phase 0, so there
     ``complex(r) ** i`` is ``complex(pow(r, i), 0.0)``, which ``math.pow``
@@ -387,25 +378,27 @@ def geometric_weights(dim: int, ratio: complex) -> tuple[complex, ...]:
         raise ArgumentError("geometric ratio must be nonzero")
     z = complex(ratio)
     stop = min(dim, _BINARY_POWERS + 1) if z.imag == 0.0 and z.real > 0.0 else dim
+    weights = np.empty(dim - 1, dtype=np.complex128)
     try:
-        weights = [z ** i for i in range(1, stop)]
+        weights[:stop - 1] = [z ** i for i in range(1, stop)]
         tail = map(math.pow, itertools.repeat(z.real), range(stop, dim))
-        weights += np.fromiter(tail, np.float64, dim - stop).astype(np.complex128).tolist()
-        return tuple(weights)
+        weights[stop - 1:] = np.fromiter(tail, np.float64, dim - stop)
     except OverflowError:
         raise ArgumentError(f"geometric weights overflow: |ratio|**{dim - 1} with "
                             f"|ratio| = {abs(ratio):.6g} leaves the float range") from None
+    weights.setflags(write=False)
+    return weights
 
 
-def factorial_decay_weights(dim: int) -> tuple[complex, ...]:
-    """``w_i = 1 / i!`` for ``i = 1 .. dim - 1`` (dies past 170 in doubles)."""
+def factorial_decay_weights(dim: int) -> np.ndarray:
+    """``w_i = 1 / i!`` for ``i = 1 .. dim - 1``, read-only (dies past 170 in doubles)."""
     if dim > 171:  # 171! leaves the float range
         raise ArgumentError("factorial-decay weight 171 underflows to zero; reduce dim")
-    return tuple(complex(1.0 / math.factorial(i)) for i in range(1, dim))
+    return _readonly([1.0 / math.factorial(i) for i in range(1, dim)])
 
 
-def weights_from_config(cfg: dict, dim: int) -> np.ndarray | tuple[complex, ...]:
-    """Materialize a ``{"kind": ..., "params": {...}}`` weight description."""
+def weights_from_config(cfg: dict, dim: int) -> np.ndarray:
+    """Materialize a ``{"kind": ..., "params": {...}}`` weight description as an array."""
     kind = cfg.get("kind")
     params = cfg.get("params", {})
     if kind == "explicit":

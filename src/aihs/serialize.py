@@ -206,7 +206,7 @@ def decode_array(doc: dict) -> np.ndarray:
 
 
 def encode_value(value):
-    """Recursive encoder: floats to hex, complex to re/im docs, arrays tagged.
+    """Recursive encoder: floats to hex, complex to re/im docs (arrays: :func:`encode_array`).
 
     bool is checked before the numeric branches (it is an int subclass);
     dict keys are left untouched.
@@ -219,8 +219,6 @@ def encode_value(value):
         return _fhex(value)
     if isinstance(value, (complex, np.complexfloating)):
         return _complex_doc(complex(value))
-    if isinstance(value, np.ndarray):
-        return encode_array(value)
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
     if isinstance(value, dict):

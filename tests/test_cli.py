@@ -425,14 +425,19 @@ def test_explicit_seed_builds_and_verifies(tmp_path, cfg, code):
      "explicit seed_vector requires 'values'"),
     ("build", dict(_entire_cfg(dim=24), seed_vector={"kind": "explicit", "values": [1, 0]}),
      "explicit seed vector needs 24 entries, got 2"),
+    # a sweep checks every run before it writes any certificate
+    ("sweep", {"schema": "aihs-sweep/1", "runs": [
+        _entire_cfg(dim=16, label="a"),
+        dict(_entire_cfg(dim=16, label="b"), seed_vector={"kind": "explicit", "values": [1, 0, 0]})]},
+     "explicit seed vector needs 16 entries, got 3"),
     ("build", dict(_halved_blaschke_cfg(), k_max=0),
      "blaschke construction needs k_max >= 1 functionals"),
     ("build", dict(_halved_blaschke_cfg(), blaschke={"sequence": {"kind": "geometric", "ratio": 1.5}}),
      "geometric blaschke sequence needs ratio in (0, 1)"),
     ("build", dict(_halved_blaschke_cfg(), blaschke={"sequence": {"kind": "explicit", "values": [0.5]}}),
      "explicit blaschke sequence needs exactly m values"),
-], ids=["codim", "basis-index", "explicit-no-values", "explicit-length", "blaschke-k_max",
-        "geometric-ratio", "explicit-count"])
+], ids=["codim", "basis-index", "explicit-no-values", "explicit-length", "sweep-explicit-length",
+        "blaschke-k_max", "geometric-ratio", "explicit-count"])
 def test_config_rules_past_the_schema_are_one_line_errors(tmp_path, capsys, command, cfg, message):
     out = tmp_path / "out"
     assert main([command, "--config", _write(tmp_path / "c.json", cfg), "--out", str(out)]) == 1
@@ -554,6 +559,16 @@ def test_build_with_overflowing_weights_is_a_one_line_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_build_with_a_zero_geometric_ratio_is_a_one_line_error(tmp_path, capsys):
+    cfg = _entire_cfg()
+    cfg["operator"]["weights"]["params"]["ratio"] = 0
+    assert main(["build", "--config", _write(tmp_path / "run.json", cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: geometric ratio must be nonzero\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_chain_with_overflowing_weights_is_a_one_line_error(tmp_path, capsys):
     operator = _overflowing(_entire_cfg())["operator"]
     cfg = _write(tmp_path / "chain.json", {"operator": operator, "depth": 4, "label": "chain"})
@@ -591,7 +606,13 @@ _HUGE_DENSE = {"family": "dense", "dim": 4, "matrix": {
         "family": "forward-weighted-shift", "dim": 6,
         "weights": {"kind": "explicit", "params": {"values": [1e200] * 5}}}),
      "error at stage 'orbit': orbit supports only 2 vectors"),
-], ids=["chain-dense-entry", "chain-seed", "build-dense-entry", "build-weights"])
+    # |lambda| is about 13.8 and max|h| about 1e221: ||h||^2 overflows, the defect is nan
+    ("build", dict(_entire_cfg(), m=6, k_max=3, seed_vector={"kind": "basis", "index": 255},
+                   operator={"family": "donoghue-backward-shift", "dim": 256,
+                             "weights": {"kind": "geometric", "params": {"ratio": 0.995}}}),
+     "error at stage 'resolvent': every resolvent solve failed the defect check"),
+], ids=["chain-dense-entry", "chain-seed", "build-dense-entry", "build-weights",
+        "build-resolvent-norm"])
 def test_huge_finite_input_is_one_line_without_a_warning(tmp_path, capsys, command, cfg,
                                                           message):
     path = _write(tmp_path / "huge.json", dict(cfg, label="huge"))

@@ -99,6 +99,20 @@ def test_the_gram_schmidt_step_has_one_home():
     assert importers == {"chains", "halfspace"}
 
 
+def test_shift_structure_has_one_home():
+    # which way a shift moves is known in operators alone: a solve names its rows
+    # as a slice, and OperatorModel.section is the one truncation
+    naming = {module for module, tree in MODULES.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in ("FORWARD", "DONOGHUE")
+              and isinstance(node.value, ast.Name) and node.value.id == "Family"}
+    assert naming == {"operators"}
+    model = next(node for node in ast.walk(MODULES["operators"])
+                 if isinstance(node, ast.ClassDef) and node.name == "OperatorModel")
+    methods = {node.name for node in model.body if isinstance(node, ast.FunctionDef)}
+    assert {"section", "solve_shifted"} <= methods
+    assert not methods & {"leading", "shifted_solver"}
+
+
 def test_chains_can_import_the_audit_rule():
     # a chain transcript audit is to compare stored with derived values by
     # halfspace._agrees, so chains must be able to import halfspace

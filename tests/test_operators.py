@@ -80,6 +80,7 @@ def test_matrices_are_read_only():
         (Family.DENSE, dict()),
         (Family.FORWARD, dict(weights=[1.0, np.inf, 1.0])),  # inf * 0 is nan off the orbit
         (Family.FORWARD, dict(weights=[complex(np.nan, 1.0), 0.5, 0.25])),
+        (Family.DONOGHUE, dict()),  # a shift needs weights
     ],
 )
 def test_invalid_construction_is_rejected(family, kwargs):
@@ -174,12 +175,26 @@ def test_dense_norm_estimate_finds_a_top_vector_orthogonal_to_ones():
     assert op.norm_estimate == pytest.approx(2.0, rel=1e-12)
 
 
+def test_dense_norm_estimate_of_a_zero_and_an_overflowing_matrix():
+    # an iterate that vanishes gives 0, one past the float range gives inf
+    assert build_operator(Family.DENSE, 3, matrix=np.zeros((3, 3))).norm_estimate == 0.0
+    op = build_operator(Family.DENSE, 3, matrix=np.full((3, 3), 1e200))
+    with np.errstate(all="ignore"):
+        assert op.norm_estimate == math.inf
+
+
 # ----------------------------------------------------------------------------
 # weight generators and configs
 
 
+def _is_readonly_complex(weights) -> bool:
+    return (isinstance(weights, np.ndarray) and weights.dtype == np.complex128
+            and weights.ndim == 1 and not weights.flags.writeable)
+
+
 def test_geometric_weights_values():
-    assert geometric_weights(4, 0.5) == (0.5, 0.25, 0.125)
+    w = geometric_weights(4, 0.5)
+    assert _is_readonly_complex(w) and w.tolist() == [0.5, 0.25, 0.125]
 
 
 def _bits(values) -> list:
@@ -191,7 +206,7 @@ def _bits(values) -> list:
 def test_geometric_weights_keep_the_bits_of_the_complex_power(ratio, dim):
     # CPython squares up to exponent 100 and takes pow(|z|, i) at z's phase past it
     got = geometric_weights(dim, ratio)
-    assert type(got) is tuple and {type(w) for w in got} <= {complex}
+    assert _is_readonly_complex(got) and got.size == dim - 1
     assert _bits(got) == _bits(tuple(complex(ratio) ** i for i in range(1, dim)))
 
 
@@ -214,7 +229,7 @@ def test_geometric_weights_that_underflow_are_a_zero_weight():
 
 def test_factorial_decay_weights_values():
     w = factorial_decay_weights(5)
-    assert w == (1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0)
+    assert _is_readonly_complex(w) and w.tolist() == [1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0]
 
 
 def test_factorial_decay_underflow_is_rejected():
@@ -226,6 +241,21 @@ def test_factorial_decay_weights_end_at_170():
     assert factorial_decay_weights(171)[-1] == 1.0 / math.factorial(170) > 0.0
     with pytest.raises(ArgumentError, match="factorial-decay weight 171 underflows to zero"):
         factorial_decay_weights(172)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "explicit", "params": {"values": [0.5, [0.25, 1.0], 0.125]}},
+    {"kind": "geometric", "params": {"ratio": 0.5}},
+    {"kind": "factorial-decay"},
+], ids=["explicit", "geometric", "factorial-decay"])
+def test_every_weight_kind_is_a_complex_array(cfg):
+    w = weights_from_config(cfg, 4)
+    assert isinstance(w, np.ndarray) and w.dtype == np.complex128 and w.shape == (3,)
+
+
+def test_an_unknown_weight_kind_is_rejected():
+    with pytest.raises(ArgumentError, match="unknown weight kind 'cubic'"):
+        weights_from_config({"kind": "cubic"}, 4)
 
 
 def test_operator_from_config_explicit_complex_weights():

@@ -103,6 +103,15 @@ def test_singular_resolvent_is_detected():
         solve(op, 0.5, np.ones(2))  # 1/lam hits the eigenvalue 2
 
 
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+def test_a_defect_that_is_not_a_number_fails_the_solve():
+    # every entry of h is finite, but max|h| is about 5.7e220, so ||h||^2 overflows
+    # and the relative defect reads inf / inf = nan, which no comparison rejects
+    op = build_operator(Family.DONOGHUE, 256, weights=geometric_weights(256, 0.995))
+    with pytest.raises(SingularResolventError, match="relative defect nan exceeds"):
+        solve(op, 13.8, basis(256, 255))
+
+
 def test_neumann_divergence_is_detected():
     # unimodular weights: the k-th term has norm 1e3^(k+1), past the float range at k = 102
     phases = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 255)

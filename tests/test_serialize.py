@@ -313,6 +313,14 @@ def test_value_walker_mixed_dict():
     assert all(isinstance(z, complex) for z in out["lams"])
 
 
+def test_unknown_types_and_non_hex_strings():
+    # an array is not a value: certificates write arrays through encode_array
+    for value in ({1.0}, np.zeros(2)):
+        with pytest.raises(ArgumentError, match="cannot encode .* into a document"):
+            ser.encode_value(value)
+    assert ser.decode_value("0xzz") == "0xzz"  # "0x" with no hex digits stays a string
+
+
 def test_plain_strings_survive():
     # sha-256 digests and diagnostic prose must not be mistaken for numbers
     src = {"matrix_sha256": "ab03f" * 12, "reason": "eigenvalue-gap"}

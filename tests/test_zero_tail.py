@@ -79,14 +79,16 @@ def shift_solves(draw):
 def test_early_stop_matches_the_full_substitution(case):
     op, lam, rhs = case
     z = 1.0 / complex(lam)  # the z a ResolventSolver at lam solves with
-    solve = op.shifted_solver(z)  # one vector per call
-    with np.errstate(all="ignore"):
-        solves = [solve(col) for col in (rhs[:, None] if rhs.ndim == 1 else rhs).T]
+    with np.errstate(all="ignore"):  # one vector per call
+        solves = [op.solve_shifted(z, col) for col in (rhs[:, None] if rhs.ndim == 1 else rhs).T]
         got = np.column_stack([h for h, _ in solves]).reshape(rhs.shape)
         want = _full_substitution(op, z, rhs)
     assert got.shape == rhs.shape
-    for h, rows in solves:  # every row past the ones the solve reports is +0.0
-        tail = h[:op.dim - rows] if op.family is Family.DONOGHUE else h[rows:]
+    for h, rows in solves:  # every row outside the ones the solve names is +0.0
+        # the slice starts at the end where the substitution starts
+        anchored = rows.stop == op.dim if op.family is Family.DONOGHUE else rows.start == 0
+        assert anchored and rows.step is None and 0 <= rows.start < rows.stop <= op.dim
+        tail = np.delete(h, np.arange(op.dim)[rows])
         parts = np.concatenate([tail.real, tail.imag])
         assert not parts.any() and not np.signbit(parts).any()
     # equal values, non-finite where the reference is; a zero's sign may differ
@@ -102,19 +104,21 @@ def test_early_stop_fills_the_tail_and_keeps_the_singular_point(family):
     op = build_operator(family, 8, weights=geometric_weights(8, 0.5))
     rhs = np.zeros(8, dtype=np.complex128)
     rhs[7 if family is Family.DONOGHUE else 0] = 1.0
-    h, rows = op.shifted_solver(1e300)(rhs)  # 1e-300, then an underflow to zero
-    assert rows == 2  # the first entry, and the zero that stops the substitution
+    h, rows = op.solve_shifted(1e300, rhs)  # 1e-300, then an underflow to zero
+    # the first entry, the zero that stops the substitution, and the row T moves it into
+    assert rows == (slice(5, 8) if family is Family.DONOGHUE else slice(0, 3))
     assert np.array_equal(h, _full_substitution(op, 1e300, rhs))
     assert np.count_nonzero(h) == 1
     assert not np.signbit(h[h == 0].real).any() and not np.signbit(h[h == 0].imag).any()
     with pytest.raises(np.linalg.LinAlgError):
-        op.shifted_solver(0)(rhs)
+        op.solve_shifted(0, rhs)
 
 
 @pytest.mark.parametrize("family", (*SHIFTS, Family.DENSE))
 def test_a_solve_checks_only_the_rows_it_wrote(family, monkeypatch):
-    # finiteness and the defect read the rows the substitution wrote and the one
-    # row T moves them into; a dense solve writes, and so checks, all N rows
+    # finiteness and the defect read the rows the solve names: those the
+    # substitution wrote and the one row T moves them into; a dense solve names,
+    # and so checks, all N rows
     dim = 1024 if family is not Family.DENSE else 64
     if family is Family.DENSE:
         op = build_operator(family, dim, matrix=np.diag(np.full(dim - 1, 0.5), -1))
@@ -123,7 +127,8 @@ def test_a_solve_checks_only_the_rows_it_wrote(family, monkeypatch):
     e = np.zeros(dim, dtype=np.complex128)
     e[dim - 1 if family is Family.DONOGHUE else 0] = 1.0
     lam = 2.5 + 1.0j
-    _, written = op.shifted_solver(1.0 / lam)(e)
+    _, rows = op.solve_shifted(1.0 / lam, e)
+    k = rows.stop - rows.start
     read, defect, isfinite = [], resolvent._relative_defect, np.isfinite
     monkeypatch.setattr(resolvent, "_relative_defect",
                         lambda op_, *args: read.append(op_.dim) or defect(op_, *args))
@@ -131,9 +136,9 @@ def test_a_solve_checks_only_the_rows_it_wrote(family, monkeypatch):
     rv = resolvent.ResolventSolver(op, lam).solve(e)
     monkeypatch.undo()
     if family is Family.DENSE:
-        assert written == dim and read == [dim, dim]
+        assert rows == slice(0, dim) and read == [dim, dim]
     else:
-        assert written < dim // 4 and read == [written + 1, written + 1]
+        assert k < dim // 4 and read == [k, k]
     # the rows left out hold exact zeros of h, e and T h: the defect keeps its value
     assert rv.defect == pytest.approx(defect(op, lam, rv.vector, e), rel=1e-12, abs=1e-30)
 
@@ -143,7 +148,7 @@ def test_a_solve_checks_only_the_rows_it_wrote(family, monkeypatch):
 
 def _substitution_lines():
     """The shift solve's code, and the line numbers of its substitution steps."""
-    code = build_operator(Family.FORWARD, 2, weights=[1.0]).shifted_solver(1.0).__code__
+    code = OperatorModel.solve_shifted.__code__
     source = Path(code.co_filename).read_text(encoding="utf-8").splitlines()
     steps = {n for _, _, n in code.co_lines() if n and source[n - 1].strip().startswith("h = (")}
     assert len(steps) == 2  # the head of the right-hand side, and its zero tail
@@ -160,13 +165,14 @@ class _Spy:
         for name in ("qr_basis", "extend_basis", "_rank", "smallest_singular_value",
                      "unit_columns", "containment_residual"):
             monkeypatch.setattr(halfspace, name, self._recording(getattr(halfspace, name)))
-        leading = OperatorModel.leading
+        on_support = OperatorModel.on_support
 
-        def recording_leading(op, k):
-            self.metric_rows.append(k)
-            return leading(op, k)
+        def recording_on_support(op, *arrays):
+            lead, cut = on_support(op, *arrays)
+            self.metric_rows.append(lead.dim)
+            return lead, cut
 
-        monkeypatch.setattr(OperatorModel, "leading", recording_leading)
+        monkeypatch.setattr(OperatorModel, "on_support", recording_on_support)
 
     def _recording(self, fn):
         def wrapper(a, *args, **kwargs):
